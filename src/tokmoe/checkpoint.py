@@ -16,14 +16,15 @@ rebuild a ModelParams, since the archive itself stores only tensors.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .config import VariantConfig
-from .errors import IntegrityError
+from .config import SchemeConfig, VariantConfig
+from .errors import ConfigError, IntegrityError
 from .model import ModelParams, init_model
 from .tensor import Array, ParamSlot
 
@@ -141,33 +142,54 @@ def save_model(
     for slot in extra_slots or []:
         tensors.append((slot.name, slot.value))
     save_tensors(tensors, path)
-    variant = params.variant
     meta = {
         "tokens": tokens,
         "intents": intents,
         "scheme": scheme,
         "num_experts": params.num_experts,
-        "variant": {
-            "attention_enabled": variant.attention_enabled,
-            "cell_kind": variant.cell_kind,
-            "hidden_size": variant.hidden_size,
-            "embedding_size": variant.embedding_size,
-            "attn_size": variant.attn_size,
-            "gate_hidden": variant.gate_hidden,
-            "gate_out": variant.gate_out,
-        },
+        "variant": dataclasses.asdict(params.variant),
     }
     meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path) -> tuple[ModelParams, dict]:
-    """Rebuild a ModelParams from archive + sidecar; values are bit-exact."""
-    side = meta_path(path)
+# Sidecar fields and their exact JSON types (bool is not accepted as int).
+# The variant's are those of a VariantConfig, whose attn_size is always set.
+_META_FIELDS = {"tokens": list, "intents": list, "scheme": str, "num_experts": int, "variant": dict}
+_VARIANT_FIELDS = {name: type(value) for name, value in dataclasses.asdict(VariantConfig()).items()}
+
+
+def _check_fields(side: Path, obj, fields: dict[str, type]) -> None:
+    if not isinstance(obj, dict) or obj.keys() != fields.keys():
+        raise IntegrityError(f"{side}: expected an object with exactly the fields {sorted(fields)}")
+    for name, kind in fields.items():
+        if type(obj[name]) is not kind:
+            raise IntegrityError(f"{side}: field {name!r} must be of type {kind.__name__}")
+
+
+def _read_meta(side: Path) -> tuple[dict, VariantConfig]:
+    """Parse and validate the sidecar; every defect is an IntegrityError."""
     if not side.exists():
         raise IntegrityError(f"{side}: checkpoint sidecar missing")
-    meta = json.loads(side.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(side.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"{side}: unreadable checkpoint sidecar ({exc})") from None
+    _check_fields(side, meta, _META_FIELDS)
+    _check_fields(side, meta["variant"], _VARIANT_FIELDS)
+    if not all(isinstance(t, str) for t in meta["tokens"] + meta["intents"]):
+        raise IntegrityError(f"{side}: tokens and intents must be strings")
+    try:
+        SchemeConfig.from_name(meta["scheme"])
+        variant = VariantConfig(**meta["variant"])
+    except ConfigError as exc:
+        raise IntegrityError(f"{side}: {exc}") from None
+    return meta, variant
+
+
+def load_model(path: str | Path) -> tuple[ModelParams, dict]:
+    """Rebuild a ModelParams from archive + sidecar; values are bit-exact."""
+    meta, variant = _read_meta(meta_path(path))
     tensors = load_tensors(path)
-    variant = VariantConfig(**meta["variant"])
     params = init_model(len(meta["tokens"]), meta["num_experts"], variant, seed=0)
     for slot in params.slots():
         if slot.name not in tensors:

@@ -23,6 +23,8 @@ from . import model as M
 from . import tensor as T
 from . import training as TR
 from .config import (
+    SCHEME_NAMES,
+    VARIANT_NAMES,
     RunConfig,
     SchemeConfig,
     VariantConfig,
@@ -37,12 +39,6 @@ GRADCHECK_MAX_HIDDEN = 8
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _combine_mode(scheme_name: str, params: M.ModelParams) -> str:
-    if params.num_decoders == 1 or scheme_name == "S3":
-        return M.COMBINE_CHAIR
-    return M.COMBINE_MIXTURE
 
 
 def _generated_tokens(params: M.ModelParams, vocab: D.Vocabulary, context_ids, max_len, mode):
@@ -117,7 +113,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"TOKMOE_SEED must be an integer, got {env_seed!r}") from None
     if args.lambda_ is not None:
         scheme = config.scheme_config()
-        if scheme.lambda_mode == "learnable":
+        if scheme.learns_weights:
             raise ConfigError(f"scheme {config.scheme} learns lambda; --lambda is not accepted")
         if abs(args.lambda_ - scheme.lambda_value) > 1e-12:
             raise ConfigError(
@@ -139,7 +135,7 @@ def _prepare_training(config: RunConfig):
     params = M.init_model(len(vocab), num_experts, config.variant_config(), config.seed)
     scheme = config.scheme_config()
     weights = None
-    if scheme.scheme == "S1" and num_experts > 0:
+    if scheme.learns_weights and num_experts > 0:
         weights = TR.SchemeWeights.fresh(num_experts)
     return train_corpus, vocab, encoded, intents, expert_of, params, scheme, weights
 
@@ -156,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         valid_corpus = None
     if valid_corpus is not None and len(valid_corpus) > 0:
         valid_encoded = D.encode_corpus(vocab, valid_corpus)
-        mode = _combine_mode(config.scheme, params)
+        mode = M.combine_mode(scheme, params)
 
         def valid_scorer(p: M.ModelParams) -> float:
             generated = [
@@ -226,12 +222,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 
 
+def _load_checkpoint(path: str) -> tuple[M.ModelParams, D.Vocabulary, str]:
+    """The model, its vocabulary and its scheme's combine mode."""
+    params, meta = ckpt.load_model(path)
+    vocab = D.Vocabulary(meta["tokens"])
+    return params, vocab, M.combine_mode(SchemeConfig.from_name(meta["scheme"]), params)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params, meta = ckpt.load_model(args.checkpoint)
-    vocab = D.Vocabulary(meta["tokens"], cap=max(len(meta["tokens"]), 4))
+    params, vocab, mode = _load_checkpoint(args.checkpoint)
     corpus = D.load_corpus_jsonl(args.corpus, split="test")
     encoded = D.encode_corpus(vocab, corpus)
-    mode = _combine_mode(meta["scheme"], params)
     generated = [
         _generated_tokens(params, vocab, s.context_ids, args.max_len, mode) for s in encoded
     ]
@@ -248,9 +249,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tokens = args.context.split()
     if not tokens:
         raise UsageError("context must contain at least one token")
-    params, meta = ckpt.load_model(args.checkpoint)
-    vocab = D.Vocabulary(meta["tokens"], cap=max(len(meta["tokens"]), 4))
-    mode = _combine_mode(meta["scheme"], params)
+    params, vocab, mode = _load_checkpoint(args.checkpoint)
     ids, betas = M.greedy_decode(
         params, vocab.encode_tokens(tokens), args.max_len, combine=mode, collect_beta=True
     )
@@ -300,12 +299,12 @@ def run_gradcheck(
         raise ConfigError(f"gradcheck refuses hidden size {hidden} > {GRADCHECK_MAX_HIDDEN}")
     samples, expert_of = _gradcheck_samples(vocab_size, num_experts)
     results: dict[str, dict[str, float]] = {}
-    for scheme_name in ("S1", "S2", "S3", "S4"):
+    for scheme_name in SCHEME_NAMES:
         scheme = SchemeConfig.from_name(scheme_name)
         per_variant: dict[str, float] = {}
         for variant_name, variant in _gradcheck_variants(hidden):
             params = M.init_model(vocab_size, num_experts, variant, seed)
-            weights = TR.SchemeWeights.fresh(num_experts) if scheme_name == "S1" else None
+            weights = TR.SchemeWeights.fresh(num_experts) if scheme.learns_weights else None
             per_variant[variant_name] = TR.grad_check(
                 params, samples, scheme, expert_of, weights=weights, epsilon=epsilon
             )
@@ -314,6 +313,12 @@ def run_gradcheck(
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.experts < 1:
+        raise UsageError("--experts must be at least 1")
+    if args.vocab_size < 5:
+        raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
+    if not args.epsilon > 0:
+        raise UsageError("--epsilon must be positive")
     if args.inject_bug:
         # Test fixture: corrupt one backward rule so the oracle must fail.
         original = T.tanh_backward
@@ -363,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write checkpoint + manifest")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--scheme", choices=("S1", "S2", "S3", "S4"))
-    p.add_argument("--variant", choices=("V1", "V2", "V3"))
+    p.add_argument("--scheme", choices=SCHEME_NAMES)
+    p.add_argument("--variant", choices=VARIANT_NAMES)
     p.add_argument("--train", help="training corpus (jsonl)")
     p.add_argument("--valid", help="validation corpus (jsonl)")
     p.add_argument("--test", help="test corpus path recorded in the manifest")

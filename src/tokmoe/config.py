@@ -59,7 +59,7 @@ class VariantConfig:
         return cls(**merged)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
     """Loss wiring for one learning scheme.
 
@@ -72,26 +72,25 @@ class SchemeConfig:
 
     scheme: str
     moe_enabled: bool
-    mu_mode: str                 # "learnable" | "uniform" | "unused"
-    lambda_mode: str             # "learnable" | "fixed"
-    lambda_value: float | None   # set when lambda_mode == "fixed"
+    lambda_value: float | None   # None: lambda and the expert weights are learned
 
     @classmethod
     def from_name(cls, name: str) -> "SchemeConfig":
-        table = {
-            "S1": cls("S1", True, "learnable", "learnable", None),
-            "S2": cls("S2", True, "unused", "fixed", 0.0),
-            "S3": cls("S3", False, "uniform", "fixed", 0.5),
-            "S4": cls("S4", True, "uniform", "fixed", 0.5),
-        }
-        if name not in table:
+        if name not in _SCHEMES:
             raise ConfigError(f"unknown scheme {name!r} (expected one of {SCHEME_NAMES})")
-        return table[name]
+        return _SCHEMES[name]
 
-    def __post_init__(self) -> None:
-        if self.lambda_mode == "fixed":
-            if self.lambda_value is None or not 0.0 <= self.lambda_value <= 1.0:
-                raise ConfigError(f"fixed lambda must lie in [0, 1], got {self.lambda_value}")
+    @property
+    def learns_weights(self) -> bool:
+        return self.lambda_value is None
+
+
+_SCHEMES = {
+    "S1": SchemeConfig("S1", True, None),
+    "S2": SchemeConfig("S2", True, 0.0),
+    "S3": SchemeConfig("S3", False, 0.5),
+    "S4": SchemeConfig("S4", True, 0.5),
+}
 
 
 @dataclass
@@ -149,8 +148,7 @@ class RunConfig:
     out_dir: str = "run"
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEME_NAMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r} (expected one of {SCHEME_NAMES})")
+        SchemeConfig.from_name(self.scheme)  # rejects unknown schemes
         if self.single_module and self.scheme != "S3":
             raise ConfigError("single_module mode is only defined for scheme S3")
         if self.vocab_cap < len(SPECIAL_TOKENS) + 1:
@@ -160,16 +158,9 @@ class RunConfig:
         return SchemeConfig.from_name(self.scheme)
 
     def variant_config(self) -> VariantConfig:
-        kwargs = dict(
-            attention_enabled=self.attention_enabled,
-            cell_kind=self.cell_kind,
-            hidden_size=self.hidden_size,
-            embedding_size=self.embedding_size,
-            attn_size=self.attn_size,
-            gate_hidden=self.gate_hidden,
-            gate_out=self.gate_out,
-        )
-        return VariantConfig(**kwargs)
+        # Every VariantConfig field has a same-named RunConfig field.
+        fields = dataclasses.fields(VariantConfig)
+        return VariantConfig(**{f.name: getattr(self, f.name) for f in fields})
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(
@@ -209,9 +200,7 @@ class RunConfig:
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
-def _coerce(key: str, raw, annotation: str):
-    if not isinstance(raw, str):
-        return raw
+def _coerce(key: str, raw: str, annotation: str):
     text = raw.strip()
     ann = str(annotation)
     if "bool" in ann:
@@ -221,8 +210,6 @@ def _coerce(key: str, raw, annotation: str):
             return False
         raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
     try:
-        if "int" in ann and "None" not in ann:
-            return int(text)
         if ann.startswith("int"):
             return int(text)
         if "float" in ann:
@@ -244,10 +231,6 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, value = stripped.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    return RunConfig.from_mapping(parse_config_file(path))
 
 
 def write_config_file(config: RunConfig, path: str | Path) -> None:

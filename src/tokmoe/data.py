@@ -1,4 +1,4 @@
-"""Vocabulary, corpus ingestion (JSONL), splitting, and synthetic corpora.
+"""Vocabulary, corpus ingestion (JSONL), and synthetic corpora.
 
 Corpus files are UTF-8 JSONL, one object per line, pre-tokenized and
 pre-delexicalized:
@@ -71,13 +71,10 @@ class EncodedSample:
 class Vocabulary:
     """Bijective token<->id map with four reserved specials (ids 0-3)."""
 
-    def __init__(self, tokens: list[str], cap: int = 400) -> None:
-        self.cap = cap
+    def __init__(self, tokens: list[str]) -> None:
         self.id_to_token: list[str] = list(tokens)
         if self.id_to_token[:len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
             raise DataError("vocabulary must start with the reserved special tokens")
-        if len(self.id_to_token) > cap:
-            raise DataError(f"vocabulary size {len(self.id_to_token)} exceeds cap {cap}")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("duplicate token in vocabulary")
@@ -100,7 +97,7 @@ class Vocabulary:
             counts.update(sample.response)
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         keep = [token for token, _ in ranked[: cap - len(SPECIAL_TOKENS)]]
-        return cls(list(SPECIAL_TOKENS) + keep, cap=cap)
+        return cls(list(SPECIAL_TOKENS) + keep)
 
     def encode_token(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -108,10 +105,11 @@ class Vocabulary:
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         return [self.encode_token(t) for t in tokens]
 
-    def decode_ids(self, ids: list[int], strip_specials: bool = True) -> list[str]:
+    def decode_ids(self, ids: list[int]) -> list[str]:
+        """Tokens of ``ids`` with <pad>, <bos> and <eos> dropped."""
         out = []
         for i in ids:
-            if strip_specials and i in (PAD_ID, BOS_ID, EOS_ID):
+            if i in (PAD_ID, BOS_ID, EOS_ID):
                 continue
             out.append(self.id_to_token[i])
         return out
@@ -176,25 +174,6 @@ def load_corpus_jsonl(path: str | Path, split: str = "train") -> Corpus:
 def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
     lines = [json.dumps(s.to_json(), ensure_ascii=False) for s in corpus.samples]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def split_corpus(
-    corpus: Corpus, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1), seed: int = 0
-) -> tuple[Corpus, Corpus, Corpus]:
-    """Seeded shuffle followed by contiguous cuts; a disjoint cover."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DomainError(f"split fractions must sum to 1, got {fractions}")
-    order = list(range(len(corpus)))
-    random.Random(seed).shuffle(order)
-    n = len(order)
-    cut1 = int(fractions[0] * n)
-    cut2 = int((fractions[0] + fractions[1]) * n)
-    parts = (order[:cut1], order[cut1:cut2], order[cut2:])
-    names = ("train", "valid", "test")
-    return tuple(
-        Corpus([corpus.samples[i] for i in idx], split=name)
-        for idx, name in zip(parts, names)
-    )  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class EmbeddingTable:
     def vocab_size(self) -> int:
         return self.matrix.value.shape[0]
 
-    @property
-    def emb_size(self) -> int:
-        return self.matrix.value.shape[1]
-
     def lookup(self, token_id: int) -> Array:
         # Returns a row view; forward passes never mutate it.
         if not 0 <= token_id < self.vocab_size:
@@ -68,42 +64,20 @@ class EmbeddingTable:
 
 
 @dataclass
-class LstmParams:
-    w_in: ParamSlot   # (d_in, 4*d_h)
-    w_rec: ParamSlot  # (d_h, 4*d_h)
-    bias: ParamSlot   # (4*d_h,)
+class CellParams:
+    """Recurrent cell weights; ``kind`` picks the LSTM (G = 4) or GRU (G = 3) step."""
+
+    kind: str         # "lstm" or "gru"
+    w_in: ParamSlot   # (d_in, G*d_h)
+    w_rec: ParamSlot  # (d_h, G*d_h)
+    bias: ParamSlot   # (G*d_h,)
 
     @property
     def hidden_size(self) -> int:
         return self.w_rec.value.shape[0]
 
-    @property
-    def input_size(self) -> int:
-        return self.w_in.value.shape[0]
-
     def slots(self) -> list[ParamSlot]:
         return [self.w_in, self.w_rec, self.bias]
-
-
-@dataclass
-class GruParams:
-    w_in: ParamSlot   # (d_in, 3*d_h)
-    w_rec: ParamSlot  # (d_h, 3*d_h)
-    bias: ParamSlot   # (3*d_h,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_rec.value.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_in.value.shape[0]
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.w_in, self.w_rec, self.bias]
-
-
-CellParams = LstmParams | GruParams
 
 
 class LstmCache(NamedTuple):
@@ -117,7 +91,7 @@ class LstmCache(NamedTuple):
     tanh_cell: Array
 
 
-def lstm_step(params: LstmParams, x: Array, prev: RnnState) -> tuple[RnnState, LstmCache]:
+def lstm_step(params: CellParams, x: Array, prev: RnnState) -> tuple[RnnState, LstmCache]:
     d_h = params.hidden_size
     z = T.matmul(x, params.w_in.value) + T.matmul(prev.hidden, params.w_rec.value) + params.bias.value
     gates = T.sigmoid(z[:3 * d_h])
@@ -132,7 +106,7 @@ def lstm_step(params: LstmParams, x: Array, prev: RnnState) -> tuple[RnnState, L
 
 
 def lstm_step_backward(
-    params: LstmParams, cache: LstmCache, d_hidden: Array, d_cell: Array
+    params: CellParams, cache: LstmCache, d_hidden: Array, d_cell: Array
 ) -> tuple[Array, Array, Array]:
     """Return (d_x, d_prev_hidden, d_prev_cell); parameter grads accumulate."""
     d_o = d_hidden * cache.tanh_cell
@@ -164,7 +138,7 @@ class GruCache(NamedTuple):
     r_h: Array
 
 
-def gru_step(params: GruParams, x: Array, prev: RnnState) -> tuple[RnnState, GruCache]:
+def gru_step(params: CellParams, x: Array, prev: RnnState) -> tuple[RnnState, GruCache]:
     d_h = params.hidden_size
     gates_in = T.matmul(x, params.w_in.value) + params.bias.value
     rec = T.matmul(prev.hidden, params.w_rec.value[:, :2 * d_h])
@@ -178,7 +152,7 @@ def gru_step(params: GruParams, x: Array, prev: RnnState) -> tuple[RnnState, Gru
 
 
 def gru_step_backward(
-    params: GruParams, cache: GruCache, d_hidden: Array, d_cell: Array
+    params: CellParams, cache: GruCache, d_hidden: Array, d_cell: Array
 ) -> tuple[Array, Array, Array]:
     """Return (d_x, d_prev_hidden, d_prev_cell); d_cell is ignored (GRU has none)."""
     d_h = params.hidden_size
@@ -201,13 +175,13 @@ def gru_step_backward(
 
 
 def cell_step(params: CellParams, x: Array, prev: RnnState):
-    if isinstance(params, LstmParams):
+    if params.kind == "lstm":
         return lstm_step(params, x, prev)
     return gru_step(params, x, prev)
 
 
 def cell_step_backward(params: CellParams, cache, d_hidden: Array, d_cell: Array):
-    if isinstance(params, LstmParams):
+    if params.kind == "lstm":
         return lstm_step_backward(params, cache, d_hidden, d_cell)
     return gru_step_backward(params, cache, d_hidden, d_cell)
 
@@ -275,10 +249,6 @@ def attention_backward(
 class OutputProjection:
     u: ParamSlot  # (d_h, vocab_size)
     a: ParamSlot  # (vocab_size,)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.a.value.shape[0]
 
     def slots(self) -> list[ParamSlot]:
         return [self.u, self.a]

@@ -23,14 +23,12 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .config import BOS_ID, EOS_ID, VariantConfig
+from .config import BOS_ID, EOS_ID, SchemeConfig, VariantConfig
 from .errors import DomainError, ShapeError
 from .layers import (
     AttentionParams,
     CellParams,
     EmbeddingTable,
-    GruParams,
-    LstmParams,
     OutputProjection,
     RnnState,
 )
@@ -110,12 +108,8 @@ class ModelParams:
     def num_decoders(self) -> int:
         return len(self.decoders)
 
-    @property
-    def chair_index(self) -> int:
-        return len(self.decoders) - 1
-
     def decoder_name(self, index: int) -> str:
-        return "chair" if index == self.chair_index else f"expert.{index}"
+        return "chair" if index == self.num_decoders - 1 else f"expert.{index}"
 
     def slots(self) -> list[ParamSlot]:
         out = [self.embedding.matrix, *self.encoder.slots()]
@@ -128,10 +122,6 @@ class ModelParams:
             raise ShapeError("duplicate parameter slot names")
         return out
 
-    def zero_grads(self) -> None:
-        for slot in self.slots():
-            slot.zero_grad()
-
 
 def _uniform_slot(rng: np.random.Generator, name: str, *shape: int) -> ParamSlot:
     return ParamSlot(name, rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
@@ -139,8 +129,8 @@ def _uniform_slot(rng: np.random.Generator, name: str, *shape: int) -> ParamSlot
 
 def _init_cell(rng: np.random.Generator, prefix: str, kind: str, d_in: int, d_h: int) -> CellParams:
     gates = 4 if kind == "lstm" else 3
-    cls = LstmParams if kind == "lstm" else GruParams
-    return cls(
+    return CellParams(
+        kind,
         w_in=_uniform_slot(rng, f"{prefix}.w_in", d_in, gates * d_h),
         w_rec=_uniform_slot(rng, f"{prefix}.w_rec", d_h, gates * d_h),
         bias=_uniform_slot(rng, f"{prefix}.bias", gates * d_h),
@@ -196,6 +186,16 @@ def init_model(
             ],
         )
     return ModelParams(embedding, encoder, decoders, gating, variant, num_experts)
+
+
+def combine_mode(scheme: SchemeConfig, params: ModelParams) -> str:
+    """How ``scheme`` forms the final distribution on this model.
+
+    The gated mixture when the scheme enables it and the model has a gate;
+    otherwise the chair's own distribution, which in single-decoder mode is
+    the only decoder's.
+    """
+    return COMBINE_MIXTURE if scheme.moe_enabled and params.gating is not None else COMBINE_CHAIR
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def chair_combine_backward(
 
 
 # ---------------------------------------------------------------------------
-# Full teacher-forced pass
+# Decoding: one output token, then the teacher-forced and greedy loops
 
 
 class StepCache(NamedTuple):
@@ -399,7 +399,6 @@ class ForwardCache(NamedTuple):
     enc_cache: EncodeCache
     enc_out: EncoderOutput
     steps: list[StepCache]
-    combine: str
 
 
 def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> list[RnnState]:
@@ -408,6 +407,41 @@ def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> list[RnnS
         RnnState(enc.final_state.hidden.copy(), enc.final_state.cell.copy())
         for _ in range(params.num_decoders)
     ]
+
+
+def decode_step(
+    params: ModelParams,
+    prev_token: int,
+    states: list[RnnState],
+    enc: EncoderOutput,
+    combine: str,
+) -> StepCache:
+    """One output token: every decoder steps on ``prev_token``, then they combine.
+
+    With ``combine == "mixture"`` on a gated model the gate weighs all
+    decoders. Otherwise one decoder is selected: the chair, which in
+    single-decoder mode is the only one; beta is one-hot on it and the
+    combined distribution IS its distribution.
+    """
+    if combine not in (COMBINE_MIXTURE, COMBINE_CHAIR):
+        raise DomainError(f"unknown combine mode {combine!r}")
+    dists: list[Array] = []
+    new_states: list[RnnState] = []
+    dec_caches: list[DecoderStepCache] = []
+    for l in range(params.num_decoders):
+        dist, state, dec_cache = expert_step(params, l, prev_token, states[l], enc)
+        dists.append(dist)
+        new_states.append(state)
+        dec_caches.append(dec_cache)
+    gate_cache = None
+    if combine == COMBINE_MIXTURE and params.gating is not None:
+        beta, gate_cache = gate_weights(params.gating, new_states, dists)
+        combined = chair_combine(dists, beta)
+    else:
+        beta = np.zeros(params.num_decoders)
+        beta[-1] = 1.0
+        combined = dists[-1]
+    return StepCache(dec_caches, gate_cache, StepOutput(dists, new_states, beta, combined))
 
 
 def forward_teacher_forced(
@@ -419,46 +453,21 @@ def forward_teacher_forced(
     """Run all decoders over a gold response (BOS prepended internally).
 
     At step j every decoder consumes the shared ground-truth token y_{j-1}.
-    Returns one StepOutput per response position. With a single decoder,
-    or with ``combine == "chair"``, the combined distribution is the
-    chair's own and beta degenerates accordingly.
+    Returns one StepOutput per response position; see ``decode_step`` for
+    how the combined distribution is formed.
     """
     if len(response_ids) == 0:
         raise DomainError("cannot teacher-force an empty response")
-    if combine not in (COMBINE_MIXTURE, COMBINE_CHAIR):
-        raise DomainError(f"unknown combine mode {combine!r}")
     enc, enc_cache = encode_context(params, context_ids)
     states = initial_decoder_states(params, enc)
-    n_dec = params.num_decoders
     steps: list[StepCache] = []
-    outputs: list[StepOutput] = []
     prev_token = BOS_ID
     for y in response_ids:
-        dists: list[Array] = []
-        new_states: list[RnnState] = []
-        dec_caches: list[DecoderStepCache] = []
-        for l in range(n_dec):
-            dist, state, dec_cache = expert_step(params, l, prev_token, states[l], enc)
-            dists.append(dist)
-            new_states.append(state)
-            dec_caches.append(dec_cache)
-        gate_cache = None
-        if n_dec == 1:
-            beta = np.array([1.0])
-            combined = dists[0]
-        elif combine == COMBINE_MIXTURE:
-            beta, gate_cache = gate_weights(params.gating, new_states, dists)
-            combined = chair_combine(dists, beta)
-        else:  # chair-only: mixture disabled, beta is a frozen selection
-            beta = np.zeros(n_dec)
-            beta[-1] = 1.0
-            combined = dists[-1]
-        out = StepOutput(dists, new_states, beta, combined)
-        outputs.append(out)
-        steps.append(StepCache(dec_caches, gate_cache, out))
-        states = new_states
+        step = decode_step(params, prev_token, states, enc, combine)
+        steps.append(step)
+        states = step.out.states
         prev_token = y
-    return outputs, ForwardCache(enc_cache, enc, steps, combine)
+    return [step.out for step in steps], ForwardCache(enc_cache, enc, steps)
 
 
 def backward_teacher_forced(
@@ -485,8 +494,7 @@ def backward_teacher_forced(
     for j in reversed(range(len(cache.steps))):
         step = cache.steps[j]
         d_dist = [T.zeros(vocab) for _ in range(n_dec)]
-        for l in range(n_dec):
-            seed = d_dists[j][l] if d_dists[j] is not None else None
+        for l, seed in enumerate(d_dists[j]):
             if seed is not None:
                 d_dist[l] += seed
         d_hidden_extra = [T.zeros(d_h) for _ in range(n_dec)]
@@ -521,60 +529,34 @@ def backward_teacher_forced(
     encode_backward(params, cache.enc_cache, d_enc_hiddens, d_final_hidden, d_final_cell)
 
 
-# ---------------------------------------------------------------------------
-# Greedy decoding
-
-
 def greedy_decode(
     params: ModelParams,
     context_ids: list[int],
     max_len: int,
     combine: str = COMBINE_MIXTURE,
-    force_expert: int | None = None,
     collect_beta: bool = False,
 ) -> list[int] | tuple[list[int], list[Array]]:
     """Generate token ids greedily until EOS or ``max_len``.
 
     The argmax of the combined distribution is fed to every decoder at the
-    next step; ties resolve to the lowest token id. ``force_expert`` pins
-    the mixture one-hot on that decoder (a traceability aid). With
-    ``collect_beta`` the per-step mixture weights are returned as well.
+    next step; ties resolve to the lowest token id. With ``collect_beta``
+    the per-step mixture weights are returned as well.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     enc, _ = encode_context(params, context_ids)
     states = initial_decoder_states(params, enc)
-    n_dec = params.num_decoders
     prev_token = BOS_ID
     out_ids: list[int] = []
     betas: list[Array] = []
     for _ in range(max_len):
-        dists: list[Array] = []
-        new_states: list[RnnState] = []
-        for l in range(n_dec):
-            dist, state, _ = expert_step(params, l, prev_token, states[l], enc)
-            dists.append(dist)
-            new_states.append(state)
-        if n_dec == 1:
-            beta = np.array([1.0])
-            combined = dists[0]
-        elif force_expert is not None:
-            beta = np.zeros(n_dec)
-            beta[force_expert] = 1.0
-            combined = dists[force_expert]
-        elif combine == COMBINE_MIXTURE:
-            beta, _ = gate_weights(params.gating, new_states, dists)
-            combined = chair_combine(dists, beta)
-        else:
-            beta = np.zeros(n_dec)
-            beta[-1] = 1.0
-            combined = dists[-1]
-        token = int(np.argmax(combined))  # first maximum, so lowest id wins ties
+        out = decode_step(params, prev_token, states, enc, combine).out
+        token = int(np.argmax(out.combined))  # first maximum, so lowest id wins ties
         out_ids.append(token)
-        betas.append(beta)
+        betas.append(out.beta)
         if token == EOS_ID:
             break
-        states = new_states
+        states = out.states
         prev_token = token
     if collect_beta:
         return out_ids, betas

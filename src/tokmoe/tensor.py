@@ -7,9 +7,9 @@ serializes. Arrays returned by an operation are treated as immutable;
 gradients accumulate additively into ``ParamSlot.grad`` and are zeroed
 explicitly by the training loop (single writer).
 
-Each forward function has a paired ``*_backward`` that maps the upstream
-gradient to input gradients. There is no graph or tape; callers compose
-the backward calls in reverse order themselves.
+Softmax, concat, tanh and sigmoid have paired ``*_backward`` functions
+(the layers form matmul's gradients themselves). There is no graph or
+tape; callers compose the backward calls in reverse order themselves.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ def tensor(values) -> Array:
 
 def zeros(*shape: int) -> Array:
     return np.zeros(shape, dtype=np.float64)
-
-
-def check_finite(arr: Array, what: str = "tensor") -> Array:
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} contains NaN or Inf")
-    return arr
 
 
 @dataclass
@@ -70,17 +64,6 @@ def matmul(a: Array, b: Array) -> Array:
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     return a @ b
-
-
-def matmul_backward(grad: Array, a: Array, b: Array) -> tuple[Array, Array]:
-    """Given upstream gradient G of a@b, return (G b^T, a^T G)."""
-    if a.ndim == 2 and b.ndim == 2:
-        return grad @ b.T, a.T @ grad
-    if a.ndim == 1 and b.ndim == 2:  # (s,) @ (s,t) -> (t,)
-        return grad @ b.T, np.outer(a, grad)
-    if a.ndim == 2 and b.ndim == 1:  # (r,s) @ (s,) -> (r,)
-        return np.outer(grad, b), a.T @ grad
-    raise ShapeError(f"unsupported matmul operand ranks: {a.shape} and {b.shape}")
 
 
 def softmax(x: Array) -> Array:
@@ -129,31 +112,3 @@ def sigmoid(x: Array) -> Array:
 
 def sigmoid_backward(grad: Array, out: Array) -> Array:
     return grad * out * (1.0 - out)
-
-
-def _check_same_shape(a: Array, b: Array, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} operand shapes differ: {a.shape} vs {b.shape}")
-
-
-def add(a: Array, b: Array) -> Array:
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def add_backward(grad: Array) -> tuple[Array, Array]:
-    return grad, grad
-
-
-def mul(a: Array, b: Array) -> Array:
-    _check_same_shape(a, b, "mul")
-    return a * b
-
-
-def mul_backward(grad: Array, a: Array, b: Array) -> tuple[Array, Array]:
-    return grad * b, grad * a
-
-
-def safe_log(p: Array | float) -> Array | float:
-    """log with the probability floor applied; never returns -inf."""
-    return np.log(np.maximum(p, PROB_FLOOR))

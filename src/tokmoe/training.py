@@ -27,10 +27,10 @@ from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
 from .model import (
     COMBINE_CHAIR,
-    COMBINE_MIXTURE,
     ModelParams,
     StepOutput,
     backward_teacher_forced,
+    combine_mode,
     forward_teacher_forced,
 )
 from .tensor import Array, ParamSlot
@@ -77,8 +77,8 @@ def learnable_weights_forward(
     scheme: SchemeConfig, weights: SchemeWeights
 ) -> tuple[Array, float]:
     """(mu over the k experts, lambda in (0, 1)); S1 only."""
-    if scheme.scheme != "S1":
-        raise ConfigError("learnable loss weights are only defined for scheme S1")
+    if not scheme.learns_weights:
+        raise ConfigError(f"scheme {scheme.scheme} has no learnable loss weights")
     mu = T.softmax(weights.mu_logits.value)
     lam = float(T.sigmoid(weights.lambda_logit.value)[0])
     return mu, lam
@@ -90,20 +90,20 @@ def resolve_scheme_weights(
     """Full per-decoder weight vector (chair last) and lambda for one batch.
 
     The chair's term in the expert loss always carries the uniform 1/k
-    weight; under S1 only the k expert entries are learnable.
+    weight; under S1 only the k expert entries are learnable. Single-decoder
+    mode (``num_experts == 0``) trains on the chair loss alone: mu = [1],
+    lambda = 0.
     """
-    k = max(num_experts, 1)
-    if scheme.scheme == "S1":
+    if num_experts == 0:
+        return np.array([1.0]), 0.0
+    if scheme.learns_weights:
         if weights is None:
-            raise ConfigError("scheme S1 requires SchemeWeights")
+            raise ConfigError(f"scheme {scheme.scheme} requires SchemeWeights")
         mu_experts, lam = learnable_weights_forward(scheme, weights)
-        mu = np.concatenate([mu_experts, [1.0 / k]])
+        mu = np.concatenate([mu_experts, [1.0 / num_experts]])
         return mu, lam
-    mu = np.full(num_experts + 1, 1.0 / k)
-    lam = scheme.lambda_value
-    if lam is None or not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"scheme {scheme.scheme} has no fixed lambda in [0, 1]")
-    return mu, float(lam)
+    mu = np.full(num_experts + 1, 1.0 / num_experts)
+    return mu, float(scheme.lambda_value)
 
 
 # ---------------------------------------------------------------------------
@@ -120,29 +120,38 @@ def nll_sequence(dists: list[Array], targets: list[int]) -> float:
     return total
 
 
+def localized_decoders(intent: str, expert_of: dict[str, int], chair: int) -> tuple[int, ...]:
+    """Decoders whose own NLL on a sample of ``intent`` enters the expert loss.
+
+    The intent's expert, then the chair, which sees every sample. In
+    single-decoder mode (``chair == 0``) that is the one decoder, once.
+    """
+    if chair == 0:
+        return (0,)
+    if intent not in expert_of:
+        raise DataError(f"intent {intent!r} has no assigned expert")
+    return (expert_of[intent], chair)
+
+
 def loss_experts(
     per_sample_steps: list[list[StepOutput]],
     per_sample_targets: list[list[int]],
     intents: list[str],
     expert_of: dict[str, int],
-    mu: Array,
-) -> float:
+) -> list[float]:
     """Localized expert loss: each decoder's own NLL on its own partition.
 
-    Expert l accrues loss only on samples of its intent; the chair (last
-    weight entry) accrues loss on every sample. Each decoder scores with
-    its OWN distribution, not the combination.
+    Returns the unweighted sum per decoder (chair last); the expert loss
+    is its dot product with mu. Expert l accrues loss only on samples of
+    its intent; the chair accrues loss on every sample. Each decoder
+    scores with its OWN distribution, not the combination.
     """
-    chair = len(mu) - 1
-    total = 0.0
+    chair = len(per_sample_steps[0][0].dists) - 1
+    raw = [0.0] * (chair + 1)
     for steps, targets, intent in zip(per_sample_steps, per_sample_targets, intents):
-        if intent not in expert_of and chair > 0:
-            raise DataError(f"intent {intent!r} has no assigned expert")
-        if chair > 0:
-            owner = expert_of[intent]
-            total += mu[owner] * nll_sequence([s.dists[owner] for s in steps], targets)
-        total += mu[chair] * nll_sequence([s.dists[chair] for s in steps], targets)
-    return total
+        for l in localized_decoders(intent, expert_of, chair):
+            raw[l] += nll_sequence([s.dists[l] for s in steps], targets)
+    return raw
 
 
 def loss_chair(
@@ -200,66 +209,41 @@ def train_batch(
     """Forward (and optionally backward) over one mini-batch, losses summed.
 
     Gradients accumulate into the parameter slots; callers own the
-    l2/clip/step/zero sequence. In single-decoder mode the total is the
-    chair loss alone and lambda is reported as 0.
+    l2/clip/step/zero sequence. In single-decoder mode lambda is 0, so the
+    total is the chair loss alone.
     """
     n_dec = params.num_decoders
-    chair = params.chair_index
-    single = n_dec == 1
-    mode = COMBINE_MIXTURE if (scheme.moe_enabled and not single) else COMBINE_CHAIR
-    if single:
-        mu = np.array([1.0])
-        lam = 0.0
-    else:
-        mu, lam = resolve_scheme_weights(scheme, params.num_experts, weights)
+    mode = combine_mode(scheme, params)
+    mu, lam = resolve_scheme_weights(scheme, params.num_experts, weights)
 
     raw_expert = [0.0] * n_dec
     chair_total = 0.0
     token_count = 0
     for enc_sample in batch:
-        if not single and enc_sample.intent not in expert_of:
-            raise DataError(f"intent {enc_sample.intent!r} has no assigned expert")
-        owner = chair if single else expert_of[enc_sample.intent]
         targets = enc_sample.response_ids
         steps, cache = forward_teacher_forced(
             params, enc_sample.context_ids, targets, combine=mode
         )
         token_count += len(targets)
-        sample_owner_nll = nll_sequence([s.dists[owner] for s in steps], targets)
-        raw_expert[owner] += sample_owner_nll
-        if not single and owner != chair:
-            raw_expert[chair] += nll_sequence([s.dists[chair] for s in steps], targets)
-        if single:
-            chair_total += sample_owner_nll
-        else:
-            chair_total += loss_chair([steps], [targets])
+        sample_raw = loss_experts([steps], [targets], [enc_sample.intent], expert_of)
+        for l in range(n_dec):
+            raw_expert[l] += sample_raw[l]
+        chair_total += loss_chair([steps], [targets])
 
         if compute_grads:
-            d_dists: list[list[Array | None]] = []
-            d_combined: list[Array | None] = []
-            for step, y in zip(steps, targets):
-                per_dec: list[Array | None] = [None] * n_dec
-                if not single:
-                    per_dec[owner] = _nll_grad_seed(step.dists[owner], y, lam * mu[owner])
-                    if owner != chair:
-                        extra = _nll_grad_seed(step.dists[chair], y, lam * mu[chair])
-                        if extra is not None:
-                            if per_dec[chair] is None:
-                                per_dec[chair] = extra
-                            else:
-                                per_dec[chair] += extra
-                d_dists.append(per_dec)
-                d_combined.append(_nll_grad_seed(step.combined, y, 1.0 if single else 1.0 - lam))
+            d_dists: list[list[Array | None]] = [[None] * n_dec for _ in steps]
+            for l in localized_decoders(enc_sample.intent, expert_of, n_dec - 1):
+                for seeds, step, y in zip(d_dists, steps, targets):
+                    seeds[l] = _nll_grad_seed(step.dists[l], y, lam * mu[l])
+            d_combined = [
+                _nll_grad_seed(step.combined, y, 1.0 - lam) for step, y in zip(steps, targets)
+            ]
             backward_teacher_forced(params, cache, d_dists, d_combined)
 
-    if single:
-        experts_weighted = chair_total
-        total = chair_total
-    else:
-        experts_weighted = float(np.dot(mu, raw_expert))
-        total = loss_total(experts_weighted, chair_total, lam)
+    experts_weighted = float(np.dot(mu, raw_expert))
+    total = loss_total(experts_weighted, chair_total, lam)
 
-    if compute_grads and scheme.scheme == "S1" and weights is not None and not single:
+    if compute_grads and scheme.learns_weights and params.num_experts > 0:
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
         d_mu = lam * np.asarray(raw_expert[:-1])
         mu_experts = mu[:-1]
@@ -451,8 +435,7 @@ def teacher_forced_accuracy(
     scheme: SchemeConfig,
 ) -> float:
     """Fraction of response tokens where argmax(combined) hits the target."""
-    single = params.num_decoders == 1
-    mode = COMBINE_MIXTURE if (scheme.moe_enabled and not single) else COMBINE_CHAIR
+    mode = combine_mode(scheme, params)
     hits = 0
     total = 0
     for enc_sample in samples:

@@ -141,6 +141,25 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error[integrity]")
 
+    @pytest.mark.parametrize("name,corrupt", [
+        ("malformed", lambda meta: "{not json"),
+        ("no-variant", lambda meta: json.dumps({k: v for k, v in meta.items() if k != "variant"})),
+        ("unknown-scheme", lambda meta: json.dumps({**meta, "scheme": "S9"})),
+    ])
+    def test_corrupted_sidecar_is_one_error_line(
+        self, trained_run, corpus_dir, workdir, capsys, name, corrupt
+    ):
+        bad = workdir / f"side-{name}.ckpt"
+        bad.write_bytes((trained_run / "model.ckpt").read_bytes())
+        meta = json.loads((trained_run / "model.meta.json").read_text())
+        (workdir / f"side-{name}.meta.json").write_text(corrupt(meta))
+        for argv in (["evaluate", "--corpus", str(corpus_dir / "test.jsonl")],
+                     ["generate", "--context", "i need help"]):
+            code = main([*argv, "--checkpoint", str(bad)])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error[integrity]")
+
 
 class TestGenerate:
     def test_deterministic_output(self, trained_run, capsys):
@@ -176,6 +195,17 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--hidden", "9"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    @pytest.mark.parametrize("flags", [
+        ["--vocab-size", "4"], ["--epsilon", "0"], ["--epsilon=-1e-5"], ["--experts", "0"],
+    ])
+    def test_degenerate_sweep_is_usage_error(self, capsys, flags):
+        code = main(["gradcheck", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[usage]")
 
     def test_clean_run_exits_zero_with_four_scheme_lines(self, capsys):
         code = main(["gradcheck", "--hidden", "2", "--vocab-size", "5"])

@@ -125,33 +125,6 @@ class TestJsonl:
         assert [s.to_json() for s in corpus.samples] == [s.to_json() for s in reread.samples]
 
 
-class TestSplit:
-    def make_corpus(self, n=100):
-        return D.Corpus([D.Sample([f"c{i}"], [f"r{i}"], "a") for i in range(n)])
-
-    def test_sizes(self):
-        train, valid, test = D.split_corpus(self.make_corpus(100), (0.8, 0.1, 0.1), seed=1)
-        assert (len(train), len(valid), len(test)) == (80, 10, 10)
-
-    def test_same_seed_same_split(self):
-        corpus = self.make_corpus(50)
-        a = D.split_corpus(corpus, seed=9)
-        b = D.split_corpus(corpus, seed=9)
-        for x, y in zip(a, b):
-            assert [s.context for s in x.samples] == [s.context for s in y.samples]
-
-    def test_disjoint_cover(self):
-        corpus = self.make_corpus(37)
-        parts = D.split_corpus(corpus, (0.6, 0.2, 0.2), seed=4)
-        seen = list(itertools.chain.from_iterable(p.samples for p in parts))
-        assert len(seen) == 37
-        assert {id(s) for s in seen} == {id(s) for s in corpus.samples}
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(DomainError):
-            D.split_corpus(self.make_corpus(10), (0.5, 0.2, 0.2), seed=0)
-
-
 class TestSyntheticCorpus:
     def test_counts_and_intents(self):
         spec = D.SynthSpec(intents=3, samples_per_intent=20, seed=7)

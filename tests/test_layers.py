@@ -18,7 +18,8 @@ def make_slot(rng, name, *shape):
 
 
 def make_lstm(rng, d_in, d_h):
-    return L.LstmParams(
+    return L.CellParams(
+        "lstm",
         make_slot(rng, "w_in", d_in, 4 * d_h),
         make_slot(rng, "w_rec", d_h, 4 * d_h),
         make_slot(rng, "bias", 4 * d_h),
@@ -26,7 +27,8 @@ def make_lstm(rng, d_in, d_h):
 
 
 def make_gru(rng, d_in, d_h):
-    return L.GruParams(
+    return L.CellParams(
+        "gru",
         make_slot(rng, "w_in", d_in, 3 * d_h),
         make_slot(rng, "w_rec", d_h, 3 * d_h),
         make_slot(rng, "bias", 3 * d_h),
@@ -55,7 +57,8 @@ class TestEmbedding:
 class TestLstmCell:
     def test_zero_params_zero_state_fixed_point(self, rng):
         d_in, d_h = 3, 4
-        params = L.LstmParams(
+        params = L.CellParams(
+            "lstm",
             ParamSlot("w_in", T.zeros(d_in, 4 * d_h)),
             ParamSlot("w_rec", T.zeros(d_h, 4 * d_h)),
             ParamSlot("bias", T.zeros(4 * d_h)),
@@ -97,7 +100,8 @@ class TestLstmCell:
 class TestGruCell:
     def test_zero_params_zero_state_fixed_point(self, rng):
         d_in, d_h = 3, 4
-        params = L.GruParams(
+        params = L.CellParams(
+            "gru",
             ParamSlot("w_in", T.zeros(d_in, 3 * d_h)),
             ParamSlot("w_rec", T.zeros(d_h, 3 * d_h)),
             ParamSlot("bias", T.zeros(3 * d_h)),

@@ -322,25 +322,6 @@ class TestGreedyDecode:
         for n in (1, 2, 5):
             assert len(greedy_decode(params, [4], max_len=n)) <= n
 
-    def test_forced_expert_equals_expert_alone(self):
-        params = tiny_model(seed=11)
-        for l in range(params.num_decoders):
-            forced = greedy_decode(params, [4, 5], max_len=6, force_expert=l)
-
-            # Independent loop: run decoder l by itself, feeding its own argmax.
-            enc, _ = encode_context(params, [4, 5])
-            state = RnnState(enc.final_state.hidden.copy(), enc.final_state.cell.copy())
-            prev = BOS_ID
-            alone = []
-            for _ in range(6):
-                dist, state, _ = expert_step(params, l, prev, state, enc)
-                token = int(np.argmax(dist))
-                alone.append(token)
-                if token == EOS_ID:
-                    break
-                prev = token
-            assert forced == alone
-
     def test_collect_beta_rows_sum_to_one(self):
         params = tiny_model(seed=5)
         ids, betas = greedy_decode(params, [4, 5], max_len=5, collect_beta=True)

@@ -25,26 +25,6 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 2\)"):
             T.matmul(T.tensor([[1.0, 2.0]]), T.tensor([[3.0, 4.0]]))
 
-    def test_backward_matches_finite_differences(self, rng):
-        a = rng.uniform(-1, 1, (3, 4))
-        b = rng.uniform(-1, 1, (4, 2))
-        g = rng.uniform(-1, 1, (3, 2))
-        ga, gb = T.matmul_backward(g, a, b)
-        num_a = fd_grad(lambda x: float(np.sum(T.matmul(x, b) * g)), a.copy())
-        num_b = fd_grad(lambda x: float(np.sum(T.matmul(a, x) * g)), b.copy())
-        assert max_rel_err(ga, num_a) < 1e-6
-        assert max_rel_err(gb, num_b) < 1e-6
-
-    def test_backward_vector_cases(self, rng):
-        a = rng.uniform(-1, 1, 4)
-        b = rng.uniform(-1, 1, (4, 3))
-        g = rng.uniform(-1, 1, 3)
-        ga, gb = T.matmul_backward(g, a, b)
-        num_a = fd_grad(lambda x: float(np.dot(T.matmul(x, b), g)), a.copy())
-        num_b = fd_grad(lambda x: float(np.dot(T.matmul(a, x), g)), b.copy())
-        assert max_rel_err(ga, num_a) < 1e-6
-        assert max_rel_err(gb, num_b) < 1e-6
-
     def test_associativity_on_random_chains(self, rng):
         for _ in range(20):
             a = rng.uniform(-1, 1, (3, 4))
@@ -125,18 +105,8 @@ class TestElementwise:
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
-    def test_add(self):
-        np.testing.assert_array_equal(T.add(T.tensor([1.0, 2.0]), T.tensor([3.0, 4.0])), [4.0, 6.0])
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.add(T.tensor([1.0]), T.tensor([1.0, 2.0]))
-        with pytest.raises(ShapeError):
-            T.mul(T.tensor([1.0]), T.tensor([1.0, 2.0]))
-
     def test_backwards_match_finite_differences(self, rng):
         x = rng.uniform(-2, 2, 6)
-        y = rng.uniform(-2, 2, 6)
         g = rng.uniform(-1, 1, 6)
 
         analytic = T.tanh_backward(g, T.tanh(x))
@@ -146,16 +116,6 @@ class TestElementwise:
         analytic = T.sigmoid_backward(g, T.sigmoid(x))
         numeric = fd_grad(lambda v: float(np.dot(T.sigmoid(v), g)), x.copy())
         assert max_rel_err(analytic, numeric) < 1e-6
-
-        ga, gb = T.mul_backward(g, x, y)
-        num_a = fd_grad(lambda v: float(np.dot(T.mul(v, y), g)), x.copy())
-        num_b = fd_grad(lambda v: float(np.dot(T.mul(x, v), g)), y.copy())
-        assert max_rel_err(ga, num_a) < 1e-6
-        assert max_rel_err(gb, num_b) < 1e-6
-
-        ga, gb = T.add_backward(g)
-        np.testing.assert_array_equal(ga, g)
-        np.testing.assert_array_equal(gb, g)
 
 
 class TestParamSlot:
@@ -170,16 +130,3 @@ class TestParamSlot:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             T.ParamSlot("w", T.tensor([1.0, 2.0]), grad=T.zeros(3))
-
-
-class TestNumericGuards:
-    def test_safe_log_floors_at_probability_floor(self):
-        assert T.safe_log(0.0) == math.log(T.PROB_FLOOR)
-        assert T.safe_log(0.5) == math.log(0.5)
-
-    def test_check_finite_rejects_nan_and_inf(self):
-        with pytest.raises(DomainError):
-            T.check_finite(T.tensor([1.0, float("nan")]))
-        with pytest.raises(DomainError):
-            T.check_finite(T.tensor([float("inf")]))
-        T.check_finite(T.tensor([1.0, -2.0]))

@@ -11,7 +11,7 @@ from tokmoe import OptimizerConfig, SchemeConfig, init_model
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
 from tokmoe.layers import RnnState
-from tokmoe.model import StepOutput, forward_teacher_forced
+from tokmoe.model import StepOutput, combine_mode, forward_teacher_forced
 from tokmoe.tensor import ParamSlot
 
 from conftest import tiny_samples, tiny_variant
@@ -58,13 +58,12 @@ class TestLossFunctions:
     def test_one_hot_expert_contributes_zero(self):
         one_hot = [0.0, 1.0, 0.0, 0.0]
         steps = [make_step([one_hot])]
-        loss = TR.loss_experts([steps], [[1]], ["a"], {}, np.array([1.0]))
-        assert loss == 0.0
+        assert TR.loss_experts([steps], [[1]], ["a"], {}) == [0.0]
 
     def test_uniform_single_token_is_log4(self):
         uniform = [0.25] * 4
         steps = [make_step([uniform])]
-        loss = TR.loss_experts([steps], [[2]], ["a"], {}, np.array([1.0]))
+        (loss,) = TR.loss_experts([steps], [[2]], ["a"], {})
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_uniform_weighting_over_experts(self):
@@ -72,15 +71,16 @@ class TestLossFunctions:
         uniform = [0.25] * 4
         steps = [make_step([uniform, uniform, uniform])]
         mu = np.array([0.5, 0.5, 0.5])
-        loss = TR.loss_experts([steps], [[0]], ["a"], {"a": 0}, mu)
+        raw = TR.loss_experts([steps], [[0]], ["a"], {"a": 0})
+        assert raw[1] == 0.0  # expert 1 does not own intent "a"
         # owner expert + chair, each weighted 1/2.
-        assert abs(loss - math.log(4.0)) < 1e-12
+        assert abs(np.dot(mu, raw) - math.log(4.0)) < 1e-12
 
     def test_unassigned_intent_rejected(self):
         uniform = [0.25] * 4
         steps = [make_step([uniform, uniform])]
         with pytest.raises(DataError, match="no assigned expert"):
-            TR.loss_experts([steps], [[0]], ["mystery"], {"a": 0}, np.array([1.0, 1.0]))
+            TR.loss_experts([steps], [[0]], ["mystery"], {"a": 0})
 
     def test_chair_loss_additivity(self):
         uniform = [0.25] * 4
@@ -108,6 +108,8 @@ class TestLossFunctions:
             if dist[y] < 1.0:
                 assert value > 0.0
         assert TR.nll_sequence([np.array([0.0, 1.0])], [1]) == 0.0
+        # A zero probability scores at the floor, never infinity.
+        assert TR.nll_sequence([np.array([0.0, 1.0])], [0]) == -math.log(T.PROB_FLOOR)
 
 
 class TestSchemeWeights:
@@ -130,13 +132,13 @@ class TestSchemeWeights:
 
     def test_scheme_table_wiring(self):
         s1 = SchemeConfig.from_name("S1")
-        assert s1.moe_enabled and s1.mu_mode == "learnable" and s1.lambda_mode == "learnable"
+        assert s1.moe_enabled and s1.learns_weights and s1.lambda_value is None
         s2 = SchemeConfig.from_name("S2")
-        assert s2.moe_enabled and s2.mu_mode == "unused" and s2.lambda_value == 0.0
+        assert s2.moe_enabled and not s2.learns_weights and s2.lambda_value == 0.0
         s3 = SchemeConfig.from_name("S3")
-        assert not s3.moe_enabled and s3.mu_mode == "uniform" and s3.lambda_value == 0.5
+        assert not s3.moe_enabled and not s3.learns_weights and s3.lambda_value == 0.5
         s4 = SchemeConfig.from_name("S4")
-        assert s4.moe_enabled and s4.mu_mode == "uniform" and s4.lambda_value == 0.5
+        assert s4.moe_enabled and not s4.learns_weights and s4.lambda_value == 0.5
 
 
 class TestAdam:
@@ -245,6 +247,31 @@ class TestTrainBatch:
         _, report = self.run_batch("S4")
         assert report.token_count == 6
 
+    @pytest.mark.parametrize("scheme_name,num_experts", [
+        ("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0),
+    ])
+    @pytest.mark.parametrize("compute_grads", [False, True])
+    def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts, compute_grads):
+        # The losses train_batch reports (and seeds gradients from) are the
+        # loss functions above, applied to the same forward pass, bitwise.
+        params = init_model(6, num_experts, tiny_variant(), seed=2)
+        scheme = SchemeConfig.from_name(scheme_name)
+        weights = TR.SchemeWeights.fresh(num_experts) if scheme.learns_weights else None
+        samples = tiny_samples()
+        expert_of = {"alpha": 0, "beta": 1}
+        report = TR.train_batch(params, samples, scheme, expert_of, weights, compute_grads)
+
+        mode = combine_mode(scheme, params)
+        steps = [forward_teacher_forced(params, s.context_ids, s.response_ids, mode)[0]
+                 for s in samples]
+        targets = [s.response_ids for s in samples]
+        intents = [s.intent for s in samples]
+        assert report.expert_losses == TR.loss_experts(steps, targets, intents, expert_of)
+        assert report.chair_loss == TR.loss_chair(steps, targets)
+        if num_experts == 0:
+            assert (report.mu, report.lambda_value) == ([1.0], 0.0)
+            assert report.total == report.chair_loss
+
 
 class TestTrainEpoch:
     def setup_corpus(self, n=10, seed=5):
@@ -344,7 +371,6 @@ class TestGradCheck:
             stack.projection.a.value[...] = 0.0
             stack.projection.a.value[4] = 500.0
         sample = EncodedSample([4, 5], [4, 4], "alpha", Sample(["x"], ["y"], "alpha"))
-        params.zero_grads()
         report = TR.train_batch(params, [sample], SchemeConfig.from_name("S4"),
                                 {"alpha": 0, "beta": 1})
         assert report.total < 1e-9
