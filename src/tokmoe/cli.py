@@ -20,7 +20,6 @@ from . import checkpoint as ckpt
 from . import data as D
 from . import metrics as MX
 from . import model as M
-from . import tensor as T
 from . import training as TR
 from .config import (
     SCHEME_NAMES,
@@ -111,14 +110,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             config.seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"TOKMOE_SEED must be an integer, got {env_seed!r}") from None
-    if args.lambda_ is not None:
-        scheme = config.scheme_config()
-        if scheme.learns_weights:
-            raise ConfigError(f"scheme {config.scheme} learns lambda; --lambda is not accepted")
-        if abs(args.lambda_ - scheme.lambda_value) > 1e-12:
-            raise ConfigError(
-                f"scheme {config.scheme} fixes lambda = {scheme.lambda_value}; got --lambda {args.lambda_}"
-            )
     return config
 
 
@@ -319,18 +310,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
     if not args.epsilon > 0:
         raise UsageError("--epsilon must be positive")
-    if args.inject_bug:
-        # Test fixture: corrupt one backward rule so the oracle must fail.
-        original = T.tanh_backward
-        T.tanh_backward = lambda grad, out: 2.0 * original(grad, out)
-    try:
-        results = run_gradcheck(
-            num_experts=args.experts, hidden=args.hidden,
-            vocab_size=args.vocab_size, seed=args.seed, epsilon=args.epsilon,
-        )
-    finally:
-        if args.inject_bug:
-            T.tanh_backward = original
+    results = run_gradcheck(
+        num_experts=args.experts, hidden=args.hidden,
+        vocab_size=args.vocab_size, seed=args.seed, epsilon=args.epsilon,
+    )
     worst = 0.0
     for scheme_name, per_variant in results.items():
         scheme_worst = max(per_variant.values())
@@ -385,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-cap", type=int, dest="vocab_cap")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--max-gen-len", type=int, dest="max_gen_len")
-    p.add_argument("--lambda", type=float, dest="lambda_",
-                   help="must match the scheme's fixed value; rejected otherwise")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="greedy-decode a corpus and report metrics")
@@ -409,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=6, dest="vocab_size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--inject-bug", action="store_true", dest="inject_bug",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -153,6 +153,8 @@ class RunConfig:
             raise ConfigError("single_module mode is only defined for scheme S3")
         if self.vocab_cap < len(SPECIAL_TOKENS) + 1:
             raise ConfigError(f"vocab_cap must exceed the {len(SPECIAL_TOKENS)} reserved specials")
+        if self.max_gen_len < 1:
+            raise ConfigError("max_gen_len must be >= 1")
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig.from_name(self.scheme)

@@ -17,6 +17,10 @@ Conventions pinned here (tests rely on them):
   ``(1 - z) * h_prev + z * h_cand``. The ``cell`` half of RnnState stays zero.
 * Weight matrices are stored (input_width, output_width) and applied as
   ``x @ W``.
+* Every layer also runs a stack of independent copies at once: weights
+  with a leading axis of n copies, inputs and states with the same leading
+  axis, one row per copy. Each row's arithmetic is bit-identical to running
+  that copy alone; the decoders use this, the encoder runs unstacked.
 """
 
 from __future__ import annotations
@@ -60,7 +64,17 @@ class EmbeddingTable:
         return self.matrix.value[token_id]
 
     def lookup_backward(self, token_id: int, grad: Array) -> None:
-        self.matrix.grad[token_id] += grad
+        # Rows of a stacked (n, emb_size) grad add into the row one after another, in order.
+        np.add.at(self.matrix.grad, np.full(grad.shape[:-1], token_id), grad)
+
+
+def _outer(a: Array, b: Array) -> Array:
+    """Outer product of the last axes, per leading index."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _transpose(w: Array) -> Array:
+    return w.swapaxes(-1, -2)
 
 
 @dataclass
@@ -68,13 +82,13 @@ class CellParams:
     """Recurrent cell weights; ``kind`` picks the LSTM (G = 4) or GRU (G = 3) step."""
 
     kind: str         # "lstm" or "gru"
-    w_in: ParamSlot   # (d_in, G*d_h)
-    w_rec: ParamSlot  # (d_h, G*d_h)
-    bias: ParamSlot   # (G*d_h,)
+    w_in: ParamSlot   # ([n,] d_in, G*d_h)
+    w_rec: ParamSlot  # ([n,] d_h, G*d_h)
+    bias: ParamSlot   # ([n,] G*d_h)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_rec.value.shape[0]
+        return self.w_rec.value.shape[-2]
 
     def slots(self) -> list[ParamSlot]:
         return [self.w_in, self.w_rec, self.bias]
@@ -94,11 +108,11 @@ class LstmCache(NamedTuple):
 def lstm_step(params: CellParams, x: Array, prev: RnnState) -> tuple[RnnState, LstmCache]:
     d_h = params.hidden_size
     z = T.matmul(x, params.w_in.value) + T.matmul(prev.hidden, params.w_rec.value) + params.bias.value
-    gates = T.sigmoid(z[:3 * d_h])
-    i = gates[:d_h]
-    f = gates[d_h:2 * d_h]
-    o = gates[2 * d_h:]
-    g = T.tanh(z[3 * d_h:])
+    gates = T.sigmoid(z[..., :3 * d_h])
+    i = gates[..., :d_h]
+    f = gates[..., d_h:2 * d_h]
+    o = gates[..., 2 * d_h:]
+    g = T.tanh(z[..., 3 * d_h:])
     cell = f * prev.cell + i * g
     tanh_cell = T.tanh(cell)
     hidden = o * tanh_cell
@@ -115,17 +129,17 @@ def lstm_step_backward(
     d_prev_cell = d_c * cache.f
     d_i = d_c * cache.g
     d_g = d_c * cache.i
-    d_z = np.concatenate([
+    d_z = T.concat([
         T.sigmoid_backward(d_i, cache.i),
         T.sigmoid_backward(d_f, cache.f),
         T.sigmoid_backward(d_o, cache.o),
         T.tanh_backward(d_g, cache.g),
     ])
-    params.w_in.grad += np.outer(cache.x, d_z)
-    params.w_rec.grad += np.outer(cache.prev.hidden, d_z)
+    params.w_in.grad += _outer(cache.x, d_z)
+    params.w_rec.grad += _outer(cache.prev.hidden, d_z)
     params.bias.grad += d_z
-    d_x = d_z @ params.w_in.value.T
-    d_prev_hidden = d_z @ params.w_rec.value.T
+    d_x = T.matmul(d_z, _transpose(params.w_in.value))
+    d_prev_hidden = T.matmul(d_z, _transpose(params.w_rec.value))
     return d_x, d_prev_hidden, d_prev_cell
 
 
@@ -140,15 +154,16 @@ class GruCache(NamedTuple):
 
 def gru_step(params: CellParams, x: Array, prev: RnnState) -> tuple[RnnState, GruCache]:
     d_h = params.hidden_size
+    w_rec = params.w_rec.value
     gates_in = T.matmul(x, params.w_in.value) + params.bias.value
-    rec = T.matmul(prev.hidden, params.w_rec.value[:, :2 * d_h])
-    zr = T.sigmoid(gates_in[:2 * d_h] + rec)
-    z = zr[:d_h]
-    r = zr[d_h:]
+    rec = T.matmul(prev.hidden, w_rec[..., :2 * d_h])
+    zr = T.sigmoid(gates_in[..., :2 * d_h] + rec)
+    z = zr[..., :d_h]
+    r = zr[..., d_h:]
     r_h = r * prev.hidden
-    cand = T.tanh(gates_in[2 * d_h:] + T.matmul(r_h, params.w_rec.value[:, 2 * d_h:]))
+    cand = T.tanh(gates_in[..., 2 * d_h:] + T.matmul(r_h, w_rec[..., 2 * d_h:]))
     hidden = (1.0 - z) * prev.hidden + z * cand
-    return RnnState(hidden, T.zeros(d_h)), GruCache(x, prev.hidden, z, r, cand, r_h)
+    return RnnState(hidden, np.zeros_like(hidden)), GruCache(x, prev.hidden, z, r, cand, r_h)
 
 
 def gru_step_backward(
@@ -156,22 +171,22 @@ def gru_step_backward(
 ) -> tuple[Array, Array, Array]:
     """Return (d_x, d_prev_hidden, d_prev_cell); d_cell is ignored (GRU has none)."""
     d_h = params.hidden_size
+    w_rec = params.w_rec.value
     d_z = d_hidden * (cache.cand - cache.prev_hidden)
     d_prev_hidden = d_hidden * (1.0 - cache.z)
     d_cand_pre = T.tanh_backward(d_hidden * cache.z, cache.cand)
-    d_r_h = d_cand_pre @ params.w_rec.value[:, 2 * d_h:].T
+    d_r_h = T.matmul(d_cand_pre, _transpose(w_rec[..., 2 * d_h:]))
     d_r = d_r_h * cache.prev_hidden
     d_prev_hidden = d_prev_hidden + d_r_h * cache.r
-    d_z_pre = T.sigmoid_backward(d_z, cache.z)
-    d_r_pre = T.sigmoid_backward(d_r, cache.r)
-    d_gates = np.concatenate([d_z_pre, d_r_pre, d_cand_pre])
-    params.w_in.grad += np.outer(cache.x, d_gates)
+    d_zr_pre = T.concat([T.sigmoid_backward(d_z, cache.z), T.sigmoid_backward(d_r, cache.r)])
+    d_gates = T.concat([d_zr_pre, d_cand_pre])
+    params.w_in.grad += _outer(cache.x, d_gates)
     params.bias.grad += d_gates
-    params.w_rec.grad[:, :2 * d_h] += np.outer(cache.prev_hidden, np.concatenate([d_z_pre, d_r_pre]))
-    params.w_rec.grad[:, 2 * d_h:] += np.outer(cache.r_h, d_cand_pre)
-    d_x = d_gates @ params.w_in.value.T
-    d_prev_hidden = d_prev_hidden + np.concatenate([d_z_pre, d_r_pre]) @ params.w_rec.value[:, :2 * d_h].T
-    return d_x, d_prev_hidden, T.zeros(d_h)
+    params.w_rec.grad[..., :2 * d_h] += _outer(cache.prev_hidden, d_zr_pre)
+    params.w_rec.grad[..., 2 * d_h:] += _outer(cache.r_h, d_cand_pre)
+    d_x = T.matmul(d_gates, _transpose(params.w_in.value))
+    d_prev_hidden = d_prev_hidden + T.matmul(d_zr_pre, _transpose(w_rec[..., :2 * d_h]))
+    return d_x, d_prev_hidden, np.zeros_like(d_prev_hidden)
 
 
 def cell_step(params: CellParams, x: Array, prev: RnnState):
@@ -190,9 +205,9 @@ def cell_step_backward(params: CellParams, cache, d_hidden: Array, d_cell: Array
 class AttentionParams:
     """Concatenation attention; per-decoder instances are never shared."""
 
-    w: ParamSlot  # (2*d_h, attn_size)
-    b: ParamSlot  # (attn_size,)
-    v: ParamSlot  # (attn_size,)
+    w: ParamSlot  # ([n,] 2*d_h, attn_size)
+    b: ParamSlot  # ([n,] attn_size)
+    v: ParamSlot  # ([n,] attn_size)
 
     def slots(self) -> list[ParamSlot]:
         return [self.w, self.b, self.v]
@@ -200,9 +215,9 @@ class AttentionParams:
 
 class AttentionCache(NamedTuple):
     hiddens: Array  # (m, d_h)
-    paired: Array   # (m, 2*d_h): each hidden concatenated with the query
-    pre: Array      # (m, attn_size), tanh output
-    weights: Array  # (m,)
+    paired: Array   # ([n,] m, 2*d_h): each hidden concatenated with the query
+    pre: Array      # ([n,] m, attn_size), tanh output
+    weights: Array  # ([n,] m)
 
 
 def attention_context(
@@ -211,44 +226,48 @@ def attention_context(
     """Score each encoder hidden against the previous decoder state.
 
     score_i = v . tanh(W^T (h_i ++ query) + b); weights = softmax(scores);
-    context = sum_i weights_i * h_i. Returns (context, weights, cache).
+    context = sum_i weights_i * h_i. Returns (context, weights, cache). A
+    stacked (n, d_h) query attends with the stacked weights, one row each.
     """
     hiddens = np.asarray(encoder_hiddens, dtype=np.float64)
     if hiddens.ndim != 2 or hiddens.shape[0] == 0:
         raise DomainError("attention requires at least one encoder hidden vector")
     m, d_h = hiddens.shape
-    paired = np.empty((m, 2 * d_h))
-    paired[:, :d_h] = hiddens
-    paired[:, d_h:] = query
-    pre = T.tanh(paired @ params.w.value + params.b.value)  # (m, attn_size)
-    scores = pre @ params.v.value                           # (m,)
+    paired = np.empty(query.shape[:-1] + (m, 2 * d_h))
+    paired[..., :d_h] = hiddens
+    paired[..., d_h:] = query[..., None, :]
+    pre = T.tanh(paired @ params.w.value + params.b.value[..., None, :])  # ([n,] m, attn_size)
+    scores = (pre @ params.v.value[..., None])[..., 0]                     # ([n,] m)
     weights = T.softmax(scores)
-    context = weights @ hiddens
+    context = T.matmul(weights, hiddens)
     return context, weights, AttentionCache(hiddens, paired, pre, weights)
 
 
 def attention_backward(
     params: AttentionParams, cache: AttentionCache, d_context: Array
 ) -> tuple[Array, Array]:
-    """Return (d_encoder_hiddens, d_query); parameter grads accumulate."""
-    d_weights = cache.hiddens @ d_context
-    d_hiddens = np.outer(cache.weights, d_context)
+    """Return (d_encoder_hiddens, d_query); parameter grads accumulate.
+
+    With a stacked query, d_encoder_hiddens has one (m, d_h) block per row.
+    """
+    d_weights = (cache.hiddens @ d_context[..., None])[..., 0]
+    d_hiddens = _outer(cache.weights, d_context)
     d_scores = T.softmax_backward(d_weights, cache.weights)
-    params.v.grad += cache.pre.T @ d_scores
-    d_pre = T.tanh_backward(np.outer(d_scores, params.v.value), cache.pre)
-    d_paired = d_pre @ params.w.value.T
-    params.w.grad += cache.paired.T @ d_pre
-    params.b.grad += d_pre.sum(axis=0)
+    params.v.grad += (_transpose(cache.pre) @ d_scores[..., None])[..., 0]
+    d_pre = T.tanh_backward(_outer(d_scores, params.v.value), cache.pre)
+    d_paired = d_pre @ _transpose(params.w.value)
+    params.w.grad += _transpose(cache.paired) @ d_pre
+    params.b.grad += d_pre.sum(axis=-2)
     d_h = cache.hiddens.shape[1]
-    d_hiddens += d_paired[:, :d_h]
-    d_query = d_paired[:, d_h:].sum(axis=0)
+    d_hiddens += d_paired[..., :d_h]
+    d_query = d_paired[..., d_h:].sum(axis=-2)
     return d_hiddens, d_query
 
 
 @dataclass
 class OutputProjection:
-    u: ParamSlot  # (d_h, vocab_size)
-    a: ParamSlot  # (vocab_size,)
+    u: ParamSlot  # ([n,] d_h, vocab_size)
+    a: ParamSlot  # ([n,] vocab_size)
 
     def slots(self) -> list[ParamSlot]:
         return [self.u, self.a]
@@ -267,6 +286,6 @@ def project_to_vocab(proj: OutputProjection, state: Array) -> tuple[Array, Proje
 
 def project_backward(proj: OutputProjection, cache: ProjectionCache, d_probs: Array) -> Array:
     d_logits = T.softmax_backward(d_probs, cache.probs)
-    proj.u.grad += np.outer(cache.state, d_logits)
+    proj.u.grad += _outer(cache.state, d_logits)
     proj.a.grad += d_logits
-    return d_logits @ proj.u.value.T
+    return T.matmul(d_logits, _transpose(proj.u.value))

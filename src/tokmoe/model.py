@@ -1,7 +1,7 @@
 """Encoder, expert decoders, chair decoder, gating, and greedy decoding.
 
 One shared encoder reads the dialogue context; k expert decoders plus a
-chair decoder (always the last stack) each emit a per-step distribution
+chair decoder (always the last decoder) each emit a per-step distribution
 over the vocabulary. A gating network scores all k+1 decoders from their
 concatenated states and distributions, and the chair combines the k+1
 distributions with those normalized weights into the final per-token
@@ -42,22 +42,6 @@ COMBINE_CHAIR = "chair"      # chair's own distribution (mixture disabled)
 
 
 @dataclass
-class DecoderStack:
-    """One decoder: recurrent cell + (optional) attention + vocab projection."""
-
-    cell: CellParams
-    attention: AttentionParams | None
-    projection: OutputProjection
-
-    def slots(self) -> list[ParamSlot]:
-        out = list(self.cell.slots())
-        if self.attention is not None:
-            out.extend(self.attention.slots())
-        out.extend(self.projection.slots())
-        return out
-
-
-@dataclass
 class GatingParams:
     """Two-layer MLP over the concatenated decoder states and distributions.
 
@@ -65,14 +49,11 @@ class GatingParams:
     the softmax over those k+1 scores is the mixture weight vector.
     """
 
-    hidden_w: ParamSlot            # (gate_in, gate_hidden)
-    hidden_b: ParamSlot            # (gate_hidden,)
-    out_w: ParamSlot               # (gate_hidden, gate_out)
-    out_b: ParamSlot               # (gate_out,)
-    expert_keys: list[ParamSlot]   # k+1 vectors, each (gate_out,)
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.hidden_w, self.hidden_b, self.out_w, self.out_b, *self.expert_keys]
+    hidden_w: ParamSlot     # (gate_in, gate_hidden)
+    hidden_b: ParamSlot     # (gate_hidden,)
+    out_w: ParamSlot        # (gate_hidden, gate_out)
+    out_b: ParamSlot        # (gate_out,)
+    expert_keys: ParamSlot  # (k+1, gate_out), one key row per decoder
 
 
 @dataclass
@@ -85,20 +66,29 @@ class EncoderOutput:
 class StepOutput:
     """Everything one decoding step produces, before and after combination."""
 
-    dists: list[Array]        # k+1 vocabulary distributions
-    states: list[RnnState]    # k+1 post-step decoder states
-    beta: Array               # mixture weights over the k+1 decoders
-    combined: Array           # final distribution for this step
+    dists: list[Array]      # k+1 vocabulary distributions, rows of one (k+1, V) array
+    states: RnnState        # post-step decoder states, (k+1, d_h) arrays
+    beta: Array             # mixture weights over the k+1 decoders
+    combined: Array         # final distribution for this step
 
 
 @dataclass
 class ModelParams:
+    """The encoder, the k+1 decoders and the gate.
+
+    Each decoder weight is one array with a leading decoder axis (k experts,
+    then the chair), so all decoders step in one call. ``slots()`` hands out
+    one slot per decoder weight, as views into those arrays.
+    """
+
     embedding: EmbeddingTable
     encoder: CellParams
-    decoders: list[DecoderStack]   # k experts then the chair (last entry)
-    gating: GatingParams | None    # None in single-decoder mode
+    decoder_cell: CellParams              # stacked on the decoder axis
+    attention: AttentionParams | None     # stacked; None when attention is off
+    projection: OutputProjection          # stacked
+    gating: GatingParams | None           # None in single-decoder mode
     variant: VariantConfig
-    num_experts: int               # k; 0 means single-decoder mode
+    num_experts: int                      # k; 0 means single-decoder mode
 
     @property
     def vocab_size(self) -> int:
@@ -106,34 +96,46 @@ class ModelParams:
 
     @property
     def num_decoders(self) -> int:
-        return len(self.decoders)
+        return self.projection.a.value.shape[0]
 
     def decoder_name(self, index: int) -> str:
         return "chair" if index == self.num_decoders - 1 else f"expert.{index}"
 
+    def decoder_slots(self) -> list[ParamSlot]:
+        """The stacked decoder weights, in per-decoder slot order."""
+        out = list(self.decoder_cell.slots())
+        if self.attention is not None:
+            out.extend(self.attention.slots())
+        out.extend(self.projection.slots())
+        return out
+
     def slots(self) -> list[ParamSlot]:
+        """Every learnable tensor in checkpoint order, stacked ones as one view per decoder."""
         out = [self.embedding.matrix, *self.encoder.slots()]
-        for stack in self.decoders:
-            out.extend(stack.slots())
+        for l in range(self.num_decoders):
+            out.extend(_view(s, f"{self.decoder_name(l)}.{s.name}", l) for s in self.decoder_slots())
         if self.gating is not None:
-            out.extend(self.gating.slots())
-        names = [slot.name for slot in out]
-        if len(set(names)) != len(names):
-            raise ShapeError("duplicate parameter slot names")
+            g = self.gating
+            out.extend([g.hidden_w, g.hidden_b, g.out_w, g.out_b])
+            out.extend(_view(g.expert_keys, f"gating.expert_key.{l}", l) for l in range(self.num_decoders))
         return out
 
 
-def _uniform_slot(rng: np.random.Generator, name: str, *shape: int) -> ParamSlot:
-    return ParamSlot(name, rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
+def _view(stacked: ParamSlot, name: str, index: int) -> ParamSlot:
+    return ParamSlot(name, stacked.value[index], stacked.grad[index])
 
 
-def _init_cell(rng: np.random.Generator, prefix: str, kind: str, d_in: int, d_h: int) -> CellParams:
+def _slot(name: str, *shape: int) -> ParamSlot:
+    return ParamSlot(name, T.zeros(*shape))
+
+
+def _cell(kind: str, prefix: str, d_in: int, d_h: int, *lead: int) -> CellParams:
     gates = 4 if kind == "lstm" else 3
     return CellParams(
         kind,
-        w_in=_uniform_slot(rng, f"{prefix}.w_in", d_in, gates * d_h),
-        w_rec=_uniform_slot(rng, f"{prefix}.w_rec", d_h, gates * d_h),
-        bias=_uniform_slot(rng, f"{prefix}.bias", gates * d_h),
+        w_in=_slot(f"{prefix}.w_in", *lead, d_in, gates * d_h),
+        w_rec=_slot(f"{prefix}.w_rec", *lead, d_h, gates * d_h),
+        bias=_slot(f"{prefix}.bias", *lead, gates * d_h),
     )
 
 
@@ -142,50 +144,45 @@ def init_model(
 ) -> ModelParams:
     """Build a freshly initialized model: k expert decoders plus the chair.
 
-    ``num_experts == 0`` builds the single-decoder baseline (one stack, no
+    ``num_experts == 0`` builds the single-decoder baseline (one decoder, no
     gating). All parameters draw uniform(-0.08, 0.08) from one seeded PRNG
-    in a fixed creation order, so (seed, shape) fully determines values.
+    in ``slots()`` order, so (seed, shape) fully determines values.
     """
     if num_experts < 0:
         raise DomainError("num_experts must be >= 0")
-    rng = np.random.default_rng(seed)
     d_h = variant.hidden_size
     d_emb = variant.embedding_size
-    embedding = EmbeddingTable(_uniform_slot(rng, "embedding.matrix", vocab_size, d_emb))
-    encoder = _init_cell(rng, "encoder", variant.cell_kind, d_emb, d_h)
-
-    n_decoders = 1 if num_experts == 0 else num_experts + 1
-    decoders: list[DecoderStack] = []
-    for i in range(n_decoders):
-        prefix = "chair" if i == n_decoders - 1 else f"expert.{i}"
-        cell = _init_cell(rng, f"{prefix}.cell", variant.cell_kind, d_emb + d_h, d_h)
-        attention = None
-        if variant.attention_enabled:
-            attention = AttentionParams(
-                w=_uniform_slot(rng, f"{prefix}.attn.w", 2 * d_h, variant.attn_size),
-                b=_uniform_slot(rng, f"{prefix}.attn.b", variant.attn_size),
-                v=_uniform_slot(rng, f"{prefix}.attn.v", variant.attn_size),
-            )
-        projection = OutputProjection(
-            u=_uniform_slot(rng, f"{prefix}.proj.u", d_h, vocab_size),
-            a=_uniform_slot(rng, f"{prefix}.proj.a", vocab_size),
+    n = 1 if num_experts == 0 else num_experts + 1
+    attention = None
+    if variant.attention_enabled:
+        attention = AttentionParams(
+            w=_slot("attn.w", n, 2 * d_h, variant.attn_size),
+            b=_slot("attn.b", n, variant.attn_size),
+            v=_slot("attn.v", n, variant.attn_size),
         )
-        decoders.append(DecoderStack(cell, attention, projection))
-
     gating = None
-    if n_decoders > 1:
-        gate_in = n_decoders * (d_h + vocab_size)
+    if n > 1:
         gating = GatingParams(
-            hidden_w=_uniform_slot(rng, "gating.hidden_w", gate_in, variant.gate_hidden),
-            hidden_b=_uniform_slot(rng, "gating.hidden_b", variant.gate_hidden),
-            out_w=_uniform_slot(rng, "gating.out_w", variant.gate_hidden, variant.gate_out),
-            out_b=_uniform_slot(rng, "gating.out_b", variant.gate_out),
-            expert_keys=[
-                _uniform_slot(rng, f"gating.expert_key.{i}", variant.gate_out)
-                for i in range(n_decoders)
-            ],
+            hidden_w=_slot("gating.hidden_w", n * (d_h + vocab_size), variant.gate_hidden),
+            hidden_b=_slot("gating.hidden_b", variant.gate_hidden),
+            out_w=_slot("gating.out_w", variant.gate_hidden, variant.gate_out),
+            out_b=_slot("gating.out_b", variant.gate_out),
+            expert_keys=_slot("gating.expert_key", n, variant.gate_out),
         )
-    return ModelParams(embedding, encoder, decoders, gating, variant, num_experts)
+    params = ModelParams(
+        embedding=EmbeddingTable(_slot("embedding.matrix", vocab_size, d_emb)),
+        encoder=_cell(variant.cell_kind, "encoder", d_emb, d_h),
+        decoder_cell=_cell(variant.cell_kind, "cell", d_emb + d_h, d_h, n),
+        attention=attention,
+        projection=OutputProjection(u=_slot("proj.u", n, d_h, vocab_size), a=_slot("proj.a", n, vocab_size)),
+        gating=gating,
+        variant=variant,
+        num_experts=num_experts,
+    )
+    rng = np.random.default_rng(seed)
+    for slot in params.slots():
+        slot.value[...] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=slot.value.shape)
+    return params
 
 
 def combine_mode(scheme: SchemeConfig, params: ModelParams) -> str:
@@ -238,7 +235,7 @@ def encode_backward(
 
 
 # ---------------------------------------------------------------------------
-# Single decoder step
+# All decoders, one step
 
 
 class DecoderStepCache(NamedTuple):
@@ -250,58 +247,58 @@ class DecoderStepCache(NamedTuple):
 
 def expert_step(
     params: ModelParams,
-    index: int,
     prev_token_id: int,
     prev_state: RnnState,
     enc: EncoderOutput,
 ) -> tuple[Array, RnnState, DecoderStepCache]:
-    """One step of decoder ``index``: attention, cell update, projection.
+    """One step of every decoder at once: attention, cell update, projection.
 
-    With attention disabled the context vector is a constant zero vector of
-    the same width, so the cell input layout is unchanged.
+    ``prev_state`` holds one (k+1, d_h) row per decoder; returns the (k+1, V)
+    distributions and the post-step states. With attention disabled the
+    context vector is a constant zero vector of the same width, so the cell
+    input layout is unchanged.
     """
-    if not 0 <= index < params.num_decoders:
-        raise DomainError(f"decoder index {index} outside 0..{params.num_decoders - 1}")
-    stack = params.decoders[index]
+    n, d_h = prev_state.hidden.shape
     emb = params.embedding.lookup(prev_token_id)
-    if stack.attention is not None:
-        context, _, attn_cache = L.attention_context(stack.attention, enc.hiddens, prev_state.hidden)
+    if params.attention is not None:
+        context, _, attn_cache = L.attention_context(params.attention, enc.hiddens, prev_state.hidden)
     else:
-        context = T.zeros(params.variant.hidden_size)
+        context = T.zeros(n, d_h)
         attn_cache = None
-    x = T.concat([emb, context])
-    state, cell_cache = L.cell_step(stack.cell, x, prev_state)
-    dist, proj_cache = L.project_to_vocab(stack.projection, state.hidden)
-    return dist, state, DecoderStepCache(prev_token_id, attn_cache, cell_cache, proj_cache)
+    x = T.concat([np.broadcast_to(emb, (n, emb.shape[0])), context])
+    state, cell_cache = L.cell_step(params.decoder_cell, x, prev_state)
+    dists, proj_cache = L.project_to_vocab(params.projection, state.hidden)
+    return dists, state, DecoderStepCache(prev_token_id, attn_cache, cell_cache, proj_cache)
 
 
 def expert_step_backward(
     params: ModelParams,
-    index: int,
     cache: DecoderStepCache,
-    d_dist: Array,
+    d_dists: Array,
     d_hidden_extra: Array,
     carry_hidden: Array,
     carry_cell: Array,
     d_enc_hiddens: Array,
 ) -> tuple[Array, Array]:
-    """Backward through one decoder step.
+    """Backward through one step of every decoder; arrays have one row per decoder.
 
     ``d_hidden_extra`` carries gradient reaching the post-step hidden from
     outside the projection (gating input); ``carry_*`` arrive from step
     j+1. Attention gradients accumulate into ``d_enc_hiddens`` in place.
     Returns the (hidden, cell) gradient carries for step j-1.
     """
-    stack = params.decoders[index]
-    d_o = L.project_backward(stack.projection, cache.proj_cache, d_dist)
+    d_o = L.project_backward(params.projection, cache.proj_cache, d_dists)
     d_hidden = d_o + d_hidden_extra + carry_hidden
-    d_x, d_prev_hidden, d_prev_cell = L.cell_step_backward(stack.cell, cache.cell_cache, d_hidden, carry_cell)
-    d_emb = d_x[: params.variant.embedding_size]
-    d_context = d_x[params.variant.embedding_size:]
-    params.embedding.lookup_backward(cache.prev_token_id, d_emb)
-    if stack.attention is not None:
-        d_hiddens, d_query = L.attention_backward(stack.attention, cache.attn_cache, d_context)
-        d_enc_hiddens += d_hiddens
+    d_x, d_prev_hidden, d_prev_cell = L.cell_step_backward(
+        params.decoder_cell, cache.cell_cache, d_hidden, carry_cell
+    )
+    d_emb = params.variant.embedding_size
+    params.embedding.lookup_backward(cache.prev_token_id, d_x[:, :d_emb])
+    if params.attention is not None:
+        d_hiddens, d_query = L.attention_backward(params.attention, cache.attn_cache, d_x[:, d_emb:])
+        # add.at adds the decoders' blocks one at a time, in decoder order, so
+        # the shared buffer's bits are those of a sum over one decoder at a time.
+        np.add.at(d_enc_hiddens[None], np.zeros(len(d_hiddens), dtype=int), d_hiddens)
         d_prev_hidden = d_prev_hidden + d_query
     return d_prev_hidden, d_prev_cell
 
@@ -320,69 +317,63 @@ class GateCache(NamedTuple):
 
 
 def gate_weights(
-    gating: GatingParams, states: list[RnnState], dists: list[Array]
+    gating: GatingParams, states: RnnState, dists: Array
 ) -> tuple[Array, GateCache]:
     """Normalized importance scores over all decoders (chair included).
 
-    Input is the concatenation s_1 ++ p_1 ++ ... ++ s_{k+1} ++ p_{k+1};
-    the MLP query is dotted with each decoder's key and the scores are
-    softmax-normalized over all k+1 decoders.
+    Input is the concatenation s_1 ++ p_1 ++ ... ++ s_{k+1} ++ p_{k+1} of
+    the (k+1, d_h) states and (k+1, V) distributions; the MLP query is
+    dotted with each decoder's key and the scores are softmax-normalized
+    over all k+1 decoders.
     """
-    if len(states) != len(dists) or len(states) != len(gating.expert_keys):
+    n = gating.expert_keys.value.shape[0]
+    if states.hidden.shape[0] != n or dists.shape[0] != n:
         raise ShapeError(
-            f"gating expects {len(gating.expert_keys)} states and distributions, "
-            f"got {len(states)} and {len(dists)}"
+            f"gating expects {n} states and distributions, "
+            f"got {states.hidden.shape[0]} and {dists.shape[0]}"
         )
-    pieces: list[Array] = []
-    for state, dist in zip(states, dists):
-        pieces.append(state.hidden)
-        pieces.append(dist)
-    gate_input = T.concat(pieces)
+    gate_input = T.concat([states.hidden, dists]).reshape(-1)
     hidden_out = T.tanh(T.matmul(gate_input, gating.hidden_w.value) + gating.hidden_b.value)
     query = T.matmul(hidden_out, gating.out_w.value) + gating.out_b.value
-    logits = np.array([np.dot(query, key.value) for key in gating.expert_keys])
+    logits = T.matmul(gating.expert_keys.value, query[:, None])[:, 0]
     beta = T.softmax(logits)
-    cache = GateCache(gate_input, hidden_out, query, logits, beta, [len(p) for p in pieces])
+    cache = GateCache(gate_input, hidden_out, query, logits, beta, [states.hidden.shape[1], dists.shape[1]])
     return beta, cache
 
 
 def gate_weights_backward(
     gating: GatingParams, cache: GateCache, d_beta: Array
-) -> tuple[list[Array], list[Array]]:
-    """Return per-decoder (d_state_hidden, d_dist) gradients of the gate input."""
+) -> tuple[Array, Array]:
+    """Return the (k+1, d_h) state and (k+1, V) distribution gradients of the gate input."""
+    keys = gating.expert_keys
     d_logits = T.softmax_backward(d_beta, cache.beta)
-    d_query = T.zeros(cache.query.shape[0])
-    for l, key in enumerate(gating.expert_keys):
-        key.grad += d_logits[l] * cache.query
-        d_query += d_logits[l] * key.value
+    keys.grad += d_logits[:, None] * cache.query
+    # An axis-0 sum from an initial 0.0 adds the decoders one at a time, in
+    # order, so its bits are those of summing them one decoder at a time.
+    d_query = (d_logits[:, None] * keys.value).sum(axis=0, initial=0.0)
     gating.out_w.grad += np.outer(cache.hidden_out, d_query)
     gating.out_b.grad += d_query
     d_hidden_out = T.tanh_backward(d_query @ gating.out_w.value.T, cache.hidden_out)
     gating.hidden_w.grad += np.outer(cache.gate_input, d_hidden_out)
     gating.hidden_b.grad += d_hidden_out
     d_input = d_hidden_out @ gating.hidden_w.value.T
-    parts = T.concat_backward(d_input, cache.piece_lengths)
-    d_state_hiddens = [parts[2 * i] for i in range(len(parts) // 2)]
-    d_dists = [parts[2 * i + 1] for i in range(len(parts) // 2)]
-    return d_state_hiddens, d_dists
+    d_states, d_dists = T.concat_backward(d_input.reshape(len(d_beta), -1), cache.piece_lengths)
+    return d_states, d_dists
 
 
-def chair_combine(dists: list[Array], beta: Array) -> Array:
+def chair_combine(dists: Array, beta: Array) -> Array:
     """Convex combination sum_l beta_l * p_l; stays on the simplex."""
     if len(dists) != beta.shape[0]:
         raise ShapeError(f"{len(dists)} distributions but {beta.shape[0]} mixture weights")
-    combined = np.zeros_like(dists[0])
-    for weight, dist in zip(beta, dists):
-        combined += weight * dist
-    return combined
+    # An axis-0 sum from an initial 0.0 adds the decoders one at a time, in order.
+    return (beta[:, None] * dists).sum(axis=0, initial=0.0)
 
 
 def chair_combine_backward(
-    dists: list[Array], beta: Array, d_combined: Array
-) -> tuple[Array, list[Array]]:
-    d_beta = np.array([np.dot(d_combined, dist) for dist in dists])
-    d_dists = [beta[l] * d_combined for l in range(len(dists))]
-    return d_beta, d_dists
+    dists: Array, beta: Array, d_combined: Array
+) -> tuple[Array, Array]:
+    d_beta = T.matmul(dists, d_combined[:, None])[:, 0]
+    return d_beta, beta[:, None] * d_combined
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def chair_combine_backward(
 
 
 class StepCache(NamedTuple):
-    decoder_caches: list[DecoderStepCache]
+    decoder_cache: DecoderStepCache
     gate_cache: GateCache | None
     out: StepOutput
 
@@ -401,18 +392,16 @@ class ForwardCache(NamedTuple):
     steps: list[StepCache]
 
 
-def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> list[RnnState]:
+def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> RnnState:
     # Every decoder starts from the shared encoder final state.
-    return [
-        RnnState(enc.final_state.hidden.copy(), enc.final_state.cell.copy())
-        for _ in range(params.num_decoders)
-    ]
+    n = params.num_decoders
+    return RnnState(np.tile(enc.final_state.hidden, (n, 1)), np.tile(enc.final_state.cell, (n, 1)))
 
 
 def decode_step(
     params: ModelParams,
     prev_token: int,
-    states: list[RnnState],
+    states: RnnState,
     enc: EncoderOutput,
     combine: str,
 ) -> StepCache:
@@ -425,14 +414,8 @@ def decode_step(
     """
     if combine not in (COMBINE_MIXTURE, COMBINE_CHAIR):
         raise DomainError(f"unknown combine mode {combine!r}")
-    dists: list[Array] = []
-    new_states: list[RnnState] = []
-    dec_caches: list[DecoderStepCache] = []
-    for l in range(params.num_decoders):
-        dist, state, dec_cache = expert_step(params, l, prev_token, states[l], enc)
-        dists.append(dist)
-        new_states.append(state)
-        dec_caches.append(dec_cache)
+    dists, new_states, dec_cache = expert_step(params, prev_token, states, enc)
+    rows = list(dists)
     gate_cache = None
     if combine == COMBINE_MIXTURE and params.gating is not None:
         beta, gate_cache = gate_weights(params.gating, new_states, dists)
@@ -440,8 +423,8 @@ def decode_step(
     else:
         beta = np.zeros(params.num_decoders)
         beta[-1] = 1.0
-        combined = dists[-1]
-    return StepCache(dec_caches, gate_cache, StepOutput(dists, new_states, beta, combined))
+        combined = rows[-1]
+    return StepCache(dec_cache, gate_cache, StepOutput(rows, new_states, beta, combined))
 
 
 def forward_teacher_forced(
@@ -473,59 +456,45 @@ def forward_teacher_forced(
 def backward_teacher_forced(
     params: ModelParams,
     cache: ForwardCache,
-    d_dists: list[list[Array | None]],
-    d_combined: list[Array | None],
+    d_dists: Array,
+    d_combined: Array,
 ) -> None:
     """Manual reverse pass over a teacher-forced forward.
 
-    ``d_dists[j][l]`` seeds gradient on decoder l's step-j distribution
-    (the localized expert losses); ``d_combined[j]`` seeds gradient on the
+    ``d_dists[j]`` seeds gradient on the (k+1, V) step-j distributions (the
+    localized expert losses); ``d_combined[j]`` seeds gradient on the
     combined distribution (the chair loss). Routing through the mixture,
     the gating network, every decoder chain, and the encoder happens here;
     results accumulate into ParamSlot gradients.
     """
     n_dec = params.num_decoders
     d_h = params.variant.hidden_size
-    carry_hidden = [T.zeros(d_h) for _ in range(n_dec)]
-    carry_cell = [T.zeros(d_h) for _ in range(n_dec)]
+    carry_hidden = T.zeros(n_dec, d_h)
+    carry_cell = T.zeros(n_dec, d_h)
     d_enc_hiddens = np.zeros_like(cache.enc_out.hiddens)
-    vocab = params.vocab_size
 
     for j in reversed(range(len(cache.steps))):
         step = cache.steps[j]
-        d_dist = [T.zeros(vocab) for _ in range(n_dec)]
-        for l, seed in enumerate(d_dists[j]):
-            if seed is not None:
-                d_dist[l] += seed
-        d_hidden_extra = [T.zeros(d_h) for _ in range(n_dec)]
-        dc = d_combined[j]
+        d_dist = d_dists[j].copy()
+        d_hidden_extra = T.zeros(n_dec, d_h)
         if step.gate_cache is not None:
-            d_beta = T.zeros(n_dec)
-            if dc is not None:
-                d_beta, d_mix = chair_combine_backward(step.out.dists, step.out.beta, dc)
-                for l in range(n_dec):
-                    d_dist[l] += d_mix[l]
-            gate_state_grads, gate_dist_grads = gate_weights_backward(
-                params.gating, step.gate_cache, d_beta
-            )
-            for l in range(n_dec):
-                d_hidden_extra[l] += gate_state_grads[l]
-                d_dist[l] += gate_dist_grads[l]
-        elif dc is not None:
+            probs = step.decoder_cache.proj_cache.probs
+            d_beta, d_mix = chair_combine_backward(probs, step.out.beta, d_combined[j])
+            d_dist += d_mix
+            gate_state_grads, gate_dist_grads = gate_weights_backward(params.gating, step.gate_cache, d_beta)
+            d_hidden_extra += gate_state_grads
+            d_dist += gate_dist_grads
+        else:
             # Single decoder or chair-only combination: combined IS the chair's dist.
-            d_dist[-1] += dc
-        for l in range(n_dec):
-            carry_hidden[l], carry_cell[l] = expert_step_backward(
-                params, l, step.decoder_caches[l], d_dist[l],
-                d_hidden_extra[l], carry_hidden[l], carry_cell[l], d_enc_hiddens,
-            )
+            d_dist[-1] += d_combined[j]
+        carry_hidden, carry_cell = expert_step_backward(
+            params, step.decoder_cache, d_dist, d_hidden_extra, carry_hidden, carry_cell, d_enc_hiddens,
+        )
 
-    # Decoder initial states were copies of the encoder final state.
-    d_final_hidden = T.zeros(d_h)
-    d_final_cell = T.zeros(d_h)
-    for l in range(n_dec):
-        d_final_hidden += carry_hidden[l]
-        d_final_cell += carry_cell[l]
+    # Decoder initial states were copies of the encoder final state; the
+    # carries add from 0.0 one decoder at a time, in order.
+    d_final_hidden = carry_hidden.sum(axis=0, initial=0.0)
+    d_final_cell = carry_cell.sum(axis=0, initial=0.0)
     encode_backward(params, cache.enc_cache, d_enc_hiddens, d_final_hidden, d_final_cell)
 
 

@@ -58,40 +58,43 @@ class ParamSlot:
 
 
 def matmul(a: Array, b: Array) -> Array:
-    """Matrix product; 1-D operands act as a single row (left) or column (right)."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects rank 1 or 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
+    """Row vector(s) times matrix: each row of ``a`` meets the matrix ``b[..., :, :]``.
+
+    Leading axes broadcast, so a (n, k) ``a`` and a stacked (n, k, m) ``b``
+    give row l times ``b[l]``. Every row is its own vector-matrix product,
+    bit-identical to multiplying that row alone.
+    """
+    if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul expects (..., k) and (..., k, m) operands, got {a.shape} and {b.shape}")
+    return (a[..., None, :] @ b)[..., 0, :]
 
 
 def softmax(x: Array) -> Array:
-    """Numerically stable softmax of a vector (max is always subtracted first)."""
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError(f"softmax expects a nonempty vector, got shape {x.shape}")
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    """Numerically stable softmax over the last axis (its max is always subtracted first)."""
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DomainError(f"softmax expects a nonempty last axis, got shape {x.shape}")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward(grad: Array, out: Array) -> Array:
-    """Backward through softmax given its output ``out``: y * (g - g.y)."""
-    return out * (grad - np.dot(grad, out))
+    """Backward through softmax over the last axis, given its output ``out``: y * (g - g.y)."""
+    return out * (grad - matmul(grad, out[..., :, None]))
 
 
 def concat(parts: list[Array]) -> Array:
-    """Concatenate vectors in order (at least one part)."""
+    """Concatenate along the last axis, in order (at least one part)."""
     if not parts:
         raise DomainError("concat of zero parts")
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def concat_backward(grad: Array, lengths: list[int]) -> list[Array]:
-    """Split the upstream gradient back into per-part pieces by offsets."""
+    """Split the upstream gradient back into per-part pieces along the last axis."""
     out: list[Array] = []
     offset = 0
     for n in lengths:
-        out.append(grad[offset:offset + n])
+        out.append(grad[..., offset:offset + n])
         offset += n
     return out
 

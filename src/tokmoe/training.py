@@ -187,15 +187,15 @@ class LossReport:
     lambda_value: float
 
 
-def _nll_grad_seed(dist: Array, target: int, weight: float) -> Array | None:
-    """Gradient of weight * -log(max(p[target], floor)) w.r.t. the distribution."""
-    if weight == 0.0:
-        return None
-    seed = np.zeros_like(dist)
-    p = dist[target]
-    if p > T.PROB_FLOOR:
-        seed[target] = -weight / p
-    return seed
+def _nll_grad_seeds(dists: list[Array], targets: list[int], weight: float) -> Array:
+    """Gradient of weight * nll_sequence(dists, targets) w.r.t. each distribution."""
+    seeds = np.zeros((len(dists), dists[0].shape[0]))
+    if weight != 0.0:
+        for seed, dist, y in zip(seeds, dists, targets):
+            p = dist[y]
+            if p > T.PROB_FLOOR:
+                seed[y] = -weight / p
+    return seeds
 
 
 def train_batch(
@@ -216,7 +216,7 @@ def train_batch(
     mode = combine_mode(scheme, params)
     mu, lam = resolve_scheme_weights(scheme, params.num_experts, weights)
 
-    raw_expert = [0.0] * n_dec
+    raw_expert = np.zeros(n_dec)
     chair_total = 0.0
     token_count = 0
     for enc_sample in batch:
@@ -225,19 +225,14 @@ def train_batch(
             params, enc_sample.context_ids, targets, combine=mode
         )
         token_count += len(targets)
-        sample_raw = loss_experts([steps], [targets], [enc_sample.intent], expert_of)
-        for l in range(n_dec):
-            raw_expert[l] += sample_raw[l]
+        raw_expert += loss_experts([steps], [targets], [enc_sample.intent], expert_of)
         chair_total += loss_chair([steps], [targets])
 
         if compute_grads:
-            d_dists: list[list[Array | None]] = [[None] * n_dec for _ in steps]
+            d_dists = np.zeros((len(steps), n_dec, params.vocab_size))
             for l in localized_decoders(enc_sample.intent, expert_of, n_dec - 1):
-                for seeds, step, y in zip(d_dists, steps, targets):
-                    seeds[l] = _nll_grad_seed(step.dists[l], y, lam * mu[l])
-            d_combined = [
-                _nll_grad_seed(step.combined, y, 1.0 - lam) for step, y in zip(steps, targets)
-            ]
+                d_dists[:, l] = _nll_grad_seeds([s.dists[l] for s in steps], targets, lam * mu[l])
+            d_combined = _nll_grad_seeds([s.combined for s in steps], targets, 1.0 - lam)
             backward_teacher_forced(params, cache, d_dists, d_combined)
 
     experts_weighted = float(np.dot(mu, raw_expert))
@@ -245,7 +240,7 @@ def train_batch(
 
     if compute_grads and scheme.learns_weights and params.num_experts > 0:
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
-        d_mu = lam * np.asarray(raw_expert[:-1])
+        d_mu = lam * raw_expert[:-1]
         mu_experts = mu[:-1]
         weights.mu_logits.grad += T.softmax_backward(d_mu, mu_experts)
         d_lam = experts_weighted - chair_total

@@ -1,21 +1,31 @@
-"""The benchmark's tracer names tokmoe functions; they must keep resolving.
+"""The benchmark's tracer names tokmoe functions; they must keep resolving and running.
 
 ``bench/tracer.py`` wraps each ``<module>.<name>`` in its ``TRACED`` table at
 run time, so a rename in ``src/`` would otherwise surface only as an
-AttributeError inside a traced benchmark run.
+AttributeError inside a traced benchmark run, and a traced name left behind
+as a shim that nothing calls would report a per-layer metric of 0.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import tokmoe.cli as cli
+from tokmoe import checkpoint, data, metrics, model, training
+from tokmoe.config import OptimizerConfig, SchemeConfig, VariantConfig
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def test_every_traced_name_resolves_in_tokmoe():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves_in_tokmoe():
+    tracer = load_tracer()
     names = [(module, name) for module, names in tracer.TRACED.items() for name in names]
     assert names
     missing = []
@@ -26,3 +36,36 @@ def test_every_traced_name_resolves_in_tokmoe():
         if not callable(owner):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def tiny_pipeline(tmp_path):
+    """Synthesize, train, decode, score, save, load and run the gradient oracle."""
+    spec = data.SynthSpec(intents=2, samples_per_intent=3, seed=1)
+    train, _, _ = data.generate_synthetic_splits(spec)
+    vocab = data.Vocabulary.build(train, cap=60)
+    encoded = data.encode_corpus(vocab, train)
+    intents = sorted(training.partition_by_intent(train))
+    variant = VariantConfig(hidden_size=3, embedding_size=3, attn_size=2, gate_hidden=4, gate_out=3)
+    params = model.init_model(len(vocab), len(intents), variant, seed=0)
+    training.train_run(
+        params, encoded, SchemeConfig.from_name("S4"), OptimizerConfig(batch_size=2), 1, 0,
+        training.expert_index_map(intents),
+    )
+    generated = [vocab.decode_ids(model.greedy_decode(params, s.context_ids, 4)) for s in encoded]
+    metrics.build_report([s.sample for s in encoded], generated)
+    checkpoint.save_model(params, tmp_path / "model.ckpt", vocab.id_to_token, intents, "S4")
+    checkpoint.load_model(tmp_path / "model.ckpt")
+    cli.run_gradcheck(num_experts=1, hidden=1, vocab_size=5)
+
+
+def test_every_traced_name_is_called(tmp_path):
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        tiny_pipeline(tmp_path)
+    finally:
+        recorder.uninstall()
+    calls, _, _ = recorder.snapshot()
+    never = [name for name, count in zip(tracer.FUNCTIONS, calls) if count == 0]
+    assert never == []

@@ -70,22 +70,27 @@ class TestTrain:
         assert set(manifest["corpus_checksums"]) == {"train", "valid"}
         assert all(r["valid_score"] is not None for r in manifest["history"])
 
-    def test_s2_with_conflicting_lambda_is_config_error(self, corpus_dir, workdir, capsys):
-        code = main([
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_max_gen_len_fails_before_training(self, corpus_dir, workdir, capsys, source):
+        out = workdir / f"r6-{source}"
+        argv = [
             "train", "--train", str(corpus_dir / "train.jsonl"),
-            "--out", str(workdir / "r2"), "--scheme", "S2", "--lambda", "0.3",
-        ])
+            "--valid", str(corpus_dir / "valid.jsonl"), "--out", str(out),
+            "--epochs", "1", "--hidden-size", "4", "--embedding-size", "3", "--vocab-cap", "60",
+        ]
+        if source == "flag":
+            argv += ["--max-gen-len", "0"]
+        else:
+            cfg = workdir / "zero-gen.cfg"
+            cfg.write_text("max_gen_len = 0\n")
+            argv += ["--config", str(cfg)]
+        code = main(argv)
         assert code == 1
-        assert capsys.readouterr().err.startswith("error[config]")
-
-    def test_matching_lambda_accepted(self, corpus_dir, workdir):
-        code = main([
-            "train", "--train", str(corpus_dir / "train.jsonl"),
-            "--out", str(workdir / "r3"), "--scheme", "S2", "--lambda", "0.0",
-            "--epochs", "1", "--hidden-size", "4", "--embedding-size", "3",
-            "--vocab-cap", "60", "--seed", "1",
-        ])
-        assert code == 0
+        captured = capsys.readouterr()
+        assert "epoch" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[config]")
+        assert not (out / "model.ckpt").exists()
 
     def test_env_seed_overrides_flag(self, corpus_dir, workdir, monkeypatch):
         monkeypatch.setenv("TOKMOE_SEED", "123")
@@ -215,11 +220,11 @@ class TestGradcheckCommand:
         assert len(scheme_lines) == 4
         assert all(" ok " in l for l in scheme_lines)
 
-    def test_injected_bug_exits_one(self, capsys):
+    def test_injected_bug_exits_one(self, capsys, monkeypatch):
         import tokmoe.tensor as T
         original = T.tanh_backward
-        code = main(["gradcheck", "--hidden", "2", "--vocab-size", "5", "--inject-bug"])
+        monkeypatch.setattr(T, "tanh_backward", lambda grad, out: 2.0 * original(grad, out))
+        code = main(["gradcheck", "--hidden", "2", "--vocab-size", "5"])
         assert code == 1
-        assert T.tanh_backward is original  # restored afterwards
         out = capsys.readouterr().out
         assert "FAIL" in out

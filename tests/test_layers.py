@@ -258,3 +258,85 @@ class TestProjection:
         for slot in proj.slots():
             numeric = fd_grad(lambda v: run(state), slot.value)
             assert max_rel_err(slot.grad, numeric) < 1e-6
+
+
+class TestStackedCopies:
+    """A stack of n copies computes each row bit-identically to that copy alone."""
+
+    N = 3
+
+    @staticmethod
+    def copy_of(slots, l):
+        # Copy l's weights as a separate unstacked layer with its own grads.
+        return [ParamSlot(s.name, s.value[l].copy()) for s in slots]
+
+    @staticmethod
+    def assert_rows_equal(stacked_outputs, single_outputs, l):
+        for stacked, single in zip(stacked_outputs, single_outputs):
+            np.testing.assert_array_equal(single, stacked[l])
+
+    def assert_grads_equal(self, stacked_slots, single_slots, l):
+        self.assert_rows_equal([s.grad for s in stacked_slots], [s.grad for s in single_slots], l)
+
+    @pytest.mark.parametrize("kind,gates", [("lstm", 4), ("gru", 3)])
+    def test_cell(self, rng, kind, gates):
+        n, d_in, d_h = self.N, 11, 9
+        stacked = L.CellParams(
+            kind,
+            make_slot(rng, "w_in", n, d_in, gates * d_h),
+            make_slot(rng, "w_rec", n, d_h, gates * d_h),
+            make_slot(rng, "bias", n, gates * d_h),
+        )
+        x = rng.uniform(-1, 1, (n, d_in))
+        prev = L.RnnState(rng.uniform(-1, 1, (n, d_h)), rng.uniform(-1, 1, (n, d_h)))
+        d_hidden, d_cell = rng.uniform(-1, 1, (2, n, d_h))
+        state, cache = L.cell_step(stacked, x, prev)
+        grads = L.cell_step_backward(stacked, cache, d_hidden, d_cell)
+        for l in range(n):
+            single = L.CellParams(kind, *self.copy_of(stacked.slots(), l))
+            state_l, cache_l = L.cell_step(single, x[l], L.RnnState(prev.hidden[l], prev.cell[l]))
+            self.assert_rows_equal([state.hidden, state.cell], [state_l.hidden, state_l.cell], l)
+            grads_l = L.cell_step_backward(single, cache_l, d_hidden[l], d_cell[l])
+            self.assert_rows_equal(grads, grads_l, l)
+            self.assert_grads_equal(stacked.slots(), single.slots(), l)
+
+    def test_attention(self, rng):
+        n, m, d_h, d_a = self.N, 5, 7, 6
+        stacked = L.AttentionParams(
+            make_slot(rng, "w", n, 2 * d_h, d_a), make_slot(rng, "b", n, d_a), make_slot(rng, "v", n, d_a)
+        )
+        hiddens = rng.uniform(-1, 1, (m, d_h))
+        query = rng.uniform(-1, 1, (n, d_h))
+        d_context = rng.uniform(-1, 1, (n, d_h))
+        context, weights, cache = L.attention_context(stacked, hiddens, query)
+        grads = L.attention_backward(stacked, cache, d_context)
+        for l in range(n):
+            single = L.AttentionParams(*self.copy_of(stacked.slots(), l))
+            context_l, weights_l, cache_l = L.attention_context(single, hiddens, query[l])
+            self.assert_rows_equal([context, weights], [context_l, weights_l], l)
+            self.assert_rows_equal(grads, L.attention_backward(single, cache_l, d_context[l]), l)
+            self.assert_grads_equal(stacked.slots(), single.slots(), l)
+
+    def test_projection(self, rng):
+        n, d_h, vocab = self.N, 9, 37
+        stacked = L.OutputProjection(make_slot(rng, "u", n, d_h, vocab), make_slot(rng, "a", n, vocab))
+        state = rng.uniform(-1, 1, (n, d_h))
+        d_probs = rng.uniform(-1, 1, (n, vocab))
+        probs, cache = L.project_to_vocab(stacked, state)
+        d_state = L.project_backward(stacked, cache, d_probs)
+        for l in range(n):
+            single = L.OutputProjection(*self.copy_of(stacked.slots(), l))
+            probs_l, cache_l = L.project_to_vocab(single, state[l])
+            self.assert_rows_equal([probs], [probs_l], l)
+            self.assert_rows_equal([d_state], [L.project_backward(single, cache_l, d_probs[l])], l)
+            self.assert_grads_equal(stacked.slots(), single.slots(), l)
+
+    def test_embedding_rows_add_in_order(self, rng):
+        table = L.EmbeddingTable(ParamSlot("emb", rng.uniform(-1, 1, (4, 3))))
+        table.matrix.grad[...] = rng.uniform(-1, 1, (4, 3))
+        expected = table.matrix.grad.copy()
+        grads = rng.uniform(-1, 1, (self.N, 3)) * 10.0 ** rng.integers(-8, 8, (self.N, 1))
+        for row in grads:
+            expected[2] += row
+        table.lookup_backward(2, grads)
+        np.testing.assert_array_equal(table.matrix.grad, expected)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import tokmoe.checkpoint as C
 import tokmoe.model as M
 import tokmoe.tensor as T
-from tokmoe.config import BOS_ID, EOS_ID
+import tokmoe.training as TR
+from tokmoe.config import BOS_ID, EOS_ID, OptimizerConfig
 from tokmoe.errors import DomainError
 from tokmoe.layers import RnnState
 from tokmoe.model import (
@@ -50,21 +52,64 @@ class TestEncoder:
         np.testing.assert_array_equal(enc.final_state.hidden, np.zeros(3))
 
 
+def stacked_state(rng, n_dec, d_h=3):
+    """One random state shared by every decoder row."""
+    return RnnState(np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)), np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)))
+
+
+class TestStackedSlots:
+    """Per-decoder slots are views into the stacked decoder arrays, never copies."""
+
+    @staticmethod
+    def stacked_of(params):
+        # per-decoder slot name -> (stacked slot, decoder index)
+        out = {}
+        for l in range(params.num_decoders):
+            for stacked in params.decoder_slots():
+                out[f"{params.decoder_name(l)}.{stacked.name}"] = (stacked, l)
+            out[f"gating.expert_key.{l}"] = (params.gating.expert_keys, l)
+        return out
+
+    def assert_views(self, params):
+        stacked_of = self.stacked_of(params)
+        per_decoder = [slot for slot in params.slots() if slot.name in stacked_of]
+        assert len(per_decoder) == len(stacked_of)
+        for slot in per_decoder:
+            stacked, l = stacked_of[slot.name]
+            assert np.shares_memory(slot.value, stacked.value), slot.name
+            assert np.shares_memory(slot.grad, stacked.grad), slot.name
+            np.testing.assert_array_equal(slot.value, stacked.value[l])
+
+    @pytest.mark.parametrize("overrides", [{}, {"attention_enabled": False}, {"cell_kind": "gru"}])
+    def test_views_after_init_and_load(self, tmp_path, overrides):
+        params = tiny_model(**overrides)
+        self.assert_views(params)
+        C.save_model(params, tmp_path / "m.ckpt", [f"t{i}" for i in range(6)], ["a", "b"], "S4")
+        loaded, _ = C.load_model(tmp_path / "m.ckpt")
+        self.assert_views(loaded)
+
+    def test_adam_step_over_slots_changes_the_stacked_step(self, rng):
+        params = tiny_model()
+        enc, _ = encode_context(params, [4, 5])
+        state = stacked_state(rng, params.num_decoders)
+        before = expert_step(params, 4, state, enc)[0]
+        for slot in params.slots():
+            slot.grad[...] = 1.0
+        TR.adam_step(OptimizerConfig(), params.slots(), TR.AdamState())
+        after = expert_step(params, 4, state, enc)[0]
+        assert np.all(np.any(before != after, axis=1))
+
+
 class TestExpertStep:
     def test_distribution_on_simplex(self, rng):
         params = tiny_model()
         enc, _ = encode_context(params, [4, 5])
-        state = RnnState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        for l in range(params.num_decoders):
-            dist, _, _ = expert_step(params, l, 4, state, enc)
+        state = RnnState(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)))
+        dists, _, _ = expert_step(params, 4, state, enc)
+        assert dists.shape == (params.num_decoders, 6)
+        for dist in dists:
             assert abs(dist.sum() - 1.0) <= 1e-12
             assert np.all(dist >= 0)
-
-    def test_invalid_index_rejected(self):
-        params = tiny_model()
-        enc, _ = encode_context(params, [4])
-        with pytest.raises(DomainError):
-            expert_step(params, 3, 4, RnnState.zero(3), enc)
 
     def test_attention_disabled_ignores_nonfinal_hiddens(self, rng):
         # Same final state, different per-position hiddens: with attention
@@ -73,18 +118,18 @@ class TestExpertStep:
         final = RnnState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         enc_a = EncoderOutput(rng.uniform(-1, 1, (4, 3)), final)
         enc_b = EncoderOutput(rng.uniform(-1, 1, (4, 3)), final)
-        state = RnnState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        dist_a, _, _ = expert_step(params, 0, 4, state, enc_a)
-        dist_b, _, _ = expert_step(params, 0, 4, state, enc_b)
+        state = stacked_state(rng, params.num_decoders)
+        dist_a, _, _ = expert_step(params, 4, state, enc_a)
+        dist_b, _, _ = expert_step(params, 4, state, enc_b)
         np.testing.assert_array_equal(dist_a, dist_b)
 
     def test_attention_params_not_shared_between_experts(self, rng):
         params = tiny_model(num_experts=2)
         enc, _ = encode_context(params, [4, 5])
-        state = RnnState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        before = [expert_step(params, l, 4, state, enc)[0] for l in range(3)]
-        params.decoders[1].attention.w.value += rng.uniform(0.5, 1.5, (6, 2))
-        after = [expert_step(params, l, 4, state, enc)[0] for l in range(3)]
+        state = stacked_state(rng, params.num_decoders)
+        before = expert_step(params, 4, state, enc)[0]
+        params.attention.w.value[1] += rng.uniform(0.5, 1.5, (6, 2))
+        after = expert_step(params, 4, state, enc)[0]
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[2], after[2])
         assert not np.array_equal(before[1], after[1])
@@ -102,16 +147,15 @@ class TestExpertStep:
         av = [0.8]
         pu = [[0.5, -0.3, 0.2], [0.1, 0.4, -0.6]]
         pa = [0.05, -0.1, 0.02]
-        stack = params.decoders[0]
         params.embedding.matrix.value[...] = emb
-        stack.cell.w_in.value[...] = w_in
-        stack.cell.w_rec.value[...] = w_rec
-        stack.cell.bias.value[...] = bias
-        stack.attention.w.value[...] = aw
-        stack.attention.b.value[...] = ab
-        stack.attention.v.value[...] = av
-        stack.projection.u.value[...] = pu
-        stack.projection.a.value[...] = pa
+        params.decoder_cell.w_in.value[0] = w_in
+        params.decoder_cell.w_rec.value[0] = w_rec
+        params.decoder_cell.bias.value[0] = bias
+        params.attention.w.value[0] = aw
+        params.attention.b.value[0] = ab
+        params.attention.v.value[0] = av
+        params.projection.u.value[0] = pu
+        params.projection.a.value[0] = pa
 
         h_enc = [[0.3, -0.4], [0.1, 0.7]]
         s_h = [0.25, -0.15]
@@ -151,10 +195,10 @@ class TestExpertStep:
         expected = [e / sum(exps) for e in exps]
 
         enc = EncoderOutput(T.tensor(h_enc), RnnState(T.tensor(s_h), T.tensor(s_c)))
-        dist, state, _ = expert_step(params, 0, prev_token, RnnState(T.tensor(s_h), T.tensor(s_c)), enc)
-        np.testing.assert_allclose(dist, expected, atol=1e-12)
-        np.testing.assert_allclose(state.hidden, hidden, atol=1e-12)
-        np.testing.assert_allclose(state.cell, cell, atol=1e-12)
+        dists, state, _ = expert_step(params, prev_token, RnnState(T.tensor([s_h]), T.tensor([s_c])), enc)
+        np.testing.assert_allclose(dists[0], expected, atol=1e-12)
+        np.testing.assert_allclose(state.hidden[0], hidden, atol=1e-12)
+        np.testing.assert_allclose(state.cell[0], cell, atol=1e-12)
 
 
 class TestGating:
@@ -165,23 +209,19 @@ class TestGating:
             ParamSlot("g.hb", rng.uniform(-0.5, 0.5, g_h)),
             ParamSlot("g.ow", rng.uniform(-0.5, 0.5, (g_h, g_out))),
             ParamSlot("g.ob", rng.uniform(-0.5, 0.5, g_out)),
-            [ParamSlot(f"g.key.{i}", rng.uniform(-0.5, 0.5, g_out)) for i in range(n_dec)],
+            ParamSlot("g.key", rng.uniform(-0.5, 0.5, (n_dec, g_out))),
         )
 
     @staticmethod
     def fabricated_step(rng, n_dec=2, d_h=2, vocab=3):
-        states = [RnnState(rng.uniform(-1, 1, d_h), T.zeros(d_h)) for _ in range(n_dec)]
-        dists = []
-        for _ in range(n_dec):
-            raw = rng.uniform(0.1, 1.0, vocab)
-            dists.append(raw / raw.sum())
-        return states, dists
+        states = RnnState(rng.uniform(-1, 1, (n_dec, d_h)), T.zeros(n_dec, d_h))
+        raw = rng.uniform(0.1, 1.0, (n_dec, vocab))
+        return states, raw / raw.sum(axis=1, keepdims=True)
 
     def test_equal_keys_give_uniform_beta(self, rng):
         gating = self.make_gating(rng, n_dec=3)
         shared = rng.uniform(-0.5, 0.5, 2)
-        for key in gating.expert_keys:
-            key.value[...] = shared
+        gating.expert_keys.value[...] = shared
         states, dists = self.fabricated_step(rng, n_dec=3)
         beta, _ = gate_weights(gating, states, dists)
         np.testing.assert_allclose(beta, np.full(3, 1 / 3), atol=1e-12)
@@ -203,7 +243,7 @@ class TestGating:
         gating = GatingParams(
             ParamSlot("hw", T.tensor(hw)), ParamSlot("hb", T.tensor(hb)),
             ParamSlot("ow", T.tensor(ow)), ParamSlot("ob", T.tensor(ob)),
-            [ParamSlot("k0", T.tensor(keys[0])), ParamSlot("k1", T.tensor(keys[1]))],
+            ParamSlot("keys", T.tensor(keys)),
         )
         s1, s2 = [0.1, -0.3], [0.2, 0.05]
         p1, p2 = [0.5, 0.3, 0.2], [0.1, 0.7, 0.2]
@@ -215,8 +255,8 @@ class TestGating:
         exps = [math.exp(v - mx) for v in logits]
         expected = [e / sum(exps) for e in exps]
 
-        states = [RnnState(T.tensor(s1), T.zeros(2)), RnnState(T.tensor(s2), T.zeros(2))]
-        beta, _ = gate_weights(gating, states, [T.tensor(p1), T.tensor(p2)])
+        states = RnnState(T.tensor([s1, s2]), T.zeros(2, 2))
+        beta, _ = gate_weights(gating, states, T.tensor([p1, p2]))
         np.testing.assert_allclose(beta, expected, atol=1e-12)
 
     def test_logit_shift_invariance_through_combination(self, rng):
@@ -247,6 +287,14 @@ class TestChairCombine:
         out = chair_combine([T.tensor([0.8, 0.2]), T.tensor([0.2, 0.8])], T.tensor([0.5, 0.5]))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
+    def test_equals_decoder_by_decoder_sum_bitwise(self, rng):
+        dists = rng.dirichlet(np.ones(50), size=12)
+        beta = rng.dirichlet(np.ones(12))
+        expected = np.zeros(50)
+        for weight, dist in zip(beta, dists):
+            expected += weight * dist
+        np.testing.assert_array_equal(chair_combine(dists, beta), expected)
+
     def test_mixture_bound(self, rng):
         for _ in range(100):
             dists = [rng.dirichlet(np.ones(5)) for _ in range(3)]
@@ -272,7 +320,7 @@ class TestForwardTeacherForced:
         params = tiny_model()
         response = [5, 4, 3]
         _, cache = forward_teacher_forced(params, [4], response)
-        fed = [cache.steps[j].decoder_caches[0].prev_token_id for j in range(3)]
+        fed = [cache.steps[j].decoder_cache.prev_token_id for j in range(3)]
         assert fed == [BOS_ID, 5, 4]
 
     def test_single_decoder_mode_is_degenerate_mixture(self):
@@ -304,10 +352,9 @@ class TestForwardTeacherForced:
 class TestGreedyDecode:
     def test_eos_dominant_logit_stops_immediately(self):
         params = tiny_model()
-        for stack in params.decoders:
-            stack.projection.u.value[...] = 0.0
-            stack.projection.a.value[...] = 0.0
-            stack.projection.a.value[EOS_ID] = 50.0
+        params.projection.u.value[...] = 0.0
+        params.projection.a.value[...] = 0.0
+        params.projection.a.value[:, EOS_ID] = 50.0
         out = greedy_decode(params, [4, 5], max_len=10)
         assert out == [EOS_ID]
 

@@ -366,10 +366,9 @@ class TestGradCheck:
 
     def test_one_hot_forcing_params_give_near_zero_gradients(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
-        for stack in params.decoders:
-            stack.projection.u.value[...] = 0.0
-            stack.projection.a.value[...] = 0.0
-            stack.projection.a.value[4] = 500.0
+        params.projection.u.value[...] = 0.0
+        params.projection.a.value[...] = 0.0
+        params.projection.a.value[:, 4] = 500.0
         sample = EncodedSample([4, 5], [4, 4], "alpha", Sample(["x"], ["y"], "alpha"))
         report = TR.train_batch(params, [sample], SchemeConfig.from_name("S4"),
                                 {"alpha": 0, "beta": 1})
