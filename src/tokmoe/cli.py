@@ -1,10 +1,10 @@
 """Command-line entry point: synth, train, evaluate, generate, gradcheck.
 
 Every command is deterministic given its flags, seed, and input files.
-Configuration comes from an optional ``key = value`` file with flag
-overrides (flags win); the TOKMOE_SEED environment variable overrides the
-seed from both. Errors print one ``error[<code>]: message`` line on
-stderr; exit code 0 means success, 2 bad usage, 1 any other failure.
+``train`` settings layer a ``key = value`` file, the flags given (each
+``dest`` is a config key) and TOKMOE_SEED, later layers winning, and are all
+checked before any file is read. Errors print one ``error[<code>]: message``
+line on stderr; exit code 0 means success, 2 bad usage, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -77,40 +77,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    overrides = {
-        "scheme": args.scheme,
-        "variant": args.variant,
-        "hidden_size": args.hidden_size,
-        "embedding_size": args.embedding_size,
-        "cell_kind": args.cell,
-        "vocab_cap": args.vocab_cap,
-        "batch_size": args.batch_size,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "train_path": args.train,
-        "valid_path": args.valid,
-        "test_path": args.test,
-        "out_dir": args.out,
-        "max_gen_len": args.max_gen_len,
-    }
-    if getattr(args, "no_attention", False):
-        overrides["attention_enabled"] = "false"
-    if getattr(args, "single_module", False):
-        overrides["single_module"] = "true"
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = str(value)
-    config = RunConfig.from_mapping(mapping)
+    """Config file, then the flags given, then TOKMOE_SEED; checked in one place."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    mapping.update(
+        (key, str(value)) for key, value in vars(args).items()
+        if key not in ("command", "func", "config") and value is not None
+    )
     env_seed = os.environ.get("TOKMOE_SEED")
     if env_seed is not None:
         try:
-            config.seed = int(env_seed)
+            int(env_seed)
         except ValueError:
             raise ConfigError(f"TOKMOE_SEED must be an integer, got {env_seed!r}") from None
-    return config
+        mapping["seed"] = env_seed
+    return RunConfig.from_mapping(mapping)
 
 
 def _prepare_training(config: RunConfig):
@@ -123,8 +103,8 @@ def _prepare_training(config: RunConfig):
     intents = sorted(partition)
     expert_of = TR.expert_index_map(intents)
     num_experts = 0 if config.single_module else len(intents)
-    params = M.init_model(len(vocab), num_experts, config.variant_config(), config.seed)
-    scheme = config.scheme_config()
+    params = M.init_model(len(vocab), num_experts, config.model, config.seed)
+    scheme = SchemeConfig.from_name(config.scheme)
     weights = None
     if scheme.learns_weights and num_experts > 0:
         weights = TR.SchemeWeights.fresh(num_experts)
@@ -134,14 +114,10 @@ def _prepare_training(config: RunConfig):
 def cmd_train(args: argparse.Namespace) -> int:
     config = _build_run_config(args)
     train_corpus, vocab, encoded, intents, expert_of, params, scheme, weights = _prepare_training(config)
-    opt = config.optimizer_config()
 
     valid_scorer = None
-    if config.valid_path:
-        valid_corpus = D.load_corpus_jsonl(config.valid_path, split="valid")
-    else:
-        valid_corpus = None
-    if valid_corpus is not None and len(valid_corpus) > 0:
+    valid_corpus = D.load_corpus_jsonl(config.valid_path, split="valid") if config.valid_path else None
+    if valid_corpus:
         valid_encoded = D.encode_corpus(vocab, valid_corpus)
         mode = M.combine_mode(scheme, params)
 
@@ -163,16 +139,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             line += f"  val_score {record.valid_score:.2f}"
         print(line)
 
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any epoch
     result = TR.train_run(
-        params, encoded, scheme, opt, config.epochs, config.seed, expert_of,
+        params, encoded, scheme, config.optimizer, config.epochs, config.seed, expert_of,
         weights=weights, valid_scorer=valid_scorer, progress=progress,
     )
 
     accuracy = TR.teacher_forced_accuracy(params, encoded, scheme)
     print(f"train teacher-forced accuracy: {accuracy:.4f}")
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "model.ckpt"
     extra = weights.slots() if weights is not None else None
     ckpt.save_model(params, ckpt_path, vocab.id_to_token, intents, config.scheme, extra_slots=extra)
@@ -310,6 +286,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
     if not args.epsilon > 0:
         raise UsageError("--epsilon must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     results = run_gradcheck(
         num_experts=args.experts, hidden=args.hidden,
         vocab_size=args.vocab_size, seed=args.seed, epsilon=args.epsilon,
@@ -353,17 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--scheme", choices=SCHEME_NAMES)
     p.add_argument("--variant", choices=VARIANT_NAMES)
-    p.add_argument("--train", help="training corpus (jsonl)")
-    p.add_argument("--valid", help="validation corpus (jsonl)")
-    p.add_argument("--test", help="test corpus path recorded in the manifest")
-    p.add_argument("--out", help="run directory")
+    p.add_argument("--train", dest="train_path", help="training corpus (jsonl)")
+    p.add_argument("--valid", dest="valid_path", help="validation corpus (jsonl)")
+    p.add_argument("--test", dest="test_path", help="test corpus path recorded in the manifest")
+    p.add_argument("--out", dest="out_dir", help="run directory")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--hidden-size", type=int, dest="hidden_size")
     p.add_argument("--embedding-size", type=int, dest="embedding_size")
-    p.add_argument("--cell", choices=("lstm", "gru"))
-    p.add_argument("--no-attention", action="store_true", dest="no_attention")
-    p.add_argument("--single-module", action="store_true", dest="single_module",
+    p.add_argument("--cell", choices=("lstm", "gru"), dest="cell_kind")
+    p.add_argument("--no-attention", action="store_false", default=None, dest="attention_enabled")
+    p.add_argument("--single-module", action="store_true", default=None, dest="single_module",
                    help="one decoder, no mixture (scheme S3 only)")
     p.add_argument("--vocab-cap", type=int, dest="vocab_cap")
     p.add_argument("--batch-size", type=int, dest="batch_size")
@@ -406,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except TokmoeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 

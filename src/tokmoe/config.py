@@ -9,6 +9,7 @@ generation time.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,9 +46,10 @@ class VariantConfig:
             raise ConfigError("attn_size must be >= 1")
 
     @classmethod
-    def from_name(cls, name: str, **overrides) -> "VariantConfig":
-        """Presets: V1 drops attention, V2 swaps in GRU cells, V3 shrinks hidden to 100."""
+    def from_name(cls, name: str | None, **overrides) -> "VariantConfig":
+        """Presets (None: no preset): V1 drops attention, V2 uses GRU cells, V3 hidden 100."""
         presets = {
+            None: {},
             "V1": {"attention_enabled": False},
             "V2": {"cell_kind": "gru"},
             "V3": {"hidden_size": 100},
@@ -105,8 +107,15 @@ class OptimizerConfig:
     batch_size: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "epsilon", "clip_low", "clip_high", "l2_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie strictly in (0, 1)")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon must be positive")
+        if self.l2_weight < 0:
+            raise ConfigError("l2_weight must not be negative")
         if self.alpha < 0:
             # alpha = 0 is allowed: a frozen-parameter dry run.
             raise ConfigError("alpha must not be negative")
@@ -118,26 +127,17 @@ class OptimizerConfig:
 
 @dataclass
 class RunConfig:
-    """One training/evaluation run: scheme + variant + optimizer + paths."""
+    """One training/evaluation run: scheme, architecture, optimizer and paths.
+
+    Its flat ``key = value`` form (config file, snapshot, manifest) holds
+    RunConfig's own fields plus every field of ``model`` and ``optimizer``.
+    """
 
     scheme: str = "S4"
-    variant: str | None = None   # optional V1/V2/V3 preset applied before field overrides
-    attention_enabled: bool = True
-    cell_kind: str = "lstm"
-    hidden_size: int = 150
-    embedding_size: int = 50
-    attn_size: int | None = None
-    gate_hidden: int = 128
-    gate_out: int = 32
+    variant: str | None = None   # optional V1/V2/V3 preset applied before the model keys
+    model: VariantConfig = field(default_factory=VariantConfig)
     vocab_cap: int = 400
-    alpha: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_low: float = -5.0
-    clip_high: float = 5.0
-    l2_weight: float = 1e-5
-    batch_size: int = 64
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 13
     epochs: int = 10
     max_gen_len: int = 40
@@ -153,53 +153,43 @@ class RunConfig:
             raise ConfigError("single_module mode is only defined for scheme S3")
         if self.vocab_cap < len(SPECIAL_TOKENS) + 1:
             raise ConfigError(f"vocab_cap must exceed the {len(SPECIAL_TOKENS)} reserved specials")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         if self.max_gen_len < 1:
             raise ConfigError("max_gen_len must be >= 1")
 
-    def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig.from_name(self.scheme)
-
-    def variant_config(self) -> VariantConfig:
-        # Every VariantConfig field has a same-named RunConfig field.
-        fields = dataclasses.fields(VariantConfig)
-        return VariantConfig(**{f.name: getattr(self, f.name) for f in fields})
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            alpha=self.alpha, beta1=self.beta1, beta2=self.beta2, epsilon=self.epsilon,
-            clip_low=self.clip_low, clip_high=self.clip_high,
-            l2_weight=self.l2_weight, batch_size=self.batch_size,
-        )
-
     def to_mapping(self) -> dict[str, str]:
+        """Flat keys in field order, ``model`` and ``optimizer`` expanded in place."""
         out: dict[str, str] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                out[f.name] = "true" if value else "false"
-            else:
-                out[f.name] = str(value)
+        for key, value in dataclasses.asdict(self).items():
+            for name, item in value.items() if key in _PARTS else [(key, value)]:
+                if item is not None:
+                    out[name] = str(item).lower() if isinstance(item, bool) else str(item)
         return out
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "RunConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs: dict[str, object] = {}
-        variant = mapping.get("variant")
-        if variant is not None:
-            preset = VariantConfig.from_name(variant)
-            for name in ("attention_enabled", "cell_kind", "hidden_size", "embedding_size"):
-                kwargs[name] = getattr(preset, name)
-            kwargs["variant"] = variant
+        """Route each flat key to the dataclass that declares it; every value is checked."""
+        owners = {None: cls, **_PARTS}
+        declared = {
+            f.name: (part, f.type)
+            for part, owner in owners.items()
+            for f in dataclasses.fields(owner) if f.name not in _PARTS
+        }
+        kwargs: dict[str | None, dict[str, object]] = {part: {} for part in owners}
         for key, raw in mapping.items():
-            if key == "variant":
-                continue
-            if key not in fields:
+            if key not in declared:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, raw, fields[key].type)
-        return cls(**kwargs)  # type: ignore[arg-type]
+            part, annotation = declared[key]
+            kwargs[part][key] = _coerce(key, raw, annotation)
+        own = kwargs[None]
+        model = VariantConfig.from_name(own.get("variant"), **kwargs["model"])
+        return cls(**own, model=model, optimizer=OptimizerConfig(**kwargs["optimizer"]))
+
+
+_PARTS = {"model": VariantConfig, "optimizer": OptimizerConfig}
 
 
 def _coerce(key: str, raw: str, annotation: str):
@@ -221,10 +211,18 @@ def _coerce(key: str, raw: str, annotation: str):
     return text
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; undecodable bytes are a ParseError naming the offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` file; '#' starts a comment, blanks ignored."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID
+from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_utf8
 from .errors import DataError, DomainError, ParseError
 
 
@@ -133,7 +133,9 @@ def encode_corpus(vocab: Vocabulary, corpus: Corpus) -> list[EncodedSample]:
 # JSONL ingestion
 
 
-def _parse_sample(obj: dict, where: str) -> Sample:
+def _parse_sample(obj: object, where: str) -> Sample:
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     for key in ("context", "response", "intent"):
         if key not in obj:
             raise DataError(f"{where}: missing required field {key!r}")
@@ -151,14 +153,20 @@ def _parse_sample(obj: dict, where: str) -> Sample:
         raw = obj["goal"]
         if not isinstance(raw, dict):
             raise DataError(f"{where}: 'goal' must be an object")
-        goal = Goal(entity=raw.get("entity"), requested=list(raw.get("requested", [])))
+        entity = raw.get("entity")
+        requested = raw.get("requested", [])
+        if entity is not None and not isinstance(entity, str):
+            raise DataError(f"{where}: 'goal.entity' must be a string or null")
+        if not isinstance(requested, list) or not all(isinstance(r, str) for r in requested):
+            raise DataError(f"{where}: 'goal.requested' must be a list of strings")
+        goal = Goal(entity=entity, requested=list(requested))
     return Sample([str(t) for t in context], [str(t) for t in response], intent, goal)
 
 
 def load_corpus_jsonl(path: str | Path, split: str = "train") -> Corpus:
     path = Path(path)
     samples: list[Sample] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

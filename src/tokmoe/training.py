@@ -111,12 +111,15 @@ def resolve_scheme_weights(
 
 
 def nll_sequence(dists: list[Array], targets: list[int]) -> float:
-    """Sum of -log p[y] over the sequence, with the probability floor."""
+    """Sum of -log p[y] over the sequence, with the probability floor.
+
+    A NaN probability is not floored, so it yields a NaN sum.
+    """
     total = 0.0
     floor = T.PROB_FLOOR
     for dist, y in zip(dists, targets):
         p = dist[y]
-        total -= math.log(p if p > floor else floor)
+        total -= math.log(floor if p < floor else p)
     return total
 
 
@@ -343,6 +346,11 @@ def train_epoch(
     for start in range(0, len(order), opt.batch_size):
         batch = [samples[i] for i in order[start:start + opt.batch_size]]
         report = train_batch(params, batch, scheme, expert_of, weights, compute_grads=True)
+        if not math.isfinite(report.total):
+            raise DomainError(
+                f"batch {start // opt.batch_size + 1}: non-finite loss {report.total}; "
+                "stopped before the optimizer step"
+            )
         apply_l2(slots, opt.l2_weight)
         clip_gradients(slots, opt.clip_low, opt.clip_high)
         adam_step(opt, slots, adam_state)
@@ -393,7 +401,8 @@ def train_run(
 
     ``valid_scorer(params) -> float`` is called after every epoch; the
     parameter snapshot with the highest score is restored at the end. With
-    no scorer the final-epoch parameters stand.
+    no scorer the final-epoch parameters stand. A non-finite batch loss
+    raises DomainError naming the epoch and the batch.
     """
     rng = np.random.default_rng(seed)
     adam_state = AdamState()
@@ -403,7 +412,10 @@ def train_run(
     best_values: dict[str, Array] | None = None
     slots = all_slots(params, weights)
     for epoch in range(1, epochs + 1):
-        report = train_epoch(params, samples, scheme, opt, adam_state, rng, expert_of, weights)
+        try:
+            report = train_epoch(params, samples, scheme, opt, adam_state, rng, expert_of, weights)
+        except DomainError as exc:
+            raise DomainError(f"epoch {epoch}, {exc}") from None
         record = EpochRecord(epoch, report)
         if valid_scorer is not None:
             record.valid_score = float(valid_scorer(params))

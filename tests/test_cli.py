@@ -2,10 +2,12 @@
 
 import json
 
-
+import numpy as np
 import pytest
 
-from tokmoe.cli import main
+import tokmoe.model as M
+from tokmoe import BOS_ID, RunConfig
+from tokmoe.cli import _build_run_config, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -70,28 +72,6 @@ class TestTrain:
         assert set(manifest["corpus_checksums"]) == {"train", "valid"}
         assert all(r["valid_score"] is not None for r in manifest["history"])
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_zero_max_gen_len_fails_before_training(self, corpus_dir, workdir, capsys, source):
-        out = workdir / f"r6-{source}"
-        argv = [
-            "train", "--train", str(corpus_dir / "train.jsonl"),
-            "--valid", str(corpus_dir / "valid.jsonl"), "--out", str(out),
-            "--epochs", "1", "--hidden-size", "4", "--embedding-size", "3", "--vocab-cap", "60",
-        ]
-        if source == "flag":
-            argv += ["--max-gen-len", "0"]
-        else:
-            cfg = workdir / "zero-gen.cfg"
-            cfg.write_text("max_gen_len = 0\n")
-            argv += ["--config", str(cfg)]
-        code = main(argv)
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "epoch" not in captured.out
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error[config]")
-        assert not (out / "model.ckpt").exists()
-
     def test_env_seed_overrides_flag(self, corpus_dir, workdir, monkeypatch):
         monkeypatch.setenv("TOKMOE_SEED", "123")
         out = workdir / "r4"
@@ -133,18 +113,6 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "overall" in out and "Inform%" in out
-
-    def test_corrupted_checkpoint_is_integrity_error(self, trained_run, corpus_dir, workdir, capsys):
-        blob = bytearray((trained_run / "model.ckpt").read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        bad = workdir / "bad.ckpt"
-        bad.write_bytes(bytes(blob))
-        meta = (trained_run / "model.meta.json").read_text()
-        (workdir / "bad.meta.json").write_text(meta)
-        code = main(["evaluate", "--checkpoint", str(bad),
-                     "--corpus", str(corpus_dir / "test.jsonl")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error[integrity]")
 
     @pytest.mark.parametrize("name,corrupt", [
         ("malformed", lambda meta: "{not json"),
@@ -228,3 +196,179 @@ class TestGradcheckCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+class Boundary:
+    """Builds one boundary case's argv; files it writes go to its own directory."""
+
+    def __init__(self, corpus_dir, trained_run, tmp, monkeypatch):
+        self.corpus = corpus_dir
+        self.run = trained_run
+        self.tmp = tmp
+        self.out = tmp / "out"
+        self.monkeypatch = monkeypatch
+
+    def file(self, name, content):
+        path = self.tmp / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return str(path)
+
+    def train(self, *flags, corpus=None):
+        return [
+            "train", "--train", corpus or str(self.corpus / "train.jsonl"),
+            "--valid", str(self.corpus / "valid.jsonl"), "--out", str(self.out),
+            "--epochs", "1", "--hidden-size", "4", "--embedding-size", "3", "--vocab-cap", "60",
+            *flags,
+        ]
+
+    def config(self, text):
+        return self.train("--config", self.file("run.cfg", text))
+
+    def env_seed(self, value):
+        self.monkeypatch.setenv("TOKMOE_SEED", value)
+        return self.train()
+
+    def evaluate(self, corpus=None, checkpoint=None):
+        return [
+            "evaluate", "--checkpoint", checkpoint or str(self.run / "model.ckpt"),
+            "--corpus", corpus or str(self.corpus / "test.jsonl"),
+        ]
+
+    def checkpoint(self, blob=None, meta=None):
+        """A copy of the trained checkpoint, with its bytes or sidecar replaced."""
+        self.file("copy.ckpt", blob or (self.run / "model.ckpt").read_bytes())
+        self.file("copy.meta.json", meta or (self.run / "model.meta.json").read_text())
+        return self.evaluate(checkpoint=str(self.tmp / "copy.ckpt"))
+
+
+def _flip_middle_byte(blob):
+    flipped = bytearray(blob)
+    flipped[len(flipped) // 2] ^= 0x01
+    return bytes(flipped)
+
+
+_SAMPLE = '{"context": ["a"], "response": ["b"], "intent": "hotel", "goal": %s}\n'
+
+BOUNDARY_CASES = [
+    # Settings: every one is checked before any file is read.
+    ("unknown-scheme", 1, "config", lambda c: c.config("scheme = S9\n")),
+    ("unknown-variant", 1, "config", lambda c: c.config("variant = V9\n")),
+    ("unknown-key", 1, "config", lambda c: c.config("dropout = 0.1\n")),
+    ("bad-boolean", 1, "config", lambda c: c.config("single_module = maybe\n")),
+    ("batch-size-0", 1, "config", lambda c: c.train("--batch-size", "0")),
+    ("hidden-size-0", 1, "config", lambda c: c.train("--hidden-size", "0")),
+    ("vocab-cap-3", 1, "config", lambda c: c.train("--vocab-cap", "3")),
+    ("max-gen-len-flag", 1, "config", lambda c: c.train("--max-gen-len", "0")),
+    ("max-gen-len-config", 1, "config", lambda c: c.config("max_gen_len = 0\n")),
+    ("seed-flag", 1, "config", lambda c: c.train("--seed", "-1")),
+    ("seed-config", 1, "config", lambda c: c.config("seed = -1\n")),
+    ("seed-env-negative", 1, "config", lambda c: c.env_seed("-5")),
+    ("seed-env-not-int", 1, "config", lambda c: c.env_seed("abc")),
+    ("epochs-0", 1, "config", lambda c: c.train("--epochs", "0")),
+    ("alpha-nan", 1, "config", lambda c: c.config("alpha = nan\n")),
+    ("epsilon-0", 1, "config", lambda c: c.config("epsilon = 0\n")),
+    ("l2-negative", 1, "config", lambda c: c.config("l2_weight = -1e-5\n")),
+    ("clip-high-inf", 1, "config", lambda c: c.config("clip_high = inf\n")),
+    ("settings-before-files", 1, "config",
+     lambda c: c.train("--batch-size", "0", corpus=str(c.tmp / "missing.jsonl"))),
+    # Files.
+    ("config-not-utf8", 1, "parse", lambda c: c.config(b"seed = 1\xff\n")),
+    ("config-is-directory", 1, "io", lambda c: c.train("--config", str(c.tmp))),
+    ("train-is-directory", 1, "io", lambda c: c.train(corpus=str(c.tmp))),
+    ("train-not-utf8", 1, "parse", lambda c: c.train(corpus=c.file("t.jsonl", b"\xff\xfe\n"))),
+    ("train-line-not-object", 1, "data", lambda c: c.train(corpus=c.file("t.jsonl", "5\n"))),
+    ("goal-requested-not-list", 1, "data",
+     lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % '{"requested": 5}'))),
+    ("goal-entity-not-string", 1, "data",
+     lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % '{"entity": ["q"]}'))),
+    ("out-is-file", 1, "io", lambda c: c.train("--out", c.file("taken", "x"))),
+    ("corpus-is-directory", 1, "io", lambda c: c.evaluate(corpus=str(c.tmp))),
+    ("corpus-line-not-object", 1, "data", lambda c: c.evaluate(corpus=c.file("t.jsonl", "5\n"))),
+    ("flipped-checkpoint-byte", 1, "integrity",
+     lambda c: c.checkpoint(blob=_flip_middle_byte((c.run / "model.ckpt").read_bytes()))),
+    ("corrupted-sidecar", 1, "integrity", lambda c: c.checkpoint(meta="{not json")),
+    # gradcheck flags.
+    ("gradcheck-vocab-size-4", 2, "usage", lambda c: ["gradcheck", "--vocab-size", "4"]),
+    ("gradcheck-seed", 2, "usage", lambda c: ["gradcheck", "--seed", "-1"]),
+]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "exit_code,error_code,build",
+        [pytest.param(*case[1:], id=case[0]) for case in BOUNDARY_CASES],
+    )
+    def test_fails_closed(
+        self, corpus_dir, trained_run, tmp_path, monkeypatch, capsys, exit_code, error_code, build
+    ):
+        case = Boundary(corpus_dir, trained_run, tmp_path, monkeypatch)
+        assert main(build(case)) == exit_code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "epoch" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error[{error_code}]"), err
+        assert not (case.out / "model.ckpt").exists()
+
+    def test_non_finite_loss_stops_before_optimizer_step(
+        self, corpus_dir, tmp_path, monkeypatch, capsys
+    ):
+        original = M.init_model
+
+        def nan_bos_row(*args, **kwargs):
+            params = original(*args, **kwargs)
+            params.embedding.matrix.value[BOS_ID] = np.nan
+            return params
+
+        monkeypatch.setattr(M, "init_model", nan_bos_row)
+        case = Boundary(corpus_dir, None, tmp_path, monkeypatch)
+        assert main(case.train()) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error[domain]: epoch 1, batch 1: non-finite loss nan")
+        assert "epoch" not in captured.out
+        assert not (case.out / "model.ckpt").exists()
+
+
+def _config_of(argv):
+    return _build_run_config(build_parser().parse_args(["train", *argv]))
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("argv,check", [
+        ([], lambda c: c == RunConfig()),
+        (["--variant", "V3", "--hidden-size", "7"],
+         lambda c: (c.variant, c.model.hidden_size, c.model.attn_size) == ("V3", 7, 7)),
+        (["--no-attention"], lambda c: c.model.attention_enabled is False),
+        (["--single-module", "--scheme", "S3"], lambda c: c.single_module and c.scheme == "S3"),
+        (["--config", "FILE"],
+         lambda c: (c.optimizer.alpha, c.model.gate_hidden, c.model.attn_size,
+                    c.optimizer.clip_low) == (0.01, 5, 6, -2.0)),
+    ], ids=["defaults", "v3-hidden", "no-attention", "single-module", "file-only-keys"])
+    def test_mapping_round_trip(self, tmp_path, monkeypatch, argv, check):
+        monkeypatch.delenv("TOKMOE_SEED", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.01\ngate_hidden = 5\nattn_size = 6\nclip_low = -2\n")
+        config = _config_of([str(cfg) if a == "FILE" else a for a in argv])
+        assert check(config)
+        assert RunConfig.from_mapping(config.to_mapping()) == config
+
+    def test_precedence_file_then_flag_then_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TOKMOE_SEED", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        assert _config_of(["--config", str(cfg)]).seed == 1
+        assert _config_of(["--config", str(cfg), "--seed", "2"]).seed == 2
+        monkeypatch.setenv("TOKMOE_SEED", "3")
+        assert _config_of(["--config", str(cfg), "--seed", "2"]).seed == 3
+
+    def test_snapshot_reproduces_checkpoint(self, trained_run, workdir, monkeypatch):
+        monkeypatch.delenv("TOKMOE_SEED", raising=False)
+        out = workdir / "rerun"
+        code = main(["train", "--config", str(trained_run / "config.snapshot"), "--out", str(out)])
+        assert code == 0
+        assert (out / "model.ckpt").read_bytes() == (trained_run / "model.ckpt").read_bytes()

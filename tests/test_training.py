@@ -110,6 +110,8 @@ class TestLossFunctions:
         assert TR.nll_sequence([np.array([0.0, 1.0])], [1]) == 0.0
         # A zero probability scores at the floor, never infinity.
         assert TR.nll_sequence([np.array([0.0, 1.0])], [0]) == -math.log(T.PROB_FLOOR)
+        # A NaN probability is not floored: the loss goes non-finite.
+        assert math.isnan(TR.nll_sequence([np.array([math.nan, 1.0])], [0]))
 
 
 class TestSchemeWeights:
