@@ -17,8 +17,8 @@ from .config import (
     VariantConfig,
 )
 from .data import Corpus, Goal, Sample, SynthSpec, Vocabulary
-from .model import ModelParams, forward_teacher_forced, greedy_decode, init_model
-from .training import LossReport, SchemeWeights, grad_check, train_epoch, train_run
+from .model import ModelParams, SchemeWeights, forward_teacher_forced, greedy_decode, init_model
+from .training import LossReport, grad_check, train_epoch, train_run
 
 __version__ = "0.1.0"
 

@@ -17,6 +17,7 @@ rebuild a ModelParams, since the archive itself stores only tensors.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from .config import SchemeConfig, VariantConfig
 from .errors import ConfigError, IntegrityError
 from .model import ModelParams, init_model
-from .tensor import Array, ParamSlot
+from .tensor import Array
 
 MAGIC = b"TOKMOE1\n"
 
@@ -95,7 +96,10 @@ def load_tensors(path: str | Path) -> dict[str, Array]:
     tensors: dict[str, Array] = {}
     checksum = _FNV_OFFSET
     for _ in range(count):
-        name = reader.take(reader.u64()).decode("utf-8")
+        try:
+            name = reader.take(reader.u64()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise IntegrityError(f"{path}: tensor name is not valid UTF-8") from None
         rank = reader.u64()
         dims = tuple(reader.u64() for _ in range(rank))
         size = 1
@@ -136,12 +140,8 @@ def save_model(
     tokens: list[str],
     intents: list[str],
     scheme: str,
-    extra_slots: list[ParamSlot] | None = None,
 ) -> None:
-    tensors = [(slot.name, slot.value) for slot in params.slots()]
-    for slot in extra_slots or []:
-        tensors.append((slot.name, slot.value))
-    save_tensors(tensors, path)
+    save_tensors([(slot.name, slot.value) for slot in params.slots()], path)
     meta = {
         "tokens": tokens,
         "intents": intents,
@@ -166,7 +166,7 @@ def _check_fields(side: Path, obj, fields: dict[str, type]) -> None:
             raise IntegrityError(f"{side}: field {name!r} must be of type {kind.__name__}")
 
 
-def _read_meta(side: Path) -> tuple[dict, VariantConfig]:
+def _read_meta(side: Path) -> tuple[dict, SchemeConfig, VariantConfig]:
     """Parse and validate the sidecar; every defect is an IntegrityError."""
     if not side.exists():
         raise IntegrityError(f"{side}: checkpoint sidecar missing")
@@ -179,21 +179,30 @@ def _read_meta(side: Path) -> tuple[dict, VariantConfig]:
     if not all(isinstance(t, str) for t in meta["tokens"] + meta["intents"]):
         raise IntegrityError(f"{side}: tokens and intents must be strings")
     try:
-        SchemeConfig.from_name(meta["scheme"])
+        scheme = SchemeConfig.from_name(meta["scheme"])
         variant = VariantConfig(**meta["variant"])
     except ConfigError as exc:
         raise IntegrityError(f"{side}: {exc}") from None
-    return meta, variant
+    return meta, scheme, variant
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, dict]:
-    """Rebuild a ModelParams from archive + sidecar; values are bit-exact."""
-    meta, variant = _read_meta(meta_path(path))
+    """Rebuild a ModelParams from archive + sidecar; values are bit-exact.
+
+    The archive must hold exactly the tensors, in order, of the model the
+    sidecar describes; any other name list is an IntegrityError.
+    """
+    meta, scheme, variant = _read_meta(meta_path(path))
     tensors = load_tensors(path)
-    params = init_model(len(meta["tokens"]), meta["num_experts"], variant, seed=0)
-    for slot in params.slots():
-        if slot.name not in tensors:
-            raise IntegrityError(f"{path}: missing tensor {slot.name!r}")
+    params = init_model(len(meta["tokens"]), meta["num_experts"], variant, seed=0, scheme=scheme)
+    slots = params.slots()
+    for index, (stored, wanted) in enumerate(itertools.zip_longest(tensors, [s.name for s in slots])):
+        if stored != wanted:
+            raise IntegrityError(
+                f"{path}: tensor {index} is {stored!r} in the archive but {wanted!r} "
+                "in the model its sidecar describes"
+            )
+    for slot in slots:
         stored = tensors[slot.name]
         if stored.shape != slot.value.shape:
             raise IntegrityError(

@@ -10,6 +10,7 @@ line on stderr; exit code 0 means success, 2 bad usage, 1 any other failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -93,27 +94,22 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
-def _prepare_training(config: RunConfig):
+def cmd_train(args: argparse.Namespace) -> int:
+    config = _build_run_config(args)
+    # Absolute corpus paths let the snapshot replay the run from any directory.
+    paths = {key: os.path.abspath(value) for key, value in config.to_mapping().items()
+             if key.endswith("_path") and value}
+    config = dataclasses.replace(config, **paths)
     if not config.train_path:
         raise ConfigError("train_path not set (use --train or the config file)")
     train_corpus = D.load_corpus_jsonl(config.train_path, split="train")
     vocab = D.Vocabulary.build(train_corpus, cap=config.vocab_cap)
     encoded = D.encode_corpus(vocab, train_corpus)
-    partition = TR.partition_by_intent(train_corpus)
-    intents = sorted(partition)
+    intents = sorted(TR.partition_by_intent(train_corpus))
     expert_of = TR.expert_index_map(intents)
-    num_experts = 0 if config.single_module else len(intents)
-    params = M.init_model(len(vocab), num_experts, config.model, config.seed)
     scheme = SchemeConfig.from_name(config.scheme)
-    weights = None
-    if scheme.learns_weights and num_experts > 0:
-        weights = TR.SchemeWeights.fresh(num_experts)
-    return train_corpus, vocab, encoded, intents, expert_of, params, scheme, weights
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _build_run_config(args)
-    train_corpus, vocab, encoded, intents, expert_of, params, scheme, weights = _prepare_training(config)
+    num_experts = 0 if config.single_module else len(intents)
+    params = M.init_model(len(vocab), num_experts, config.model, config.seed, scheme)
 
     valid_scorer = None
     valid_corpus = D.load_corpus_jsonl(config.valid_path, split="valid") if config.valid_path else None
@@ -143,15 +139,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any epoch
     result = TR.train_run(
         params, encoded, scheme, config.optimizer, config.epochs, config.seed, expert_of,
-        weights=weights, valid_scorer=valid_scorer, progress=progress,
+        valid_scorer=valid_scorer, progress=progress,
     )
 
     accuracy = TR.teacher_forced_accuracy(params, encoded, scheme)
     print(f"train teacher-forced accuracy: {accuracy:.4f}")
 
     ckpt_path = out_dir / "model.ckpt"
-    extra = weights.slots() if weights is not None else None
-    ckpt.save_model(params, ckpt_path, vocab.id_to_token, intents, config.scheme, extra_slots=extra)
+    ckpt.save_model(params, ckpt_path, vocab.id_to_token, intents, config.scheme)
     write_config_file(config, out_dir / "config.snapshot")
 
     checksums = {"train": _sha256(Path(config.train_path))}
@@ -270,11 +265,8 @@ def run_gradcheck(
         scheme = SchemeConfig.from_name(scheme_name)
         per_variant: dict[str, float] = {}
         for variant_name, variant in _gradcheck_variants(hidden):
-            params = M.init_model(vocab_size, num_experts, variant, seed)
-            weights = TR.SchemeWeights.fresh(num_experts) if scheme.learns_weights else None
-            per_variant[variant_name] = TR.grad_check(
-                params, samples, scheme, expert_of, weights=weights, epsilon=epsilon
-            )
+            params = M.init_model(vocab_size, num_experts, variant, seed, scheme)
+            per_variant[variant_name] = TR.grad_check(params, samples, scheme, expert_of, epsilon=epsilon)
         results[scheme_name] = per_variant
     return results
 

@@ -139,12 +139,10 @@ def _parse_sample(obj: object, where: str) -> Sample:
     for key in ("context", "response", "intent"):
         if key not in obj:
             raise DataError(f"{where}: missing required field {key!r}")
-    context = obj["context"]
-    response = obj["response"]
-    if not isinstance(context, list) or not context:
-        raise DataError(f"{where}: 'context' must be a nonempty token list")
-    if not isinstance(response, list) or not response:
-        raise DataError(f"{where}: 'response' must be a nonempty token list")
+    for key in ("context", "response"):
+        tokens = obj[key]
+        if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{where}: {key!r} must be a nonempty list of string tokens")
     intent = obj["intent"]
     if not isinstance(intent, str) or not intent:
         raise DataError(f"{where}: 'intent' must be a nonempty string")
@@ -160,7 +158,7 @@ def _parse_sample(obj: object, where: str) -> Sample:
         if not isinstance(requested, list) or not all(isinstance(r, str) for r in requested):
             raise DataError(f"{where}: 'goal.requested' must be a list of strings")
         goal = Goal(entity=entity, requested=list(requested))
-    return Sample([str(t) for t in context], [str(t) for t in response], intent, goal)
+    return Sample(list(obj["context"]), list(obj["response"]), intent, goal)
 
 
 def load_corpus_jsonl(path: str | Path, split: str = "train") -> Corpus:

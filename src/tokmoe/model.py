@@ -57,6 +57,17 @@ class GatingParams:
 
 
 @dataclass
+class SchemeWeights:
+    """Scheme S1's learnable loss weights: softmax mu over the k experts, sigmoid lambda."""
+
+    mu_logits: ParamSlot    # (k,)
+    lambda_logit: ParamSlot  # (1,)
+
+    def slots(self) -> list[ParamSlot]:
+        return [self.mu_logits, self.lambda_logit]
+
+
+@dataclass
 class EncoderOutput:
     hiddens: Array          # (m, d_h), one row per context position
     final_state: RnnState
@@ -74,7 +85,7 @@ class StepOutput:
 
 @dataclass
 class ModelParams:
-    """The encoder, the k+1 decoders and the gate.
+    """The encoder, the k+1 decoders, the gate and the scheme's loss weights.
 
     Each decoder weight is one array with a leading decoder axis (k experts,
     then the chair), so all decoders step in one call. ``slots()`` hands out
@@ -86,9 +97,10 @@ class ModelParams:
     decoder_cell: CellParams              # stacked on the decoder axis
     attention: AttentionParams | None     # stacked; None when attention is off
     projection: OutputProjection          # stacked
-    gating: GatingParams | None           # None in single-decoder mode
+    gating: GatingParams | None           # None when the scheme does not mix, or k == 0
     variant: VariantConfig
     num_experts: int                      # k; 0 means single-decoder mode
+    scheme_weights: SchemeWeights | None = None  # S1's mu/lambda logits; None for fixed weights
 
     @property
     def vocab_size(self) -> int:
@@ -110,7 +122,10 @@ class ModelParams:
         return out
 
     def slots(self) -> list[ParamSlot]:
-        """Every learnable tensor in checkpoint order, stacked ones as one view per decoder."""
+        """Every learnable tensor in checkpoint order, stacked ones as one view per decoder.
+
+        Training, the gradient check and the checkpoint all use this list.
+        """
         out = [self.embedding.matrix, *self.encoder.slots()]
         for l in range(self.num_decoders):
             out.extend(_view(s, f"{self.decoder_name(l)}.{s.name}", l) for s in self.decoder_slots())
@@ -118,6 +133,8 @@ class ModelParams:
             g = self.gating
             out.extend([g.hidden_w, g.hidden_b, g.out_w, g.out_b])
             out.extend(_view(g.expert_keys, f"gating.expert_key.{l}", l) for l in range(self.num_decoders))
+        if self.scheme_weights is not None:
+            out.extend(self.scheme_weights.slots())
         return out
 
 
@@ -140,12 +157,15 @@ def _cell(kind: str, prefix: str, d_in: int, d_h: int, *lead: int) -> CellParams
 
 
 def init_model(
-    vocab_size: int, num_experts: int, variant: VariantConfig, seed: int
+    vocab_size: int, num_experts: int, variant: VariantConfig, seed: int,
+    scheme: SchemeConfig = SchemeConfig.from_name("S4"),
 ) -> ModelParams:
-    """Build a freshly initialized model: k expert decoders plus the chair.
+    """Build a freshly initialized model with exactly the tensors ``scheme`` trains.
 
-    ``num_experts == 0`` builds the single-decoder baseline (one decoder, no
-    gating). All parameters draw uniform(-0.08, 0.08) from one seeded PRNG
+    k expert decoders plus the chair; ``num_experts == 0`` builds the
+    single-decoder baseline. The gate exists only when the scheme mixes more
+    than one decoder; S1's mu/lambda logits exist when k >= 1 and start at
+    zero. All other parameters draw uniform(-0.08, 0.08) from one seeded PRNG
     in ``slots()`` order, so (seed, shape) fully determines values.
     """
     if num_experts < 0:
@@ -161,7 +181,7 @@ def init_model(
             v=_slot("attn.v", n, variant.attn_size),
         )
     gating = None
-    if n > 1:
+    if scheme.moe_enabled and n > 1:
         gating = GatingParams(
             hidden_w=_slot("gating.hidden_w", n * (d_h + vocab_size), variant.gate_hidden),
             hidden_b=_slot("gating.hidden_b", variant.gate_hidden),
@@ -182,6 +202,11 @@ def init_model(
     rng = np.random.default_rng(seed)
     for slot in params.slots():
         slot.value[...] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=slot.value.shape)
+    if scheme.learns_weights and num_experts > 0:
+        # Not drawn: zero logits start at uniform mu and lambda = 0.5.
+        params.scheme_weights = SchemeWeights(
+            _slot("scheme.mu_logits", num_experts), _slot("scheme.lambda_logit", 1)
+        )
     return params
 
 

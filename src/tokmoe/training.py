@@ -54,56 +54,28 @@ def expert_index_map(intents: list[str]) -> dict[str, int]:
 # Scheme weights (mu, lambda)
 
 
-@dataclass
-class SchemeWeights:
-    """Learnable loss weights for scheme S1: softmax mu, sigmoid lambda."""
-
-    mu_logits: ParamSlot
-    lambda_logit: ParamSlot
-
-    @classmethod
-    def fresh(cls, num_experts: int) -> "SchemeWeights":
-        # Zero logits start at uniform mu and lambda = 0.5.
-        return cls(
-            ParamSlot("scheme.mu_logits", T.zeros(num_experts)),
-            ParamSlot("scheme.lambda_logit", T.zeros(1)),
-        )
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.mu_logits, self.lambda_logit]
-
-
-def learnable_weights_forward(
-    scheme: SchemeConfig, weights: SchemeWeights
-) -> tuple[Array, float]:
-    """(mu over the k experts, lambda in (0, 1)); S1 only."""
-    if not scheme.learns_weights:
-        raise ConfigError(f"scheme {scheme.scheme} has no learnable loss weights")
-    mu = T.softmax(weights.mu_logits.value)
-    lam = float(T.sigmoid(weights.lambda_logit.value)[0])
-    return mu, lam
-
-
-def resolve_scheme_weights(
-    scheme: SchemeConfig, num_experts: int, weights: SchemeWeights | None
-) -> tuple[Array, float]:
+def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[Array, float]:
     """Full per-decoder weight vector (chair last) and lambda for one batch.
 
     The chair's term in the expert loss always carries the uniform 1/k
-    weight; under S1 only the k expert entries are learnable. Single-decoder
-    mode (``num_experts == 0``) trains on the chair loss alone: mu = [1],
-    lambda = 0.
+    weight; under S1 the k expert entries are the softmax of the model's mu
+    logits and lambda is the sigmoid of its lambda logit. Single-decoder mode
+    (``num_experts == 0``) trains on the chair loss alone: mu = [1],
+    lambda = 0. A model may hold more than the scheme trains, never less: a
+    missing gate or missing logits is a ConfigError.
     """
-    if num_experts == 0:
+    k = params.num_experts
+    if k == 0:
         return np.array([1.0]), 0.0
+    if scheme.moe_enabled and params.gating is None:
+        raise ConfigError(f"scheme {scheme.scheme} mixes the decoders, but the model has no gate")
     if scheme.learns_weights:
+        weights = params.scheme_weights
         if weights is None:
-            raise ConfigError(f"scheme {scheme.scheme} requires SchemeWeights")
-        mu_experts, lam = learnable_weights_forward(scheme, weights)
-        mu = np.concatenate([mu_experts, [1.0 / num_experts]])
-        return mu, lam
-    mu = np.full(num_experts + 1, 1.0 / num_experts)
-    return mu, float(scheme.lambda_value)
+            raise ConfigError(f"scheme {scheme.scheme} learns mu and lambda, but the model has no logits")
+        mu = np.concatenate([T.softmax(weights.mu_logits.value), [1.0 / k]])
+        return mu, float(T.sigmoid(weights.lambda_logit.value)[0])
+    return np.full(k + 1, 1.0 / k), float(scheme.lambda_value)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +178,6 @@ def train_batch(
     batch: list[EncodedSample],
     scheme: SchemeConfig,
     expert_of: dict[str, int],
-    weights: SchemeWeights | None = None,
     compute_grads: bool = True,
 ) -> LossReport:
     """Forward (and optionally backward) over one mini-batch, losses summed.
@@ -217,7 +188,7 @@ def train_batch(
     """
     n_dec = params.num_decoders
     mode = combine_mode(scheme, params)
-    mu, lam = resolve_scheme_weights(scheme, params.num_experts, weights)
+    mu, lam = resolve_scheme_weights(scheme, params)
 
     raw_expert = np.zeros(n_dec)
     chair_total = 0.0
@@ -245,6 +216,7 @@ def train_batch(
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
         d_mu = lam * raw_expert[:-1]
         mu_experts = mu[:-1]
+        weights = params.scheme_weights
         weights.mu_logits.grad += T.softmax_backward(d_mu, mu_experts)
         d_lam = experts_weighted - chair_total
         weights.lambda_logit.grad += d_lam * lam * (1.0 - lam)
@@ -306,13 +278,6 @@ def adam_step(opt: OptimizerConfig, slots: list[ParamSlot], state: AdamState) ->
         slot.value -= opt.alpha * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
 
 
-def all_slots(params: ModelParams, weights: SchemeWeights | None) -> list[ParamSlot]:
-    slots = params.slots()
-    if weights is not None:
-        slots.extend(weights.slots())
-    return slots
-
-
 # ---------------------------------------------------------------------------
 # Epoch loop
 
@@ -325,7 +290,6 @@ def train_epoch(
     adam_state: AdamState,
     rng: np.random.Generator,
     expert_of: dict[str, int],
-    weights: SchemeWeights | None = None,
 ) -> LossReport:
     """One pass over the corpus in shuffled mini-batches; token-mean report.
 
@@ -336,7 +300,7 @@ def train_epoch(
     if not samples:
         raise DomainError("cannot train on an empty corpus")
     order = rng.permutation(len(samples))
-    slots = all_slots(params, weights)
+    slots = params.slots()
     n_dec = params.num_decoders
     sums = np.zeros(n_dec)
     chair_sum = 0.0
@@ -345,7 +309,7 @@ def train_epoch(
     report = None
     for start in range(0, len(order), opt.batch_size):
         batch = [samples[i] for i in order[start:start + opt.batch_size]]
-        report = train_batch(params, batch, scheme, expert_of, weights, compute_grads=True)
+        report = train_batch(params, batch, scheme, expert_of, compute_grads=True)
         if not math.isfinite(report.total):
             raise DomainError(
                 f"batch {start // opt.batch_size + 1}: non-finite loss {report.total}; "
@@ -393,7 +357,6 @@ def train_run(
     epochs: int,
     seed: int,
     expert_of: dict[str, int],
-    weights: SchemeWeights | None = None,
     valid_scorer=None,
     progress=None,
 ) -> TrainResult:
@@ -410,10 +373,10 @@ def train_run(
     best_score: float | None = None
     best_epoch = epochs
     best_values: dict[str, Array] | None = None
-    slots = all_slots(params, weights)
+    slots = params.slots()
     for epoch in range(1, epochs + 1):
         try:
-            report = train_epoch(params, samples, scheme, opt, adam_state, rng, expert_of, weights)
+            report = train_epoch(params, samples, scheme, opt, adam_state, rng, expert_of)
         except DomainError as exc:
             raise DomainError(f"epoch {epoch}, {exc}") from None
         record = EpochRecord(epoch, report)
@@ -480,25 +443,24 @@ def grad_check(
     samples: list[EncodedSample],
     scheme: SchemeConfig,
     expert_of: dict[str, int],
-    weights: SchemeWeights | None = None,
     epsilon: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Compares every coordinate of every parameter slot (scheme weights
-    included) on the summed batch loss. Intended for tiny instances; cost
+    Compares every coordinate of every parameter slot (S1's mu/lambda
+    logits included) on the summed batch loss. Intended for tiny instances; cost
     is two forward passes per coordinate.
     """
-    slots = all_slots(params, weights)
+    slots = params.slots()
     for slot in slots:
         slot.zero_grad()
-    train_batch(params, samples, scheme, expert_of, weights, compute_grads=True)
+    train_batch(params, samples, scheme, expert_of, compute_grads=True)
     analytic = {slot.name: slot.grad.copy() for slot in slots}
     for slot in slots:
         slot.zero_grad()
 
     def loss_value() -> float:
-        return train_batch(params, samples, scheme, expert_of, weights, compute_grads=False).total
+        return train_batch(params, samples, scheme, expert_of, compute_grads=False).total
 
     worst = 0.0
     for slot in slots:

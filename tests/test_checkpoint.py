@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import tokmoe.checkpoint as C
-from tokmoe.config import VariantConfig
+from tokmoe.config import OptimizerConfig, SchemeConfig, VariantConfig
 from tokmoe.errors import IntegrityError
 from tokmoe.model import init_model
+from tokmoe.training import train_run
 
-from conftest import tiny_variant
+from conftest import tiny_samples, tiny_variant
 
 
 def small_tensors(rng):
@@ -83,6 +84,20 @@ class TestModelCheckpoints:
         assert meta["scheme"] == "S4"
         assert meta["intents"] == ["a", "b"]
         for a, b in zip(params.slots(), loaded.slots()):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.value, b.value)
+
+    def test_s1_scheme_weights_restored(self, tmp_path):
+        s1 = SchemeConfig.from_name("S1")
+        params = init_model(6, 2, tiny_variant(), 9, s1)
+        train_run(params, tiny_samples(), s1, OptimizerConfig(batch_size=1), epochs=2, seed=9,
+                  expert_of={"alpha": 0, "beta": 1})
+        trained = params.scheme_weights.slots()
+        assert all(np.any(slot.value != 0.0) for slot in trained)
+        path = tmp_path / "model.ckpt"
+        C.save_model(params, path, [f"t{i}" for i in range(6)], ["a", "b"], "S1")
+        loaded, _ = C.load_model(path)
+        for a, b in zip(trained, loaded.scheme_weights.slots(), strict=True):
             assert a.name == b.name
             np.testing.assert_array_equal(a.value, b.value)
 

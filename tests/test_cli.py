@@ -1,10 +1,12 @@
 """End-to-end command behavior: files, exit codes, error stream prefixes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import tokmoe.checkpoint as C
 import tokmoe.model as M
 from tokmoe import BOS_ID, RunConfig
 from tokmoe.cli import _build_run_config, build_parser, main
@@ -82,6 +84,18 @@ class TestTrain:
         ])
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 123
+
+    def test_s3_checkpoint_holds_no_gate(self, corpus_dir, workdir):
+        out = workdir / "s3"
+        code = main([
+            "train", "--train", str(corpus_dir / "train.jsonl"), "--out", str(out),
+            "--scheme", "S3", "--epochs", "1", "--hidden-size", "4", "--embedding-size", "3",
+            "--vocab-cap", "60",
+        ])
+        assert code == 0
+        names = [name for name, _ in C.inspect_tensors(out / "model.ckpt")]
+        assert names and not any(name.startswith("gating.") for name in names)
+        assert C.load_model(out / "model.ckpt")[0].gating is None
 
     def test_single_module_requires_s3(self, corpus_dir, workdir, capsys):
         code = main([
@@ -237,6 +251,11 @@ class Boundary:
             "--corpus", corpus or str(self.corpus / "test.jsonl"),
         ]
 
+    def archive(self, tensors):
+        """The bytes of an archive holding ``tensors``."""
+        C.save_tensors(tensors, self.tmp / "built.ckpt")
+        return (self.tmp / "built.ckpt").read_bytes()
+
     def checkpoint(self, blob=None, meta=None):
         """A copy of the trained checkpoint, with its bytes or sidecar replaced."""
         self.file("copy.ckpt", blob or (self.run / "model.ckpt").read_bytes())
@@ -250,7 +269,20 @@ def _flip_middle_byte(blob):
     return bytes(flipped)
 
 
+def _set_byte(blob, index, value):
+    changed = bytearray(blob)
+    changed[index] = value
+    return bytes(changed)
+
+
+def _sidecar_without_attention(run):
+    meta = json.loads((run / "model.meta.json").read_text())
+    meta["variant"]["attention_enabled"] = False
+    return json.dumps(meta)
+
+
 _SAMPLE = '{"context": ["a"], "response": ["b"], "intent": "hotel", "goal": %s}\n'
+_TOKENS_NOT_STRINGS = '{"context": [1, ["x"], {"a": 2}], "response": [null, "b"], "intent": "hotel"}\n'
 
 BOUNDARY_CASES = [
     # Settings: every one is checked before any file is read.
@@ -284,12 +316,24 @@ BOUNDARY_CASES = [
      lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % '{"requested": 5}'))),
     ("goal-entity-not-string", 1, "data",
      lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % '{"entity": ["q"]}'))),
+    ("train-token-not-string", 1, "data",
+     lambda c: c.train(corpus=c.file("t.jsonl", _TOKENS_NOT_STRINGS))),
     ("out-is-file", 1, "io", lambda c: c.train("--out", c.file("taken", "x"))),
     ("corpus-is-directory", 1, "io", lambda c: c.evaluate(corpus=str(c.tmp))),
     ("corpus-line-not-object", 1, "data", lambda c: c.evaluate(corpus=c.file("t.jsonl", "5\n"))),
+    ("corpus-token-not-string", 1, "data",
+     lambda c: c.evaluate(corpus=c.file("t.jsonl", _TOKENS_NOT_STRINGS))),
     ("flipped-checkpoint-byte", 1, "integrity",
      lambda c: c.checkpoint(blob=_flip_middle_byte((c.run / "model.ckpt").read_bytes()))),
     ("corrupted-sidecar", 1, "integrity", lambda c: c.checkpoint(meta="{not json")),
+    # Byte 24 is the first byte of the first tensor name.
+    ("tensor-name-not-utf8", 1, "integrity",
+     lambda c: c.checkpoint(blob=_set_byte((c.run / "model.ckpt").read_bytes(), 24, 0xFF))),
+    ("sidecar-disowns-attention", 1, "integrity",
+     lambda c: c.checkpoint(meta=_sidecar_without_attention(c.run))),
+    ("archive-extra-tensor", 1, "integrity",
+     lambda c: c.checkpoint(blob=c.archive([*C.load_tensors(c.run / "model.ckpt").items(),
+                                            ("extra", np.zeros(1))]))),
     # gradcheck flags.
     ("gradcheck-vocab-size-4", 2, "usage", lambda c: ["gradcheck", "--vocab-size", "4"]),
     ("gradcheck-seed", 2, "usage", lambda c: ["gradcheck", "--seed", "-1"]),
@@ -365,6 +409,21 @@ class TestRunConfig:
         assert _config_of(["--config", str(cfg), "--seed", "2"]).seed == 2
         monkeypatch.setenv("TOKMOE_SEED", "3")
         assert _config_of(["--config", str(cfg), "--seed", "2"]).seed == 3
+
+    def test_snapshot_replays_from_another_directory(self, corpus_dir, tmp_path, monkeypatch):
+        monkeypatch.delenv("TOKMOE_SEED", raising=False)
+        first, second = tmp_path / "a", tmp_path / "b"
+        shutil.copytree(corpus_dir, first / "corpus")
+        second.mkdir()
+        monkeypatch.chdir(first)
+        assert main([
+            "train", "--train", "corpus/train.jsonl", "--valid", "corpus/valid.jsonl",
+            "--test", "corpus/test.jsonl", "--out", "run", "--epochs", "1",
+            "--hidden-size", "4", "--embedding-size", "3", "--vocab-cap", "60",
+        ]) == 0
+        monkeypatch.chdir(second)
+        assert main(["train", "--config", str(first / "run" / "config.snapshot"), "--out", "other"]) == 0
+        assert (second / "other" / "model.ckpt").read_bytes() == (first / "run" / "model.ckpt").read_bytes()
 
     def test_snapshot_reproduces_checkpoint(self, trained_run, workdir, monkeypatch):
         monkeypatch.delenv("TOKMOE_SEED", raising=False)

@@ -114,23 +114,29 @@ class TestLossFunctions:
         assert math.isnan(TR.nll_sequence([np.array([math.nan, 1.0])], [0]))
 
 
+def scheme_model(num_experts, scheme_name, seed=0):
+    scheme = SchemeConfig.from_name(scheme_name)
+    return init_model(6, num_experts, tiny_variant(), seed, scheme), scheme
+
+
 class TestSchemeWeights:
     def test_zero_logits_give_uniform_and_half(self):
-        weights = TR.SchemeWeights.fresh(4)
-        mu, lam = TR.learnable_weights_forward(SchemeConfig.from_name("S1"), weights)
-        np.testing.assert_allclose(mu, np.full(4, 0.25), atol=1e-15)
+        params, s1 = scheme_model(4, "S1")
+        mu, lam = TR.resolve_scheme_weights(s1, params)
+        np.testing.assert_allclose(mu[:-1], np.full(4, 0.25), atol=1e-15)
         assert lam == 0.5
 
     def test_mu_sums_to_one(self, rng):
-        weights = TR.SchemeWeights.fresh(3)
-        weights.mu_logits.value[...] = rng.uniform(-3, 3, 3)
-        mu, _ = TR.learnable_weights_forward(SchemeConfig.from_name("S1"), weights)
-        assert abs(mu.sum() - 1.0) < 1e-12
+        params, s1 = scheme_model(3, "S1")
+        params.scheme_weights.mu_logits.value[...] = rng.uniform(-3, 3, 3)
+        mu, _ = TR.resolve_scheme_weights(s1, params)
+        assert abs(mu[:-1].sum() - 1.0) < 1e-12
 
     def test_rejected_outside_s1(self):
-        weights = TR.SchemeWeights.fresh(2)
+        # A model built for S4 holds no mu/lambda logits, so S1 cannot train it.
+        params, _ = scheme_model(2, "S4")
         with pytest.raises(ConfigError):
-            TR.learnable_weights_forward(SchemeConfig.from_name("S4"), weights)
+            TR.resolve_scheme_weights(SchemeConfig.from_name("S1"), params)
 
     def test_scheme_table_wiring(self):
         s1 = SchemeConfig.from_name("S1")
@@ -141,6 +147,41 @@ class TestSchemeWeights:
         assert not s3.moe_enabled and not s3.learns_weights and s3.lambda_value == 0.5
         s4 = SchemeConfig.from_name("S4")
         assert s4.moe_enabled and not s4.learns_weights and s4.lambda_value == 0.5
+
+
+class TestSchemeModels:
+    """A model holds exactly the tensors its scheme trains, and no fewer."""
+
+    def test_each_scheme_builds_its_tensors_from_the_same_draws(self):
+        default = {s.name: s.value for s in init_model(6, 2, tiny_variant(), 0).slots()}
+        s1, _ = scheme_model(2, "S1")
+        s3, _ = scheme_model(2, "S3")
+        assert s3.gating is None and s3.scheme_weights is None
+        assert [s.name for s in s1.slots()][-2:] == ["scheme.mu_logits", "scheme.lambda_logit"]
+        assert not any(s.name.startswith("gating.") for s in s3.slots())
+        for params in (s1, s3):
+            for slot in params.slots():
+                if slot.name in default:
+                    np.testing.assert_array_equal(slot.value, default[slot.name])
+
+    def test_s3_model_trains_like_a_default_model(self):
+        # The default model's gate is never read under S3, so every shared slot moves alike.
+        built_for_s3, s3 = scheme_model(2, "S3", seed=8)
+        default = init_model(6, 2, tiny_variant(), 8)
+        for params in (built_for_s3, default):
+            TR.train_run(params, tiny_samples(), s3, OptimizerConfig(batch_size=1), epochs=3, seed=8,
+                         expert_of={"alpha": 0, "beta": 1})
+        default_values = {s.name: s.value for s in default.slots()}
+        assert len(built_for_s3.slots()) < len(default_values)
+        for slot in built_for_s3.slots():
+            np.testing.assert_array_equal(slot.value, default_values[slot.name])
+
+    @pytest.mark.parametrize("built_for,trained_with", [("S4", "S1"), ("S3", "S4")])
+    def test_missing_tensor_is_config_error(self, built_for, trained_with):
+        params, _ = scheme_model(2, built_for)
+        with pytest.raises(ConfigError):
+            TR.train_batch(params, tiny_samples(), SchemeConfig.from_name(trained_with),
+                           {"alpha": 0, "beta": 1})
 
 
 class TestAdam:
@@ -208,12 +249,8 @@ class TestClipAndL2:
 
 class TestTrainBatch:
     def run_batch(self, scheme_name, compute_grads=False, seed=0):
-        params = init_model(6, 2, tiny_variant(), seed=seed)
-        scheme = SchemeConfig.from_name(scheme_name)
-        weights = TR.SchemeWeights.fresh(2) if scheme_name == "S1" else None
-        report = TR.train_batch(
-            params, tiny_samples(), scheme, {"alpha": 0, "beta": 1}, weights, compute_grads
-        )
+        params, scheme = scheme_model(2, scheme_name, seed)
+        report = TR.train_batch(params, tiny_samples(), scheme, {"alpha": 0, "beta": 1}, compute_grads)
         return params, report
 
     @pytest.mark.parametrize("scheme_name", ["S1", "S2", "S3", "S4"])
@@ -256,12 +293,10 @@ class TestTrainBatch:
     def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts, compute_grads):
         # The losses train_batch reports (and seeds gradients from) are the
         # loss functions above, applied to the same forward pass, bitwise.
-        params = init_model(6, num_experts, tiny_variant(), seed=2)
-        scheme = SchemeConfig.from_name(scheme_name)
-        weights = TR.SchemeWeights.fresh(num_experts) if scheme.learns_weights else None
+        params, scheme = scheme_model(num_experts, scheme_name, seed=2)
         samples = tiny_samples()
         expert_of = {"alpha": 0, "beta": 1}
-        report = TR.train_batch(params, samples, scheme, expert_of, weights, compute_grads)
+        report = TR.train_batch(params, samples, scheme, expert_of, compute_grads)
 
         mode = combine_mode(scheme, params)
         steps = [forward_teacher_forced(params, s.context_ids, s.response_ids, mode)[0]
@@ -337,15 +372,14 @@ class TestOptimizationTrap:
         vocab = Vocabulary.build(corpus, cap=60)
         encoded = encode_corpus(vocab, corpus)
         expert_of = TR.expert_index_map(sorted(TR.partition_by_intent(corpus)))
-        params = init_model(len(vocab), 3, tiny_variant(hidden_size=8, embedding_size=6), seed=1)
-        weights = TR.SchemeWeights.fresh(3)
         scheme = SchemeConfig.from_name("S1")
+        params = init_model(len(vocab), 3, tiny_variant(hidden_size=8, embedding_size=6), 1, scheme)
         opt = OptimizerConfig(batch_size=8)
         adam = TR.AdamState()
         rng = np.random.default_rng(0)
         trajectory = []
         for _ in range(10):
-            report = TR.train_epoch(params, encoded, scheme, opt, adam, rng, expert_of, weights)
+            report = TR.train_epoch(params, encoded, scheme, opt, adam, rng, expert_of)
             trajectory.append(report.lambda_value)
         assert trajectory[-1] > 0.52
         assert all(b > a for a, b in zip(trajectory, trajectory[1:]))
