@@ -192,6 +192,8 @@ def _load_checkpoint(path: str) -> tuple[M.ModelParams, D.Vocabulary, str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.max_len < 1:
+        raise UsageError("--max-len must be at least 1")
     params, vocab, mode = _load_checkpoint(args.checkpoint)
     corpus = D.load_corpus_jsonl(args.corpus, split="test")
     encoded = D.encode_corpus(vocab, corpus)
@@ -208,6 +210,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.max_len < 1:
+        raise UsageError("--max-len must be at least 1")
     tokens = args.context.split()
     if not tokens:
         raise UsageError("context must contain at least one token")
@@ -276,8 +280,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise UsageError("--experts must be at least 1")
     if args.vocab_size < 5:
         raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
-    if not args.epsilon > 0:
-        raise UsageError("--epsilon must be positive")
+    if not 0 < args.epsilon < float("inf"):
+        raise UsageError("--epsilon must be positive and finite")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     results = run_gradcheck(

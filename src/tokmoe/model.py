@@ -10,6 +10,12 @@ token under teacher forcing, the chair's argmax during generation (the
 gating input concatenates all decoders' step-j states, which requires
 aligned timelines).
 
+Only the *recurrence* (``expert_step``: attention and the cell update of
+all k+1 decoders) runs token by token. The *readout* (``readout``:
+projection, softmax, gate MLP, chair combine) feeds nothing back, so it
+takes any leading time axis: greedy decoding calls it with T=1 per step,
+teacher forcing once on all (T, k+1, d_h) states.
+
 Inference over frozen parameters is read-only and thread-safe; training
 mutates ParamSlot gradients and runs single-threaded.
 """
@@ -71,6 +77,7 @@ class SchemeWeights:
 class EncoderOutput:
     hiddens: Array          # (m, d_h), one row per context position
     final_state: RnnState
+    memory: L.AttentionMemory | None = None  # the hiddens projected for attention, if it is on
 
 
 @dataclass
@@ -225,23 +232,27 @@ def combine_mode(scheme: SchemeConfig, params: ModelParams) -> str:
 
 
 class EncodeCache(NamedTuple):
-    token_ids: list[int]
+    token_ids: Array
+    emb: Array          # (m, d_emb)
     cell_caches: list
 
 
 def encode_context(params: ModelParams, context_ids: list[int]) -> tuple[EncoderOutput, EncodeCache]:
-    """Run the encoder cell left-to-right from the all-zero initial state."""
+    """Run the encoder cell left-to-right from the all-zero initial state; the input
+    projections of all positions, and the attention keys of all hiddens, are one GEMM each."""
     if len(context_ids) == 0:
         raise DomainError("cannot encode an empty context")
-    d_h = params.variant.hidden_size
-    state = RnnState.zero(d_h)
-    hiddens = np.empty((len(context_ids), d_h))
+    cell = params.encoder
+    emb = params.embedding.lookup(context_ids)
+    state = RnnState.zero(cell.hidden_size)
+    hiddens = np.empty((len(emb), cell.hidden_size))
     caches = []
-    for i, token_id in enumerate(context_ids):
-        state, cache = L.cell_step(params.encoder, params.embedding.lookup(token_id), state)
+    for i, gates_in in enumerate(emb @ cell.w_in.value + cell.bias.value):
+        state, cache = L.cell_step(cell, gates_in, state)
         hiddens[i] = state.hidden
         caches.append(cache)
-    return EncoderOutput(hiddens, state), EncodeCache(list(context_ids), caches)
+    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens)
+    return EncoderOutput(hiddens, state, memory), EncodeCache(np.asarray(context_ids), emb, caches)
 
 
 def encode_backward(
@@ -251,85 +262,70 @@ def encode_backward(
     d_final_hidden: Array,
     d_final_cell: Array,
 ) -> None:
+    cell = params.encoder
+    d_gates = np.empty((len(cache.emb), cell.w_rec.value.shape[-1]))
     carry_h = d_final_hidden
     carry_c = d_final_cell
-    for i in reversed(range(len(cache.token_ids))):
-        d_h = d_hiddens[i] + carry_h
-        d_x, carry_h, carry_c = L.cell_step_backward(params.encoder, cache.cell_caches[i], d_h, carry_c)
-        params.embedding.lookup_backward(cache.token_ids[i], d_x)
+    for i in reversed(range(len(d_gates))):
+        d_gates[i], carry_h, carry_c = L.cell_step_backward(
+            cell, cache.cell_caches[i], d_hiddens[i] + carry_h, carry_c
+        )
+    L.cell_weights_backward(cell, cache.emb, cache.cell_caches, d_gates)
+    params.embedding.lookup_backward(cache.token_ids, d_gates @ cell.w_in.value.T)
 
 
 # ---------------------------------------------------------------------------
-# All decoders, one step
+# The recurrence: every decoder, one token
+
+
+def decoder_inputs(params: ModelParams, token_ids) -> Array:
+    """The T tokens' embedding share of every decoder's cell gates, plus the bias:
+    (k+1, T, G*d_h), one GEMM per decoder."""
+    emb = params.embedding.lookup(token_ids)
+    cell = params.decoder_cell
+    return emb @ cell.w_in.value[:, :emb.shape[-1]] + cell.bias.value[:, None]
 
 
 class DecoderStepCache(NamedTuple):
-    prev_token_id: int
+    context: Array          # (k+1, d_h); zero when attention is off
     attn_cache: L.AttentionCache | None
     cell_cache: object
-    proj_cache: L.ProjectionCache
 
 
 def expert_step(
-    params: ModelParams,
-    prev_token_id: int,
-    prev_state: RnnState,
-    enc: EncoderOutput,
-) -> tuple[Array, RnnState, DecoderStepCache]:
-    """One step of every decoder at once: attention, cell update, projection.
-
-    ``prev_state`` holds one (k+1, d_h) row per decoder; returns the (k+1, V)
-    distributions and the post-step states. With attention disabled the
-    context vector is a constant zero vector of the same width, so the cell
-    input layout is unchanged.
-    """
-    n, d_h = prev_state.hidden.shape
-    emb = params.embedding.lookup(prev_token_id)
+    params: ModelParams, gates_in: Array, prev_state: RnnState, enc: EncoderOutput
+) -> tuple[RnnState, DecoderStepCache]:
+    """Attention and the cell update of every decoder for one token, from the token's
+    (k+1, G*d_h) column of ``decoder_inputs`` and one (k+1, d_h) state row per decoder.
+    With attention disabled the context vector is a constant zero and adds nothing."""
+    context = np.zeros_like(prev_state.hidden)
+    attn_cache = None
     if params.attention is not None:
-        context, _, attn_cache = L.attention_context(params.attention, enc.hiddens, prev_state.hidden)
-    else:
-        context = T.zeros(n, d_h)
-        attn_cache = None
-    x = T.concat([np.broadcast_to(emb, (n, emb.shape[0])), context])
-    state, cell_cache = L.cell_step(params.decoder_cell, x, prev_state)
-    dists, proj_cache = L.project_to_vocab(params.projection, state.hidden)
-    return dists, state, DecoderStepCache(prev_token_id, attn_cache, cell_cache, proj_cache)
+        context, _, attn_cache = L.attention_context(params.attention, enc.memory, prev_state.hidden)
+        gates_in = gates_in + T.matmul(context, params.decoder_cell.w_in.value[:, -context.shape[1]:])
+    state, cell_cache = L.cell_step(params.decoder_cell, gates_in, prev_state)
+    return state, DecoderStepCache(context, attn_cache, cell_cache)
 
 
 def expert_step_backward(
-    params: ModelParams,
-    cache: DecoderStepCache,
-    d_dists: Array,
-    d_hidden_extra: Array,
-    carry_hidden: Array,
-    carry_cell: Array,
-    d_enc_hiddens: Array,
-) -> tuple[Array, Array]:
-    """Backward through one step of every decoder; arrays have one row per decoder.
-
-    ``d_hidden_extra`` carries gradient reaching the post-step hidden from
-    outside the projection (gating input); ``carry_*`` arrive from step
-    j+1. Attention gradients accumulate into ``d_enc_hiddens`` in place.
-    Returns the (hidden, cell) gradient carries for step j-1.
-    """
-    d_o = L.project_backward(params.projection, cache.proj_cache, d_dists)
-    d_hidden = d_o + d_hidden_extra + carry_hidden
-    d_x, d_prev_hidden, d_prev_cell = L.cell_step_backward(
-        params.decoder_cell, cache.cell_cache, d_hidden, carry_cell
+    params: ModelParams, cache: DecoderStepCache, enc: EncoderOutput, d_hidden: Array, d_cell: Array
+) -> tuple[Array, Array, Array, tuple | None]:
+    """One step of every decoder backward: the cell's gate gradients, the (hidden, cell)
+    carries for step j-1 and the attention gradients; weight gradients come later."""
+    d_gates, d_prev_hidden, d_prev_cell = L.cell_step_backward(
+        params.decoder_cell, cache.cell_cache, d_hidden, d_cell
     )
-    d_emb = params.variant.embedding_size
-    params.embedding.lookup_backward(cache.prev_token_id, d_x[:, :d_emb])
+    attn_grads = None
     if params.attention is not None:
-        d_hiddens, d_query = L.attention_backward(params.attention, cache.attn_cache, d_x[:, d_emb:])
-        # add.at adds the decoders' blocks one at a time, in decoder order, so
-        # the shared buffer's bits are those of a sum over one decoder at a time.
-        np.add.at(d_enc_hiddens[None], np.zeros(len(d_hiddens), dtype=int), d_hiddens)
+        w_context = params.decoder_cell.w_in.value[:, -d_hidden.shape[1]:]
+        d_context = T.matmul(d_gates, w_context.swapaxes(-1, -2))
+        d_query, attn_grads = L.attention_backward(params.attention, enc.memory, cache.attn_cache, d_context)
         d_prev_hidden = d_prev_hidden + d_query
-    return d_prev_hidden, d_prev_cell
+    return d_gates, d_prev_hidden, d_prev_cell, attn_grads
 
 
 # ---------------------------------------------------------------------------
-# Gating and combination
+# The readout: projection, gating and combination over any leading time axis
 
 
 class GateCache(NamedTuple):
@@ -341,96 +337,71 @@ class GateCache(NamedTuple):
     piece_lengths: list[int]
 
 
-def gate_weights(
-    gating: GatingParams, states: RnnState, dists: Array
-) -> tuple[Array, GateCache]:
+def gate_weights(gating: GatingParams, hidden: Array, dists: Array) -> tuple[Array, GateCache]:
     """Normalized importance scores over all decoders (chair included).
 
     Input is the concatenation s_1 ++ p_1 ++ ... ++ s_{k+1} ++ p_{k+1} of
-    the (k+1, d_h) states and (k+1, V) distributions; the MLP query is
-    dotted with each decoder's key and the scores are softmax-normalized
-    over all k+1 decoders.
+    the ([T,] k+1, d_h) states and ([T,] k+1, V) distributions; the MLP query
+    is dotted with each decoder's key and the scores are softmax-normalized
+    over all k+1 decoders. All T rows go through each layer as one GEMM.
     """
     n = gating.expert_keys.value.shape[0]
-    if states.hidden.shape[0] != n or dists.shape[0] != n:
+    if hidden.shape[-2] != n or dists.shape[-2] != n:
         raise ShapeError(
             f"gating expects {n} states and distributions, "
-            f"got {states.hidden.shape[0]} and {dists.shape[0]}"
+            f"got {hidden.shape[-2]} and {dists.shape[-2]}"
         )
-    gate_input = T.concat([states.hidden, dists]).reshape(-1)
-    hidden_out = T.tanh(T.matmul(gate_input, gating.hidden_w.value) + gating.hidden_b.value)
-    query = T.matmul(hidden_out, gating.out_w.value) + gating.out_b.value
-    logits = T.matmul(gating.expert_keys.value, query[:, None])[:, 0]
+    gate_input = T.concat([hidden, dists]).reshape(hidden.shape[:-2] + (-1,))
+    hidden_out = T.tanh(gate_input @ gating.hidden_w.value + gating.hidden_b.value)
+    query = hidden_out @ gating.out_w.value + gating.out_b.value
+    logits = query @ gating.expert_keys.value.T
     beta = T.softmax(logits)
-    cache = GateCache(gate_input, hidden_out, query, logits, beta, [states.hidden.shape[1], dists.shape[1]])
+    cache = GateCache(gate_input, hidden_out, query, logits, beta, [hidden.shape[-1], dists.shape[-1]])
     return beta, cache
 
 
 def gate_weights_backward(
     gating: GatingParams, cache: GateCache, d_beta: Array
 ) -> tuple[Array, Array]:
-    """Return the (k+1, d_h) state and (k+1, V) distribution gradients of the gate input."""
-    keys = gating.expert_keys
+    """Return the (T, k+1, d_h) state and (T, k+1, V) distribution gradients of T rows."""
     d_logits = T.softmax_backward(d_beta, cache.beta)
-    keys.grad += d_logits[:, None] * cache.query
-    # An axis-0 sum from an initial 0.0 adds the decoders one at a time, in
-    # order, so its bits are those of summing them one decoder at a time.
-    d_query = (d_logits[:, None] * keys.value).sum(axis=0, initial=0.0)
-    gating.out_w.grad += np.outer(cache.hidden_out, d_query)
-    gating.out_b.grad += d_query
+    gating.expert_keys.grad += d_logits.T @ cache.query
+    d_query = d_logits @ gating.expert_keys.value
+    gating.out_w.grad += cache.hidden_out.T @ d_query
+    gating.out_b.grad += d_query.sum(axis=0)
     d_hidden_out = T.tanh_backward(d_query @ gating.out_w.value.T, cache.hidden_out)
-    gating.hidden_w.grad += np.outer(cache.gate_input, d_hidden_out)
-    gating.hidden_b.grad += d_hidden_out
+    gating.hidden_w.grad += cache.gate_input.T @ d_hidden_out
+    gating.hidden_b.grad += d_hidden_out.sum(axis=0)
     d_input = d_hidden_out @ gating.hidden_w.value.T
-    d_states, d_dists = T.concat_backward(d_input.reshape(len(d_beta), -1), cache.piece_lengths)
-    return d_states, d_dists
+    return T.concat_backward(d_input.reshape(d_beta.shape + (-1,)), cache.piece_lengths)
 
 
 def chair_combine(dists: Array, beta: Array) -> Array:
-    """Convex combination sum_l beta_l * p_l; stays on the simplex."""
-    if len(dists) != beta.shape[0]:
-        raise ShapeError(f"{len(dists)} distributions but {beta.shape[0]} mixture weights")
-    # An axis-0 sum from an initial 0.0 adds the decoders one at a time, in order.
-    return (beta[:, None] * dists).sum(axis=0, initial=0.0)
+    """Convex combination sum_l beta_l * p_l, per time row; stays on the simplex."""
+    dists = np.asarray(dists)
+    if dists.shape[:-1] != beta.shape:
+        raise ShapeError(f"distributions {dists.shape} do not match mixture weights {beta.shape}")
+    # An axis -2 sum from an initial 0.0 adds the decoders one at a time, in order.
+    return (beta[..., None] * dists).sum(axis=-2, initial=0.0)
 
 
 def chair_combine_backward(
     dists: Array, beta: Array, d_combined: Array
 ) -> tuple[Array, Array]:
-    d_beta = T.matmul(dists, d_combined[:, None])[:, 0]
-    return d_beta, beta[:, None] * d_combined
+    d_beta = (dists @ d_combined[..., :, None])[..., 0]
+    return d_beta, beta[..., None] * d_combined[..., None, :]
 
 
-# ---------------------------------------------------------------------------
-# Decoding: one output token, then the teacher-forced and greedy loops
-
-
-class StepCache(NamedTuple):
-    decoder_cache: DecoderStepCache
+class Readout(NamedTuple):
+    dists: Array            # (T, k+1, V)
+    beta: Array             # (T, k+1)
+    combined: Array         # (T, V); without the mixture, a view of the chair's rows
+    proj_cache: L.ProjectionCache
     gate_cache: GateCache | None
-    out: StepOutput
 
 
-class ForwardCache(NamedTuple):
-    enc_cache: EncodeCache
-    enc_out: EncoderOutput
-    steps: list[StepCache]
-
-
-def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> RnnState:
-    # Every decoder starts from the shared encoder final state.
-    n = params.num_decoders
-    return RnnState(np.tile(enc.final_state.hidden, (n, 1)), np.tile(enc.final_state.cell, (n, 1)))
-
-
-def decode_step(
-    params: ModelParams,
-    prev_token: int,
-    states: RnnState,
-    enc: EncoderOutput,
-    combine: str,
-) -> StepCache:
-    """One output token: every decoder steps on ``prev_token``, then they combine.
+def readout(params: ModelParams, hidden: Array, combine: str) -> Readout:
+    """Distributions, mixture weights and combined distribution of (T, k+1, d_h) states.
 
     With ``combine == "mixture"`` on a gated model the gate weighs all
     decoders. Otherwise one decoder is selected: the chair, which in
@@ -439,17 +410,34 @@ def decode_step(
     """
     if combine not in (COMBINE_MIXTURE, COMBINE_CHAIR):
         raise DomainError(f"unknown combine mode {combine!r}")
-    dists, new_states, dec_cache = expert_step(params, prev_token, states, enc)
-    rows = list(dists)
-    gate_cache = None
+    # The projection takes the decoder axis first: one GEMM per decoder over all T rows.
+    probs, proj_cache = L.project_to_vocab(params.projection, hidden.swapaxes(0, 1))
+    dists = probs.swapaxes(0, 1)
     if combine == COMBINE_MIXTURE and params.gating is not None:
-        beta, gate_cache = gate_weights(params.gating, new_states, dists)
-        combined = chair_combine(dists, beta)
-    else:
-        beta = np.zeros(params.num_decoders)
-        beta[-1] = 1.0
-        combined = rows[-1]
-    return StepCache(dec_cache, gate_cache, StepOutput(rows, new_states, beta, combined))
+        beta, gate_cache = gate_weights(params.gating, hidden, dists)
+        return Readout(dists, beta, chair_combine(dists, beta), proj_cache, gate_cache)
+    beta = np.zeros(dists.shape[:-1])
+    beta[..., -1] = 1.0
+    return Readout(dists, beta, dists[..., -1, :], proj_cache, None)
+
+
+# ---------------------------------------------------------------------------
+# Decoding: the recurrence token by token, the readout once per sequence
+
+
+class ForwardCache(NamedTuple):
+    enc_cache: EncodeCache
+    enc_out: EncoderOutput
+    input_ids: Array        # BOS, then every gold token but the last
+    steps: list[DecoderStepCache]
+    readout: Readout
+
+
+def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> RnnState:
+    # Every decoder starts from the shared encoder final state.
+    n = params.num_decoders
+    return RnnState(np.repeat(enc.final_state.hidden[None], n, axis=0),
+                    np.repeat(enc.final_state.cell[None], n, axis=0))
 
 
 def forward_teacher_forced(
@@ -460,22 +448,30 @@ def forward_teacher_forced(
 ) -> tuple[list[StepOutput], ForwardCache]:
     """Run all decoders over a gold response (BOS prepended internally).
 
-    At step j every decoder consumes the shared ground-truth token y_{j-1}.
-    Returns one StepOutput per response position; see ``decode_step`` for
-    how the combined distribution is formed.
+    At step j every decoder consumes the shared ground-truth token y_{j-1};
+    ``readout`` then runs once over all T states. Returns one StepOutput
+    per response position, its ``dists`` rows of the readout's arrays.
     """
     if len(response_ids) == 0:
         raise DomainError("cannot teacher-force an empty response")
     enc, enc_cache = encode_context(params, context_ids)
+    input_ids = np.array([BOS_ID, *response_ids[:-1]])
+    gates = decoder_inputs(params, input_ids)
     states = initial_decoder_states(params, enc)
-    steps: list[StepCache] = []
-    prev_token = BOS_ID
-    for y in response_ids:
-        step = decode_step(params, prev_token, states, enc, combine)
+    hidden = np.empty((len(input_ids),) + states.hidden.shape)
+    cell = np.empty_like(hidden)
+    steps: list[DecoderStepCache] = []
+    for j in range(len(input_ids)):
+        states, step = expert_step(params, gates[:, j], states, enc)
+        hidden[j], cell[j] = states.hidden, states.cell
         steps.append(step)
-        states = step.out.states
-        prev_token = y
-    return [step.out for step in steps], ForwardCache(enc_cache, enc, steps)
+    out = readout(params, hidden, combine)
+    outputs = []
+    for j, dists in enumerate(out.dists):
+        rows = list(dists)
+        combined = rows[-1] if out.gate_cache is None else out.combined[j]
+        outputs.append(StepOutput(rows, RnnState(hidden[j], cell[j]), out.beta[j], combined))
+    return outputs, ForwardCache(enc_cache, enc, input_ids, steps, out)
 
 
 def backward_teacher_forced(
@@ -486,38 +482,47 @@ def backward_teacher_forced(
 ) -> None:
     """Manual reverse pass over a teacher-forced forward.
 
-    ``d_dists[j]`` seeds gradient on the (k+1, V) step-j distributions (the
-    localized expert losses); ``d_combined[j]`` seeds gradient on the
-    combined distribution (the chair loss). Routing through the mixture,
-    the gating network, every decoder chain, and the encoder happens here;
-    results accumulate into ParamSlot gradients.
+    ``d_dists`` (T, k+1, V) seeds the per-step distributions (the localized
+    expert losses), ``d_combined`` (T, V) the combined one (the chair loss).
+    The readout backward runs once, the reverse loop carries only the
+    recurrence, and each weight gradient is one GEMM over the sequence.
     """
-    n_dec = params.num_decoders
-    d_h = params.variant.hidden_size
-    carry_hidden = T.zeros(n_dec, d_h)
-    carry_cell = T.zeros(n_dec, d_h)
-    d_enc_hiddens = np.zeros_like(cache.enc_out.hiddens)
+    out, enc, cell = cache.readout, cache.enc_out, params.decoder_cell
+    if out.gate_cache is None:
+        d_hidden = 0.0
+        d_dists = d_dists.copy()
+        d_dists[:, -1] += d_combined  # combined IS the chair's dist
+    else:
+        d_beta, d_mix = chair_combine_backward(out.dists, out.beta, d_combined)
+        d_hidden, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
+        d_dists = d_dists + d_mix + d_gate_dists
+    d_proj = L.project_backward(params.projection, out.proj_cache, d_dists.swapaxes(0, 1))
+    d_hidden = d_proj.swapaxes(0, 1) + d_hidden
 
+    carry_hidden = np.zeros_like(d_hidden[0])
+    carry_cell = np.zeros_like(d_hidden[0])
+    d_gates = np.empty((params.num_decoders, len(cache.steps), cell.bias.value.shape[-1]))
+    attn_grads = []
     for j in reversed(range(len(cache.steps))):
-        step = cache.steps[j]
-        d_dist = d_dists[j].copy()
-        d_hidden_extra = T.zeros(n_dec, d_h)
-        if step.gate_cache is not None:
-            probs = step.decoder_cache.proj_cache.probs
-            d_beta, d_mix = chair_combine_backward(probs, step.out.beta, d_combined[j])
-            d_dist += d_mix
-            gate_state_grads, gate_dist_grads = gate_weights_backward(params.gating, step.gate_cache, d_beta)
-            d_hidden_extra += gate_state_grads
-            d_dist += gate_dist_grads
-        else:
-            # Single decoder or chair-only combination: combined IS the chair's dist.
-            d_dist[-1] += d_combined[j]
-        carry_hidden, carry_cell = expert_step_backward(
-            params, step.decoder_cache, d_dist, d_hidden_extra, carry_hidden, carry_cell, d_enc_hiddens,
+        d_gates[:, j], carry_hidden, carry_cell, attn = expert_step_backward(
+            params, cache.steps[j], enc, d_hidden[j] + carry_hidden, carry_cell
         )
+        attn_grads.insert(0, attn)
 
-    # Decoder initial states were copies of the encoder final state; the
-    # carries add from 0.0 one decoder at a time, in order.
+    emb = params.embedding.lookup(cache.input_ids)
+    contexts = np.stack([step.context for step in cache.steps], axis=1)  # (k+1, T, d_h)
+    x = T.concat([np.broadcast_to(emb, contexts.shape[:2] + emb.shape[1:]), contexts])
+    L.cell_weights_backward(cell, x, [step.cell_cache for step in cache.steps], d_gates)
+    w_emb = cell.w_in.value[:, :emb.shape[1]]
+    params.embedding.lookup_backward(cache.input_ids, d_gates @ w_emb.swapaxes(-1, -2))
+    # Axis-0 sums from an initial 0.0 add the decoders one at a time, in order: the
+    # attention blocks of the encoder hiddens, and the carries into the initial
+    # states, which were copies of the encoder final state.
+    d_enc_hiddens = np.zeros_like(enc.hiddens)
+    if params.attention is not None:
+        attn_caches = [step.attn_cache for step in cache.steps]
+        blocks = L.attention_weights_backward(params.attention, enc.memory, attn_caches, attn_grads)
+        d_enc_hiddens = blocks.sum(axis=0, initial=0.0)
     d_final_hidden = carry_hidden.sum(axis=0, initial=0.0)
     d_final_cell = carry_cell.sum(axis=0, initial=0.0)
     encode_backward(params, cache.enc_cache, d_enc_hiddens, d_final_hidden, d_final_cell)
@@ -532,26 +537,26 @@ def greedy_decode(
 ) -> list[int] | tuple[list[int], list[Array]]:
     """Generate token ids greedily until EOS or ``max_len``.
 
-    The argmax of the combined distribution is fed to every decoder at the
-    next step; ties resolve to the lowest token id. With ``collect_beta``
-    the per-step mixture weights are returned as well.
+    Each token is one recurrence step and a one-row readout, as in teacher
+    forcing. The argmax of the combined distribution is fed to every decoder
+    at the next step; ties resolve to the lowest token id. With
+    ``collect_beta`` the per-step mixture weights are returned as well.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     enc, _ = encode_context(params, context_ids)
     states = initial_decoder_states(params, enc)
-    prev_token = BOS_ID
+    token = BOS_ID
     out_ids: list[int] = []
     betas: list[Array] = []
     for _ in range(max_len):
-        out = decode_step(params, prev_token, states, enc, combine).out
-        token = int(np.argmax(out.combined))  # first maximum, so lowest id wins ties
+        states, _ = expert_step(params, decoder_inputs(params, [token])[:, 0], states, enc)
+        out = readout(params, states.hidden[None], combine)
+        token = int(np.argmax(out.combined[0]))  # first maximum, so lowest id wins ties
         out_ids.append(token)
-        betas.append(out.beta)
+        betas.append(out.beta[0])
         if token == EOS_ID:
             break
-        states = out.states
-        prev_token = token
     if collect_beta:
         return out_ids, betas
     return out_ids

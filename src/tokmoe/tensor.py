@@ -110,7 +110,7 @@ def tanh_backward(grad: Array, out: Array) -> Array:
 def sigmoid(x: Array) -> Array:
     # Inputs are clamped to +-500 so exp() cannot overflow; the result is
     # already saturated to 0/1 far inside that range in float64.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
 def sigmoid_backward(grad: Array, out: Array) -> Array:

@@ -26,9 +26,7 @@ from .config import OptimizerConfig, SchemeConfig
 from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
 from .model import (
-    COMBINE_CHAIR,
     ModelParams,
-    StepOutput,
     backward_teacher_forced,
     combine_mode,
     forward_teacher_forced,
@@ -82,17 +80,13 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
 # Losses
 
 
-def nll_sequence(dists: list[Array], targets: list[int]) -> float:
-    """Sum of -log p[y] over the sequence, with the probability floor.
+def nll_sequence(dists: Array, targets) -> float:
+    """Sum of -log p[y] over a (T, V) sequence, with the probability floor: one gather.
 
     A NaN probability is not floored, so it yields a NaN sum.
     """
-    total = 0.0
-    floor = T.PROB_FLOOR
-    for dist, y in zip(dists, targets):
-        p = dist[y]
-        total -= math.log(floor if p < floor else p)
-    return total
+    p = np.asarray(dists)[np.arange(len(targets)), targets]
+    return float(-np.log(np.maximum(p, T.PROB_FLOOR)).sum())
 
 
 def localized_decoders(intent: str, expert_of: dict[str, int], chair: int) -> tuple[int, ...]:
@@ -109,34 +103,29 @@ def localized_decoders(intent: str, expert_of: dict[str, int], chair: int) -> tu
 
 
 def loss_experts(
-    per_sample_steps: list[list[StepOutput]],
+    per_sample_dists: list[Array],
     per_sample_targets: list[list[int]],
     intents: list[str],
     expert_of: dict[str, int],
 ) -> list[float]:
     """Localized expert loss: each decoder's own NLL on its own partition.
 
-    Returns the unweighted sum per decoder (chair last); the expert loss
-    is its dot product with mu. Expert l accrues loss only on samples of
-    its intent; the chair accrues loss on every sample. Each decoder
-    scores with its OWN distribution, not the combination.
+    Returns the unweighted sum per decoder (chair last) over each sample's
+    (T, k+1, V) distributions; the expert loss is its dot product with mu.
+    Expert l accrues loss only on samples of its intent, the chair on every
+    sample, each scoring with its OWN distribution, not the combination.
     """
-    chair = len(per_sample_steps[0][0].dists) - 1
+    chair = per_sample_dists[0].shape[1] - 1
     raw = [0.0] * (chair + 1)
-    for steps, targets, intent in zip(per_sample_steps, per_sample_targets, intents):
+    for dists, targets, intent in zip(per_sample_dists, per_sample_targets, intents):
         for l in localized_decoders(intent, expert_of, chair):
-            raw[l] += nll_sequence([s.dists[l] for s in steps], targets)
+            raw[l] += nll_sequence(dists[:, l], targets)
     return raw
 
 
-def loss_chair(
-    per_sample_steps: list[list[StepOutput]], per_sample_targets: list[list[int]]
-) -> float:
-    """Global chair loss: NLL of the combined distribution over all samples."""
-    total = 0.0
-    for steps, targets in zip(per_sample_steps, per_sample_targets):
-        total += nll_sequence([s.combined for s in steps], targets)
-    return total
+def loss_chair(per_sample_combined: list[Array], per_sample_targets: list[list[int]]) -> float:
+    """Global chair loss: NLL of each sample's (T, V) combined distribution, summed."""
+    return sum(nll_sequence(c, targets) for c, targets in zip(per_sample_combined, per_sample_targets))
 
 
 def loss_total(expert_loss: float, chair_loss: float, lam: float) -> float:
@@ -162,14 +151,14 @@ class LossReport:
     lambda_value: float
 
 
-def _nll_grad_seeds(dists: list[Array], targets: list[int], weight: float) -> Array:
-    """Gradient of weight * nll_sequence(dists, targets) w.r.t. each distribution."""
-    seeds = np.zeros((len(dists), dists[0].shape[0]))
+def _nll_grad_seeds(dists: Array, targets: list[int], weight: float) -> Array:
+    """Gradient of weight * nll_sequence(dists, targets) w.r.t. the (T, V) distributions."""
+    seeds = np.zeros(dists.shape)
     if weight != 0.0:
-        for seed, dist, y in zip(seeds, dists, targets):
-            p = dist[y]
-            if p > T.PROB_FLOOR:
-                seed[y] = -weight / p
+        rows = np.arange(len(targets))
+        p = dists[rows, targets]
+        live = p > T.PROB_FLOOR  # floored (and NaN) probabilities pass no gradient
+        seeds[rows[live], np.asarray(targets)[live]] = -weight / p[live]
     return seeds
 
 
@@ -195,18 +184,17 @@ def train_batch(
     token_count = 0
     for enc_sample in batch:
         targets = enc_sample.response_ids
-        steps, cache = forward_teacher_forced(
-            params, enc_sample.context_ids, targets, combine=mode
-        )
+        _, cache = forward_teacher_forced(params, enc_sample.context_ids, targets, combine=mode)
+        dists, combined = cache.readout.dists, cache.readout.combined
         token_count += len(targets)
-        raw_expert += loss_experts([steps], [targets], [enc_sample.intent], expert_of)
-        chair_total += loss_chair([steps], [targets])
+        raw_expert += loss_experts([dists], [targets], [enc_sample.intent], expert_of)
+        chair_total += loss_chair([combined], [targets])
 
         if compute_grads:
-            d_dists = np.zeros((len(steps), n_dec, params.vocab_size))
+            d_dists = np.zeros(dists.shape)
             for l in localized_decoders(enc_sample.intent, expert_of, n_dec - 1):
-                d_dists[:, l] = _nll_grad_seeds([s.dists[l] for s in steps], targets, lam * mu[l])
-            d_combined = _nll_grad_seeds([s.combined for s in steps], targets, 1.0 - lam)
+                d_dists[:, l] = _nll_grad_seeds(dists[:, l], targets, lam * mu[l])
+            d_combined = _nll_grad_seeds(combined, targets, 1.0 - lam)
             backward_teacher_forced(params, cache, d_dists, d_combined)
 
     experts_weighted = float(np.dot(mu, raw_expert))
@@ -409,28 +397,10 @@ def teacher_forced_accuracy(
     hits = 0
     total = 0
     for enc_sample in samples:
-        steps, _ = forward_teacher_forced(
-            params, enc_sample.context_ids, enc_sample.response_ids, combine=mode
-        )
-        for step, y in zip(steps, enc_sample.response_ids):
-            hits += int(np.argmax(step.combined) == y)
-            total += 1
+        _, cache = forward_teacher_forced(params, enc_sample.context_ids, enc_sample.response_ids, mode)
+        hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == enc_sample.response_ids))
+        total += len(enc_sample.response_ids)
     return hits / total if total else 0.0
-
-
-def decoder_token_nll(
-    params: ModelParams, samples: list[EncodedSample], decoder_index: int
-) -> float:
-    """Mean per-token NLL of one decoder's own distribution on a sample set."""
-    total = 0.0
-    tokens = 0
-    for enc_sample in samples:
-        steps, _ = forward_teacher_forced(
-            params, enc_sample.context_ids, enc_sample.response_ids, combine=COMBINE_CHAIR
-        )
-        total += nll_sequence([s.dists[decoder_index] for s in steps], enc_sample.response_ids)
-        tokens += len(enc_sample.response_ids)
-    return total / tokens if tokens else math.inf
 
 
 # Relative disagreement below this gradient magnitude is treated as absolute
@@ -449,7 +419,8 @@ def grad_check(
 
     Compares every coordinate of every parameter slot (S1's mu/lambda
     logits included) on the summed batch loss. Intended for tiny instances; cost
-    is two forward passes per coordinate.
+    is two forward passes per coordinate. Any non-finite analytic gradient,
+    numeric gradient or error returns ``math.inf``, so it can never pass.
     """
     slots = params.slots()
     for slot in slots:
@@ -458,6 +429,8 @@ def grad_check(
     analytic = {slot.name: slot.grad.copy() for slot in slots}
     for slot in slots:
         slot.zero_grad()
+    if not all(np.isfinite(grad).all() for grad in analytic.values()):
+        return math.inf
 
     def loss_value() -> float:
         return train_batch(params, samples, scheme, expert_of, compute_grads=False).total
@@ -476,5 +449,7 @@ def grad_check(
             numeric = (up - down) / (2.0 * epsilon)
             a = grads[idx]
             err = abs(a - numeric) / max(abs(a) + abs(numeric), GRAD_CHECK_FLOOR)
+            if not math.isfinite(err):
+                return math.inf
             worst = max(worst, err)
     return worst

@@ -1,12 +1,17 @@
 """End-to-end command behavior: files, exit codes, error stream prefixes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tokmoe.checkpoint as C
+import tokmoe.layers as L
 import tokmoe.model as M
 from tokmoe import BOS_ID, RunConfig
 from tokmoe.cli import _build_run_config, build_parser, main
@@ -184,7 +189,8 @@ class TestGradcheckCommand:
         assert capsys.readouterr().err.startswith("error[config]")
 
     @pytest.mark.parametrize("flags", [
-        ["--vocab-size", "4"], ["--epsilon", "0"], ["--epsilon=-1e-5"], ["--experts", "0"],
+        ["--vocab-size", "4"], ["--epsilon", "0"], ["--epsilon=-1e-5"], ["--epsilon", "inf"],
+        ["--experts", "0"],
     ])
     def test_degenerate_sweep_is_usage_error(self, capsys, flags):
         code = main(["gradcheck", *flags])
@@ -201,6 +207,19 @@ class TestGradcheckCommand:
         scheme_lines = [l for l in out.splitlines() if l.startswith(("S1", "S2", "S3", "S4"))]
         assert len(scheme_lines) == 4
         assert all(" ok " in l for l in scheme_lines)
+
+    def test_nan_gradient_exits_one(self, capsys, monkeypatch):
+        original = L.project_backward
+
+        def nan_coordinate(proj, cache, d_probs):
+            d_state = original(proj, cache, d_probs)
+            proj.a.grad.flat[0] = np.nan
+            return d_state
+
+        monkeypatch.setattr(L, "project_backward", nan_coordinate)
+        assert main(["gradcheck", "--hidden", "2", "--vocab-size", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and " ok " not in out
 
     def test_injected_bug_exits_one(self, capsys, monkeypatch):
         import tokmoe.tensor as T
@@ -334,7 +353,12 @@ BOUNDARY_CASES = [
     ("archive-extra-tensor", 1, "integrity",
      lambda c: c.checkpoint(blob=c.archive([*C.load_tensors(c.run / "model.ckpt").items(),
                                             ("extra", np.zeros(1))]))),
-    # gradcheck flags.
+    # Flags checked before any file is read: the checkpoint named here does not exist.
+    ("evaluate-max-len-0", 2, "usage",
+     lambda c: [*c.evaluate(checkpoint=str(c.tmp / "missing.ckpt")), "--max-len", "0"]),
+    ("generate-max-len-negative", 2, "usage",
+     lambda c: ["generate", "--checkpoint", str(c.tmp / "missing.ckpt"), "--context", "a",
+                "--max-len", "-2"]),
     ("gradcheck-vocab-size-4", 2, "usage", lambda c: ["gradcheck", "--vocab-size", "4"]),
     ("gradcheck-seed", 2, "usage", lambda c: ["gradcheck", "--seed", "-1"]),
 ]
@@ -431,3 +455,25 @@ class TestRunConfig:
         code = main(["train", "--config", str(trained_run / "config.snapshot"), "--out", str(out)])
         assert code == 0
         assert (out / "model.ckpt").read_bytes() == (trained_run / "model.ckpt").read_bytes()
+
+
+class TestBlasThreadCount:
+    def test_paper_width_checkpoint_is_byte_equal_at_one_and_two_threads(self, tmp_path):
+        # The GEMMs over T rows must not depend on how BLAS splits them across threads.
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--intents", "3", "--per-intent", "3",
+                     "--shared-vocab", "150", "--per-intent-vocab", "150", "--seed", "3"]) == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        blobs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env.pop("TOKMOE_SEED", None)
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "tokmoe.cli", "train", "--train", str(corpus / "train.jsonl"),
+                 "--out", str(out), "--epochs", "1", "--batch-size", "4"],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+            blobs.append((out / "model.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]

@@ -17,6 +17,12 @@ def make_slot(rng, name, *shape):
     return ParamSlot(name, rng.uniform(-0.5, 0.5, shape))
 
 
+def input_gates(params, x):
+    """The projected cell input ``x @ w_in + bias`` of a ([n,] T, d_in) or (d_in,) x."""
+    bias = params.bias.value
+    return x @ params.w_in.value + (bias[:, None] if bias.ndim == 2 else bias)
+
+
 def make_lstm(rng, d_in, d_h):
     return L.CellParams(
         "lstm",
@@ -63,7 +69,8 @@ class TestLstmCell:
             ParamSlot("w_rec", T.zeros(d_h, 4 * d_h)),
             ParamSlot("bias", T.zeros(4 * d_h)),
         )
-        state, _ = L.lstm_step(params, rng.uniform(-2, 2, d_in), L.RnnState.zero(d_h))
+        x = rng.uniform(-2, 2, d_in)
+        state, _ = L.lstm_step(params, input_gates(params, x), L.RnnState.zero(d_h))
         np.testing.assert_array_equal(state.hidden, np.zeros(d_h))
         np.testing.assert_array_equal(state.cell, np.zeros(d_h))
 
@@ -71,7 +78,7 @@ class TestLstmCell:
         params = make_lstm(rng, 3, 4)
         state = L.RnnState(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
         for _ in range(20):
-            state, _ = L.lstm_step(params, rng.uniform(-3, 3, 3), state)
+            state, _ = L.lstm_step(params, input_gates(params, rng.uniform(-3, 3, 3)), state)
             assert np.all(np.abs(state.hidden) < 1.0)
 
     def test_backward_matches_finite_differences(self, rng):
@@ -83,11 +90,13 @@ class TestLstmCell:
         pc = rng.uniform(-1, 1, d_h)
 
         def run(xv, hv, cv):
-            state, _ = L.lstm_step(params, xv, L.RnnState(hv, cv))
+            state, _ = L.lstm_step(params, input_gates(params, xv), L.RnnState(hv, cv))
             return float(np.dot(ph, state.hidden) + np.dot(pc, state.cell))
 
-        _, cache = L.lstm_step(params, x, prev)
-        d_x, d_h_prev, d_c_prev = L.lstm_step_backward(params, cache, ph.copy(), pc.copy())
+        _, cache = L.lstm_step(params, input_gates(params, x), prev)
+        d_gates, d_h_prev, d_c_prev = L.lstm_step_backward(params, cache, ph.copy(), pc.copy())
+        L.cell_weights_backward(params, x[None], [cache], d_gates[None])
+        d_x = d_gates @ params.w_in.value.T
 
         assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev.hidden, prev.cell), x.copy())) < 1e-6
         assert max_rel_err(d_h_prev, fd_grad(lambda v: run(x, v, prev.cell), prev.hidden.copy())) < 1e-6
@@ -106,19 +115,20 @@ class TestGruCell:
             ParamSlot("w_rec", T.zeros(d_h, 3 * d_h)),
             ParamSlot("bias", T.zeros(3 * d_h)),
         )
-        state, _ = L.gru_step(params, rng.uniform(-2, 2, d_in), L.RnnState.zero(d_h))
+        x = rng.uniform(-2, 2, d_in)
+        state, _ = L.gru_step(params, input_gates(params, x), L.RnnState.zero(d_h))
         np.testing.assert_array_equal(state.hidden, np.zeros(d_h))
 
     def test_cell_half_stays_zero(self, rng):
         params = make_gru(rng, 2, 3)
-        state, _ = L.gru_step(params, rng.uniform(-1, 1, 2), L.RnnState.zero(3))
+        state, _ = L.gru_step(params, input_gates(params, rng.uniform(-1, 1, 2)), L.RnnState.zero(3))
         np.testing.assert_array_equal(state.cell, np.zeros(3))
 
     def test_hidden_bounded_by_one(self, rng):
         params = make_gru(rng, 3, 4)
         state = L.RnnState(rng.uniform(-1, 1, 4), T.zeros(4))
         for _ in range(20):
-            state, _ = L.gru_step(params, rng.uniform(-3, 3, 3), state)
+            state, _ = L.gru_step(params, input_gates(params, rng.uniform(-3, 3, 3)), state)
             assert np.all(np.abs(state.hidden) < 1.0)
 
     def test_backward_matches_finite_differences(self, rng):
@@ -129,17 +139,23 @@ class TestGruCell:
         ph = rng.uniform(-1, 1, d_h)
 
         def run(xv, hv):
-            state, _ = L.gru_step(params, xv, L.RnnState(hv, T.zeros(d_h)))
+            state, _ = L.gru_step(params, input_gates(params, xv), L.RnnState(hv, T.zeros(d_h)))
             return float(np.dot(ph, state.hidden))
 
-        _, cache = L.gru_step(params, x, prev)
-        d_x, d_h_prev, _ = L.gru_step_backward(params, cache, ph.copy(), T.zeros(d_h))
+        _, cache = L.gru_step(params, input_gates(params, x), prev)
+        d_gates, d_h_prev, _ = L.gru_step_backward(params, cache, ph.copy(), T.zeros(d_h))
+        L.cell_weights_backward(params, x[None], [cache], d_gates[None])
+        d_x = d_gates @ params.w_in.value.T
 
         assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev.hidden), x.copy())) < 1e-6
         assert max_rel_err(d_h_prev, fd_grad(lambda v: run(x, v), prev.hidden.copy())) < 1e-6
         for slot in params.slots():
             numeric = fd_grad(lambda v: run(x, prev.hidden), slot.value)
             assert max_rel_err(slot.grad, numeric) < 1e-6
+
+
+def attend(params, hiddens, query):
+    return L.attention_context(params, L.attention_memory(params, hiddens), query)
 
 
 class TestAttention:
@@ -153,7 +169,7 @@ class TestAttention:
     def test_single_position_gives_weight_one(self, rng):
         params = self.make_params(rng)
         h = rng.uniform(-1, 1, (1, 2))
-        context, weights, _ = L.attention_context(params, h, rng.uniform(-1, 1, 2))
+        context, weights, _ = attend(params, h, rng.uniform(-1, 1, 2))
         np.testing.assert_allclose(weights, [1.0])
         np.testing.assert_allclose(context, h[0])
 
@@ -161,12 +177,12 @@ class TestAttention:
         params = self.make_params(rng)
         row = rng.uniform(-1, 1, 2)
         h = np.tile(row, (4, 1))
-        context, _, _ = L.attention_context(params, h, rng.uniform(-1, 1, 2))
+        context, _, _ = attend(params, h, rng.uniform(-1, 1, 2))
         np.testing.assert_allclose(context, row, atol=1e-12)
 
     def test_empty_encoder_output_rejected(self, rng):
         with pytest.raises(DomainError):
-            L.attention_context(self.make_params(rng), np.empty((0, 2)), T.zeros(2))
+            L.attention_memory(self.make_params(rng), np.empty((0, 2)))
 
     def test_hand_computed_two_position_case(self):
         # d_h = 2, d_a = 1, m = 2; every number below is evaluated with plain
@@ -190,7 +206,7 @@ class TestAttention:
         a1, a2 = e1 / (e1 + e2), e2 / (e1 + e2)
         expected_context = [a1 * h1[0] + a2 * h2[0], a1 * h1[1] + a2 * h2[1]]
 
-        context, weights, _ = L.attention_context(params, T.tensor([h1, h2]), T.tensor(s))
+        context, weights, _ = attend(params, T.tensor([h1, h2]), T.tensor(s))
         np.testing.assert_allclose(weights, [a1, a2], atol=1e-12)
         np.testing.assert_allclose(context, expected_context, atol=1e-12)
 
@@ -199,7 +215,7 @@ class TestAttention:
         params = self.make_params(rng, d_h=1, d_a=3)
         for _ in range(50):
             h = rng.uniform(-2, 2, (int(rng.integers(1, 6)), 1))
-            context, weights, _ = L.attention_context(params, h, rng.uniform(-1, 1, 1))
+            context, weights, _ = attend(params, h, rng.uniform(-1, 1, 1))
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) < 1e-12
             assert h.min() - 1e-12 <= context[0] <= h.max() + 1e-12
@@ -211,11 +227,13 @@ class TestAttention:
         pc = rng.uniform(-1, 1, 2)
 
         def run(hv, qv):
-            context, _, _ = L.attention_context(params, hv, qv)
+            context, _, _ = attend(params, hv, qv)
             return float(np.dot(pc, context))
 
-        _, _, cache = L.attention_context(params, h, query)
-        d_h, d_q = L.attention_backward(params, cache, pc.copy())
+        memory = L.attention_memory(params, h)
+        _, _, cache = L.attention_context(params, memory, query)
+        d_q, grads = L.attention_backward(params, memory, cache, pc.copy())
+        d_h = L.attention_weights_backward(params, memory, [cache], [grads])
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, query), h.copy())) < 1e-6
         assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), query.copy())) < 1e-6
         for slot in params.slots():
@@ -245,12 +263,12 @@ class TestProjection:
 
     def test_backward_matches_finite_differences(self, rng):
         proj = L.OutputProjection(make_slot(rng, "u", 3, 4), make_slot(rng, "a", 4))
-        state = rng.uniform(-1, 1, 3)
-        g = rng.uniform(-1, 1, 4)
+        state = rng.uniform(-1, 1, (1, 3))
+        g = rng.uniform(-1, 1, (1, 4))
 
         def run(sv):
             probs, _ = L.project_to_vocab(proj, sv)
-            return float(np.dot(probs, g))
+            return float(np.sum(probs * g))
 
         probs, cache = L.project_to_vocab(proj, state)
         d_state = L.project_backward(proj, cache, g.copy())
@@ -271,64 +289,92 @@ class TestStackedCopies:
         return [ParamSlot(s.name, s.value[l].copy()) for s in slots]
 
     @staticmethod
-    def assert_rows_equal(stacked_outputs, single_outputs, l):
+    def assert_rows_equal(stacked_outputs, single_outputs, l, axis=0):
         for stacked, single in zip(stacked_outputs, single_outputs):
-            np.testing.assert_array_equal(single, stacked[l])
+            np.testing.assert_array_equal(single, np.take(stacked, l, axis=axis))
 
     def assert_grads_equal(self, stacked_slots, single_slots, l):
         self.assert_rows_equal([s.grad for s in stacked_slots], [s.grad for s in single_slots], l)
 
+    @staticmethod
+    def run_cell(params, x, state, d_hidden, d_cell):
+        """T steps forward, the reverse loop, then the sequence's weight gradients.
+
+        Sequences are ([n,] T, width); the returned hiddens and d_gates are (T, [n,] width).
+        """
+        caches, hiddens = [], []
+        for gates_in in input_gates(params, x).swapaxes(0, -2):
+            state, cache = L.cell_step(params, gates_in, state)
+            caches.append(cache)
+            hiddens.append(state.hidden)
+        d_gates, carry_h, carry_c = [], np.zeros_like(state.hidden), d_cell
+        for t in reversed(range(len(caches))):
+            d_g, carry_h, carry_c = L.cell_step_backward(
+                params, caches[t], d_hidden[t] + carry_h, carry_c
+            )
+            d_gates.insert(0, d_g)
+        L.cell_weights_backward(params, x, caches, np.stack(d_gates, axis=-2))
+        return np.stack(hiddens), np.stack(d_gates), carry_h, carry_c
+
     @pytest.mark.parametrize("kind,gates", [("lstm", 4), ("gru", 3)])
     def test_cell(self, rng, kind, gates):
-        n, d_in, d_h = self.N, 11, 9
+        n, steps, d_in, d_h = self.N, 4, 11, 9
         stacked = L.CellParams(
             kind,
             make_slot(rng, "w_in", n, d_in, gates * d_h),
             make_slot(rng, "w_rec", n, d_h, gates * d_h),
             make_slot(rng, "bias", n, gates * d_h),
         )
-        x = rng.uniform(-1, 1, (n, d_in))
+        x = rng.uniform(-1, 1, (n, steps, d_in))
         prev = L.RnnState(rng.uniform(-1, 1, (n, d_h)), rng.uniform(-1, 1, (n, d_h)))
-        d_hidden, d_cell = rng.uniform(-1, 1, (2, n, d_h))
-        state, cache = L.cell_step(stacked, x, prev)
-        grads = L.cell_step_backward(stacked, cache, d_hidden, d_cell)
+        d_hidden = rng.uniform(-1, 1, (steps, n, d_h))
+        d_cell = rng.uniform(-1, 1, (n, d_h))
+        hiddens, d_gates, carry_h, carry_c = self.run_cell(stacked, x, prev, d_hidden, d_cell)
         for l in range(n):
             single = L.CellParams(kind, *self.copy_of(stacked.slots(), l))
-            state_l, cache_l = L.cell_step(single, x[l], L.RnnState(prev.hidden[l], prev.cell[l]))
-            self.assert_rows_equal([state.hidden, state.cell], [state_l.hidden, state_l.cell], l)
-            grads_l = L.cell_step_backward(single, cache_l, d_hidden[l], d_cell[l])
-            self.assert_rows_equal(grads, grads_l, l)
+            prev_l = L.RnnState(prev.hidden[l], prev.cell[l])
+            out_l = self.run_cell(single, x[l], prev_l, d_hidden[:, l], d_cell[l])
+            self.assert_rows_equal([hiddens, d_gates], out_l[:2], l, axis=1)
+            self.assert_rows_equal([carry_h, carry_c], out_l[2:], l)
             self.assert_grads_equal(stacked.slots(), single.slots(), l)
 
+    @staticmethod
+    def run_attention(params, hiddens, queries, d_contexts):
+        memory = L.attention_memory(params, hiddens)
+        contexts, weights, caches = zip(*(L.attention_context(params, memory, q) for q in queries))
+        backward = (L.attention_backward(params, memory, c, d) for c, d in zip(caches, d_contexts))
+        d_queries, grads = zip(*backward)
+        d_hiddens = L.attention_weights_backward(params, memory, list(caches), list(grads))
+        return np.stack(contexts), np.stack(weights), np.stack(d_queries), d_hiddens
+
     def test_attention(self, rng):
-        n, m, d_h, d_a = self.N, 5, 7, 6
+        n, steps, m, d_h, d_a = self.N, 4, 5, 7, 6
         stacked = L.AttentionParams(
             make_slot(rng, "w", n, 2 * d_h, d_a), make_slot(rng, "b", n, d_a), make_slot(rng, "v", n, d_a)
         )
         hiddens = rng.uniform(-1, 1, (m, d_h))
-        query = rng.uniform(-1, 1, (n, d_h))
-        d_context = rng.uniform(-1, 1, (n, d_h))
-        context, weights, cache = L.attention_context(stacked, hiddens, query)
-        grads = L.attention_backward(stacked, cache, d_context)
+        queries = rng.uniform(-1, 1, (steps, n, d_h))
+        d_contexts = rng.uniform(-1, 1, (steps, n, d_h))
+        contexts, weights, d_queries, d_hiddens = self.run_attention(stacked, hiddens, queries, d_contexts)
         for l in range(n):
             single = L.AttentionParams(*self.copy_of(stacked.slots(), l))
-            context_l, weights_l, cache_l = L.attention_context(single, hiddens, query[l])
-            self.assert_rows_equal([context, weights], [context_l, weights_l], l)
-            self.assert_rows_equal(grads, L.attention_backward(single, cache_l, d_context[l]), l)
+            out_l = self.run_attention(single, hiddens, queries[:, l], d_contexts[:, l])
+            self.assert_rows_equal([contexts, weights, d_queries], out_l[:3], l, axis=1)
+            self.assert_rows_equal([d_hiddens], out_l[3:], l)
             self.assert_grads_equal(stacked.slots(), single.slots(), l)
 
     def test_projection(self, rng):
-        n, d_h, vocab = self.N, 9, 37
+        n, steps, d_h, vocab = self.N, 4, 9, 37
         stacked = L.OutputProjection(make_slot(rng, "u", n, d_h, vocab), make_slot(rng, "a", n, vocab))
-        state = rng.uniform(-1, 1, (n, d_h))
-        d_probs = rng.uniform(-1, 1, (n, vocab))
+        state = rng.uniform(-1, 1, (n, steps, d_h))
+        d_probs = rng.uniform(-1, 1, (n, steps, vocab))
         probs, cache = L.project_to_vocab(stacked, state)
         d_state = L.project_backward(stacked, cache, d_probs)
         for l in range(n):
             single = L.OutputProjection(*self.copy_of(stacked.slots(), l))
             probs_l, cache_l = L.project_to_vocab(single, state[l])
-            self.assert_rows_equal([probs], [probs_l], l)
-            self.assert_rows_equal([d_state], [L.project_backward(single, cache_l, d_probs[l])], l)
+            d_state_l = L.project_backward(single, cache_l, d_probs[l])
+            self.assert_rows_equal([probs, d_state], [probs_l, d_state_l], l)
             self.assert_grads_equal(stacked.slots(), single.slots(), l)
 
     def test_embedding_rows_add_in_order(self, rng):

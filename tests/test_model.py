@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import tokmoe.checkpoint as C
+import tokmoe.layers as L
 import tokmoe.model as M
 import tokmoe.tensor as T
 import tokmoe.training as TR
-from tokmoe.config import BOS_ID, EOS_ID, OptimizerConfig
+from tokmoe.config import BOS_ID, EOS_ID, OptimizerConfig, SchemeConfig, VariantConfig
 from tokmoe.errors import DomainError
 from tokmoe.layers import RnnState
 from tokmoe.model import (
@@ -52,6 +53,12 @@ class TestEncoder:
         np.testing.assert_array_equal(enc.final_state.hidden, np.zeros(3))
 
 
+def step(params, token, state, enc):
+    """Every decoder's (k+1, V) distribution and state after one recurrence step on ``token``."""
+    new_state, _ = expert_step(params, M.decoder_inputs(params, [token])[:, 0], state, enc)
+    return M.readout(params, new_state.hidden[None], M.COMBINE_CHAIR).dists[0], new_state
+
+
 def stacked_state(rng, n_dec, d_h=3):
     """One random state shared by every decoder row."""
     return RnnState(np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)), np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)))
@@ -92,11 +99,11 @@ class TestStackedSlots:
         params = tiny_model()
         enc, _ = encode_context(params, [4, 5])
         state = stacked_state(rng, params.num_decoders)
-        before = expert_step(params, 4, state, enc)[0]
+        before = step(params, 4, state, enc)[0]
         for slot in params.slots():
             slot.grad[...] = 1.0
         TR.adam_step(OptimizerConfig(), params.slots(), TR.AdamState())
-        after = expert_step(params, 4, state, enc)[0]
+        after = step(params, 4, state, enc)[0]
         assert np.all(np.any(before != after, axis=1))
 
 
@@ -105,7 +112,7 @@ class TestExpertStep:
         params = tiny_model()
         enc, _ = encode_context(params, [4, 5])
         state = RnnState(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)))
-        dists, _, _ = expert_step(params, 4, state, enc)
+        dists, _ = step(params, 4, state, enc)
         assert dists.shape == (params.num_decoders, 6)
         for dist in dists:
             assert abs(dist.sum() - 1.0) <= 1e-12
@@ -119,17 +126,17 @@ class TestExpertStep:
         enc_a = EncoderOutput(rng.uniform(-1, 1, (4, 3)), final)
         enc_b = EncoderOutput(rng.uniform(-1, 1, (4, 3)), final)
         state = stacked_state(rng, params.num_decoders)
-        dist_a, _, _ = expert_step(params, 4, state, enc_a)
-        dist_b, _, _ = expert_step(params, 4, state, enc_b)
+        dist_a, _ = step(params, 4, state, enc_a)
+        dist_b, _ = step(params, 4, state, enc_b)
         np.testing.assert_array_equal(dist_a, dist_b)
 
     def test_attention_params_not_shared_between_experts(self, rng):
         params = tiny_model(num_experts=2)
         enc, _ = encode_context(params, [4, 5])
         state = stacked_state(rng, params.num_decoders)
-        before = expert_step(params, 4, state, enc)[0]
+        before = step(params, 4, state, enc)[0]
         params.attention.w.value[1] += rng.uniform(0.5, 1.5, (6, 2))
-        after = expert_step(params, 4, state, enc)[0]
+        after = step(params, 4, state, enc)[0]
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[2], after[2])
         assert not np.array_equal(before[1], after[1])
@@ -194,8 +201,9 @@ class TestExpertStep:
         exps = [math.exp(v - m) for v in logits]
         expected = [e / sum(exps) for e in exps]
 
-        enc = EncoderOutput(T.tensor(h_enc), RnnState(T.tensor(s_h), T.tensor(s_c)))
-        dists, state, _ = expert_step(params, prev_token, RnnState(T.tensor([s_h]), T.tensor([s_c])), enc)
+        memory = L.attention_memory(params.attention, T.tensor(h_enc))
+        enc = EncoderOutput(T.tensor(h_enc), RnnState(T.tensor(s_h), T.tensor(s_c)), memory)
+        dists, state = step(params, prev_token, RnnState(T.tensor([s_h]), T.tensor([s_c])), enc)
         np.testing.assert_allclose(dists[0], expected, atol=1e-12)
         np.testing.assert_allclose(state.hidden[0], hidden, atol=1e-12)
         np.testing.assert_allclose(state.cell[0], cell, atol=1e-12)
@@ -223,14 +231,14 @@ class TestGating:
         shared = rng.uniform(-0.5, 0.5, 2)
         gating.expert_keys.value[...] = shared
         states, dists = self.fabricated_step(rng, n_dec=3)
-        beta, _ = gate_weights(gating, states, dists)
+        beta, _ = gate_weights(gating, states.hidden, dists)
         np.testing.assert_allclose(beta, np.full(3, 1 / 3), atol=1e-12)
 
     def test_beta_sums_to_one(self, rng):
         gating = self.make_gating(rng)
         for _ in range(100):
             states, dists = self.fabricated_step(rng)
-            beta, _ = gate_weights(gating, states, dists)
+            beta, _ = gate_weights(gating, states.hidden, dists)
             assert abs(beta.sum() - 1.0) <= 1e-12
 
     def test_hand_computed_two_decoder_case(self):
@@ -256,13 +264,13 @@ class TestGating:
         expected = [e / sum(exps) for e in exps]
 
         states = RnnState(T.tensor([s1, s2]), T.zeros(2, 2))
-        beta, _ = gate_weights(gating, states, T.tensor([p1, p2]))
+        beta, _ = gate_weights(gating, states.hidden, T.tensor([p1, p2]))
         np.testing.assert_allclose(beta, expected, atol=1e-12)
 
     def test_logit_shift_invariance_through_combination(self, rng):
         gating = self.make_gating(rng)
         states, dists = self.fabricated_step(rng)
-        beta, cache = gate_weights(gating, states, dists)
+        beta, cache = gate_weights(gating, states.hidden, dists)
         combined = chair_combine(dists, beta)
         for c in (-40.0, 0.7, 123.0):
             shifted_beta = T.softmax(cache.logits + c)
@@ -320,8 +328,7 @@ class TestForwardTeacherForced:
         params = tiny_model()
         response = [5, 4, 3]
         _, cache = forward_teacher_forced(params, [4], response)
-        fed = [cache.steps[j].decoder_cache.prev_token_id for j in range(3)]
-        assert fed == [BOS_ID, 5, 4]
+        assert cache.input_ids.tolist() == [BOS_ID, 5, 4]
 
     def test_single_decoder_mode_is_degenerate_mixture(self):
         params = tiny_model(num_experts=0)
@@ -375,3 +382,53 @@ class TestGreedyDecode:
         assert len(ids) == len(betas)
         for beta in betas:
             assert abs(beta.sum() - 1.0) <= 1e-9
+
+
+class TestOneDecodePath:
+    """Greedy decoding and teacher forcing share the recurrence step and the readout."""
+
+    SHAPES = {
+        # criterion 5's shape, and the README defaults at the 400-word vocabulary cap
+        "desk": (54, VariantConfig(hidden_size=32, embedding_size=24, gate_hidden=32, gate_out=16)),
+        "paper": (400, VariantConfig()),
+    }
+
+    def model(self, shape, scheme_name):
+        vocab, variant = self.SHAPES[shape]
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(vocab, 3, variant, 11, scheme)
+        return params, M.combine_mode(scheme, params)
+
+    @pytest.mark.parametrize("shape", ["desk", "paper"])
+    @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
+    def test_teacher_forcing_the_greedy_output_repeats_it(self, monkeypatch, rng, shape, scheme_name):
+        params, mode = self.model(shape, scheme_name)
+        context = [int(t) for t in rng.integers(4, params.vocab_size, 6)]
+        combined = []
+        original = M.readout
+
+        def recording(*args):
+            out = original(*args)
+            combined.append(out.combined[0])
+            return out
+
+        monkeypatch.setattr(M, "readout", recording)
+        ids, betas = greedy_decode(params, context, 12, combine=mode, collect_beta=True)
+        monkeypatch.undo()
+        steps, _ = forward_teacher_forced(params, context, ids, combine=mode)
+        assert len(steps) == len(ids) == len(combined)
+        for step, token, beta, greedy_combined in zip(steps, ids, betas, combined):
+            np.testing.assert_allclose(step.beta, beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(step.combined, greedy_combined, rtol=1e-12, atol=0)
+            assert int(np.argmax(step.combined)) == token
+
+    @pytest.mark.parametrize("shape", ["desk", "paper"])
+    @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
+    def test_readout_over_rows_matches_one_row_readouts(self, rng, shape, scheme_name):
+        params, mode = self.model(shape, scheme_name)
+        hidden = rng.uniform(-1, 1, (9, params.num_decoders, params.variant.hidden_size))
+        whole = M.readout(params, hidden, mode)
+        for t in range(len(hidden)):
+            row = M.readout(params, hidden[t:t + 1], mode)
+            for rows, one in zip(whole[:3], row[:3]):
+                np.testing.assert_allclose(rows[t], one[0], rtol=1e-12, atol=0)

@@ -5,25 +5,21 @@ import math
 import numpy as np
 import pytest
 
+import tokmoe.layers as L
 import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
-from tokmoe.layers import RnnState
-from tokmoe.model import StepOutput, combine_mode, forward_teacher_forced
+from tokmoe.model import combine_mode, forward_teacher_forced
 from tokmoe.tensor import ParamSlot
 
 from conftest import tiny_samples, tiny_variant
 
 
-def make_step(dists, beta=None, combined=None):
-    n = len(dists)
-    dists = [np.asarray(d, dtype=float) for d in dists]
-    beta = np.asarray(beta if beta is not None else [1.0 / n] * n)
-    if combined is None:
-        combined = sum(b * d for b, d in zip(beta, dists))
-    return StepOutput(dists, [RnnState.zero(2) for _ in range(n)], beta, np.asarray(combined))
+def sequence(*steps):
+    """A (T, k+1, V) array of per-step decoder distributions."""
+    return np.array(steps, dtype=float)
 
 
 class TestPartition:
@@ -57,40 +53,35 @@ class TestPartition:
 class TestLossFunctions:
     def test_one_hot_expert_contributes_zero(self):
         one_hot = [0.0, 1.0, 0.0, 0.0]
-        steps = [make_step([one_hot])]
-        assert TR.loss_experts([steps], [[1]], ["a"], {}) == [0.0]
+        assert TR.loss_experts([sequence([one_hot])], [[1]], ["a"], {}) == [0.0]
 
     def test_uniform_single_token_is_log4(self):
         uniform = [0.25] * 4
-        steps = [make_step([uniform])]
-        (loss,) = TR.loss_experts([steps], [[2]], ["a"], {})
+        (loss,) = TR.loss_experts([sequence([uniform])], [[2]], ["a"], {})
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_uniform_weighting_over_experts(self):
         # k = 2 experts plus chair, all uniform over 4 tokens, mu = 1/k.
         uniform = [0.25] * 4
-        steps = [make_step([uniform, uniform, uniform])]
         mu = np.array([0.5, 0.5, 0.5])
-        raw = TR.loss_experts([steps], [[0]], ["a"], {"a": 0})
+        raw = TR.loss_experts([sequence([uniform, uniform, uniform])], [[0]], ["a"], {"a": 0})
         assert raw[1] == 0.0  # expert 1 does not own intent "a"
         # owner expert + chair, each weighted 1/2.
         assert abs(np.dot(mu, raw) - math.log(4.0)) < 1e-12
 
     def test_unassigned_intent_rejected(self):
         uniform = [0.25] * 4
-        steps = [make_step([uniform, uniform])]
         with pytest.raises(DataError, match="no assigned expert"):
-            TR.loss_experts([steps], [[0]], ["mystery"], {"a": 0})
+            TR.loss_experts([sequence([uniform, uniform])], [[0]], ["mystery"], {"a": 0})
 
     def test_chair_loss_additivity(self):
         uniform = [0.25] * 4
-        steps = [make_step([uniform]), make_step([uniform])]
-        loss = TR.loss_chair([steps], [[1, 3]])
+        loss = TR.loss_chair([np.array([uniform, uniform])], [[1, 3]])
         assert abs(loss - 2 * math.log(4.0)) < 1e-12
 
     def test_chair_one_hot_zero(self):
         hot = [1.0, 0.0]
-        assert TR.loss_chair([[make_step([hot])]], [[0]]) == 0.0
+        assert TR.loss_chair([np.array([hot])], [[0]]) == 0.0
 
     def test_loss_total_cases(self):
         assert TR.loss_total(2.0, 4.0, 0.0) == 4.0
@@ -299,12 +290,12 @@ class TestTrainBatch:
         report = TR.train_batch(params, samples, scheme, expert_of, compute_grads)
 
         mode = combine_mode(scheme, params)
-        steps = [forward_teacher_forced(params, s.context_ids, s.response_ids, mode)[0]
-                 for s in samples]
+        outs = [forward_teacher_forced(params, s.context_ids, s.response_ids, mode)[1].readout
+                for s in samples]
         targets = [s.response_ids for s in samples]
         intents = [s.intent for s in samples]
-        assert report.expert_losses == TR.loss_experts(steps, targets, intents, expert_of)
-        assert report.chair_loss == TR.loss_chair(steps, targets)
+        assert report.expert_losses == TR.loss_experts([o.dists for o in outs], targets, intents, expert_of)
+        assert report.chair_loss == TR.loss_chair([o.combined for o in outs], targets)
         if num_experts == 0:
             assert (report.mu, report.lambda_value) == ([1.0], 0.0)
             assert report.total == report.chair_loss
@@ -399,6 +390,21 @@ class TestGradCheck:
         err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
                             {"alpha": 0, "beta": 1})
         assert err > 1e-2
+
+    def test_nan_gradient_fails(self, monkeypatch):
+        # max(worst, nan) would keep worst, so a NaN coordinate must fail on its own.
+        original = L.project_backward
+
+        def nan_coordinate(proj, cache, d_probs):
+            d_state = original(proj, cache, d_probs)
+            proj.a.grad.flat[0] = math.nan
+            return d_state
+
+        monkeypatch.setattr(L, "project_backward", nan_coordinate)
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
+                            {"alpha": 0, "beta": 1})
+        assert err == math.inf
 
     def test_one_hot_forcing_params_give_near_zero_gradients(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
