@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SchemeConfig, VariantConfig
-from .errors import ConfigError, IntegrityError
+from .data import Vocabulary
+from .errors import ConfigError, DataError, IntegrityError
 from .model import ModelParams, init_model
 from .tensor import Array
 
@@ -178,10 +179,14 @@ def _read_meta(side: Path) -> tuple[dict, SchemeConfig, VariantConfig]:
     _check_fields(side, meta["variant"], _VARIANT_FIELDS)
     if not all(isinstance(t, str) for t in meta["tokens"] + meta["intents"]):
         raise IntegrityError(f"{side}: tokens and intents must be strings")
+    intents = meta["intents"]
+    if len(set(intents)) != len(intents) or meta["num_experts"] not in (0, len(intents)):
+        raise IntegrityError(f"{side}: intents must be distinct and num_experts 0 or their count")
     try:
+        Vocabulary(meta["tokens"])
         scheme = SchemeConfig.from_name(meta["scheme"])
         variant = VariantConfig(**meta["variant"])
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         raise IntegrityError(f"{side}: {exc}") from None
     return meta, scheme, variant
 

@@ -17,12 +17,12 @@ takes any leading time axis: greedy decoding calls it with T=1 per step,
 teacher forcing once on all (T, k+1, d_h) states.
 
 Inference over frozen parameters is read-only and thread-safe; training
-mutates ParamSlot gradients and runs single-threaded.
+mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +61,9 @@ class GatingParams:
     out_b: ParamSlot        # (gate_out,)
     expert_keys: ParamSlot  # (k+1, gate_out), one key row per decoder
 
+    def slots(self) -> list[ParamSlot]:
+        return [self.hidden_w, self.hidden_b, self.out_w, self.out_b, self.expert_keys]
+
 
 @dataclass
 class SchemeWeights:
@@ -95,8 +98,8 @@ class ModelParams:
     """The encoder, the k+1 decoders, the gate and the scheme's loss weights.
 
     Each decoder weight is one array with a leading decoder axis (k experts,
-    then the chair), so all decoders step in one call. ``slots()`` hands out
-    one slot per decoder weight, as views into those arrays.
+    then the chair), so all decoders step in one call. Every tensor is a view
+    into the flat ``values``/``grads`` arena; ``slots()`` splits stacks per decoder.
     """
 
     embedding: EmbeddingTable
@@ -108,6 +111,20 @@ class ModelParams:
     variant: VariantConfig
     num_experts: int                      # k; 0 means single-decoder mode
     scheme_weights: SchemeWeights | None = None  # S1's mu/lambda logits; None for fixed weights
+    values: Array = field(init=False)     # every learnable value, in tensors() order
+    grads: Array = field(init=False)      # their gradients, in the same layout
+
+    def __post_init__(self) -> None:
+        # Each owned tensor becomes an adjacent C-contiguous view, values kept; zero grads stay untouched.
+        owned = self.tensors()
+        self.values = np.zeros(sum(t.value.size for t in owned))
+        self.grads = np.zeros(self.values.size)
+        offset = 0
+        for t in owned:
+            shape, end = t.value.shape, offset + t.value.size
+            value, t.grad = self.values[offset:end].reshape(shape), self.grads[offset:end].reshape(shape)
+            value[...], t.value = t.value, value
+            offset = end
 
     @property
     def vocab_size(self) -> int:
@@ -122,17 +139,16 @@ class ModelParams:
 
     def decoder_slots(self) -> list[ParamSlot]:
         """The stacked decoder weights, in per-decoder slot order."""
-        out = list(self.decoder_cell.slots())
-        if self.attention is not None:
-            out.extend(self.attention.slots())
-        out.extend(self.projection.slots())
-        return out
+        groups = (self.decoder_cell, self.attention, self.projection)
+        return [s for g in groups if g is not None for s in g.slots()]
+
+    def tensors(self) -> list[ParamSlot]:
+        """The tensors the model owns, stacked ones whole, in arena order."""
+        rest = [s for g in (self.gating, self.scheme_weights) if g is not None for s in g.slots()]
+        return [self.embedding.matrix, *self.encoder.slots(), *self.decoder_slots(), *rest]
 
     def slots(self) -> list[ParamSlot]:
-        """Every learnable tensor in checkpoint order, stacked ones as one view per decoder.
-
-        Training, the gradient check and the checkpoint all use this list.
-        """
+        """Every learnable tensor in checkpoint and init-draw order, one view per decoder of a stack."""
         out = [self.embedding.matrix, *self.encoder.slots()]
         for l in range(self.num_decoders):
             out.extend(_view(s, f"{self.decoder_name(l)}.{s.name}", l) for s in self.decoder_slots())
@@ -150,7 +166,8 @@ def _view(stacked: ParamSlot, name: str, index: int) -> ParamSlot:
 
 
 def _slot(name: str, *shape: int) -> ParamSlot:
-    return ParamSlot(name, T.zeros(*shape))
+    zero = np.broadcast_to(0.0, shape)  # takes no memory; ModelParams moves it into the arena
+    return ParamSlot(name, zero, zero)
 
 
 def _cell(kind: str, prefix: str, d_in: int, d_h: int, *lead: int) -> CellParams:
@@ -196,6 +213,9 @@ def init_model(
             out_b=_slot("gating.out_b", variant.gate_out),
             expert_keys=_slot("gating.expert_key", n, variant.gate_out),
         )
+    weights = None
+    if scheme.learns_weights and num_experts > 0:
+        weights = SchemeWeights(_slot("scheme.mu_logits", num_experts), _slot("scheme.lambda_logit", 1))
     params = ModelParams(
         embedding=EmbeddingTable(_slot("embedding.matrix", vocab_size, d_emb)),
         encoder=_cell(variant.cell_kind, "encoder", d_emb, d_h),
@@ -205,15 +225,15 @@ def init_model(
         gating=gating,
         variant=variant,
         num_experts=num_experts,
+        scheme_weights=weights,
     )
     rng = np.random.default_rng(seed)
     for slot in params.slots():
         slot.value[...] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=slot.value.shape)
-    if scheme.learns_weights and num_experts > 0:
-        # Not drawn: zero logits start at uniform mu and lambda = 0.5.
-        params.scheme_weights = SchemeWeights(
-            _slot("scheme.mu_logits", num_experts), _slot("scheme.lambda_logit", 1)
-        )
+    if weights is not None:
+        # Drawn last, so no other value moves; zero logits start at uniform mu and lambda = 0.5.
+        for slot in weights.slots():
+            slot.value[...] = 0.0
     return params
 
 

@@ -4,8 +4,9 @@ The tensor carrier is a plain ``numpy.ndarray`` with ``dtype=float64`` in
 C (row-major) order: its ``shape`` plus the flat ``ravel()`` view are the
 canonical (shape, values) representation that the checkpoint format
 serializes. Arrays returned by an operation are treated as immutable;
-gradients accumulate additively into ``ParamSlot.grad`` and are zeroed
-explicitly by the training loop (single writer).
+gradients accumulate additively into ``ParamSlot.grad``, a view into the
+model's flat gradient arena, which the training loop (single writer)
+zeroes with one assignment.
 
 Softmax, concat, tanh and sigmoid have paired ``*_backward`` functions
 (the layers form matmul's gradients themselves). There is no graph or
@@ -53,9 +54,6 @@ class ParamSlot:
                 f"slot {self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
             )
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def matmul(a: Array, b: Array) -> Array:
     """Row vector(s) times matrix: each row of ``a`` meets the matrix ``b[..., :, :]``.
@@ -91,12 +89,7 @@ def concat(parts: list[Array]) -> Array:
 
 def concat_backward(grad: Array, lengths: list[int]) -> list[Array]:
     """Split the upstream gradient back into per-part pieces along the last axis."""
-    out: list[Array] = []
-    offset = 0
-    for n in lengths:
-        out.append(grad[..., offset:offset + n])
-        offset += n
-    return out
+    return np.split(grad, np.cumsum(lengths)[:-1], axis=-1)
 
 
 def tanh(x: Array) -> Array:

@@ -11,13 +11,14 @@ The joint objective is ``lambda * L_experts + (1 - lambda) * L_chair``:
 Losses are summed (not averaged) within a batch; gradients therefore
 accumulate additively and are zeroed after each optimizer step. The
 per-batch order of operations is fixed for reproducibility: forward,
-backward, add l2 to gradients, clamp gradient values, Adam step, zero.
+backward, add l2 to gradients, clamp gradient values, Adam step, zero;
+each step after the backward acts once on the flat parameter arena.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .model import (
     combine_mode,
     forward_teacher_forced,
 )
-from .tensor import Array, ParamSlot
+from .tensor import Array
 
 
 def partition_by_intent(corpus: Corpus) -> dict[str, list[Sample]]:
@@ -171,7 +172,7 @@ def train_batch(
 ) -> LossReport:
     """Forward (and optionally backward) over one mini-batch, losses summed.
 
-    Gradients accumulate into the parameter slots; callers own the
+    Gradients accumulate into the gradient arena; callers own the
     l2/clip/step/zero sequence. In single-decoder mode lambda is 0, so the
     total is the chair loss alone.
     """
@@ -202,12 +203,9 @@ def train_batch(
 
     if compute_grads and scheme.learns_weights and params.num_experts > 0:
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
-        d_mu = lam * raw_expert[:-1]
-        mu_experts = mu[:-1]
         weights = params.scheme_weights
-        weights.mu_logits.grad += T.softmax_backward(d_mu, mu_experts)
-        d_lam = experts_weighted - chair_total
-        weights.lambda_logit.grad += d_lam * lam * (1.0 - lam)
+        weights.mu_logits.grad += T.softmax_backward(lam * raw_expert[:-1], mu[:-1])
+        weights.lambda_logit.grad += (experts_weighted - chair_total) * lam * (1.0 - lam)
 
     return LossReport(
         expert_losses=[float(v) for v in raw_expert],
@@ -225,45 +223,46 @@ def train_batch(
 
 @dataclass
 class AdamState:
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    """Adam's first and second moments, laid out like the arena, and the steps taken."""
+
+    m: Array
+    v: Array
     step_count: int = 0
 
-    def ensure(self, slots: list[ParamSlot]) -> None:
-        for slot in slots:
-            if slot.name not in self.m:
-                self.m[slot.name] = np.zeros_like(slot.value)
-                self.v[slot.name] = np.zeros_like(slot.value)
+    @classmethod
+    def like(cls, values: Array) -> "AdamState":
+        return cls(np.zeros_like(values), np.zeros_like(values))
 
 
-def apply_l2(slots: list[ParamSlot], weight: float) -> None:
-    if weight == 0.0:
-        return
-    for slot in slots:
-        slot.grad += weight * slot.value
+# l2 and Adam run over the arena in blocks, so that their temporaries stay small and cache-resident.
+BLOCK = 1 << 15
 
 
-def clip_gradients(slots: list[ParamSlot], low: float = -5.0, high: float = 5.0) -> None:
+def apply_l2(values: Array, grads: Array, weight: float) -> None:
+    if weight != 0.0:
+        for lo in range(0, values.size, BLOCK):
+            grads[lo:lo + BLOCK] += weight * values[lo:lo + BLOCK]
+
+
+def clip_gradients(grads: Array, low: float = -5.0, high: float = 5.0) -> None:
     """Element-wise value clamp of every gradient into [low, high]."""
-    for slot in slots:
-        np.clip(slot.grad, low, high, out=slot.grad)
+    np.clip(grads, low, high, out=grads)
 
 
-def adam_step(opt: OptimizerConfig, slots: list[ParamSlot], state: AdamState) -> None:
-    """Bias-corrected Adam: theta -= alpha * m_hat / (sqrt(v_hat) + eps)."""
-    state.ensure(slots)
+def adam_step(opt: OptimizerConfig, values: Array, grads: Array, state: AdamState) -> None:
+    """Bias-corrected Adam, in place: theta -= alpha * m_hat / (sqrt(v_hat) + eps)."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - opt.beta1 ** t
     bc2 = 1.0 - opt.beta2 ** t
-    for slot in slots:
-        m = state.m[slot.name]
-        v = state.v[slot.name]
+    for lo in range(0, values.size, BLOCK):
+        part = slice(lo, lo + BLOCK)
+        g, m, v = grads[part], state.m[part], state.v[part]
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * slot.grad
+        m += (1.0 - opt.beta1) * g
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * slot.grad * slot.grad
-        slot.value -= opt.alpha * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
+        v += (1.0 - opt.beta2) * g * g
+        values[part] -= opt.alpha * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +287,8 @@ def train_epoch(
     if not samples:
         raise DomainError("cannot train on an empty corpus")
     order = rng.permutation(len(samples))
-    slots = params.slots()
-    n_dec = params.num_decoders
-    sums = np.zeros(n_dec)
-    chair_sum = 0.0
-    total_sum = 0.0
+    sums = np.zeros(params.num_decoders)
+    chair_sum = total_sum = 0.0
     tokens = 0
     report = None
     for start in range(0, len(order), opt.batch_size):
@@ -303,11 +299,10 @@ def train_epoch(
                 f"batch {start // opt.batch_size + 1}: non-finite loss {report.total}; "
                 "stopped before the optimizer step"
             )
-        apply_l2(slots, opt.l2_weight)
-        clip_gradients(slots, opt.clip_low, opt.clip_high)
-        adam_step(opt, slots, adam_state)
-        for slot in slots:
-            slot.zero_grad()
+        apply_l2(params.values, params.grads, opt.l2_weight)
+        clip_gradients(params.grads, opt.clip_low, opt.clip_high)
+        adam_step(opt, params.values, params.grads, adam_state)
+        params.grads[...] = 0.0
         sums += report.expert_losses
         chair_sum += report.chair_loss
         total_sum += report.total
@@ -356,12 +351,11 @@ def train_run(
     raises DomainError naming the epoch and the batch.
     """
     rng = np.random.default_rng(seed)
-    adam_state = AdamState()
+    adam_state = AdamState.like(params.values)
     history: list[EpochRecord] = []
     best_score: float | None = None
     best_epoch = epochs
-    best_values: dict[str, Array] | None = None
-    slots = params.slots()
+    best_values: Array | None = None
     for epoch in range(1, epochs + 1):
         try:
             report = train_epoch(params, samples, scheme, opt, adam_state, rng, expert_of)
@@ -373,13 +367,12 @@ def train_run(
             if best_score is None or record.valid_score > best_score:
                 best_score = record.valid_score
                 best_epoch = epoch
-                best_values = {slot.name: slot.value.copy() for slot in slots}
+                best_values = params.values.copy()
         history.append(record)
         if progress is not None:
             progress(record)
     if best_values is not None:
-        for slot in slots:
-            slot.value[...] = best_values[slot.name]
+        params.values[...] = best_values
     return TrainResult(history, best_epoch, best_score)
 
 
@@ -417,39 +410,32 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Compares every coordinate of every parameter slot (S1's mu/lambda
+    Compares every coordinate of the parameter arena (S1's mu/lambda
     logits included) on the summed batch loss. Intended for tiny instances; cost
     is two forward passes per coordinate. Any non-finite analytic gradient,
     numeric gradient or error returns ``math.inf``, so it can never pass.
     """
-    slots = params.slots()
-    for slot in slots:
-        slot.zero_grad()
+    params.grads[...] = 0.0
     train_batch(params, samples, scheme, expert_of, compute_grads=True)
-    analytic = {slot.name: slot.grad.copy() for slot in slots}
-    for slot in slots:
-        slot.zero_grad()
-    if not all(np.isfinite(grad).all() for grad in analytic.values()):
+    analytic = params.grads.copy()
+    params.grads[...] = 0.0
+    if not np.isfinite(analytic).all():
         return math.inf
 
     def loss_value() -> float:
         return train_batch(params, samples, scheme, expert_of, compute_grads=False).total
 
     worst = 0.0
-    for slot in slots:
-        flat = slot.value.reshape(-1)
-        grads = analytic[slot.name].reshape(-1)
-        for idx in range(flat.shape[0]):
-            original = flat[idx]
-            flat[idx] = original + epsilon
-            up = loss_value()
-            flat[idx] = original - epsilon
-            down = loss_value()
-            flat[idx] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            a = grads[idx]
-            err = abs(a - numeric) / max(abs(a) + abs(numeric), GRAD_CHECK_FLOOR)
-            if not math.isfinite(err):
-                return math.inf
-            worst = max(worst, err)
+    for idx, a in enumerate(analytic):
+        original = params.values[idx]
+        params.values[idx] = original + epsilon
+        up = loss_value()
+        params.values[idx] = original - epsilon
+        down = loss_value()
+        params.values[idx] = original
+        numeric = (up - down) / (2.0 * epsilon)
+        err = abs(a - numeric) / max(abs(a) + abs(numeric), GRAD_CHECK_FLOOR)
+        if not math.isfinite(err):
+            return math.inf
+        worst = max(worst, err)
     return worst

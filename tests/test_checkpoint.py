@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import tokmoe.checkpoint as C
-from tokmoe.config import OptimizerConfig, SchemeConfig, VariantConfig
+from tokmoe.config import SPECIAL_TOKENS, OptimizerConfig, SchemeConfig, VariantConfig
 from tokmoe.errors import IntegrityError
 from tokmoe.model import init_model
 from tokmoe.training import train_run
 
 from conftest import tiny_samples, tiny_variant
+
+# A vocabulary of six: the specials, then two tokens.
+TOKENS = [*SPECIAL_TOKENS, "t4", "t5"]
 
 
 def small_tensors(rng):
@@ -79,7 +82,7 @@ class TestModelCheckpoints:
     def test_model_round_trip_bit_exact(self, tmp_path):
         params = init_model(6, 2, tiny_variant(), seed=9)
         path = tmp_path / "model.ckpt"
-        C.save_model(params, path, [f"t{i}" for i in range(6)], ["a", "b"], "S4")
+        C.save_model(params, path, TOKENS, ["a", "b"], "S4")
         loaded, meta = C.load_model(path)
         assert meta["scheme"] == "S4"
         assert meta["intents"] == ["a", "b"]
@@ -95,7 +98,7 @@ class TestModelCheckpoints:
         trained = params.scheme_weights.slots()
         assert all(np.any(slot.value != 0.0) for slot in trained)
         path = tmp_path / "model.ckpt"
-        C.save_model(params, path, [f"t{i}" for i in range(6)], ["a", "b"], "S1")
+        C.save_model(params, path, TOKENS, ["a", "b"], "S1")
         loaded, _ = C.load_model(path)
         for a, b in zip(trained, loaded.scheme_weights.slots(), strict=True):
             assert a.name == b.name
@@ -104,7 +107,7 @@ class TestModelCheckpoints:
     def test_missing_sidecar_rejected(self, tmp_path):
         params = init_model(6, 2, tiny_variant(), seed=9)
         path = tmp_path / "model.ckpt"
-        C.save_model(params, path, [f"t{i}" for i in range(6)], ["a", "b"], "S4")
+        C.save_model(params, path, TOKENS, ["a", "b"], "S4")
         C.meta_path(path).unlink()
         with pytest.raises(IntegrityError, match="sidecar"):
             C.load_model(path)

@@ -201,7 +201,7 @@ class TestGradcheckCommand:
         assert len(err) == 1 and err[0].startswith("error[usage]")
 
     def test_clean_run_exits_zero_with_four_scheme_lines(self, capsys):
-        code = main(["gradcheck", "--hidden", "2", "--vocab-size", "5"])
+        code = main(["gradcheck", "--experts", "1", "--hidden", "2", "--vocab-size", "5"])
         assert code == 0
         out = capsys.readouterr().out
         scheme_lines = [l for l in out.splitlines() if l.startswith(("S1", "S2", "S3", "S4"))]
@@ -225,7 +225,7 @@ class TestGradcheckCommand:
         import tokmoe.tensor as T
         original = T.tanh_backward
         monkeypatch.setattr(T, "tanh_backward", lambda grad, out: 2.0 * original(grad, out))
-        code = main(["gradcheck", "--hidden", "2", "--vocab-size", "5"])
+        code = main(["gradcheck", "--experts", "1", "--hidden", "2", "--vocab-size", "5"])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -294,9 +294,10 @@ def _set_byte(blob, index, value):
     return bytes(changed)
 
 
-def _sidecar_without_attention(run):
+def _edited_sidecar(run, edit):
+    """The trained run's sidecar text after ``edit`` changes its parsed JSON in place."""
     meta = json.loads((run / "model.meta.json").read_text())
-    meta["variant"]["attention_enabled"] = False
+    edit(meta)
     return json.dumps(meta)
 
 
@@ -349,7 +350,20 @@ BOUNDARY_CASES = [
     ("tensor-name-not-utf8", 1, "integrity",
      lambda c: c.checkpoint(blob=_set_byte((c.run / "model.ckpt").read_bytes(), 24, 0xFF))),
     ("sidecar-disowns-attention", 1, "integrity",
-     lambda c: c.checkpoint(meta=_sidecar_without_attention(c.run))),
+     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m["variant"].update(attention_enabled=False)))),
+    ("sidecar-duplicate-token", 1, "integrity",
+     lambda c: c.checkpoint(meta=_edited_sidecar(
+         c.run, lambda m: m.update(tokens=m["tokens"][:5] + m["tokens"][4:5] + m["tokens"][6:])))),
+    ("sidecar-specials-out-of-order", 1, "integrity",
+     lambda c: c.checkpoint(meta=_edited_sidecar(
+         c.run, lambda m: m.update(tokens=m["tokens"][1::-1] + m["tokens"][2:])))),
+    ("sidecar-negative-experts", 1, "integrity",
+     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m.update(num_experts=-1)))),
+    # The archive still matches num_experts; only the intent count disagrees with it.
+    ("sidecar-experts-not-intents", 1, "integrity",
+     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m.update(intents=m["intents"] + ["spare"])))),
+    ("sidecar-duplicate-intent", 1, "integrity",
+     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m.update(intents=m["intents"][:1] * 2)))),
     ("archive-extra-tensor", 1, "integrity",
      lambda c: c.checkpoint(blob=c.archive([*C.load_tensors(c.run / "model.ckpt").items(),
                                             ("extra", np.zeros(1))]))),

@@ -10,7 +10,7 @@ import tokmoe.layers as L
 import tokmoe.model as M
 import tokmoe.tensor as T
 import tokmoe.training as TR
-from tokmoe.config import BOS_ID, EOS_ID, OptimizerConfig, SchemeConfig, VariantConfig
+from tokmoe.config import BOS_ID, EOS_ID, SPECIAL_TOKENS, OptimizerConfig, SchemeConfig, VariantConfig
 from tokmoe.errors import DomainError
 from tokmoe.layers import RnnState
 from tokmoe.model import (
@@ -65,7 +65,8 @@ def stacked_state(rng, n_dec, d_h=3):
 
 
 class TestStackedSlots:
-    """Per-decoder slots are views into the stacked decoder arrays, never copies."""
+    """Per-decoder slots are views into the stacked decoder arrays, and every tensor is a
+    view into the model's flat arena, never a copy."""
 
     @staticmethod
     def stacked_of(params):
@@ -74,7 +75,8 @@ class TestStackedSlots:
         for l in range(params.num_decoders):
             for stacked in params.decoder_slots():
                 out[f"{params.decoder_name(l)}.{stacked.name}"] = (stacked, l)
-            out[f"gating.expert_key.{l}"] = (params.gating.expert_keys, l)
+            if params.gating is not None:
+                out[f"gating.expert_key.{l}"] = (params.gating.expert_keys, l)
         return out
 
     def assert_views(self, params):
@@ -87,22 +89,43 @@ class TestStackedSlots:
             assert np.shares_memory(slot.grad, stacked.grad), slot.name
             np.testing.assert_array_equal(slot.value, stacked.value[l])
 
-    @pytest.mark.parametrize("overrides", [{}, {"attention_enabled": False}, {"cell_kind": "gru"}])
+    @staticmethod
+    def assert_arena(params):
+        for slot in params.slots():
+            assert np.shares_memory(slot.value, params.values), slot.name
+            assert np.shares_memory(slot.grad, params.grads), slot.name
+        owned = params.tensors()
+        for buffer, part in ((params.values, "value"), (params.grads, "grad")):
+            arrays = [getattr(t, part) for t in owned]
+            assert sum(a.size for a in arrays) == buffer.size
+            for i, a in enumerate(arrays):
+                assert a.flags.c_contiguous and np.shares_memory(a, buffer), owned[i].name
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), owned[i].name
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"attention_enabled": False}, {"cell_kind": "gru"},
+        {"scheme": "S1"}, {"scheme": "S3"}, {"num_experts": 0},
+    ])
     def test_views_after_init_and_load(self, tmp_path, overrides):
-        params = tiny_model(**overrides)
+        overrides = dict(overrides)
+        scheme = overrides.pop("scheme", "S4")
+        num_experts = overrides.pop("num_experts", 2)
+        params = init_model(6, num_experts, tiny_variant(**overrides), 0, SchemeConfig.from_name(scheme))
         self.assert_views(params)
-        C.save_model(params, tmp_path / "m.ckpt", [f"t{i}" for i in range(6)], ["a", "b"], "S4")
+        self.assert_arena(params)
+        C.save_model(params, tmp_path / "m.ckpt", [*SPECIAL_TOKENS, "t4", "t5"], ["a", "b"], scheme)
         loaded, _ = C.load_model(tmp_path / "m.ckpt")
         self.assert_views(loaded)
+        self.assert_arena(loaded)
+        np.testing.assert_array_equal(loaded.values, params.values)
 
     def test_adam_step_over_slots_changes_the_stacked_step(self, rng):
         params = tiny_model()
         enc, _ = encode_context(params, [4, 5])
         state = stacked_state(rng, params.num_decoders)
         before = step(params, 4, state, enc)[0]
-        for slot in params.slots():
-            slot.grad[...] = 1.0
-        TR.adam_step(OptimizerConfig(), params.slots(), TR.AdamState())
+        params.grads[...] = 1.0
+        TR.adam_step(OptimizerConfig(), params.values, params.grads, TR.AdamState.like(params.values))
         after = step(params, 4, state, enc)[0]
         assert np.all(np.any(before != after, axis=1))
 

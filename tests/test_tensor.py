@@ -123,9 +123,6 @@ class TestParamSlot:
         slot = T.ParamSlot("w", T.tensor([[1.0, 2.0]]))
         assert slot.grad.shape == (1, 2)
         assert np.all(slot.grad == 0.0)
-        slot.grad += 1.0
-        slot.zero_grad()
-        assert np.all(slot.grad == 0.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

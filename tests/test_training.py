@@ -12,7 +12,6 @@ from tokmoe import OptimizerConfig, SchemeConfig, init_model
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
 from tokmoe.model import combine_mode, forward_teacher_forced
-from tokmoe.tensor import ParamSlot
 
 from conftest import tiny_samples, tiny_variant
 
@@ -177,20 +176,18 @@ class TestSchemeModels:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        slot = ParamSlot("w", T.tensor([1.0, -2.0, 3.0]))
-        state = TR.AdamState()
-        TR.adam_step(OptimizerConfig(), [slot], state)
-        np.testing.assert_array_equal(slot.value, [1.0, -2.0, 3.0])
+        values = T.tensor([1.0, -2.0, 3.0])
+        TR.adam_step(OptimizerConfig(), values, T.zeros(3), TR.AdamState.like(values))
+        np.testing.assert_array_equal(values, [1.0, -2.0, 3.0])
 
     def test_scalar_first_step_hand_value(self):
         # theta = 0, g = 1: m_hat = 1, v_hat = 1, delta = -alpha / (1 + eps).
-        slot = ParamSlot("w", T.tensor([0.0]))
-        slot.grad[...] = 1.0
+        values = T.tensor([0.0])
         opt = OptimizerConfig()
-        TR.adam_step(opt, [slot], TR.AdamState())
+        TR.adam_step(opt, values, T.tensor([1.0]), TR.AdamState.like(values))
         expected = -opt.alpha / (1.0 + opt.epsilon)
-        assert abs(slot.value[0] - expected) < 1e-15
-        assert abs(slot.value[0] + 0.005) < 1e-9
+        assert abs(values[0] - expected) < 1e-15
+        assert abs(values[0] + 0.005) < 1e-9
 
     def test_two_seeded_runs_bit_identical(self):
         samples = tiny_samples()
@@ -209,33 +206,83 @@ class TestAdam:
 
 class TestClipAndL2:
     def test_clip_values(self):
-        slot = ParamSlot("w", T.zeros(3))
-        slot.grad[...] = [6.0, -7.5, 3.2]
-        TR.clip_gradients([slot])
-        np.testing.assert_array_equal(slot.grad, [5.0, -5.0, 3.2])
+        grads = T.tensor([6.0, -7.5, 3.2])
+        TR.clip_gradients(grads)
+        np.testing.assert_array_equal(grads, [5.0, -5.0, 3.2])
 
     def test_l2_then_clip_order(self):
         # l2 is added to the raw gradient BEFORE clamping, so a huge weight
         # saturates at the clip boundary.
-        slot = ParamSlot("w", T.tensor([1e6]))
-        TR.apply_l2([slot], 1e-3)
-        TR.clip_gradients([slot])
-        np.testing.assert_array_equal(slot.grad, [5.0])
+        grads = T.zeros(1)
+        TR.apply_l2(T.tensor([1e6]), grads, 1e-3)
+        TR.clip_gradients(grads)
+        np.testing.assert_array_equal(grads, [5.0])
 
     def test_adversarial_gradients_never_produce_nonfinite_params(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
-        slots = params.slots()
-        state = TR.AdamState()
+        state = TR.AdamState.like(params.values)
         opt = OptimizerConfig()
         for sign in (1.0, -1.0):
-            for slot in slots:
-                slot.grad[...] = sign * 1e9
-            TR.apply_l2(slots, opt.l2_weight)
-            TR.clip_gradients(slots, opt.clip_low, opt.clip_high)
-            TR.adam_step(opt, slots, state)
-            for slot in slots:
+            params.grads[...] = sign * 1e9
+            TR.apply_l2(params.values, params.grads, opt.l2_weight)
+            TR.clip_gradients(params.grads, opt.clip_low, opt.clip_high)
+            TR.adam_step(opt, params.values, params.grads, state)
+            for slot in params.slots():
                 assert np.all(np.isfinite(slot.value))
-                slot.zero_grad()
+            params.grads[...] = 0.0
+
+
+def per_slot_optimizer_step(params, opt, moments, step_count):
+    """The l2 -> clip -> Adam step as it once ran, tensor by tensor over ``params.slots()``,
+    with the moments in dicts keyed by slot name."""
+    slots = params.slots()
+    for slot in slots:
+        slot.grad += opt.l2_weight * slot.value
+    for slot in slots:
+        np.clip(slot.grad, opt.clip_low, opt.clip_high, out=slot.grad)
+    bc1 = 1.0 - opt.beta1 ** step_count
+    bc2 = 1.0 - opt.beta2 ** step_count
+    for slot in slots:
+        m = moments["m"].setdefault(slot.name, np.zeros_like(slot.value))
+        v = moments["v"].setdefault(slot.name, np.zeros_like(slot.value))
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * slot.grad
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * slot.grad * slot.grad
+        slot.value -= opt.alpha * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
+    for slot in slots:
+        slot.grad[...] = 0.0
+
+
+class TestArenaOptimizer:
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    def test_bit_equal_to_the_per_slot_steps(self, monkeypatch, block):
+        # An S1 model holds its mu/lambda logits; l2 is on and the gradients reach past the clip range.
+        # A 7-coordinate block cuts across every tensor boundary.
+        if block is not None:
+            monkeypatch.setattr(TR, "BLOCK", block)
+        opt = OptimizerConfig(l2_weight=1e-2, clip_low=-2.0, clip_high=3.0)
+        arena, reference = scheme_model(2, "S1", seed=7)[0], scheme_model(2, "S1", seed=7)[0]
+        state, moments = TR.AdamState.like(arena.values), {"m": {}, "v": {}}
+        rng = np.random.default_rng(11)
+        for step in range(1, 4):
+            grads = rng.uniform(-6.0, 6.0, arena.grads.shape)
+            assert grads.min() < opt.clip_low and grads.max() > opt.clip_high
+            arena.grads[...] = grads
+            reference.grads[...] = grads
+            TR.apply_l2(arena.values, arena.grads, opt.l2_weight)
+            TR.clip_gradients(arena.grads, opt.clip_low, opt.clip_high)
+            TR.adam_step(opt, arena.values, arena.grads, state)
+            arena.grads[...] = 0.0
+            per_slot_optimizer_step(reference, opt, moments, step)
+        assert state.step_count == 3
+        np.testing.assert_array_equal(arena.values, reference.values)
+        # Lay the reference moments out like the arena through a third model's slot views.
+        for key, arena_moment in (("m", state.m), ("v", state.v)):
+            layout = scheme_model(2, "S1")[0]
+            for slot in layout.slots():
+                slot.value[...] = moments[key][slot.name]
+            np.testing.assert_array_equal(arena_moment, layout.values)
 
 
 class TestTrainBatch:
@@ -318,9 +365,9 @@ class TestTrainEpoch:
         scheme = SchemeConfig.from_name("S4")
         opt = OptimizerConfig(alpha=0.0, batch_size=4)
         expert_of = {"alpha": 0, "beta": 1}
-        first = TR.train_epoch(params, samples, scheme, opt, TR.AdamState(),
+        first = TR.train_epoch(params, samples, scheme, opt, TR.AdamState.like(params.values),
                                np.random.default_rng(1), expert_of)
-        second = TR.train_epoch(params, samples, scheme, opt, TR.AdamState(),
+        second = TR.train_epoch(params, samples, scheme, opt, TR.AdamState.like(params.values),
                                 np.random.default_rng(1), expert_of)
         assert first.total == second.total
         assert first.expert_losses == second.expert_losses
@@ -332,7 +379,7 @@ class TestTrainEpoch:
         opt = OptimizerConfig(batch_size=8)
         expert_of = {"alpha": 0, "beta": 1}
         before = TR.train_batch(params, samples, scheme, expert_of, compute_grads=False)
-        TR.train_epoch(params, samples, scheme, opt, TR.AdamState(),
+        TR.train_epoch(params, samples, scheme, opt, TR.AdamState.like(params.values),
                        np.random.default_rng(1), expert_of)
         after = TR.train_batch(params, samples, scheme, expert_of, compute_grads=False)
         assert after.total < before.total
@@ -340,7 +387,7 @@ class TestTrainEpoch:
     def test_batch_count_is_ceil(self):
         samples = self.setup_corpus(n=10)
         params = init_model(6, 2, tiny_variant(), seed=3)
-        adam = TR.AdamState()
+        adam = TR.AdamState.like(params.values)
         TR.train_epoch(params, samples, SchemeConfig.from_name("S4"),
                        OptimizerConfig(batch_size=4), adam,
                        np.random.default_rng(1), {"alpha": 0, "beta": 1})
@@ -350,7 +397,7 @@ class TestTrainEpoch:
         params = init_model(6, 2, tiny_variant(), seed=3)
         with pytest.raises(DomainError):
             TR.train_epoch(params, [], SchemeConfig.from_name("S4"), OptimizerConfig(),
-                           TR.AdamState(), np.random.default_rng(1), {})
+                           TR.AdamState.like(params.values), np.random.default_rng(1), {})
 
 
 class TestOptimizationTrap:
@@ -366,7 +413,7 @@ class TestOptimizationTrap:
         scheme = SchemeConfig.from_name("S1")
         params = init_model(len(vocab), 3, tiny_variant(hidden_size=8, embedding_size=6), 1, scheme)
         opt = OptimizerConfig(batch_size=8)
-        adam = TR.AdamState()
+        adam = TR.AdamState.like(params.values)
         rng = np.random.default_rng(0)
         trajectory = []
         for _ in range(10):
