@@ -1,17 +1,20 @@
-"""Bit-exact binary checkpoint format.
+"""Bit-exact, self-checked checkpoint file.
 
-Layout (all integers little-endian unsigned 64-bit):
+Layout (integers little-endian unsigned 64-bit):
 
-    magic   8 bytes  b"TOKMOE1\\n"
-    count   u64      number of tensors
-    tensor  repeated: name_len u64, name bytes (UTF-8), rank u64,
-                      dims u64 * rank, payload float64 little-endian
-    footer  u64      FNV-1a 64 checksum over every payload byte, in order
+    magic    8 bytes  b"TOKMOE2\\n"
+    length   u64      byte length of the header
+    header   UTF-8 JSON object: ``tokens``, ``intents``, ``scheme``,
+             ``num_experts``, ``variant`` and ``tensors``, a list of
+             ``[name, dims]`` in ``ModelParams.slots()`` order
+    payload  each tensor's float64 little-endian values, in header order
+    footer   u64      FNV-1a 64 checksum over every byte before it
 
-``save_tensors``/``load_tensors`` are the raw archive interface;
-``save_model``/``load_model`` add a JSON sidecar (``<stem>.meta.json``)
-carrying the vocabulary, intent order, and architecture fields needed to
-rebuild a ModelParams, since the archive itself stores only tensors.
+The checksum covers the header as well as the payload, so an edited
+vocabulary or intent order is caught like an edited weight. A ``TOKMOE1``
+file (a tensor archive with a separate JSON sidecar) is rejected by name.
+``save_tensors``/``load_tensors`` are the framing; ``save_model``/``load_model``
+map a ModelParams onto it.
 """
 
 from __future__ import annotations
@@ -19,18 +22,21 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .config import SchemeConfig, VariantConfig
+from .config import SchemeConfig, VariantConfig, write_atomic
 from .data import Vocabulary
 from .errors import ConfigError, DataError, IntegrityError
-from .model import ModelParams, init_model
+from .model import ModelParams, build_model
 from .tensor import Array
 
-MAGIC = b"TOKMOE1\n"
+MAGIC = b"TOKMOE2\n"
+_TOKMOE1 = b"TOKMOE1\n"
+_BLOCK = 1 << 20  # load checksums the file in slices of this size, never copying it whole
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -48,91 +54,76 @@ def _u64(value: int) -> bytes:
     return struct.pack("<Q", value)
 
 
-def save_tensors(tensors: list[tuple[str, Array]], path: str | Path) -> None:
-    """Write named float64 tensors in archive order; atomic on POSIX."""
-    path = Path(path)
-    chunks: list[bytes] = [MAGIC, _u64(len(tensors))]
+def save_tensors(tensors: list[tuple[str, Array]], path: str | Path, meta: dict) -> None:
+    """Write the header fields ``meta`` and the named float64 tensors, in order; atomic on POSIX."""
+    arrays = [np.asarray(arr, dtype="<f8") for _, arr in tensors]
+    header = {**meta, "tensors": [[name, list(arr.shape)] for (name, _), arr in zip(tensors, arrays)]}
+    text = json.dumps(header).encode("utf-8")
+    chunks = [MAGIC + _u64(len(text)) + text, *(arr.tobytes() for arr in arrays)]
     checksum = _FNV_OFFSET
-    for name, arr in tensors:
-        arr = np.asarray(arr, dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        chunks.append(_u64(len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(_u64(arr.ndim))
-        for dim in arr.shape:
-            chunks.append(_u64(dim))
-        payload = np.ascontiguousarray(arr).astype("<f8").tobytes()
-        chunks.append(payload)
-        checksum = fnv1a64(payload, checksum)
-    chunks.append(_u64(checksum))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
-    tmp.replace(path)
+    for chunk in chunks:
+        checksum = fnv1a64(chunk, checksum)
+    write_atomic(path, b"".join([*chunks, _u64(checksum)]))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: Path) -> None:
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise IntegrityError(f"{self.path}: truncated checkpoint")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+def _is_entry(entry) -> bool:
+    return (
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+    )
 
 
-def load_tensors(path: str | Path) -> dict[str, Array]:
-    """Read an archive back; raises IntegrityError on any corruption."""
+def load_tensors(path: str | Path) -> tuple[dict, list[tuple[str, Array]]]:
+    """The header fields but ``tensors``, and the named tensors as read-only views of the file.
+
+    Any defect of the framing, the checksum or the ``tensors`` list is an IntegrityError.
+    """
     path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
-    if reader.take(len(MAGIC)) != MAGIC:
+    data = path.read_bytes()
+    if data[:8] == _TOKMOE1:
+        raise IntegrityError(
+            f"{path}: a TOKMOE1 checkpoint (archive plus JSON sidecar) is no longer read; retrain"
+        )
+    if data[:8] != MAGIC:
         raise IntegrityError(f"{path}: bad magic (not a checkpoint)")
-    count = reader.u64()
-    tensors: dict[str, Array] = {}
+    end = len(data) - 8
+    if end < 16:
+        raise IntegrityError(f"{path}: truncated checkpoint")
+    (length,) = struct.unpack_from("<Q", data, 8)
+    start = 16 + length
+    if start > end:
+        raise IntegrityError(f"{path}: header length {length} runs past the end of the file")
     checksum = _FNV_OFFSET
-    for _ in range(count):
-        try:
-            name = reader.take(reader.u64()).decode("utf-8")
-        except UnicodeDecodeError:
-            raise IntegrityError(f"{path}: tensor name is not valid UTF-8") from None
-        rank = reader.u64()
-        dims = tuple(reader.u64() for _ in range(rank))
-        size = 1
-        for dim in dims:
-            size *= dim
-        payload = reader.take(8 * size)
-        checksum = fnv1a64(payload, checksum)
-        if name in tensors:
-            raise IntegrityError(f"{path}: duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-    stored = reader.u64()
-    if reader.pos != len(reader.data):
-        raise IntegrityError(f"{path}: trailing bytes after checksum")
+    for offset in range(0, end, _BLOCK):
+        checksum = fnv1a64(data[offset:min(offset + _BLOCK, end)], checksum)
+    (stored,) = struct.unpack_from("<Q", data, end)
     if stored != checksum:
         raise IntegrityError(
             f"{path}: checksum mismatch (stored {stored:#018x}, computed {checksum:#018x})"
         )
-    return tensors
+    try:
+        header = json.loads(data[16:start].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise IntegrityError(f"{path}: unreadable checkpoint header ({exc})") from None
+    entries = header.pop("tensors", None) if isinstance(header, dict) else None
+    if not isinstance(entries, list) or not all(_is_entry(entry) for entry in entries):
+        raise IntegrityError(f"{path}: the header must be an object with 'tensors': [[name, [dim, ...]]]")
+    bounds = [0, *itertools.accumulate(math.prod(dims) for _, dims in entries)]
+    if 8 * bounds[-1] != end - start:
+        raise IntegrityError(f"{path}: the payload holds {end - start} bytes, the header {8 * bounds[-1]}")
+    flat = np.frombuffer(memoryview(data)[start:end], dtype="<f8")
+    return header, [
+        (name, flat[a:b].reshape(dims)) for (name, dims), a, b in zip(entries, bounds, bounds[1:])
+    ]
 
 
 def inspect_tensors(path: str | Path) -> list[tuple[str, tuple[int, ...]]]:
-    """Names and shapes in archive order, after full validation."""
-    return [(name, tuple(arr.shape)) for name, arr in load_tensors(path).items()]
+    """Names and shapes in file order, after full validation."""
+    return [(name, arr.shape) for name, arr in load_tensors(path)[1]]
 
 
 # ---------------------------------------------------------------------------
-# Model-level save/load with the JSON sidecar
-
-
-def meta_path(ckpt_path: str | Path) -> Path:
-    path = Path(ckpt_path)
-    return path.with_name(path.stem + ".meta.json")
+# Model-level save/load
 
 
 def save_model(
@@ -142,7 +133,6 @@ def save_model(
     intents: list[str],
     scheme: str,
 ) -> None:
-    save_tensors([(slot.name, slot.value) for slot in params.slots()], path)
     meta = {
         "tokens": tokens,
         "intents": intents,
@@ -150,68 +140,53 @@ def save_model(
         "num_experts": params.num_experts,
         "variant": dataclasses.asdict(params.variant),
     }
-    meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    save_tensors([(slot.name, slot.value) for slot in params.slots()], path, meta)
 
 
-# Sidecar fields and their exact JSON types (bool is not accepted as int).
+# Header fields and their exact JSON types (bool is not accepted as int).
 # The variant's are those of a VariantConfig, whose attn_size is always set.
 _META_FIELDS = {"tokens": list, "intents": list, "scheme": str, "num_experts": int, "variant": dict}
 _VARIANT_FIELDS = {name: type(value) for name, value in dataclasses.asdict(VariantConfig()).items()}
 
 
-def _check_fields(side: Path, obj, fields: dict[str, type]) -> None:
+def _check_fields(path: Path, obj, fields: dict[str, type]) -> None:
     if not isinstance(obj, dict) or obj.keys() != fields.keys():
-        raise IntegrityError(f"{side}: expected an object with exactly the fields {sorted(fields)}")
+        raise IntegrityError(f"{path}: expected an object with exactly the fields {sorted(fields)}")
     for name, kind in fields.items():
         if type(obj[name]) is not kind:
-            raise IntegrityError(f"{side}: field {name!r} must be of type {kind.__name__}")
+            raise IntegrityError(f"{path}: field {name!r} must be of type {kind.__name__}")
 
 
-def _read_meta(side: Path) -> tuple[dict, SchemeConfig, VariantConfig]:
-    """Parse and validate the sidecar; every defect is an IntegrityError."""
-    if not side.exists():
-        raise IntegrityError(f"{side}: checkpoint sidecar missing")
-    try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{side}: unreadable checkpoint sidecar ({exc})") from None
-    _check_fields(side, meta, _META_FIELDS)
-    _check_fields(side, meta["variant"], _VARIANT_FIELDS)
+def _check_meta(path: Path, meta: dict) -> tuple[SchemeConfig, VariantConfig]:
+    """The header's scheme and variant once every field is valid; a defect is an IntegrityError."""
+    _check_fields(path, meta, _META_FIELDS)
+    _check_fields(path, meta["variant"], _VARIANT_FIELDS)
     if not all(isinstance(t, str) for t in meta["tokens"] + meta["intents"]):
-        raise IntegrityError(f"{side}: tokens and intents must be strings")
+        raise IntegrityError(f"{path}: tokens and intents must be strings")
     intents = meta["intents"]
     if len(set(intents)) != len(intents) or meta["num_experts"] not in (0, len(intents)):
-        raise IntegrityError(f"{side}: intents must be distinct and num_experts 0 or their count")
+        raise IntegrityError(f"{path}: intents must be distinct and num_experts 0 or their count")
     try:
         Vocabulary(meta["tokens"])
-        scheme = SchemeConfig.from_name(meta["scheme"])
-        variant = VariantConfig(**meta["variant"])
+        return SchemeConfig.from_name(meta["scheme"]), VariantConfig(**meta["variant"])
     except (ConfigError, DataError) as exc:
-        raise IntegrityError(f"{side}: {exc}") from None
-    return meta, scheme, variant
+        raise IntegrityError(f"{path}: {exc}") from None
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, dict]:
-    """Rebuild a ModelParams from archive + sidecar; values are bit-exact.
+    """Rebuild a ModelParams and its header fields from one file; values are bit-exact.
 
-    The archive must hold exactly the tensors, in order, of the model the
-    sidecar describes; any other name list is an IntegrityError.
+    The file must hold exactly the tensors, in order and shape, of the model
+    its header describes; anything else is an IntegrityError.
     """
-    meta, scheme, variant = _read_meta(meta_path(path))
-    tensors = load_tensors(path)
-    params = init_model(len(meta["tokens"]), meta["num_experts"], variant, seed=0, scheme=scheme)
+    meta, tensors = load_tensors(path)
+    scheme, variant = _check_meta(Path(path), meta)
+    params = build_model(len(meta["tokens"]), meta["num_experts"], variant, scheme)
     slots = params.slots()
-    for index, (stored, wanted) in enumerate(itertools.zip_longest(tensors, [s.name for s in slots])):
-        if stored != wanted:
-            raise IntegrityError(
-                f"{path}: tensor {index} is {stored!r} in the archive but {wanted!r} "
-                "in the model its sidecar describes"
-            )
-    for slot in slots:
-        stored = tensors[slot.name]
-        if stored.shape != slot.value.shape:
-            raise IntegrityError(
-                f"{path}: tensor {slot.name!r} has shape {stored.shape}, expected {slot.value.shape}"
-            )
-        slot.value[...] = stored
+    if [(name, arr.shape) for name, arr in tensors] != [(slot.name, slot.value.shape) for slot in slots]:
+        raise IntegrityError(
+            f"{path}: its tensors differ in name, order or shape from the model its header describes"
+        )
+    for slot, (_, arr) in zip(slots, tensors):
+        slot.value[...] = arr
     return params, meta

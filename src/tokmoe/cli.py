@@ -29,6 +29,7 @@ from .config import (
     SchemeConfig,
     VariantConfig,
     parse_config_file,
+    write_atomic,
     write_config_file,
 )
 from .errors import ConfigError, TokmoeError, UsageError
@@ -102,7 +103,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, **paths)
     if not config.train_path:
         raise ConfigError("train_path not set (use --train or the config file)")
-    train_corpus = D.load_corpus_jsonl(config.train_path, split="train")
+    train_corpus = D.load_corpus_jsonl(config.train_path)
+    valid_corpus = D.load_corpus_jsonl(config.valid_path) if config.valid_path else None
     vocab = D.Vocabulary.build(train_corpus, cap=config.vocab_cap)
     encoded = D.encode_corpus(vocab, train_corpus)
     intents = sorted(TR.partition_by_intent(train_corpus))
@@ -112,7 +114,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = M.init_model(len(vocab), num_experts, config.model, config.seed, scheme)
 
     valid_scorer = None
-    valid_corpus = D.load_corpus_jsonl(config.valid_path, split="valid") if config.valid_path else None
     if valid_corpus:
         valid_encoded = D.encode_corpus(vocab, valid_corpus)
         mode = M.combine_mode(scheme, params)
@@ -172,9 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         ],
     }
     manifest_path = out_dir / "manifest.json"
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(manifest_path)
+    write_atomic(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"checkpoint: {ckpt_path}")
     print(f"manifest:   {manifest_path}")
     return 0
@@ -194,8 +193,8 @@ def _load_checkpoint(path: str) -> tuple[M.ModelParams, D.Vocabulary, str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.max_len < 1:
         raise UsageError("--max-len must be at least 1")
+    corpus = D.load_corpus_jsonl(args.corpus)
     params, vocab, mode = _load_checkpoint(args.checkpoint)
-    corpus = D.load_corpus_jsonl(args.corpus, split="test")
     encoded = D.encode_corpus(vocab, corpus)
     generated = [
         _generated_tokens(params, vocab, s.context_ids, args.max_len, mode) for s in encoded

@@ -219,6 +219,14 @@ def read_utf8(path: str | Path) -> str:
         raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` through a temporary sibling, so ``path`` never holds part of it."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` file; '#' starts a comment, blanks ignored."""
     mapping: dict[str, str] = {}
@@ -235,4 +243,4 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def write_config_file(config: RunConfig, path: str | Path) -> None:
     lines = [f"{key} = {value}" for key, value in config.to_mapping().items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

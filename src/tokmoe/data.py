@@ -52,7 +52,6 @@ class Sample:
 @dataclass
 class Corpus:
     samples: list[Sample]
-    split: str = "train"  # train | valid | test
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -161,7 +160,7 @@ def _parse_sample(obj: object, where: str) -> Sample:
     return Sample(list(obj["context"]), list(obj["response"]), intent, goal)
 
 
-def load_corpus_jsonl(path: str | Path, split: str = "train") -> Corpus:
+def load_corpus_jsonl(path: str | Path) -> Corpus:
     path = Path(path)
     samples: list[Sample] = []
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
@@ -172,9 +171,9 @@ def load_corpus_jsonl(path: str | Path, split: str = "train") -> Corpus:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
         samples.append(_parse_sample(obj, f"{path}:{lineno}"))
-    if split == "train" and not samples:
-        raise DataError(f"{path}: train corpus is empty")
-    return Corpus(samples, split=split)
+    if not samples:
+        raise DataError(f"{path}: corpus is empty")
+    return Corpus(samples)
 
 
 def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -273,7 +272,7 @@ def generate_synthetic_corpus(spec: SynthSpec, extra_per_intent: int = 0) -> Cor
                 response.append(rng.choice(exclusive if rng.random() < 0.5 else shared))
             rng.shuffle(response)
             samples.append(Sample(context, response, intent, Goal(entity, requested)))
-    return Corpus(samples, split="train")
+    return Corpus(samples)
 
 
 def generate_synthetic_splits(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
@@ -294,8 +293,4 @@ def generate_synthetic_splits(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
         train.extend(chunk[: spec.samples_per_intent])
         valid.extend(chunk[spec.samples_per_intent: spec.samples_per_intent + holdout])
         test.extend(chunk[spec.samples_per_intent + holdout:])
-    return (
-        Corpus(train, split="train"),
-        Corpus(valid, split="valid"),
-        Corpus(test, split="test"),
-    )
+    return Corpus(train), Corpus(valid), Corpus(test)

@@ -180,17 +180,14 @@ def _cell(kind: str, prefix: str, d_in: int, d_h: int, *lead: int) -> CellParams
     )
 
 
-def init_model(
-    vocab_size: int, num_experts: int, variant: VariantConfig, seed: int,
-    scheme: SchemeConfig = SchemeConfig.from_name("S4"),
+def build_model(
+    vocab_size: int, num_experts: int, variant: VariantConfig, scheme: SchemeConfig,
 ) -> ModelParams:
-    """Build a freshly initialized model with exactly the tensors ``scheme`` trains.
+    """A zero-valued model with exactly the tensors ``scheme`` trains.
 
     k expert decoders plus the chair; ``num_experts == 0`` builds the
     single-decoder baseline. The gate exists only when the scheme mixes more
-    than one decoder; S1's mu/lambda logits exist when k >= 1 and start at
-    zero. All other parameters draw uniform(-0.08, 0.08) from one seeded PRNG
-    in ``slots()`` order, so (seed, shape) fully determines values.
+    than one decoder; S1's mu/lambda logits exist when k >= 1.
     """
     if num_experts < 0:
         raise DomainError("num_experts must be >= 0")
@@ -216,7 +213,7 @@ def init_model(
     weights = None
     if scheme.learns_weights and num_experts > 0:
         weights = SchemeWeights(_slot("scheme.mu_logits", num_experts), _slot("scheme.lambda_logit", 1))
-    params = ModelParams(
+    return ModelParams(
         embedding=EmbeddingTable(_slot("embedding.matrix", vocab_size, d_emb)),
         encoder=_cell(variant.cell_kind, "encoder", d_emb, d_h),
         decoder_cell=_cell(variant.cell_kind, "cell", d_emb + d_h, d_h, n),
@@ -227,12 +224,25 @@ def init_model(
         num_experts=num_experts,
         scheme_weights=weights,
     )
+
+
+def init_model(
+    vocab_size: int, num_experts: int, variant: VariantConfig, seed: int,
+    scheme: SchemeConfig = SchemeConfig.from_name("S4"),
+) -> ModelParams:
+    """``build_model``'s model, freshly initialized.
+
+    S1's mu/lambda logits start at zero. All other parameters draw
+    uniform(-0.08, 0.08) from one seeded PRNG in ``slots()`` order, so
+    (seed, shape) fully determines values.
+    """
+    params = build_model(vocab_size, num_experts, variant, scheme)
     rng = np.random.default_rng(seed)
     for slot in params.slots():
         slot.value[...] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=slot.value.shape)
-    if weights is not None:
+    if params.scheme_weights is not None:
         # Drawn last, so no other value moves; zero logits start at uniform mu and lambda = 0.5.
-        for slot in weights.slots():
+        for slot in params.scheme_weights.slots():
             slot.value[...] = 0.0
     return params
 

@@ -237,8 +237,8 @@ class TestCriterion9Determinism:
 
         # Round trip: load then save again, bit identical.
         path = tmp_path / "runA" / "model.ckpt"
-        tensors = C.load_tensors(path)
-        C.save_tensors(list(tensors.items()), tmp_path / "roundtrip.ckpt")
+        params, meta = C.load_model(path)
+        C.save_model(params, tmp_path / "roundtrip.ckpt", meta["tokens"], meta["intents"], meta["scheme"])
         assert (tmp_path / "roundtrip.ckpt").read_bytes() == blobs[0]
         ok("criterion 9: identical train runs and checkpoint round trips are "
            "bit-identical")

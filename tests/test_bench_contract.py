@@ -3,7 +3,9 @@
 ``bench/tracer.py`` wraps each ``<module>.<name>`` in its ``TRACED`` table at
 run time, so a rename in ``src/`` would otherwise surface only as an
 AttributeError inside a traced benchmark run, and a traced name left behind
-as a shim that nothing calls would report a per-layer metric of 0.
+as a shim that nothing calls would report a per-layer metric of 0. The
+paper-ckpt workload's output check runs here too, so that a change to what
+``load_model`` returns fails tier-1 and not only ``bench/test_smoke.py``.
 """
 
 import importlib
@@ -14,14 +16,18 @@ import tokmoe.cli as cli
 from tokmoe import checkpoint, data, metrics, model, training
 from tokmoe.config import OptimizerConfig, SchemeConfig, VariantConfig
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return load_bench_module("tracer")
 
 
 def test_every_traced_name_resolves_in_tokmoe():
@@ -69,3 +75,14 @@ def test_every_traced_name_is_called(tmp_path):
     calls, _, _ = recorder.snapshot()
     never = [name for name, count in zip(tracer.FUNCTIONS, calls) if count == 0]
     assert never == []
+
+
+def test_checkpoint_workload_output_check_passes(tmp_path):
+    """paper-ckpt's own output check, at its smoke shape, on what load_model returns."""
+    workloads = load_bench_module("workloads")
+    checks = workloads.Checks()
+    workload = workloads.build("paper-ckpt", 0, True, checks, tmp_path)
+    workload.job()
+    workload.check()
+    assert checks.attempted > 0
+    assert checks.failed == 0, checks.messages

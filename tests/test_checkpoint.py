@@ -1,4 +1,4 @@
-"""Binary archive format: round trips, corruption detection, shape inspection."""
+"""Checkpoint file format: round trips, corruption detection, shape inspection."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from conftest import tiny_samples, tiny_variant
 
 # A vocabulary of six: the specials, then two tokens.
 TOKENS = [*SPECIAL_TOKENS, "t4", "t5"]
+META = {"note": "header fields beside the tensors"}
 
 
 def small_tensors(rng):
@@ -40,23 +41,31 @@ class TestArchiveRoundTrip:
     def test_bit_identical_round_trip(self, tmp_path, rng):
         tensors = small_tensors(rng)
         path = tmp_path / "t.ckpt"
-        C.save_tensors(tensors, path)
+        C.save_tensors(tensors, path, META)
         first = path.read_bytes()
-        loaded = C.load_tensors(path)
-        assert list(loaded) == [name for name, _ in tensors]
-        for name, arr in tensors:
-            np.testing.assert_array_equal(loaded[name], arr)
-        C.save_tensors([(n, a) for n, a in loaded.items()], path)
+        meta, loaded = C.load_tensors(path)
+        assert meta == META
+        assert [name for name, _ in loaded] == [name for name, _ in tensors]
+        for (_, back), (_, arr) in zip(loaded, tensors):
+            np.testing.assert_array_equal(back, arr)
+        C.save_tensors(loaded, path, meta)
         assert path.read_bytes() == first
 
     def test_magic_prefix(self, tmp_path, rng):
         path = tmp_path / "t.ckpt"
-        C.save_tensors(small_tensors(rng), path)
-        assert path.read_bytes().startswith(b"TOKMOE1\n")
+        C.save_tensors(small_tensors(rng), path, META)
+        assert path.read_bytes().startswith(b"TOKMOE2\n")
+
+    def test_tokmoe1_file_named(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        # An empty TOKMOE1 archive: magic, zero tensors, the FNV-1a offset basis.
+        path.write_bytes(b"TOKMOE1\n" + bytes(8) + C.fnv1a64(b"").to_bytes(8, "little"))
+        with pytest.raises(IntegrityError, match="TOKMOE1"):
+            C.load_tensors(path)
 
     def test_corrupted_payload_byte_detected(self, tmp_path, rng):
         path = tmp_path / "t.ckpt"
-        C.save_tensors(small_tensors(rng), path)
+        C.save_tensors(small_tensors(rng), path, META)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -71,7 +80,7 @@ class TestArchiveRoundTrip:
 
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "t.ckpt"
-        C.save_tensors(small_tensors(rng), path)
+        C.save_tensors(small_tensors(rng), path, META)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 5])
         with pytest.raises(IntegrityError):
@@ -103,14 +112,6 @@ class TestModelCheckpoints:
         for a, b in zip(trained, loaded.scheme_weights.slots(), strict=True):
             assert a.name == b.name
             np.testing.assert_array_equal(a.value, b.value)
-
-    def test_missing_sidecar_rejected(self, tmp_path):
-        params = init_model(6, 2, tiny_variant(), seed=9)
-        path = tmp_path / "model.ckpt"
-        C.save_model(params, path, TOKENS, ["a", "b"], "S4")
-        C.meta_path(path).unlink()
-        with pytest.raises(IntegrityError, match="sidecar"):
-            C.load_model(path)
 
     def test_variant_plumbing_visible_in_archive(self, tmp_path):
         # V1: no attention tensors at all.

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -70,9 +71,8 @@ class TestSynth:
 
 class TestTrain:
     def test_run_directory_contents(self, trained_run):
-        assert (trained_run / "model.ckpt").exists()
-        assert (trained_run / "model.meta.json").exists()
-        assert (trained_run / "config.snapshot").exists()
+        names = sorted(path.name for path in trained_run.iterdir())
+        assert names == ["config.snapshot", "manifest.json", "model.ckpt"]
         manifest = json.loads((trained_run / "manifest.json").read_text())
         assert len(manifest["history"]) == 2
         assert manifest["seed"] == 3
@@ -133,18 +133,18 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "overall" in out and "Inform%" in out
 
+    # Header field edits under a recomputed checksum, so that each reaches its field check.
     @pytest.mark.parametrize("name,corrupt", [
-        ("malformed", lambda meta: "{not json"),
-        ("no-variant", lambda meta: json.dumps({k: v for k, v in meta.items() if k != "variant"})),
-        ("unknown-scheme", lambda meta: json.dumps({**meta, "scheme": "S9"})),
+        ("malformed", lambda header: b"{not json"),
+        ("no-variant", lambda header: json.dumps({k: v for k, v in header.items() if k != "variant"}).encode()),
+        ("unknown-scheme", lambda header: json.dumps({**header, "scheme": "S9"}).encode()),
     ])
     def test_corrupted_sidecar_is_one_error_line(
         self, trained_run, corpus_dir, workdir, capsys, name, corrupt
     ):
+        header, payload = _split((trained_run / "model.ckpt").read_bytes())
         bad = workdir / f"side-{name}.ckpt"
-        bad.write_bytes((trained_run / "model.ckpt").read_bytes())
-        meta = json.loads((trained_run / "model.meta.json").read_text())
-        (workdir / f"side-{name}.meta.json").write_text(corrupt(meta))
+        bad.write_bytes(_framed(corrupt(json.loads(header)), payload))
         for argv in (["evaluate", "--corpus", str(corpus_dir / "test.jsonl")],
                      ["generate", "--context", "i need help"]):
             code = main([*argv, "--checkpoint", str(bad)])
@@ -270,35 +270,48 @@ class Boundary:
             "--corpus", corpus or str(self.corpus / "test.jsonl"),
         ]
 
-    def archive(self, tensors):
-        """The bytes of an archive holding ``tensors``."""
-        C.save_tensors(tensors, self.tmp / "built.ckpt")
+    @property
+    def blob(self):
+        """The trained checkpoint's bytes."""
+        return (self.run / "model.ckpt").read_bytes()
+
+    def appended(self, extra):
+        """The bytes of the trained checkpoint with the tensor ``extra`` appended."""
+        meta, tensors = C.load_tensors(self.run / "model.ckpt")
+        C.save_tensors([*tensors, extra], self.tmp / "built.ckpt", meta)
         return (self.tmp / "built.ckpt").read_bytes()
 
-    def checkpoint(self, blob=None, meta=None):
-        """A copy of the trained checkpoint, with its bytes or sidecar replaced."""
-        self.file("copy.ckpt", blob or (self.run / "model.ckpt").read_bytes())
-        self.file("copy.meta.json", meta or (self.run / "model.meta.json").read_text())
-        return self.evaluate(checkpoint=str(self.tmp / "copy.ckpt"))
+    def checkpoint(self, blob):
+        """Evaluate a checkpoint file holding ``blob``."""
+        return self.evaluate(checkpoint=self.file("copy.ckpt", blob))
+
+    def raw_header(self, header, footer=None):
+        """Evaluate the trained checkpoint with its header bytes replaced."""
+        return self.checkpoint(_framed(header, _split(self.blob)[1], footer))
+
+    def header(self, edit, keep_footer=False):
+        """Evaluate the trained checkpoint after ``edit`` changes its parsed header in place."""
+        fields = json.loads(_split(self.blob)[0])
+        edit(fields)
+        return self.raw_header(json.dumps(fields).encode(), self.blob[-8:] if keep_footer else None)
 
 
-def _flip_middle_byte(blob):
+def _split(blob):
+    """A TOKMOE2 file's header bytes and payload bytes."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    return blob[16:16 + length], blob[16 + length:-8]
+
+
+def _framed(header, payload, footer=None):
+    """A TOKMOE2 file of these parts; the footer is their checksum unless one is given."""
+    body = C.MAGIC + struct.pack("<Q", len(header)) + header + payload
+    return body + (footer or struct.pack("<Q", C.fnv1a64(body)))
+
+
+def _flip_byte(blob, index):
     flipped = bytearray(blob)
-    flipped[len(flipped) // 2] ^= 0x01
+    flipped[index] ^= 0x01
     return bytes(flipped)
-
-
-def _set_byte(blob, index, value):
-    changed = bytearray(blob)
-    changed[index] = value
-    return bytes(changed)
-
-
-def _edited_sidecar(run, edit):
-    """The trained run's sidecar text after ``edit`` changes its parsed JSON in place."""
-    meta = json.loads((run / "model.meta.json").read_text())
-    edit(meta)
-    return json.dumps(meta)
 
 
 _SAMPLE = '{"context": ["a"], "response": ["b"], "intent": "hotel", "goal": %s}\n'
@@ -343,30 +356,47 @@ BOUNDARY_CASES = [
     ("corpus-line-not-object", 1, "data", lambda c: c.evaluate(corpus=c.file("t.jsonl", "5\n"))),
     ("corpus-token-not-string", 1, "data",
      lambda c: c.evaluate(corpus=c.file("t.jsonl", _TOKENS_NOT_STRINGS))),
-    ("flipped-checkpoint-byte", 1, "integrity",
-     lambda c: c.checkpoint(blob=_flip_middle_byte((c.run / "model.ckpt").read_bytes()))),
-    ("corrupted-sidecar", 1, "integrity", lambda c: c.checkpoint(meta="{not json")),
-    # Byte 24 is the first byte of the first tensor name.
+    ("valid-corpus-empty", 1, "data", lambda c: c.train("--valid", c.file("empty.jsonl", ""))),
+    ("evaluate-corpus-empty", 1, "data", lambda c: c.evaluate(corpus=c.file("empty.jsonl", ""))),
+    # Checkpoint framing: the footer is the checksum of every byte before it.
+    ("flipped-checkpoint-byte", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, len(c.blob) // 2))),
+    ("header-byte-flipped", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, 20))),  # header from 16
+    ("footer-byte-flipped", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, len(c.blob) - 1))),
+    ("truncated-in-header", 1, "integrity", lambda c: c.checkpoint(c.blob[:40])),
+    ("truncated-in-payload", 1, "integrity", lambda c: c.checkpoint(c.blob[:len(c.blob) // 2])),
+    ("trailing-bytes", 1, "integrity", lambda c: c.checkpoint(c.blob + bytes(8))),
+    ("header-length-past-end", 1, "integrity",
+     lambda c: c.checkpoint(c.blob[:8] + struct.pack("<Q", len(c.blob)) + c.blob[16:])),
+    ("bad-magic", 1, "integrity", lambda c: c.checkpoint(b"NOTMAGIC" + c.blob[8:])),
+    ("tokmoe1-file", 1, "integrity", lambda c: c.checkpoint(b"TOKMOE1\n" + c.blob[8:])),
+    # Header edits under the original footer: the checksum covers the header.
+    ("header-tokens-swapped", 1, "integrity",
+     lambda c: c.header(lambda h: h.update(tokens=h["tokens"][:4] + h["tokens"][5:3:-1] + h["tokens"][6:]),
+                        keep_footer=True)),
+    ("header-intents-reversed", 1, "integrity",
+     lambda c: c.header(lambda h: h["intents"].reverse(), keep_footer=True)),
+    # Header edits under a recomputed checksum, each reaching its field check. The
+    # sidecar-* ids name the separate file these fields were kept in before TOKMOE2.
+    ("header-not-object", 1, "integrity", lambda c: c.raw_header(b"[1, 2]")),
+    ("tensors-entry-malformed", 1, "integrity", lambda c: c.header(lambda h: h["tensors"][0][1].append("4"))),
+    ("tensors-past-payload", 1, "integrity", lambda c: c.header(lambda h: h["tensors"][0][1].append(2))),
+    ("corrupted-sidecar", 1, "integrity", lambda c: c.raw_header(b"{not json")),
     ("tensor-name-not-utf8", 1, "integrity",
-     lambda c: c.checkpoint(blob=_set_byte((c.run / "model.ckpt").read_bytes(), 24, 0xFF))),
+     lambda c: c.raw_header(_split(c.blob)[0].replace(b'"embedding.', b'"\xffmbedding.'))),
     ("sidecar-disowns-attention", 1, "integrity",
-     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m["variant"].update(attention_enabled=False)))),
+     lambda c: c.header(lambda h: h["variant"].update(attention_enabled=False))),
     ("sidecar-duplicate-token", 1, "integrity",
-     lambda c: c.checkpoint(meta=_edited_sidecar(
-         c.run, lambda m: m.update(tokens=m["tokens"][:5] + m["tokens"][4:5] + m["tokens"][6:])))),
+     lambda c: c.header(lambda h: h.update(tokens=h["tokens"][:5] + h["tokens"][4:5] + h["tokens"][6:]))),
     ("sidecar-specials-out-of-order", 1, "integrity",
-     lambda c: c.checkpoint(meta=_edited_sidecar(
-         c.run, lambda m: m.update(tokens=m["tokens"][1::-1] + m["tokens"][2:])))),
-    ("sidecar-negative-experts", 1, "integrity",
-     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m.update(num_experts=-1)))),
-    # The archive still matches num_experts; only the intent count disagrees with it.
+     lambda c: c.header(lambda h: h.update(tokens=h["tokens"][1::-1] + h["tokens"][2:]))),
+    ("sidecar-negative-experts", 1, "integrity", lambda c: c.header(lambda h: h.update(num_experts=-1))),
+    # The tensors still match num_experts; only the intent count disagrees with it.
     ("sidecar-experts-not-intents", 1, "integrity",
-     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m.update(intents=m["intents"] + ["spare"])))),
+     lambda c: c.header(lambda h: h.update(intents=h["intents"] + ["spare"]))),
     ("sidecar-duplicate-intent", 1, "integrity",
-     lambda c: c.checkpoint(meta=_edited_sidecar(c.run, lambda m: m.update(intents=m["intents"][:1] * 2)))),
+     lambda c: c.header(lambda h: h.update(intents=h["intents"][:1] * 2))),
     ("archive-extra-tensor", 1, "integrity",
-     lambda c: c.checkpoint(blob=c.archive([*C.load_tensors(c.run / "model.ckpt").items(),
-                                            ("extra", np.zeros(1))]))),
+     lambda c: c.checkpoint(c.appended(("extra", np.zeros(1))))),
     # Flags checked before any file is read: the checkpoint named here does not exist.
     ("evaluate-max-len-0", 2, "usage",
      lambda c: [*c.evaluate(checkpoint=str(c.tmp / "missing.ckpt")), "--max-len", "0"]),
@@ -394,6 +424,20 @@ class TestBoundary:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error[{error_code}]"), err
         assert not (case.out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "build", [pytest.param(case[3], id=case[0]) for case in BOUNDARY_CASES if case[2] == "integrity"],
+    )
+    def test_checkpoint_fails_closed_in_generate(
+        self, corpus_dir, trained_run, tmp_path, monkeypatch, capsys, build
+    ):
+        argv = build(Boundary(corpus_dir, trained_run, tmp_path, monkeypatch))
+        checkpoint = argv[argv.index("--checkpoint") + 1]
+        assert main(["generate", "--checkpoint", checkpoint, "--context", "i need help"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[integrity]"), err
 
     def test_non_finite_loss_stops_before_optimizer_step(
         self, corpus_dir, tmp_path, monkeypatch, capsys

@@ -109,12 +109,12 @@ class TestJsonl:
         with pytest.raises(ParseError, match=":2"):
             D.load_corpus_jsonl(path)
 
-    def test_empty_file_ok_for_test_split_only(self, tmp_path):
+    def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text("", encoding="utf-8")
-        assert len(D.load_corpus_jsonl(path, split="test")) == 0
-        with pytest.raises(DataError):
-            D.load_corpus_jsonl(path, split="train")
+        for text in ("", "\n  \n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match="corpus.jsonl: corpus is empty"):
+                D.load_corpus_jsonl(path)
 
     def test_round_trip_is_lossless(self, tmp_path):
         path = self.write(tmp_path, [self.sample_line("hotel"), self.sample_line("train")])
