@@ -168,9 +168,12 @@ def _check_meta(path: Path, meta: dict) -> tuple[SchemeConfig, VariantConfig]:
         raise IntegrityError(f"{path}: intents must be distinct and num_experts 0 or their count")
     try:
         Vocabulary(meta["tokens"])
-        return SchemeConfig.from_name(meta["scheme"]), VariantConfig(**meta["variant"])
+        scheme, variant = SchemeConfig.from_name(meta["scheme"]), VariantConfig(**meta["variant"])
     except (ConfigError, DataError) as exc:
         raise IntegrityError(f"{path}: {exc}") from None
+    if meta["num_experts"] == 0 and scheme.moe_enabled:
+        raise IntegrityError(f"{path}: a single-decoder model (num_experts 0) is only trained under S3")
+    return scheme, variant
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, dict]:

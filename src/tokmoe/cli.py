@@ -42,9 +42,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _generated_tokens(params: M.ModelParams, vocab: D.Vocabulary, context_ids, max_len, mode):
-    ids = M.greedy_decode(params, context_ids, max_len, combine=mode)
-    return vocab.decode_ids(ids)
+def _generated_tokens(params: M.ModelParams, vocab: D.Vocabulary, context_ids, max_len):
+    return vocab.decode_ids(M.greedy_decode(params, context_ids, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +115,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     valid_scorer = None
     if valid_corpus:
         valid_encoded = D.encode_corpus(vocab, valid_corpus)
-        mode = M.combine_mode(scheme, params)
 
         def valid_scorer(p: M.ModelParams) -> float:
             generated = [
-                _generated_tokens(p, vocab, s.context_ids, config.max_gen_len, mode)
+                _generated_tokens(p, vocab, s.context_ids, config.max_gen_len)
                 for s in valid_encoded
             ]
             return MX.build_report([s.sample for s in valid_encoded], generated).overall.score
@@ -143,7 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         valid_scorer=valid_scorer, progress=progress,
     )
 
-    accuracy = TR.teacher_forced_accuracy(params, encoded, scheme)
+    accuracy = TR.teacher_forced_accuracy(params, encoded)
     print(f"train teacher-forced accuracy: {accuracy:.4f}")
 
     ckpt_path = out_dir / "model.ckpt"
@@ -183,21 +181,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _load_checkpoint(path: str) -> tuple[M.ModelParams, D.Vocabulary, str]:
-    """The model, its vocabulary and its scheme's combine mode."""
+def _load_checkpoint(path: str) -> tuple[M.ModelParams, D.Vocabulary]:
     params, meta = ckpt.load_model(path)
-    vocab = D.Vocabulary(meta["tokens"])
-    return params, vocab, M.combine_mode(SchemeConfig.from_name(meta["scheme"]), params)
+    return params, D.Vocabulary(meta["tokens"])
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.max_len < 1:
         raise UsageError("--max-len must be at least 1")
     corpus = D.load_corpus_jsonl(args.corpus)
-    params, vocab, mode = _load_checkpoint(args.checkpoint)
+    params, vocab = _load_checkpoint(args.checkpoint)
     encoded = D.encode_corpus(vocab, corpus)
     generated = [
-        _generated_tokens(params, vocab, s.context_ids, args.max_len, mode) for s in encoded
+        _generated_tokens(params, vocab, s.context_ids, args.max_len) for s in encoded
     ]
     report = MX.build_report(corpus.samples, generated)
     print(report.to_json() if args.json else report.to_table())
@@ -214,10 +210,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tokens = args.context.split()
     if not tokens:
         raise UsageError("context must contain at least one token")
-    params, vocab, mode = _load_checkpoint(args.checkpoint)
-    ids, betas = M.greedy_decode(
-        params, vocab.encode_tokens(tokens), args.max_len, combine=mode, collect_beta=True
-    )
+    params, vocab = _load_checkpoint(args.checkpoint)
+    ids, betas = M.greedy_decode(params, vocab.encode_tokens(tokens), args.max_len, collect_beta=True)
     words = vocab.decode_ids(ids)
     print(" ".join(words))
     if args.trace:

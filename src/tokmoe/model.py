@@ -5,16 +5,20 @@ chair decoder (always the last decoder) each emit a per-step distribution
 over the vocabulary. A gating network scores all k+1 decoders from their
 concatenated states and distributions, and the chair combines the k+1
 distributions with those normalized weights into the final per-token
-distribution. All decoders consume one shared previous token: the gold
-token under teacher forcing, the chair's argmax during generation (the
-gating input concatenates all decoders' step-j states, which requires
-aligned timelines).
+distribution. The model alone decides whether it mixes: ``build_model``
+gives it a gate exactly when its scheme mixes more than one decoder, and a
+model without one (S3, or a single decoder) takes the chair's own
+distribution as the final one. All decoders consume one shared previous
+token: the gold token under teacher forcing, the chair's argmax during
+generation (the gating input concatenates all decoders' step-j states,
+which requires aligned timelines).
 
 Only the *recurrence* (``expert_step``: attention and the cell update of
 all k+1 decoders) runs token by token. The *readout* (``readout``:
 projection, softmax, gate MLP, chair combine) feeds nothing back, so it
 takes any leading time axis: greedy decoding calls it with T=1 per step,
-teacher forcing once on all (T, k+1, d_h) states.
+teacher forcing once on all (T, k+1, d_h) states, whose arrays its
+``ForwardCache.readout`` returns.
 
 Inference over frozen parameters is read-only and thread-safe; training
 mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
@@ -41,10 +45,6 @@ from .layers import (
 from .tensor import Array, ParamSlot
 
 INIT_RANGE = 0.08  # uniform(-r, r) parameter initialization
-
-# How the final per-token distribution is formed.
-COMBINE_MIXTURE = "mixture"  # gated sum over all decoders
-COMBINE_CHAIR = "chair"      # chair's own distribution (mixture disabled)
 
 
 @dataclass
@@ -81,16 +81,6 @@ class EncoderOutput:
     hiddens: Array          # (m, d_h), one row per context position
     final_state: RnnState
     memory: L.AttentionMemory | None = None  # the hiddens projected for attention, if it is on
-
-
-@dataclass
-class StepOutput:
-    """Everything one decoding step produces, before and after combination."""
-
-    dists: list[Array]      # k+1 vocabulary distributions, rows of one (k+1, V) array
-    states: RnnState        # post-step decoder states, (k+1, d_h) arrays
-    beta: Array             # mixture weights over the k+1 decoders
-    combined: Array         # final distribution for this step
 
 
 @dataclass
@@ -245,16 +235,6 @@ def init_model(
         for slot in params.scheme_weights.slots():
             slot.value[...] = 0.0
     return params
-
-
-def combine_mode(scheme: SchemeConfig, params: ModelParams) -> str:
-    """How ``scheme`` forms the final distribution on this model.
-
-    The gated mixture when the scheme enables it and the model has a gate;
-    otherwise the chair's own distribution, which in single-decoder mode is
-    the only decoder's.
-    """
-    return COMBINE_MIXTURE if scheme.moe_enabled and params.gating is not None else COMBINE_CHAIR
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +410,18 @@ class Readout(NamedTuple):
     gate_cache: GateCache | None
 
 
-def readout(params: ModelParams, hidden: Array, combine: str) -> Readout:
+def readout(params: ModelParams, hidden: Array) -> Readout:
     """Distributions, mixture weights and combined distribution of (T, k+1, d_h) states.
 
-    With ``combine == "mixture"`` on a gated model the gate weighs all
-    decoders. Otherwise one decoder is selected: the chair, which in
-    single-decoder mode is the only one; beta is one-hot on it and the
-    combined distribution IS its distribution.
+    A gated model weighs all decoders. A model without a gate (S3, or one
+    decoder) selects the chair, which in single-decoder mode is the only
+    decoder; beta is one-hot on it and the combined distribution IS its
+    distribution.
     """
-    if combine not in (COMBINE_MIXTURE, COMBINE_CHAIR):
-        raise DomainError(f"unknown combine mode {combine!r}")
     # The projection takes the decoder axis first: one GEMM per decoder over all T rows.
     probs, proj_cache = L.project_to_vocab(params.projection, hidden.swapaxes(0, 1))
     dists = probs.swapaxes(0, 1)
-    if combine == COMBINE_MIXTURE and params.gating is not None:
+    if params.gating is not None:
         beta, gate_cache = gate_weights(params.gating, hidden, dists)
         return Readout(dists, beta, chair_combine(dists, beta), proj_cache, gate_cache)
     beta = np.zeros(dists.shape[:-1])
@@ -471,16 +449,13 @@ def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> RnnState:
 
 
 def forward_teacher_forced(
-    params: ModelParams,
-    context_ids: list[int],
-    response_ids: list[int],
-    combine: str = COMBINE_MIXTURE,
-) -> tuple[list[StepOutput], ForwardCache]:
+    params: ModelParams, context_ids: list[int], response_ids: list[int]
+) -> ForwardCache:
     """Run all decoders over a gold response (BOS prepended internally).
 
     At step j every decoder consumes the shared ground-truth token y_{j-1};
-    ``readout`` then runs once over all T states. Returns one StepOutput
-    per response position, its ``dists`` rows of the readout's arrays.
+    ``readout`` then runs once over all T states. Its arrays are the result:
+    ``cache.readout.dists`` (T, k+1, V), ``.beta`` (T, k+1), ``.combined`` (T, V).
     """
     if len(response_ids) == 0:
         raise DomainError("cannot teacher-force an empty response")
@@ -489,19 +464,12 @@ def forward_teacher_forced(
     gates = decoder_inputs(params, input_ids)
     states = initial_decoder_states(params, enc)
     hidden = np.empty((len(input_ids),) + states.hidden.shape)
-    cell = np.empty_like(hidden)
     steps: list[DecoderStepCache] = []
     for j in range(len(input_ids)):
         states, step = expert_step(params, gates[:, j], states, enc)
-        hidden[j], cell[j] = states.hidden, states.cell
+        hidden[j] = states.hidden
         steps.append(step)
-    out = readout(params, hidden, combine)
-    outputs = []
-    for j, dists in enumerate(out.dists):
-        rows = list(dists)
-        combined = rows[-1] if out.gate_cache is None else out.combined[j]
-        outputs.append(StepOutput(rows, RnnState(hidden[j], cell[j]), out.beta[j], combined))
-    return outputs, ForwardCache(enc_cache, enc, input_ids, steps, out)
+    return ForwardCache(enc_cache, enc, input_ids, steps, readout(params, hidden))
 
 
 def backward_teacher_forced(
@@ -562,7 +530,6 @@ def greedy_decode(
     params: ModelParams,
     context_ids: list[int],
     max_len: int,
-    combine: str = COMBINE_MIXTURE,
     collect_beta: bool = False,
 ) -> list[int] | tuple[list[int], list[Array]]:
     """Generate token ids greedily until EOS or ``max_len``.
@@ -581,7 +548,7 @@ def greedy_decode(
     betas: list[Array] = []
     for _ in range(max_len):
         states, _ = expert_step(params, decoder_inputs(params, [token])[:, 0], states, enc)
-        out = readout(params, states.hidden[None], combine)
+        out = readout(params, states.hidden[None])
         token = int(np.argmax(out.combined[0]))  # first maximum, so lowest id wins ties
         out_ids.append(token)
         betas.append(out.beta[0])

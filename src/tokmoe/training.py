@@ -26,12 +26,7 @@ from . import tensor as T
 from .config import OptimizerConfig, SchemeConfig
 from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
-from .model import (
-    ModelParams,
-    backward_teacher_forced,
-    combine_mode,
-    forward_teacher_forced,
-)
+from .model import ModelParams, backward_teacher_forced, forward_teacher_forced
 from .tensor import Array
 
 
@@ -60,14 +55,16 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
     weight; under S1 the k expert entries are the softmax of the model's mu
     logits and lambda is the sigmoid of its lambda logit. Single-decoder mode
     (``num_experts == 0``) trains on the chair loss alone: mu = [1],
-    lambda = 0. A model may hold more than the scheme trains, never less: a
-    missing gate or missing logits is a ConfigError.
+    lambda = 0. The model must have a gate exactly when the scheme mixes,
+    and S1's logits when the scheme learns them (extra logits go unread);
+    anything else is a ConfigError.
     """
     k = params.num_experts
     if k == 0:
         return np.array([1.0]), 0.0
-    if scheme.moe_enabled and params.gating is None:
-        raise ConfigError(f"scheme {scheme.scheme} mixes the decoders, but the model has no gate")
+    if scheme.moe_enabled != (params.gating is not None):
+        verb, has = ("mixes", "no") if scheme.moe_enabled else ("does not mix", "a")
+        raise ConfigError(f"scheme {scheme.scheme} {verb} the decoders, but the model has {has} gate")
     if scheme.learns_weights:
         weights = params.scheme_weights
         if weights is None:
@@ -177,7 +174,6 @@ def train_batch(
     total is the chair loss alone.
     """
     n_dec = params.num_decoders
-    mode = combine_mode(scheme, params)
     mu, lam = resolve_scheme_weights(scheme, params)
 
     raw_expert = np.zeros(n_dec)
@@ -185,7 +181,7 @@ def train_batch(
     token_count = 0
     for enc_sample in batch:
         targets = enc_sample.response_ids
-        _, cache = forward_teacher_forced(params, enc_sample.context_ids, targets, combine=mode)
+        cache = forward_teacher_forced(params, enc_sample.context_ids, targets)
         dists, combined = cache.readout.dists, cache.readout.combined
         token_count += len(targets)
         raw_expert += loss_experts([dists], [targets], [enc_sample.intent], expert_of)
@@ -380,17 +376,12 @@ def train_run(
 # Verification
 
 
-def teacher_forced_accuracy(
-    params: ModelParams,
-    samples: list[EncodedSample],
-    scheme: SchemeConfig,
-) -> float:
+def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -> float:
     """Fraction of response tokens where argmax(combined) hits the target."""
-    mode = combine_mode(scheme, params)
     hits = 0
     total = 0
     for enc_sample in samples:
-        _, cache = forward_teacher_forced(params, enc_sample.context_ids, enc_sample.response_ids, mode)
+        cache = forward_teacher_forced(params, enc_sample.context_ids, enc_sample.response_ids)
         hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == enc_sample.response_ids))
         total += len(enc_sample.response_ids)
     return hits / total if total else 0.0

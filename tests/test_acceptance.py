@@ -13,7 +13,6 @@ import pytest
 
 import tokmoe.checkpoint as C
 import tokmoe.metrics as MX
-import tokmoe.model as M
 import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, VariantConfig, init_model
 from tokmoe.cli import main, run_gradcheck
@@ -62,15 +61,14 @@ class TestCriterion2SimplexSuite:
             for _ in range(10):
                 context = [int(v) for v in rng.integers(0, 6, size=rng.integers(1, 4))]
                 response = [int(v) for v in rng.integers(0, 6, size=10)]
-                steps, _ = forward_teacher_forced(params, context, response)
-                for step in steps:
-                    for dist in step.dists:
+                out = forward_teacher_forced(params, context, response).readout
+                for dists, beta, combined in zip(out.dists, out.beta, out.combined):
+                    for dist in dists:
                         assert abs(dist.sum() - 1.0) <= 1e-9
-                    assert abs(step.beta.sum() - 1.0) <= 1e-9
-                    assert abs(step.combined.sum() - 1.0) <= 1e-9
-                    stacked = np.stack(step.dists)
-                    assert np.all(step.combined >= stacked.min(axis=0) - 1e-12)
-                    assert np.all(step.combined <= stacked.max(axis=0) + 1e-12)
+                    assert abs(beta.sum() - 1.0) <= 1e-9
+                    assert abs(combined.sum() - 1.0) <= 1e-9
+                    assert np.all(combined >= dists.min(axis=0) - 1e-12)
+                    assert np.all(combined <= dists.max(axis=0) + 1e-12)
                     checks += 1
         assert checks == 10_000
         ok(f"criterion 2: simplex suite, {checks} randomized step checks "
@@ -85,13 +83,11 @@ class TestCriterion3SchemeDegeneration:
         assert report.total == report.chair_loss  # bitwise
 
     def test_s3_combined_is_chair_distribution_bitwise(self):
-        params = init_model(6, 2, tiny_variant(), seed=4)
+        params = init_model(6, 2, tiny_variant(), seed=4, scheme=SchemeConfig.from_name("S3"))
         sample = tiny_samples()[0]
-        steps, _ = forward_teacher_forced(params, sample.context_ids, sample.response_ids,
-                                          combine=M.COMBINE_CHAIR)
-        for step in steps:
-            assert step.combined is step.dists[-1]
-            np.testing.assert_array_equal(step.combined, step.dists[-1])
+        out = forward_teacher_forced(params, sample.context_ids, sample.response_ids).readout
+        assert np.shares_memory(out.combined, out.dists[:, -1])
+        np.testing.assert_array_equal(out.combined, out.dists[:, -1])
 
     def test_loss_total_midpoint_exact(self):
         assert loss_total(2.0, 4.0, 0.5) == 3.0
@@ -134,7 +130,7 @@ class TestCriterion5Overfit:
     def test_accuracy_and_proxy_metrics_on_training_set(self, overfit_run):
         r = overfit_run
         assert r["elapsed"] < 300.0, f"training took {r['elapsed']:.0f}s"
-        accuracy = teacher_forced_accuracy(r["params"], r["encoded"], r["scheme"])
+        accuracy = teacher_forced_accuracy(r["params"], r["encoded"])
         assert accuracy >= 0.99
         generated = [
             r["vocab"].decode_ids(greedy_decode(r["params"], s.context_ids, 40))
@@ -152,8 +148,8 @@ def decoder_token_nlls(params, samples):
     totals = np.zeros(params.num_decoders)
     tokens = 0
     for s in samples:
-        _, cache = forward_teacher_forced(params, s.context_ids, s.response_ids, combine=M.COMBINE_CHAIR)
-        totals += [nll_sequence(cache.readout.dists[:, l], s.response_ids) for l in range(len(totals))]
+        dists = forward_teacher_forced(params, s.context_ids, s.response_ids).readout.dists
+        totals += [nll_sequence(dists[:, l], s.response_ids) for l in range(len(totals))]
         tokens += len(s.response_ids)
     return totals / tokens
 

@@ -113,6 +113,14 @@ class TestModelCheckpoints:
             assert a.name == b.name
             np.testing.assert_array_equal(a.value, b.value)
 
+    def test_single_decoder_header_outside_s3_refused(self, tmp_path):
+        # Only S3 trains one decoder; the tensors alone could not tell an S4 header from it.
+        params = init_model(6, 0, tiny_variant(), 9, SchemeConfig.from_name("S3"))
+        path = tmp_path / "model.ckpt"
+        C.save_model(params, path, TOKENS, ["a", "b"], "S4")
+        with pytest.raises(IntegrityError, match="num_experts 0"):
+            C.load_model(path)
+
     def test_variant_plumbing_visible_in_archive(self, tmp_path):
         # V1: no attention tensors at all.
         v1 = init_model(10, 2, VariantConfig.from_name("V1", embedding_size=4, hidden_size=5), 0)

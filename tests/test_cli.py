@@ -395,6 +395,8 @@ BOUNDARY_CASES = [
      lambda c: c.header(lambda h: h.update(intents=h["intents"] + ["spare"]))),
     ("sidecar-duplicate-intent", 1, "integrity",
      lambda c: c.header(lambda h: h.update(intents=h["intents"][:1] * 2))),
+    # An S3 model holds no gate, so the trained S4 run's gate tensors are not its tensors.
+    ("header-scheme-s3", 1, "integrity", lambda c: c.header(lambda h: h.update(scheme="S3"))),
     ("archive-extra-tensor", 1, "integrity",
      lambda c: c.checkpoint(c.appended(("extra", np.zeros(1))))),
     # Flags checked before any file is read: the checkpoint named here does not exist.

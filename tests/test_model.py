@@ -56,7 +56,7 @@ class TestEncoder:
 def step(params, token, state, enc):
     """Every decoder's (k+1, V) distribution and state after one recurrence step on ``token``."""
     new_state, _ = expert_step(params, M.decoder_inputs(params, [token])[:, 0], state, enc)
-    return M.readout(params, new_state.hidden[None], M.COMBINE_CHAIR).dists[0], new_state
+    return M.readout(params, new_state.hidden[None]).dists[0], new_state
 
 
 def stacked_state(rng, n_dec, d_h=3):
@@ -104,7 +104,7 @@ class TestStackedSlots:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"attention_enabled": False}, {"cell_kind": "gru"},
-        {"scheme": "S1"}, {"scheme": "S3"}, {"num_experts": 0},
+        {"scheme": "S1"}, {"scheme": "S3"}, {"scheme": "S3", "num_experts": 0},
     ])
     def test_views_after_init_and_load(self, tmp_path, overrides):
         overrides = dict(overrides)
@@ -340,8 +340,10 @@ class TestForwardTeacherForced:
     def test_output_length_matches_response(self):
         params = tiny_model()
         for n in (1, 2, 4):
-            steps, _ = forward_teacher_forced(params, [4, 5], [4] * (n - 1) + [3])
-            assert len(steps) == n
+            out = forward_teacher_forced(params, [4, 5], [4] * (n - 1) + [3]).readout
+            assert out.dists.shape == (n, 3, 6)
+            assert out.beta.shape == (n, 3)
+            assert out.combined.shape == (n, 6)
 
     def test_empty_response_rejected(self):
         with pytest.raises(DomainError):
@@ -350,33 +352,34 @@ class TestForwardTeacherForced:
     def test_teacher_forcing_feeds_bos_then_gold(self):
         params = tiny_model()
         response = [5, 4, 3]
-        _, cache = forward_teacher_forced(params, [4], response)
+        cache = forward_teacher_forced(params, [4], response)
         assert cache.input_ids.tolist() == [BOS_ID, 5, 4]
 
     def test_single_decoder_mode_is_degenerate_mixture(self):
         params = tiny_model(num_experts=0)
         assert params.num_decoders == 1
         assert params.gating is None
-        steps, _ = forward_teacher_forced(params, [4, 5], [5, 3])
-        for step in steps:
-            np.testing.assert_array_equal(step.beta, [1.0])
-            assert step.combined is step.dists[0]
+        out = forward_teacher_forced(params, [4, 5], [5, 3]).readout
+        np.testing.assert_array_equal(out.beta, [[1.0], [1.0]])
+        assert np.shares_memory(out.combined, out.dists[:, 0])
+        np.testing.assert_array_equal(out.combined, out.dists[:, 0])
 
     def test_chair_only_mode_bitwise(self):
-        params = tiny_model()
-        steps, _ = forward_teacher_forced(params, [4, 5], [5, 4, 3], combine=M.COMBINE_CHAIR)
-        for step in steps:
-            assert step.combined is step.dists[-1]
-            np.testing.assert_array_equal(step.beta, [0.0, 0.0, 1.0])
+        # An S3 model holds no gate, so its combined distribution is the chair's.
+        params = init_model(6, 2, tiny_variant(), 0, SchemeConfig.from_name("S3"))
+        out = forward_teacher_forced(params, [4, 5], [5, 4, 3]).readout
+        assert np.shares_memory(out.combined, out.dists[:, -1])
+        np.testing.assert_array_equal(out.combined, out.dists[:, -1])
+        np.testing.assert_array_equal(out.beta, np.tile([0.0, 0.0, 1.0], (3, 1)))
 
     def test_step_simplexes_on_random_params(self, rng):
         params = tiny_model(seed=int(rng.integers(0, 1000)))
-        steps, _ = forward_teacher_forced(params, [4, 5, 4], [5, 5, 3])
-        for step in steps:
-            for dist in step.dists:
+        out = forward_teacher_forced(params, [4, 5, 4], [5, 5, 3]).readout
+        for dists, beta, combined in zip(out.dists, out.beta, out.combined):
+            for dist in dists:
                 assert abs(dist.sum() - 1.0) <= 1e-9
-            assert abs(step.beta.sum() - 1.0) <= 1e-9
-            assert abs(step.combined.sum() - 1.0) <= 1e-9
+            assert abs(beta.sum() - 1.0) <= 1e-9
+            assert abs(combined.sum() - 1.0) <= 1e-9
 
 
 class TestGreedyDecode:
@@ -418,14 +421,12 @@ class TestOneDecodePath:
 
     def model(self, shape, scheme_name):
         vocab, variant = self.SHAPES[shape]
-        scheme = SchemeConfig.from_name(scheme_name)
-        params = init_model(vocab, 3, variant, 11, scheme)
-        return params, M.combine_mode(scheme, params)
+        return init_model(vocab, 3, variant, 11, SchemeConfig.from_name(scheme_name))
 
     @pytest.mark.parametrize("shape", ["desk", "paper"])
     @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
     def test_teacher_forcing_the_greedy_output_repeats_it(self, monkeypatch, rng, shape, scheme_name):
-        params, mode = self.model(shape, scheme_name)
+        params = self.model(shape, scheme_name)
         context = [int(t) for t in rng.integers(4, params.vocab_size, 6)]
         combined = []
         original = M.readout
@@ -436,22 +437,23 @@ class TestOneDecodePath:
             return out
 
         monkeypatch.setattr(M, "readout", recording)
-        ids, betas = greedy_decode(params, context, 12, combine=mode, collect_beta=True)
+        ids, betas = greedy_decode(params, context, 12, collect_beta=True)
         monkeypatch.undo()
-        steps, _ = forward_teacher_forced(params, context, ids, combine=mode)
-        assert len(steps) == len(ids) == len(combined)
-        for step, token, beta, greedy_combined in zip(steps, ids, betas, combined):
-            np.testing.assert_allclose(step.beta, beta, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(step.combined, greedy_combined, rtol=1e-12, atol=0)
-            assert int(np.argmax(step.combined)) == token
+        out = forward_teacher_forced(params, context, ids).readout
+        assert len(out.combined) == len(ids) == len(combined)
+        rows = zip(out.beta, out.combined, ids, betas, combined)
+        for tf_beta, tf_combined, token, beta, greedy_combined in rows:
+            np.testing.assert_allclose(tf_beta, beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(tf_combined, greedy_combined, rtol=1e-12, atol=0)
+            assert int(np.argmax(tf_combined)) == token
 
     @pytest.mark.parametrize("shape", ["desk", "paper"])
     @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
     def test_readout_over_rows_matches_one_row_readouts(self, rng, shape, scheme_name):
-        params, mode = self.model(shape, scheme_name)
+        params = self.model(shape, scheme_name)
         hidden = rng.uniform(-1, 1, (9, params.num_decoders, params.variant.hidden_size))
-        whole = M.readout(params, hidden, mode)
+        whole = M.readout(params, hidden)
         for t in range(len(hidden)):
-            row = M.readout(params, hidden[t:t + 1], mode)
+            row = M.readout(params, hidden[t:t + 1])
             for rows, one in zip(whole[:3], row[:3]):
                 np.testing.assert_allclose(rows[t], one[0], rtol=1e-12, atol=0)

@@ -11,7 +11,7 @@ import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
-from tokmoe.model import combine_mode, forward_teacher_forced
+from tokmoe.model import forward_teacher_forced
 
 from conftest import tiny_samples, tiny_variant
 
@@ -154,20 +154,9 @@ class TestSchemeModels:
                 if slot.name in default:
                     np.testing.assert_array_equal(slot.value, default[slot.name])
 
-    def test_s3_model_trains_like_a_default_model(self):
-        # The default model's gate is never read under S3, so every shared slot moves alike.
-        built_for_s3, s3 = scheme_model(2, "S3", seed=8)
-        default = init_model(6, 2, tiny_variant(), 8)
-        for params in (built_for_s3, default):
-            TR.train_run(params, tiny_samples(), s3, OptimizerConfig(batch_size=1), epochs=3, seed=8,
-                         expert_of={"alpha": 0, "beta": 1})
-        default_values = {s.name: s.value for s in default.slots()}
-        assert len(built_for_s3.slots()) < len(default_values)
-        for slot in built_for_s3.slots():
-            np.testing.assert_array_equal(slot.value, default_values[slot.name])
-
-    @pytest.mark.parametrize("built_for,trained_with", [("S4", "S1"), ("S3", "S4")])
-    def test_missing_tensor_is_config_error(self, built_for, trained_with):
+    # S1 needs logits an S4 model lacks, S4 a gate an S3 model lacks; S3 leaves no gate unread.
+    @pytest.mark.parametrize("built_for,trained_with", [("S4", "S1"), ("S3", "S4"), ("S4", "S3")])
+    def test_mismatched_tensors_are_config_error(self, built_for, trained_with):
         params, _ = scheme_model(2, built_for)
         with pytest.raises(ConfigError):
             TR.train_batch(params, tiny_samples(), SchemeConfig.from_name(trained_with),
@@ -305,15 +294,6 @@ class TestTrainBatch:
         _, report = self.run_batch("S2")
         assert report.total == report.chair_loss
 
-    def test_s3_combined_is_chair_distribution_bitwise(self):
-        params = init_model(6, 2, tiny_variant(), seed=1)
-        sample = tiny_samples()[0]
-        steps, _ = forward_teacher_forced(
-            params, sample.context_ids, sample.response_ids, combine="chair"
-        )
-        for step in steps:
-            assert step.combined is step.dists[-1]
-
     def test_s3_chair_loss_equals_chair_decoder_nll(self):
         _, report = self.run_batch("S3")
         # Chair accrues on all samples; under S3 the combined NLL is exactly
@@ -336,9 +316,7 @@ class TestTrainBatch:
         expert_of = {"alpha": 0, "beta": 1}
         report = TR.train_batch(params, samples, scheme, expert_of, compute_grads)
 
-        mode = combine_mode(scheme, params)
-        outs = [forward_teacher_forced(params, s.context_ids, s.response_ids, mode)[1].readout
-                for s in samples]
+        outs = [forward_teacher_forced(params, s.context_ids, s.response_ids).readout for s in samples]
         targets = [s.response_ids for s in samples]
         intents = [s.intent for s in samples]
         assert report.expert_losses == TR.loss_experts([o.dists for o in outs], targets, intents, expert_of)
