@@ -117,11 +117,6 @@ def load_tensors(path: str | Path) -> tuple[dict, list[tuple[str, Array]]]:
     ]
 
 
-def inspect_tensors(path: str | Path) -> list[tuple[str, tuple[int, ...]]]:
-    """Names and shapes in file order, after full validation."""
-    return [(name, arr.shape) for name, arr in load_tensors(path)[1]]
-
-
 # ---------------------------------------------------------------------------
 # Model-level save/load
 

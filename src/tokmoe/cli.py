@@ -42,8 +42,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _generated_tokens(params: M.ModelParams, vocab: D.Vocabulary, context_ids, max_len):
-    return vocab.decode_ids(M.greedy_decode(params, context_ids, max_len))
+def _decode_and_score(
+    params: M.ModelParams, vocab: D.Vocabulary, encoded: list[D.EncodedSample], max_len: int
+) -> MX.MetricsReport:
+    """Greedy-decode every sample's context and score the responses against the samples."""
+    generated = [vocab.decode_ids(M.greedy_decode(params, s.context_ids, max_len)) for s in encoded]
+    return MX.build_report([s.sample for s in encoded], generated)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +121,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         valid_encoded = D.encode_corpus(vocab, valid_corpus)
 
         def valid_scorer(p: M.ModelParams) -> float:
-            generated = [
-                _generated_tokens(p, vocab, s.context_ids, config.max_gen_len)
-                for s in valid_encoded
-            ]
-            return MX.build_report([s.sample for s in valid_encoded], generated).overall.score
+            return _decode_and_score(p, vocab, valid_encoded, config.max_gen_len).overall.score
 
     def progress(record: TR.EpochRecord) -> None:
         report = record.report
@@ -191,11 +191,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--max-len must be at least 1")
     corpus = D.load_corpus_jsonl(args.corpus)
     params, vocab = _load_checkpoint(args.checkpoint)
-    encoded = D.encode_corpus(vocab, corpus)
-    generated = [
-        _generated_tokens(params, vocab, s.context_ids, args.max_len) for s in encoded
-    ]
-    report = MX.build_report(corpus.samples, generated)
+    report = _decode_and_score(params, vocab, D.encode_corpus(vocab, corpus), args.max_len)
     print(report.to_json() if args.json else report.to_table())
     return 0
 
@@ -211,10 +207,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not tokens:
         raise UsageError("context must contain at least one token")
     params, vocab = _load_checkpoint(args.checkpoint)
-    ids, betas = M.greedy_decode(params, vocab.encode_tokens(tokens), args.max_len, collect_beta=True)
-    words = vocab.decode_ids(ids)
-    print(" ".join(words))
+    context_ids = vocab.encode_tokens(tokens)
+    ids = M.greedy_decode(params, context_ids, args.max_len)
+    print(" ".join(vocab.decode_ids(ids)))
     if args.trace:
+        betas = M.forward_teacher_forced(params, context_ids, ids).readout.beta
         names = [params.decoder_name(i) for i in range(params.num_decoders)]
         print("# gating weights per generated token (" + ", ".join(names) + ")")
         for token_id, beta in zip(ids, betas):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_utf8
@@ -27,9 +27,6 @@ class Goal:
     entity: str | None = None
     requested: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"entity": self.entity, "requested": list(self.requested)}
-
 
 @dataclass
 class Sample:
@@ -39,14 +36,7 @@ class Sample:
     goal: Goal | None = None
 
     def to_json(self) -> dict:
-        out: dict = {
-            "context": list(self.context),
-            "response": list(self.response),
-            "intent": self.intent,
-        }
-        if self.goal is not None:
-            out["goal"] = self.goal.to_json()
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass
@@ -106,12 +96,7 @@ class Vocabulary:
 
     def decode_ids(self, ids: list[int]) -> list[str]:
         """Tokens of ``ids`` with <pad>, <bos> and <eos> dropped."""
-        out = []
-        for i in ids:
-            if i in (PAD_ID, BOS_ID, EOS_ID):
-                continue
-            out.append(self.id_to_token[i])
-        return out
+        return [self.id_to_token[i] for i in ids if i not in (PAD_ID, BOS_ID, EOS_ID)]
 
 
 def encode_sample(vocab: Vocabulary, sample: Sample) -> EncodedSample:

@@ -18,7 +18,7 @@ all k+1 decoders) runs token by token. The *readout* (``readout``:
 projection, softmax, gate MLP, chair combine) feeds nothing back, so it
 takes any leading time axis: greedy decoding calls it with T=1 per step,
 teacher forcing once on all (T, k+1, d_h) states, whose arrays its
-``ForwardCache.readout`` returns.
+``ForwardCache.readout`` returns to the losses, accuracy and ``--trace``.
 
 Inference over frozen parameters is read-only and thread-safe; training
 mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
@@ -482,18 +482,17 @@ def backward_teacher_forced(
 
     ``d_dists`` (T, k+1, V) seeds the per-step distributions (the localized
     expert losses), ``d_combined`` (T, V) the combined one (the chair loss).
-    The readout backward runs once, the reverse loop carries only the
+    The readout backward runs once, through the combine for every model (beta
+    is one-hot on the chair without a gate); the reverse loop carries only the
     recurrence, and each weight gradient is one GEMM over the sequence.
     """
     out, enc, cell = cache.readout, cache.enc_out, params.decoder_cell
-    if out.gate_cache is None:
-        d_hidden = 0.0
-        d_dists = d_dists.copy()
-        d_dists[:, -1] += d_combined  # combined IS the chair's dist
-    else:
-        d_beta, d_mix = chair_combine_backward(out.dists, out.beta, d_combined)
+    d_beta, d_mix = chair_combine_backward(out.dists, out.beta, d_combined)
+    d_dists = d_dists + d_mix
+    d_hidden = 0.0
+    if out.gate_cache is not None:
         d_hidden, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
-        d_dists = d_dists + d_mix + d_gate_dists
+        d_dists = d_dists + d_gate_dists
     d_proj = L.project_backward(params.projection, out.proj_cache, d_dists.swapaxes(0, 1))
     d_hidden = d_proj.swapaxes(0, 1) + d_hidden
 
@@ -526,18 +525,13 @@ def backward_teacher_forced(
     encode_backward(params, cache.enc_cache, d_enc_hiddens, d_final_hidden, d_final_cell)
 
 
-def greedy_decode(
-    params: ModelParams,
-    context_ids: list[int],
-    max_len: int,
-    collect_beta: bool = False,
-) -> list[int] | tuple[list[int], list[Array]]:
+def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> list[int]:
     """Generate token ids greedily until EOS or ``max_len``.
 
     Each token is one recurrence step and a one-row readout, as in teacher
     forcing. The argmax of the combined distribution is fed to every decoder
-    at the next step; ties resolve to the lowest token id. With
-    ``collect_beta`` the per-step mixture weights are returned as well.
+    at the next step; ties resolve to the lowest token id. Teacher-forcing
+    the returned ids reproduces every step's readout, mixture weights included.
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
@@ -545,15 +539,11 @@ def greedy_decode(
     states = initial_decoder_states(params, enc)
     token = BOS_ID
     out_ids: list[int] = []
-    betas: list[Array] = []
     for _ in range(max_len):
         states, _ = expert_step(params, decoder_inputs(params, [token])[:, 0], states, enc)
         out = readout(params, states.hidden[None])
         token = int(np.argmax(out.combined[0]))  # first maximum, so lowest id wins ties
         out_ids.append(token)
-        betas.append(out.beta[0])
         if token == EOS_ID:
             break
-    if collect_beta:
-        return out_ids, betas
     return out_ids

@@ -6,7 +6,7 @@ The joint objective is ``lambda * L_experts + (1 - lambda) * L_chair``:
   samples it is localized to (expert l sees only its intent's partition;
   the chair sees every sample), each term weighted by mu_l.
 * ``L_chair`` is the negative log-likelihood of the combined distribution
-  over all samples.
+  over all samples: ``nll_sequence`` of each response's ``combined``.
 
 Losses are summed (not averaged) within a batch; gradients therefore
 accumulate additively and are zeroed after each optimizer step. The
@@ -100,30 +100,18 @@ def localized_decoders(intent: str, expert_of: dict[str, int], chair: int) -> tu
     return (expert_of[intent], chair)
 
 
-def loss_experts(
-    per_sample_dists: list[Array],
-    per_sample_targets: list[list[int]],
-    intents: list[str],
-    expert_of: dict[str, int],
-) -> list[float]:
-    """Localized expert loss: each decoder's own NLL on its own partition.
+def loss_experts(dists: Array, targets: list[int], intent: str, expert_of: dict[str, int]) -> list[float]:
+    """Localized expert loss of one response: the own NLL of each decoder localized to it.
 
-    Returns the unweighted sum per decoder (chair last) over each sample's
-    (T, k+1, V) distributions; the expert loss is its dot product with mu.
-    Expert l accrues loss only on samples of its intent, the chair on every
-    sample, each scoring with its OWN distribution, not the combination.
+    Returns the unweighted NLL per decoder (chair last) of the (T, k+1, V)
+    distributions; the expert loss is its dot product with mu. Expert l
+    accrues loss only on samples of its intent, the chair on every sample,
+    each scoring with its OWN distribution, not the combination.
     """
-    chair = per_sample_dists[0].shape[1] - 1
-    raw = [0.0] * (chair + 1)
-    for dists, targets, intent in zip(per_sample_dists, per_sample_targets, intents):
-        for l in localized_decoders(intent, expert_of, chair):
-            raw[l] += nll_sequence(dists[:, l], targets)
+    raw = [0.0] * dists.shape[1]
+    for l in localized_decoders(intent, expert_of, len(raw) - 1):
+        raw[l] = nll_sequence(dists[:, l], targets)
     return raw
-
-
-def loss_chair(per_sample_combined: list[Array], per_sample_targets: list[list[int]]) -> float:
-    """Global chair loss: NLL of each sample's (T, V) combined distribution, summed."""
-    return sum(nll_sequence(c, targets) for c, targets in zip(per_sample_combined, per_sample_targets))
 
 
 def loss_total(expert_loss: float, chair_loss: float, lam: float) -> float:
@@ -184,8 +172,8 @@ def train_batch(
         cache = forward_teacher_forced(params, enc_sample.context_ids, targets)
         dists, combined = cache.readout.dists, cache.readout.combined
         token_count += len(targets)
-        raw_expert += loss_experts([dists], [targets], [enc_sample.intent], expert_of)
-        chair_total += loss_chair([combined], [targets])
+        raw_expert += loss_experts(dists, targets, enc_sample.intent, expert_of)
+        chair_total += nll_sequence(combined, targets)
 
         if compute_grads:
             d_dists = np.zeros(dists.shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tokmoe.checkpoint as C
-from tokmoe.config import SPECIAL_TOKENS, OptimizerConfig, SchemeConfig, VariantConfig
+from tokmoe.config import SPECIAL_TOKENS, OptimizerConfig, SchemeConfig
 from tokmoe.errors import IntegrityError
 from tokmoe.model import init_model
 from tokmoe.training import train_run
@@ -120,30 +120,3 @@ class TestModelCheckpoints:
         C.save_model(params, path, TOKENS, ["a", "b"], "S4")
         with pytest.raises(IntegrityError, match="num_experts 0"):
             C.load_model(path)
-
-    def test_variant_plumbing_visible_in_archive(self, tmp_path):
-        # V1: no attention tensors at all.
-        v1 = init_model(10, 2, VariantConfig.from_name("V1", embedding_size=4, hidden_size=5), 0)
-        path = tmp_path / "v1.ckpt"
-        C.save_model(v1, path, [f"t{i}" for i in range(10)], ["a", "b"], "S4")
-        names = [name for name, _ in C.inspect_tensors(path)]
-        assert not any(".attn." in name for name in names)
-
-        # V3: hidden size 100 shows up in the recurrent weight shapes.
-        v3 = init_model(10, 2, VariantConfig.from_name("V3", embedding_size=4), 0)
-        path = tmp_path / "v3.ckpt"
-        C.save_model(v3, path, [f"t{i}" for i in range(10)], ["a", "b"], "S4")
-        shapes = dict(C.inspect_tensors(path))
-        assert shapes["encoder.w_rec"] == (100, 400)
-
-        # V2: GRU cells carry 3 gate blocks where the LSTM carries 4.
-        v2 = init_model(10, 2, VariantConfig.from_name("V2", embedding_size=4, hidden_size=5), 0)
-        path = tmp_path / "v2.ckpt"
-        C.save_model(v2, path, [f"t{i}" for i in range(10)], ["a", "b"], "S4")
-        shapes = dict(C.inspect_tensors(path))
-        assert shapes["encoder.w_rec"] == (5, 15)
-        lstm = init_model(10, 2, VariantConfig(embedding_size=4, hidden_size=5), 0)
-        path = tmp_path / "lstm.ckpt"
-        C.save_model(lstm, path, [f"t{i}" for i in range(10)], ["a", "b"], "S4")
-        shapes = dict(C.inspect_tensors(path))
-        assert shapes["encoder.w_rec"] == (5, 20)

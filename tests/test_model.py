@@ -382,6 +382,24 @@ class TestForwardTeacherForced:
             assert abs(combined.sum() - 1.0) <= 1e-9
 
 
+class TestGatelessBackward:
+    @pytest.mark.parametrize("num_experts", [2, 0])
+    def test_combined_seed_is_a_chair_seed(self, rng, num_experts):
+        # Without a gate, beta is one-hot on the chair: seeding d_combined is seeding the chair's rows.
+        params = init_model(6, num_experts, tiny_variant(), 0, SchemeConfig.from_name("S3"))
+        cache = forward_teacher_forced(params, [4, 5, 4], [5, 4, 3])
+        d_dists = rng.normal(size=cache.readout.dists.shape)
+        d_combined = rng.normal(size=cache.readout.combined.shape)
+        on_chair = d_dists.copy()
+        on_chair[:, -1] += d_combined
+        grads = []
+        for seeds in ((d_dists, d_combined), (on_chair, np.zeros_like(d_combined))):
+            params.grads[...] = 0.0
+            M.backward_teacher_forced(params, cache, *seeds)
+            grads.append(params.grads.tobytes())
+        assert grads[0] == grads[1]
+
+
 class TestGreedyDecode:
     def test_eos_dominant_logit_stops_immediately(self):
         params = tiny_model()
@@ -402,9 +420,11 @@ class TestGreedyDecode:
         for n in (1, 2, 5):
             assert len(greedy_decode(params, [4], max_len=n)) <= n
 
-    def test_collect_beta_rows_sum_to_one(self):
+    def test_traced_beta_rows_sum_to_one(self):
+        # generate --trace reads the mixture weights of the generated ids from teacher forcing.
         params = tiny_model(seed=5)
-        ids, betas = greedy_decode(params, [4, 5], max_len=5, collect_beta=True)
+        ids = greedy_decode(params, [4, 5], max_len=5)
+        betas = forward_teacher_forced(params, [4, 5], ids).readout.beta
         assert len(ids) == len(betas)
         for beta in betas:
             assert abs(beta.sum() - 1.0) <= 1e-9
@@ -428,16 +448,17 @@ class TestOneDecodePath:
     def test_teacher_forcing_the_greedy_output_repeats_it(self, monkeypatch, rng, shape, scheme_name):
         params = self.model(shape, scheme_name)
         context = [int(t) for t in rng.integers(4, params.vocab_size, 6)]
-        combined = []
+        betas, combined = [], []
         original = M.readout
 
         def recording(*args):
             out = original(*args)
+            betas.append(out.beta[0])
             combined.append(out.combined[0])
             return out
 
         monkeypatch.setattr(M, "readout", recording)
-        ids, betas = greedy_decode(params, context, 12, collect_beta=True)
+        ids = greedy_decode(params, context, 12)
         monkeypatch.undo()
         out = forward_teacher_forced(params, context, ids).readout
         assert len(out.combined) == len(ids) == len(combined)

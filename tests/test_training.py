@@ -52,18 +52,18 @@ class TestPartition:
 class TestLossFunctions:
     def test_one_hot_expert_contributes_zero(self):
         one_hot = [0.0, 1.0, 0.0, 0.0]
-        assert TR.loss_experts([sequence([one_hot])], [[1]], ["a"], {}) == [0.0]
+        assert TR.loss_experts(sequence([one_hot]), [1], "a", {}) == [0.0]
 
     def test_uniform_single_token_is_log4(self):
         uniform = [0.25] * 4
-        (loss,) = TR.loss_experts([sequence([uniform])], [[2]], ["a"], {})
+        (loss,) = TR.loss_experts(sequence([uniform]), [2], "a", {})
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_uniform_weighting_over_experts(self):
         # k = 2 experts plus chair, all uniform over 4 tokens, mu = 1/k.
         uniform = [0.25] * 4
         mu = np.array([0.5, 0.5, 0.5])
-        raw = TR.loss_experts([sequence([uniform, uniform, uniform])], [[0]], ["a"], {"a": 0})
+        raw = TR.loss_experts(sequence([uniform, uniform, uniform]), [0], "a", {"a": 0})
         assert raw[1] == 0.0  # expert 1 does not own intent "a"
         # owner expert + chair, each weighted 1/2.
         assert abs(np.dot(mu, raw) - math.log(4.0)) < 1e-12
@@ -71,16 +71,16 @@ class TestLossFunctions:
     def test_unassigned_intent_rejected(self):
         uniform = [0.25] * 4
         with pytest.raises(DataError, match="no assigned expert"):
-            TR.loss_experts([sequence([uniform, uniform])], [[0]], ["mystery"], {"a": 0})
+            TR.loss_experts(sequence([uniform, uniform]), [0], "mystery", {"a": 0})
 
     def test_chair_loss_additivity(self):
         uniform = [0.25] * 4
-        loss = TR.loss_chair([np.array([uniform, uniform])], [[1, 3]])
+        loss = TR.nll_sequence(np.array([uniform, uniform]), [1, 3])
         assert abs(loss - 2 * math.log(4.0)) < 1e-12
 
     def test_chair_one_hot_zero(self):
         hot = [1.0, 0.0]
-        assert TR.loss_chair([np.array([hot])], [[0]]) == 0.0
+        assert TR.nll_sequence(np.array([hot]), [0]) == 0.0
 
     def test_loss_total_cases(self):
         assert TR.loss_total(2.0, 4.0, 0.0) == 4.0
@@ -316,11 +316,14 @@ class TestTrainBatch:
         expert_of = {"alpha": 0, "beta": 1}
         report = TR.train_batch(params, samples, scheme, expert_of, compute_grads)
 
-        outs = [forward_teacher_forced(params, s.context_ids, s.response_ids).readout for s in samples]
-        targets = [s.response_ids for s in samples]
-        intents = [s.intent for s in samples]
-        assert report.expert_losses == TR.loss_experts([o.dists for o in outs], targets, intents, expert_of)
-        assert report.chair_loss == TR.loss_chair([o.combined for o in outs], targets)
+        expert_losses = np.zeros(params.num_decoders)
+        chair_loss = 0.0
+        for s in samples:
+            out = forward_teacher_forced(params, s.context_ids, s.response_ids).readout
+            expert_losses += TR.loss_experts(out.dists, s.response_ids, s.intent, expert_of)
+            chair_loss += TR.nll_sequence(out.combined, s.response_ids)
+        assert report.expert_losses == expert_losses.tolist()
+        assert report.chair_loss == chair_loss
         if num_experts == 0:
             assert (report.mu, report.lambda_value) == ([1.0], 0.0)
             assert report.total == report.chair_loss
@@ -407,6 +410,12 @@ class TestGradCheck:
         err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
                             {"alpha": 0, "beta": 1})
         assert err < 1e-4
+
+    def test_single_decoder_backward_passes(self):
+        # Criterion 1 sweeps k = 2 and the test above uses S4: this covers the one-decoder model.
+        scheme = SchemeConfig.from_name("S3")
+        params = init_model(6, 0, tiny_variant(), 0, scheme)
+        assert TR.grad_check(params, tiny_samples(), scheme, {"alpha": 0, "beta": 1}) < 1e-4
 
     def test_corrupted_backward_detected(self, monkeypatch):
         original = T.tanh_backward
