@@ -175,16 +175,20 @@ def load_model(path: str | Path) -> tuple[ModelParams, dict]:
     """Rebuild a ModelParams and its header fields from one file; values are bit-exact.
 
     The file must hold exactly the tensors, in order and shape, of the model
-    its header describes; anything else is an IntegrityError.
+    its header describes; anything else is an IntegrityError. The model is
+    allocated only once they match, so its memory is bounded by the file's.
     """
     meta, tensors = load_tensors(path)
     scheme, variant = _check_meta(Path(path), meta)
-    params = build_model(len(meta["tokens"]), meta["num_experts"], variant, scheme)
-    slots = params.slots()
-    if [(name, arr.shape) for name, arr in tensors] != [(slot.name, slot.value.shape) for slot in slots]:
+    try:
+        params = build_model(len(meta["tokens"]), meta["num_experts"], variant, scheme)
+        layout = [(slot.name, slot.value.shape) for slot in params.slots()]
+    except ValueError:  # numpy cannot even describe the shapes of a model this wide
+        layout = None
+    if [(name, arr.shape) for name, arr in tensors] != layout:
         raise IntegrityError(
             f"{path}: its tensors differ in name, order or shape from the model its header describes"
         )
-    for slot, (_, arr) in zip(slots, tensors):
+    for slot, (_, arr) in zip(params.allocate().slots(), tensors):
         slot.value[...] = arr
     return params, meta

@@ -1,14 +1,19 @@
 """Recurrent cells, embeddings, attention, and the vocabulary projection.
 
 These are the building blocks the encoder and all decoders are assembled
-from. Forward functions return ``(output, cache)``; each paired
-``*_backward`` consumes the cache plus upstream gradients and returns
-gradients for the inputs. Layers are immutable during inference and may be
-shared across threads; training mutates ParamSlot gradients single-threaded.
+from. Layers are immutable during inference and may be shared across
+threads; training mutates ParamSlot gradients single-threaded.
+
+A recurrence writes its steps into one preallocated, time-first trace, and
+its backward reads rows of it. A ``CellTrace`` holds T+1 state rows: row 0
+is the initial state, step j reads row j and writes row j+1, so the hiddens
+are rows 1..T and the previous states rows 0..T-1. An ``AttentionTrace``
+holds row j of step j; its gradients fill a second trace of the same
+shapes. Greedy decoding reuses a one-step trace, copying row 1 to row 0.
 
 A recurrent step (``cell_step``, ``attention_context``) and its backward do
 only what must run token by token. Weight gradients are left to one GEMM
-per weight over the whole sequence (``cell_weights_backward``,
+per weight over the whole trace (``cell_weights_backward``,
 ``attention_weights_backward``), as in Appleyard, Kocisky and Blunsom 2016
 (arXiv 1604.01946); the projection takes any leading rows at once.
 
@@ -19,15 +24,15 @@ Conventions pinned here (tests rely on them):
   f*c + i*g, new hidden = o*tanh(cell).
 * GRU gate order is (update, reset, candidate); the candidate recurrent
   term uses ``reset * h_prev`` and the new hidden is
-  ``(1 - z) * h_prev + z * h_cand``. The ``cell`` half of RnnState stays zero.
+  ``(1 - z) * h_prev + z * h_cand``. A GRU trace's cell rows stay zero.
 * Weight matrices are stored (input_width, output_width) and applied as
   ``x @ W``; a cell step takes its input projected, ``x @ w_in + bias``.
 * Every layer also runs a stack of independent copies at once: weights,
-  inputs and states with a leading axis of n copies; a sequence of T rows
-  is ([n,] T, width). Along the copy axis every result is bit-identical to
-  running that copy alone; the decoders use this, the encoder runs
-  unstacked. Along the time axis a GEMM over T rows matches T one-row
-  products to 1e-12 relative, not bitwise.
+  inputs and states with a leading axis of n copies. A trace row is then
+  ([n,] width) and a sequence input ([n,] T, width). Along the copy axis
+  every result is bit-identical to running that copy alone; the decoders
+  use this, the encoder runs unstacked. Along the time axis a GEMM over T
+  rows matches T one-row products to 1e-12 relative, not bitwise.
 """
 
 from __future__ import annotations
@@ -40,18 +45,6 @@ import numpy as np
 from . import tensor as T
 from .errors import DomainError
 from .tensor import Array, ParamSlot
-
-
-@dataclass
-class RnnState:
-    """Recurrent state: hidden plus cell; the cell half is zero for GRU."""
-
-    hidden: Array
-    cell: Array
-
-    @classmethod
-    def zero(cls, width: int) -> "RnnState":
-        return cls(T.zeros(width), T.zeros(width))
 
 
 @dataclass
@@ -97,107 +90,111 @@ class CellParams:
         return [self.w_in, self.w_rec, self.bias]
 
 
-class LstmCache(NamedTuple):
-    prev_hidden: Array
-    prev_cell: Array
-    i: Array
-    f: Array
-    g: Array
-    o: Array
-    tanh_cell: Array
+@dataclass
+class CellTrace:
+    """T steps of a cell (of each of its n copies), time first."""
+
+    hidden: Array  # (T+1, [n,] d_h); row 0 is the initial state
+    cell: Array    # (T+1, [n,] d_h); zero for GRU
+    acts: Array    # (T, [n,] G*d_h), the gate activations in weight order
+    aux: Array     # (T, [n,] d_h): tanh(cell) for LSTM, reset * h_prev for GRU
+
+    @classmethod
+    def empty(cls, params: CellParams, steps: int) -> "CellTrace":
+        """A trace of ``steps`` steps from the all-zero initial state."""
+        lead = params.w_rec.value.shape[:-2]
+        rows = (*lead, params.hidden_size)
+        return cls(np.zeros((steps + 1, *rows)), np.zeros((steps + 1, *rows)),
+                   np.empty((steps, *lead, params.w_rec.value.shape[-1])), np.empty((steps, *rows)))
 
 
-def lstm_step(params: CellParams, gates_in: Array, prev: RnnState) -> tuple[RnnState, LstmCache]:
+def lstm_step(params: CellParams, gates_in: Array, trace: CellTrace, j: int) -> None:
     d_h = params.hidden_size
-    z = gates_in + T.matmul(prev.hidden, params.w_rec.value)
-    gates = T.sigmoid(z[..., :3 * d_h])
-    i = gates[..., :d_h]
-    f = gates[..., d_h:2 * d_h]
-    o = gates[..., 2 * d_h:]
-    g = T.tanh(z[..., 3 * d_h:])
-    cell = f * prev.cell + i * g
+    z = gates_in + T.matmul(trace.hidden[j], params.w_rec.value)
+    acts = trace.acts[j]
+    acts[..., :3 * d_h] = T.sigmoid(z[..., :3 * d_h])
+    acts[..., 3 * d_h:] = T.tanh(z[..., 3 * d_h:])
+    i, f, o, g = acts[..., :d_h], acts[..., d_h:2 * d_h], acts[..., 2 * d_h:3 * d_h], acts[..., 3 * d_h:]
+    cell = f * trace.cell[j] + i * g
     tanh_cell = T.tanh(cell)
-    hidden = o * tanh_cell
-    return RnnState(hidden, cell), LstmCache(prev.hidden, prev.cell, i, f, g, o, tanh_cell)
+    trace.cell[j + 1], trace.aux[j], trace.hidden[j + 1] = cell, tanh_cell, o * tanh_cell
 
 
 def lstm_step_backward(
-    params: CellParams, cache: LstmCache, d_hidden: Array, d_cell: Array
+    params: CellParams, trace: CellTrace, j: int, d_hidden: Array, d_cell: Array
 ) -> tuple[Array, Array, Array]:
     """Return (d_gates_in, d_prev_hidden, d_prev_cell)."""
-    d_o = d_hidden * cache.tanh_cell
-    d_c = d_cell + T.tanh_backward(d_hidden * cache.o, cache.tanh_cell)
-    d_f = d_c * cache.prev_cell
-    d_prev_cell = d_c * cache.f
-    d_i = d_c * cache.g
-    d_g = d_c * cache.i
+    d_h = params.hidden_size
+    acts = trace.acts[j]
+    i, f, o, g = acts[..., :d_h], acts[..., d_h:2 * d_h], acts[..., 2 * d_h:3 * d_h], acts[..., 3 * d_h:]
+    d_o = d_hidden * trace.aux[j]
+    d_c = d_cell + T.tanh_backward(d_hidden * o, trace.aux[j])
+    d_f = d_c * trace.cell[j]
+    d_prev_cell = d_c * f
+    d_i = d_c * g
+    d_g = d_c * i
     d_z = T.concat([
-        T.sigmoid_backward(d_i, cache.i),
-        T.sigmoid_backward(d_f, cache.f),
-        T.sigmoid_backward(d_o, cache.o),
-        T.tanh_backward(d_g, cache.g),
+        T.sigmoid_backward(d_i, i),
+        T.sigmoid_backward(d_f, f),
+        T.sigmoid_backward(d_o, o),
+        T.tanh_backward(d_g, g),
     ])
     return d_z, T.matmul(d_z, _transpose(params.w_rec.value)), d_prev_cell
 
 
-class GruCache(NamedTuple):
-    prev_hidden: Array
-    z: Array
-    r: Array
-    cand: Array
-    r_h: Array
-
-
-def gru_step(params: CellParams, gates_in: Array, prev: RnnState) -> tuple[RnnState, GruCache]:
+def gru_step(params: CellParams, gates_in: Array, trace: CellTrace, j: int) -> None:
     d_h = params.hidden_size
     w_rec = params.w_rec.value
-    zr = T.sigmoid(gates_in[..., :2 * d_h] + T.matmul(prev.hidden, w_rec[..., :2 * d_h]))
-    z = zr[..., :d_h]
-    r = zr[..., d_h:]
-    r_h = r * prev.hidden
-    cand = T.tanh(gates_in[..., 2 * d_h:] + T.matmul(r_h, w_rec[..., 2 * d_h:]))
-    hidden = (1.0 - z) * prev.hidden + z * cand
-    return RnnState(hidden, np.zeros_like(hidden)), GruCache(prev.hidden, z, r, cand, r_h)
+    prev = trace.hidden[j]
+    acts = trace.acts[j]
+    acts[..., :2 * d_h] = T.sigmoid(gates_in[..., :2 * d_h] + T.matmul(prev, w_rec[..., :2 * d_h]))
+    z = acts[..., :d_h]
+    trace.aux[j] = acts[..., d_h:2 * d_h] * prev
+    acts[..., 2 * d_h:] = T.tanh(gates_in[..., 2 * d_h:] + T.matmul(trace.aux[j], w_rec[..., 2 * d_h:]))
+    trace.hidden[j + 1] = (1.0 - z) * prev + z * acts[..., 2 * d_h:]
 
 
 def gru_step_backward(
-    params: CellParams, cache: GruCache, d_hidden: Array, d_cell: Array
+    params: CellParams, trace: CellTrace, j: int, d_hidden: Array, d_cell: Array
 ) -> tuple[Array, Array, Array]:
     """Return (d_gates_in, d_prev_hidden, d_prev_cell); d_cell is ignored (GRU has none)."""
     d_h = params.hidden_size
     w_rec = params.w_rec.value
-    d_z = d_hidden * (cache.cand - cache.prev_hidden)
-    d_prev_hidden = d_hidden * (1.0 - cache.z)
-    d_cand_pre = T.tanh_backward(d_hidden * cache.z, cache.cand)
+    z, r, cand = (trace.acts[j, ..., k * d_h:(k + 1) * d_h] for k in range(3))
+    prev = trace.hidden[j]
+    d_z = d_hidden * (cand - prev)
+    d_prev_hidden = d_hidden * (1.0 - z)
+    d_cand_pre = T.tanh_backward(d_hidden * z, cand)
     d_r_h = T.matmul(d_cand_pre, _transpose(w_rec[..., 2 * d_h:]))
-    d_r = d_r_h * cache.prev_hidden
-    d_prev_hidden = d_prev_hidden + d_r_h * cache.r
-    d_zr_pre = T.concat([T.sigmoid_backward(d_z, cache.z), T.sigmoid_backward(d_r, cache.r)])
+    d_r = d_r_h * prev
+    d_prev_hidden = d_prev_hidden + d_r_h * r
+    d_zr_pre = T.concat([T.sigmoid_backward(d_z, z), T.sigmoid_backward(d_r, r)])
     d_prev_hidden = d_prev_hidden + T.matmul(d_zr_pre, _transpose(w_rec[..., :2 * d_h]))
     return T.concat([d_zr_pre, d_cand_pre]), d_prev_hidden, np.zeros_like(d_prev_hidden)
 
 
-def cell_step(params: CellParams, gates_in: Array, prev: RnnState):
-    return (lstm_step if params.kind == "lstm" else gru_step)(params, gates_in, prev)
+def cell_step(params: CellParams, gates_in: Array, trace: CellTrace, j: int) -> None:
+    """Step j: read state row j of ``trace``, write its activations row j and state row j+1."""
+    (lstm_step if params.kind == "lstm" else gru_step)(params, gates_in, trace, j)
 
 
-def cell_step_backward(params: CellParams, cache, d_hidden: Array, d_cell: Array):
+def cell_step_backward(params: CellParams, trace: CellTrace, j: int, d_hidden: Array, d_cell: Array):
+    """Step j backward from the gradients of state row j+1; returns (d_gates_in, d_hidden, d_cell) of row j."""
     step_backward = lstm_step_backward if params.kind == "lstm" else gru_step_backward
-    return step_backward(params, cache, d_hidden, d_cell)
+    return step_backward(params, trace, j, d_hidden, d_cell)
 
 
-def cell_weights_backward(params: CellParams, x: Array, caches: list, d_gates: Array) -> None:
-    """Weight gradients of T steps from the ([n,] T, d_in) input and ([n,] T, G*d_h) ``d_gates``."""
+def cell_weights_backward(params: CellParams, x: Array, trace: CellTrace, d_gates: Array) -> None:
+    """Weight gradients of the trace's T steps from the ([n,] T, d_in) input and ([n,] T, G*d_h) ``d_gates``."""
     params.w_in.grad += _transpose(x) @ d_gates
     params.bias.grad += d_gates.sum(axis=-2)
-    prev = np.stack([cache.prev_hidden for cache in caches], axis=-2)
+    prev = np.moveaxis(trace.hidden[:-1], 0, -1)
     if params.kind == "lstm":
-        params.w_rec.grad += _transpose(prev) @ d_gates
+        params.w_rec.grad += prev @ d_gates
         return
     d_h = params.hidden_size
-    r_h = np.stack([cache.r_h for cache in caches], axis=-2)
-    params.w_rec.grad[..., :2 * d_h] += _transpose(prev) @ d_gates[..., :2 * d_h]
-    params.w_rec.grad[..., 2 * d_h:] += _transpose(r_h) @ d_gates[..., 2 * d_h:]
+    params.w_rec.grad[..., :2 * d_h] += prev @ d_gates[..., :2 * d_h]
+    params.w_rec.grad[..., 2 * d_h:] += np.moveaxis(trace.aux, 0, -1) @ d_gates[..., 2 * d_h:]
 
 
 @dataclass
@@ -226,54 +223,63 @@ def attention_memory(params: AttentionParams, encoder_hiddens: Array) -> Attenti
     return AttentionMemory(hiddens, hiddens @ w_h + params.b.value[..., None, :])
 
 
-class AttentionCache(NamedTuple):
-    query: Array    # ([n,] d_h)
-    pre: Array      # ([n,] m, attn_size), tanh output
-    weights: Array  # ([n,] m)
+@dataclass
+class AttentionTrace:
+    """T attention steps over m encoder hiddens, time first. A gradient trace holds
+    d_context, d_scores and d_pre in the same three fields."""
+
+    context: Array  # (T, [n,] d_h)
+    weights: Array  # (T, [n,] m)
+    pre: Array      # (T, [n,] m, attn_size), the tanh outputs
+
+    @classmethod
+    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int) -> "AttentionTrace":
+        lead = (steps, *params.v.value.shape[:-1])
+        m, d_h = memory.hiddens.shape
+        return cls(np.empty((*lead, d_h)), np.empty((*lead, m)), np.empty((*lead, *memory.keys.shape[-2:])))
 
 
 def attention_context(
-    params: AttentionParams, memory: AttentionMemory, query: Array
-) -> tuple[Array, Array, AttentionCache]:
-    """Score each encoder hidden against the previous decoder state.
+    params: AttentionParams, memory: AttentionMemory, query: Array, trace: AttentionTrace, j: int
+) -> None:
+    """Score each encoder hidden against the previous decoder state; writes row j of ``trace``.
 
     score_i = v . tanh(W^T (h_i ++ query) + b); weights = softmax(scores);
-    context = sum_i weights_i * h_i. Returns (context, weights, cache). A
-    stacked (n, d_h) query attends with the stacked weights, one row each.
+    context = sum_i weights_i * h_i. A stacked (n, d_h) query attends with
+    the stacked weights, one row each.
     """
     w_q = params.w.value[..., memory.hiddens.shape[1]:, :]
     pre = T.tanh(memory.keys + T.matmul(query, w_q)[..., None, :])
     weights = T.softmax((pre @ params.v.value[..., None])[..., 0])
-    context = T.matmul(weights, memory.hiddens)
-    return context, weights, AttentionCache(query, pre, weights)
+    trace.pre[j], trace.weights[j], trace.context[j] = pre, weights, T.matmul(weights, memory.hiddens)
 
 
 def attention_backward(
-    params: AttentionParams, memory: AttentionMemory, cache: AttentionCache, d_context: Array
-) -> tuple[Array, tuple[Array, Array, Array]]:
-    """Return d_query and (d_context, d_scores, d_pre) for ``attention_weights_backward``."""
-    d_scores = T.softmax_backward((memory.hiddens @ d_context[..., None])[..., 0], cache.weights)
-    d_pre = T.tanh_backward(d_scores[..., :, None] * params.v.value[..., None, :], cache.pre)
+    params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
+    j: int, d_context: Array,
+) -> Array:
+    """Step j backward: fill row j of ``grads`` for ``attention_weights_backward``; return d_query."""
+    grads.context[j] = d_context
+    grads.weights[j] = T.softmax_backward((memory.hiddens @ d_context[..., None])[..., 0], trace.weights[j])
+    grads.pre[j] = T.tanh_backward(grads.weights[j][..., :, None] * params.v.value[..., None, :], trace.pre[j])
     w_q = params.w.value[..., memory.hiddens.shape[1]:, :]
-    return T.matmul(d_pre.sum(axis=-2), _transpose(w_q)), (d_context, d_scores, d_pre)
+    return T.matmul(grads.pre[j].sum(axis=-2), _transpose(w_q))
 
 
 def attention_weights_backward(
-    params: AttentionParams, memory: AttentionMemory, caches: list[AttentionCache], grads: list
+    params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
+    queries: Array,
 ) -> Array:
-    """Weight gradients of T steps, one GEMM each; returns d_hiddens, one (m, d_h) block per copy."""
+    """Weight gradients of T steps from the (T, [n,] d_h) queries, one GEMM each;
+    returns d_hiddens, one (m, d_h) block per copy."""
     d_h = memory.hiddens.shape[1]
-    d_context, d_scores = (np.stack([g[i] for g in grads], axis=-2) for i in (0, 1))
-    d_pre = np.stack([g[2] for g in grads], axis=-3)  # ([n,] T, m, attn_size)
-    d_keys = d_pre.sum(axis=-3)
-    pre = np.stack([c.pre for c in caches], axis=-3)
-    params.v.grad += (pre * d_scores[..., None]).sum(axis=(-3, -2))
+    d_keys = grads.pre.sum(axis=0)
+    params.v.grad += (trace.pre * grads.weights[..., None]).sum(axis=(0, -2))
     params.w.grad[..., :d_h, :] += _transpose(memory.hiddens) @ d_keys
-    queries = np.stack([c.query for c in caches], axis=-2)
-    params.w.grad[..., d_h:, :] += _transpose(queries) @ d_pre.sum(axis=-2)
+    params.w.grad[..., d_h:, :] += np.moveaxis(queries, 0, -1) @ np.moveaxis(grads.pre.sum(axis=-2), 0, -2)
     params.b.grad += d_keys.sum(axis=-2)
-    weights = np.stack([c.weights for c in caches], axis=-2)
-    return _transpose(weights) @ d_context + d_keys @ _transpose(params.w.value[..., :d_h, :])
+    d_context = np.moveaxis(grads.context, 0, -2)
+    return np.moveaxis(trace.weights, 0, -1) @ d_context + d_keys @ _transpose(params.w.value[..., :d_h, :])
 
 
 @dataclass

@@ -14,11 +14,13 @@ generation (the gating input concatenates all decoders' step-j states,
 which requires aligned timelines).
 
 Only the *recurrence* (``expert_step``: attention and the cell update of
-all k+1 decoders) runs token by token. The *readout* (``readout``:
-projection, softmax, gate MLP, chair combine) feeds nothing back, so it
-takes any leading time axis: greedy decoding calls it with T=1 per step,
-teacher forcing once on all (T, k+1, d_h) states, whose arrays its
-``ForwardCache.readout`` returns to the losses, accuracy and ``--trace``.
+all k+1 decoders) runs token by token, into the time-first traces of
+``layers``; row 0 of the decoders' (T+1, k+1, d_h) trace is the encoder
+final state. The *readout* (``readout``: projection, softmax, gate MLP,
+chair combine) feeds nothing back, so it takes any leading time axis:
+greedy decoding calls it on row 1 of a one-step trace per token, teacher
+forcing once on rows 1..T, whose arrays its ``ForwardCache.readout``
+returns to the losses, accuracy and ``--trace``.
 
 Inference over frozen parameters is read-only and thread-safe; training
 mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
@@ -40,7 +42,6 @@ from .layers import (
     CellParams,
     EmbeddingTable,
     OutputProjection,
-    RnnState,
 )
 from .tensor import Array, ParamSlot
 
@@ -77,19 +78,12 @@ class SchemeWeights:
 
 
 @dataclass
-class EncoderOutput:
-    hiddens: Array          # (m, d_h), one row per context position
-    final_state: RnnState
-    memory: L.AttentionMemory | None = None  # the hiddens projected for attention, if it is on
-
-
-@dataclass
 class ModelParams:
     """The encoder, the k+1 decoders, the gate and the scheme's loss weights.
 
     Each decoder weight is one array with a leading decoder axis (k experts,
-    then the chair), so all decoders step in one call. Every tensor is a view
-    into the flat ``values``/``grads`` arena; ``slots()`` splits stacks per decoder.
+    then the chair), so all decoders step in one call. ``allocate`` makes every tensor
+    a view into the flat ``values``/``grads`` arena; ``slots()`` splits stacks per decoder.
     """
 
     embedding: EmbeddingTable
@@ -104,17 +98,17 @@ class ModelParams:
     values: Array = field(init=False)     # every learnable value, in tensors() order
     grads: Array = field(init=False)      # their gradients, in the same layout
 
-    def __post_init__(self) -> None:
-        # Each owned tensor becomes an adjacent C-contiguous view, values kept; zero grads stay untouched.
+    def allocate(self) -> "ModelParams":
+        """Make each owned tensor an adjacent C-contiguous view of the zeroed arena; returns the model."""
         owned = self.tensors()
         self.values = np.zeros(sum(t.value.size for t in owned))
         self.grads = np.zeros(self.values.size)
         offset = 0
         for t in owned:
             shape, end = t.value.shape, offset + t.value.size
-            value, t.grad = self.values[offset:end].reshape(shape), self.grads[offset:end].reshape(shape)
-            value[...], t.value = t.value, value
+            t.value, t.grad = self.values[offset:end].reshape(shape), self.grads[offset:end].reshape(shape)
             offset = end
+        return self
 
     @property
     def vocab_size(self) -> int:
@@ -156,7 +150,7 @@ def _view(stacked: ParamSlot, name: str, index: int) -> ParamSlot:
 
 
 def _slot(name: str, *shape: int) -> ParamSlot:
-    zero = np.broadcast_to(0.0, shape)  # takes no memory; ModelParams moves it into the arena
+    zero = np.broadcast_to(0.0, shape)  # takes no memory until ModelParams.allocate
     return ParamSlot(name, zero, zero)
 
 
@@ -173,7 +167,7 @@ def _cell(kind: str, prefix: str, d_in: int, d_h: int, *lead: int) -> CellParams
 def build_model(
     vocab_size: int, num_experts: int, variant: VariantConfig, scheme: SchemeConfig,
 ) -> ModelParams:
-    """A zero-valued model with exactly the tensors ``scheme`` trains.
+    """A zero-valued model with exactly the tensors ``scheme`` trains, not yet allocated.
 
     k expert decoders plus the chair; ``num_experts == 0`` builds the
     single-decoder baseline. The gate exists only when the scheme mixes more
@@ -226,7 +220,7 @@ def init_model(
     uniform(-0.08, 0.08) from one seeded PRNG in ``slots()`` order, so
     (seed, shape) fully determines values.
     """
-    params = build_model(vocab_size, num_experts, variant, scheme)
+    params = build_model(vocab_size, num_experts, variant, scheme).allocate()
     rng = np.random.default_rng(seed)
     for slot in params.slots():
         slot.value[...] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=slot.value.shape)
@@ -241,47 +235,44 @@ def init_model(
 # Encoder
 
 
-class EncodeCache(NamedTuple):
+class Encoding(NamedTuple):
     token_ids: Array
-    emb: Array          # (m, d_emb)
-    cell_caches: list
+    emb: Array                        # (m, d_emb)
+    trace: L.CellTrace                # hidden rows 1..m are the encoder hiddens, row m the final state
+    memory: L.AttentionMemory | None  # the hiddens projected for attention, if it is on
 
 
-def encode_context(params: ModelParams, context_ids: list[int]) -> tuple[EncoderOutput, EncodeCache]:
+def encode_context(params: ModelParams, context_ids: list[int]) -> Encoding:
     """Run the encoder cell left-to-right from the all-zero initial state; the input
     projections of all positions, and the attention keys of all hiddens, are one GEMM each."""
     if len(context_ids) == 0:
         raise DomainError("cannot encode an empty context")
     cell = params.encoder
     emb = params.embedding.lookup(context_ids)
-    state = RnnState.zero(cell.hidden_size)
-    hiddens = np.empty((len(emb), cell.hidden_size))
-    caches = []
-    for i, gates_in in enumerate(emb @ cell.w_in.value + cell.bias.value):
-        state, cache = L.cell_step(cell, gates_in, state)
-        hiddens[i] = state.hidden
-        caches.append(cache)
-    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens)
-    return EncoderOutput(hiddens, state, memory), EncodeCache(np.asarray(context_ids), emb, caches)
+    trace = L.CellTrace.empty(cell, len(emb))
+    for j, gates_in in enumerate(emb @ cell.w_in.value + cell.bias.value):
+        L.cell_step(cell, gates_in, trace, j)
+    memory = None if params.attention is None else L.attention_memory(params.attention, trace.hidden[1:])
+    return Encoding(np.asarray(context_ids), emb, trace, memory)
 
 
 def encode_backward(
     params: ModelParams,
-    cache: EncodeCache,
+    enc: Encoding,
     d_hiddens: Array,
     d_final_hidden: Array,
     d_final_cell: Array,
 ) -> None:
     cell = params.encoder
-    d_gates = np.empty((len(cache.emb), cell.w_rec.value.shape[-1]))
+    d_gates = np.empty((len(enc.emb), cell.w_rec.value.shape[-1]))
     carry_h = d_final_hidden
     carry_c = d_final_cell
     for i in reversed(range(len(d_gates))):
         d_gates[i], carry_h, carry_c = L.cell_step_backward(
-            cell, cache.cell_caches[i], d_hiddens[i] + carry_h, carry_c
+            cell, enc.trace, i, d_hiddens[i] + carry_h, carry_c
         )
-    L.cell_weights_backward(cell, cache.emb, cache.cell_caches, d_gates)
-    params.embedding.lookup_backward(cache.token_ids, d_gates @ cell.w_in.value.T)
+    L.cell_weights_backward(cell, enc.emb, enc.trace, d_gates)
+    params.embedding.lookup_backward(enc.token_ids, d_gates @ cell.w_in.value.T)
 
 
 # ---------------------------------------------------------------------------
@@ -296,42 +287,49 @@ def decoder_inputs(params: ModelParams, token_ids) -> Array:
     return emb @ cell.w_in.value[:, :emb.shape[-1]] + cell.bias.value[:, None]
 
 
-class DecoderStepCache(NamedTuple):
-    context: Array          # (k+1, d_h); zero when attention is off
-    attn_cache: L.AttentionCache | None
-    cell_cache: object
+def decoder_traces(
+    params: ModelParams, enc: Encoding, steps: int
+) -> tuple[L.CellTrace, L.AttentionTrace | None]:
+    """The decoders' cell trace of ``steps`` steps, every decoder starting from the
+    shared encoder final state, and their attention trace when attention is on."""
+    trace = L.CellTrace.empty(params.decoder_cell, steps)
+    trace.hidden[0] = enc.trace.hidden[-1]
+    trace.cell[0] = enc.trace.cell[-1]
+    attn = None if params.attention is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
+    return trace, attn
 
 
 def expert_step(
-    params: ModelParams, gates_in: Array, prev_state: RnnState, enc: EncoderOutput
-) -> tuple[RnnState, DecoderStepCache]:
-    """Attention and the cell update of every decoder for one token, from the token's
-    (k+1, G*d_h) column of ``decoder_inputs`` and one (k+1, d_h) state row per decoder.
-    With attention disabled the context vector is a constant zero and adds nothing."""
-    context = np.zeros_like(prev_state.hidden)
-    attn_cache = None
+    params: ModelParams, enc: Encoding, gates_in: Array, trace: L.CellTrace, attn: L.AttentionTrace | None,
+    j: int,
+) -> None:
+    """Attention and the cell update of every decoder for token j, from the token's
+    (k+1, G*d_h) column of ``decoder_inputs``: reads state row j, writes row j+1 of
+    ``trace`` and row j of ``attn``. With attention disabled the context vector is a
+    constant zero and adds nothing."""
     if params.attention is not None:
-        context, _, attn_cache = L.attention_context(params.attention, enc.memory, prev_state.hidden)
+        L.attention_context(params.attention, enc.memory, trace.hidden[j], attn, j)
+        context = attn.context[j]
         gates_in = gates_in + T.matmul(context, params.decoder_cell.w_in.value[:, -context.shape[1]:])
-    state, cell_cache = L.cell_step(params.decoder_cell, gates_in, prev_state)
-    return state, DecoderStepCache(context, attn_cache, cell_cache)
+    L.cell_step(params.decoder_cell, gates_in, trace, j)
 
 
 def expert_step_backward(
-    params: ModelParams, cache: DecoderStepCache, enc: EncoderOutput, d_hidden: Array, d_cell: Array
-) -> tuple[Array, Array, Array, tuple | None]:
-    """One step of every decoder backward: the cell's gate gradients, the (hidden, cell)
-    carries for step j-1 and the attention gradients; weight gradients come later."""
+    params: ModelParams, enc: Encoding, trace: L.CellTrace, attn: L.AttentionTrace | None,
+    d_attn: L.AttentionTrace | None, j: int, d_hidden: Array, d_cell: Array,
+) -> tuple[Array, Array, Array]:
+    """Step j of every decoder backward from the gradients of state row j+1: returns the
+    cell's gate gradients and the (hidden, cell) gradients of row j, and fills row j of
+    ``d_attn``; weight gradients come later."""
     d_gates, d_prev_hidden, d_prev_cell = L.cell_step_backward(
-        params.decoder_cell, cache.cell_cache, d_hidden, d_cell
+        params.decoder_cell, trace, j, d_hidden, d_cell
     )
-    attn_grads = None
     if params.attention is not None:
         w_context = params.decoder_cell.w_in.value[:, -d_hidden.shape[1]:]
         d_context = T.matmul(d_gates, w_context.swapaxes(-1, -2))
-        d_query, attn_grads = L.attention_backward(params.attention, enc.memory, cache.attn_cache, d_context)
+        d_query = L.attention_backward(params.attention, enc.memory, attn, d_attn, j, d_context)
         d_prev_hidden = d_prev_hidden + d_query
-    return d_gates, d_prev_hidden, d_prev_cell, attn_grads
+    return d_gates, d_prev_hidden, d_prev_cell
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +432,11 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
 
 
 class ForwardCache(NamedTuple):
-    enc_cache: EncodeCache
-    enc_out: EncoderOutput
+    enc: Encoding
     input_ids: Array        # BOS, then every gold token but the last
-    steps: list[DecoderStepCache]
+    trace: L.CellTrace      # (T+1, k+1, ·)
+    attn: L.AttentionTrace | None
     readout: Readout
-
-
-def initial_decoder_states(params: ModelParams, enc: EncoderOutput) -> RnnState:
-    # Every decoder starts from the shared encoder final state.
-    n = params.num_decoders
-    return RnnState(np.repeat(enc.final_state.hidden[None], n, axis=0),
-                    np.repeat(enc.final_state.cell[None], n, axis=0))
 
 
 def forward_teacher_forced(
@@ -459,17 +450,13 @@ def forward_teacher_forced(
     """
     if len(response_ids) == 0:
         raise DomainError("cannot teacher-force an empty response")
-    enc, enc_cache = encode_context(params, context_ids)
+    enc = encode_context(params, context_ids)
     input_ids = np.array([BOS_ID, *response_ids[:-1]])
     gates = decoder_inputs(params, input_ids)
-    states = initial_decoder_states(params, enc)
-    hidden = np.empty((len(input_ids),) + states.hidden.shape)
-    steps: list[DecoderStepCache] = []
+    trace, attn = decoder_traces(params, enc, len(input_ids))
     for j in range(len(input_ids)):
-        states, step = expert_step(params, gates[:, j], states, enc)
-        hidden[j] = states.hidden
-        steps.append(step)
-    return ForwardCache(enc_cache, enc, input_ids, steps, readout(params, hidden))
+        expert_step(params, enc, gates[:, j], trace, attn, j)
+    return ForwardCache(enc, input_ids, trace, attn, readout(params, trace.hidden[1:]))
 
 
 def backward_teacher_forced(
@@ -486,7 +473,7 @@ def backward_teacher_forced(
     is one-hot on the chair without a gate); the reverse loop carries only the
     recurrence, and each weight gradient is one GEMM over the sequence.
     """
-    out, enc, cell = cache.readout, cache.enc_out, params.decoder_cell
+    out, enc, cell = cache.readout, cache.enc, params.decoder_cell
     d_beta, d_mix = chair_combine_backward(out.dists, out.beta, d_combined)
     d_dists = d_dists + d_mix
     d_hidden = 0.0
@@ -496,33 +483,34 @@ def backward_teacher_forced(
     d_proj = L.project_backward(params.projection, out.proj_cache, d_dists.swapaxes(0, 1))
     d_hidden = d_proj.swapaxes(0, 1) + d_hidden
 
+    steps = len(cache.input_ids)
     carry_hidden = np.zeros_like(d_hidden[0])
     carry_cell = np.zeros_like(d_hidden[0])
-    d_gates = np.empty((params.num_decoders, len(cache.steps), cell.bias.value.shape[-1]))
-    attn_grads = []
-    for j in reversed(range(len(cache.steps))):
-        d_gates[:, j], carry_hidden, carry_cell, attn = expert_step_backward(
-            params, cache.steps[j], enc, d_hidden[j] + carry_hidden, carry_cell
+    d_gates = np.empty((params.num_decoders, steps, cell.bias.value.shape[-1]))
+    d_attn = None if cache.attn is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
+    for j in reversed(range(steps)):
+        d_gates[:, j], carry_hidden, carry_cell = expert_step_backward(
+            params, enc, cache.trace, cache.attn, d_attn, j, d_hidden[j] + carry_hidden, carry_cell
         )
-        attn_grads.insert(0, attn)
 
     emb = params.embedding.lookup(cache.input_ids)
-    contexts = np.stack([step.context for step in cache.steps], axis=1)  # (k+1, T, d_h)
-    x = T.concat([np.broadcast_to(emb, contexts.shape[:2] + emb.shape[1:]), contexts])
-    L.cell_weights_backward(cell, x, [step.cell_cache for step in cache.steps], d_gates)
+    contexts = np.zeros_like(d_hidden) if cache.attn is None else cache.attn.context  # (T, k+1, d_h)
+    x = T.concat([np.broadcast_to(emb, d_gates.shape[:1] + emb.shape), np.moveaxis(contexts, 0, 1)])
+    L.cell_weights_backward(cell, x, cache.trace, d_gates)
     w_emb = cell.w_in.value[:, :emb.shape[1]]
     params.embedding.lookup_backward(cache.input_ids, d_gates @ w_emb.swapaxes(-1, -2))
     # Axis-0 sums from an initial 0.0 add the decoders one at a time, in order: the
     # attention blocks of the encoder hiddens, and the carries into the initial
     # states, which were copies of the encoder final state.
-    d_enc_hiddens = np.zeros_like(enc.hiddens)
+    d_enc_hiddens = np.zeros_like(enc.trace.hidden[1:])
     if params.attention is not None:
-        attn_caches = [step.attn_cache for step in cache.steps]
-        blocks = L.attention_weights_backward(params.attention, enc.memory, attn_caches, attn_grads)
+        blocks = L.attention_weights_backward(
+            params.attention, enc.memory, cache.attn, d_attn, cache.trace.hidden[:-1]
+        )
         d_enc_hiddens = blocks.sum(axis=0, initial=0.0)
     d_final_hidden = carry_hidden.sum(axis=0, initial=0.0)
     d_final_cell = carry_cell.sum(axis=0, initial=0.0)
-    encode_backward(params, cache.enc_cache, d_enc_hiddens, d_final_hidden, d_final_cell)
+    encode_backward(params, enc, d_enc_hiddens, d_final_hidden, d_final_cell)
 
 
 def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> list[int]:
@@ -535,15 +523,17 @@ def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> 
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    enc, _ = encode_context(params, context_ids)
-    states = initial_decoder_states(params, enc)
+    enc = encode_context(params, context_ids)
+    trace, attn = decoder_traces(params, enc, 1)
     token = BOS_ID
     out_ids: list[int] = []
     for _ in range(max_len):
-        states, _ = expert_step(params, decoder_inputs(params, [token])[:, 0], states, enc)
-        out = readout(params, states.hidden[None])
+        expert_step(params, enc, decoder_inputs(params, [token])[:, 0], trace, attn, 0)
+        out = readout(params, trace.hidden[1:])
         token = int(np.argmax(out.combined[0]))  # first maximum, so lowest id wins ties
         out_ids.append(token)
         if token == EOS_ID:
             break
+        trace.hidden[0] = trace.hidden[1]
+        trace.cell[0] = trace.cell[1]
     return out_ids

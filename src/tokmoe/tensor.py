@@ -33,10 +33,6 @@ def tensor(values) -> Array:
     return np.array(values, dtype=np.float64, order="C")
 
 
-def zeros(*shape: int) -> Array:
-    return np.zeros(shape, dtype=np.float64)
-
-
 @dataclass
 class ParamSlot:
     """A named learnable tensor paired with its same-shape gradient buffer."""

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import tokmoe.layers as L
 import tokmoe.model as M
 from tokmoe import BOS_ID, RunConfig
 from tokmoe.cli import _build_run_config, build_parser, main
+from tokmoe.errors import IntegrityError
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +397,9 @@ BOUNDARY_CASES = [
      lambda c: c.header(lambda h: h.update(intents=h["intents"] + ["spare"]))),
     ("sidecar-duplicate-intent", 1, "integrity",
      lambda c: c.header(lambda h: h.update(intents=h["intents"][:1] * 2))),
+    # A wider model than the tensors hold: refused before that model is allocated.
+    ("header-claims-larger-width", 1, "integrity",
+     lambda c: c.header(lambda h: h["variant"].update(hidden_size=256))),
     # An S3 model holds no gate, so the trained S4 run's gate tensors are not its tensors.
     ("header-scheme-s3", 1, "integrity", lambda c: c.header(lambda h: h.update(scheme="S3"))),
     ("archive-extra-tensor", 1, "integrity",
@@ -440,6 +445,41 @@ class TestBoundary:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[integrity]"), err
+
+    @pytest.mark.parametrize("hidden", [64, 256, 10**12])
+    def test_header_width_claim_loads_in_bounded_memory(
+        self, corpus_dir, trained_run, tmp_path, monkeypatch, hidden
+    ):
+        # The model a header describes grows with the square of its width; the file does not.
+        argv = Boundary(corpus_dir, trained_run, tmp_path, monkeypatch).header(
+            lambda h: h["variant"].update(hidden_size=hidden)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="differ in name, order or shape"):
+                C.load_model(argv[argv.index("--checkpoint") + 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command,exc", [
+        ("train", MemoryError()),
+        ("evaluate", MemoryError("Unable to allocate 8.00 EiB for an array")),
+    ], ids=["train", "evaluate"])
+    def test_memory_error_is_one_error_line(
+        self, corpus_dir, trained_run, tmp_path, monkeypatch, capsys, command, exc
+    ):
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(M, "init_model", out_of_memory)
+        monkeypatch.setattr(C, "load_model", out_of_memory)
+        case = Boundary(corpus_dir, trained_run, tmp_path, monkeypatch)
+        assert main(case.train() if command == "train" else case.evaluate()) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.splitlines() == [f"error[memory]: {str(exc) or 'out of memory'}"]
 
     def test_non_finite_loss_stops_before_optimizer_step(
         self, corpus_dir, tmp_path, monkeypatch, capsys

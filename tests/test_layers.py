@@ -23,6 +23,14 @@ def input_gates(params, x):
     return x @ params.w_in.value + (bias[:, None] if bias.ndim == 2 else bias)
 
 
+def stepped(params, x, hidden=0.0, cell=0.0):
+    """A one-step trace from the state (hidden, cell) after one step on the input ``x``."""
+    trace = L.CellTrace.empty(params, 1)
+    trace.hidden[0], trace.cell[0] = hidden, cell
+    L.cell_step(params, input_gates(params, x), trace, 0)
+    return trace
+
+
 def make_lstm(rng, d_in, d_h):
     return L.CellParams(
         "lstm",
@@ -47,14 +55,14 @@ class TestEmbedding:
         np.testing.assert_array_equal(table.lookup(0), [0.1, 0.2])
 
     def test_out_of_range_id(self):
-        table = L.EmbeddingTable(ParamSlot("emb", T.zeros(4, 2)))
+        table = L.EmbeddingTable(ParamSlot("emb", np.zeros((4, 2))))
         with pytest.raises(IndexError):
             table.lookup(4)
         with pytest.raises(IndexError):
             table.lookup(-1)
 
     def test_gradient_touches_exactly_one_row(self):
-        table = L.EmbeddingTable(ParamSlot("emb", T.zeros(4, 3)))
+        table = L.EmbeddingTable(ParamSlot("emb", np.zeros((4, 3))))
         table.lookup_backward(2, T.tensor([1.0, 2.0, 3.0]))
         touched = np.any(table.matrix.grad != 0.0, axis=1)
         np.testing.assert_array_equal(touched, [False, False, True, False])
@@ -65,44 +73,45 @@ class TestLstmCell:
         d_in, d_h = 3, 4
         params = L.CellParams(
             "lstm",
-            ParamSlot("w_in", T.zeros(d_in, 4 * d_h)),
-            ParamSlot("w_rec", T.zeros(d_h, 4 * d_h)),
-            ParamSlot("bias", T.zeros(4 * d_h)),
+            ParamSlot("w_in", np.zeros((d_in, 4 * d_h))),
+            ParamSlot("w_rec", np.zeros((d_h, 4 * d_h))),
+            ParamSlot("bias", np.zeros(4 * d_h)),
         )
         x = rng.uniform(-2, 2, d_in)
-        state, _ = L.lstm_step(params, input_gates(params, x), L.RnnState.zero(d_h))
-        np.testing.assert_array_equal(state.hidden, np.zeros(d_h))
-        np.testing.assert_array_equal(state.cell, np.zeros(d_h))
+        trace = stepped(params, x)
+        np.testing.assert_array_equal(trace.hidden[1], np.zeros(d_h))
+        np.testing.assert_array_equal(trace.cell[1], np.zeros(d_h))
 
     def test_hidden_bounded_by_one(self, rng):
         params = make_lstm(rng, 3, 4)
-        state = L.RnnState(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
-        for _ in range(20):
-            state, _ = L.lstm_step(params, input_gates(params, rng.uniform(-3, 3, 3)), state)
-            assert np.all(np.abs(state.hidden) < 1.0)
+        trace = L.CellTrace.empty(params, 20)
+        trace.hidden[0], trace.cell[0] = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+        for j in range(20):
+            L.lstm_step(params, input_gates(params, rng.uniform(-3, 3, 3)), trace, j)
+            assert np.all(np.abs(trace.hidden[j + 1]) < 1.0)
 
     def test_backward_matches_finite_differences(self, rng):
         d_in, d_h = 2, 3
         params = make_lstm(rng, d_in, d_h)
         x = rng.uniform(-1, 1, d_in)
-        prev = L.RnnState(rng.uniform(-1, 1, d_h), rng.uniform(-1, 1, d_h))
+        prev_h, prev_c = rng.uniform(-1, 1, d_h), rng.uniform(-1, 1, d_h)
         ph = rng.uniform(-1, 1, d_h)
         pc = rng.uniform(-1, 1, d_h)
 
         def run(xv, hv, cv):
-            state, _ = L.lstm_step(params, input_gates(params, xv), L.RnnState(hv, cv))
-            return float(np.dot(ph, state.hidden) + np.dot(pc, state.cell))
+            trace = stepped(params, xv, hv, cv)
+            return float(np.dot(ph, trace.hidden[1]) + np.dot(pc, trace.cell[1]))
 
-        _, cache = L.lstm_step(params, input_gates(params, x), prev)
-        d_gates, d_h_prev, d_c_prev = L.lstm_step_backward(params, cache, ph.copy(), pc.copy())
-        L.cell_weights_backward(params, x[None], [cache], d_gates[None])
+        trace = stepped(params, x, prev_h, prev_c)
+        d_gates, d_h_prev, d_c_prev = L.lstm_step_backward(params, trace, 0, ph.copy(), pc.copy())
+        L.cell_weights_backward(params, x[None], trace, d_gates[None])
         d_x = d_gates @ params.w_in.value.T
 
-        assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev.hidden, prev.cell), x.copy())) < 1e-6
-        assert max_rel_err(d_h_prev, fd_grad(lambda v: run(x, v, prev.cell), prev.hidden.copy())) < 1e-6
-        assert max_rel_err(d_c_prev, fd_grad(lambda v: run(x, prev.hidden, v), prev.cell.copy())) < 1e-6
+        assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev_h, prev_c), x.copy())) < 1e-6
+        assert max_rel_err(d_h_prev, fd_grad(lambda v: run(x, v, prev_c), prev_h.copy())) < 1e-6
+        assert max_rel_err(d_c_prev, fd_grad(lambda v: run(x, prev_h, v), prev_c.copy())) < 1e-6
         for slot in params.slots():
-            numeric = fd_grad(lambda v: run(x, prev.hidden, prev.cell), slot.value)
+            numeric = fd_grad(lambda v: run(x, prev_h, prev_c), slot.value)
             assert max_rel_err(slot.grad, numeric) < 1e-6
 
 
@@ -111,51 +120,53 @@ class TestGruCell:
         d_in, d_h = 3, 4
         params = L.CellParams(
             "gru",
-            ParamSlot("w_in", T.zeros(d_in, 3 * d_h)),
-            ParamSlot("w_rec", T.zeros(d_h, 3 * d_h)),
-            ParamSlot("bias", T.zeros(3 * d_h)),
+            ParamSlot("w_in", np.zeros((d_in, 3 * d_h))),
+            ParamSlot("w_rec", np.zeros((d_h, 3 * d_h))),
+            ParamSlot("bias", np.zeros(3 * d_h)),
         )
         x = rng.uniform(-2, 2, d_in)
-        state, _ = L.gru_step(params, input_gates(params, x), L.RnnState.zero(d_h))
-        np.testing.assert_array_equal(state.hidden, np.zeros(d_h))
+        np.testing.assert_array_equal(stepped(params, x).hidden[1], np.zeros(d_h))
 
     def test_cell_half_stays_zero(self, rng):
         params = make_gru(rng, 2, 3)
-        state, _ = L.gru_step(params, input_gates(params, rng.uniform(-1, 1, 2)), L.RnnState.zero(3))
-        np.testing.assert_array_equal(state.cell, np.zeros(3))
+        np.testing.assert_array_equal(stepped(params, rng.uniform(-1, 1, 2)).cell[1], np.zeros(3))
 
     def test_hidden_bounded_by_one(self, rng):
         params = make_gru(rng, 3, 4)
-        state = L.RnnState(rng.uniform(-1, 1, 4), T.zeros(4))
-        for _ in range(20):
-            state, _ = L.gru_step(params, input_gates(params, rng.uniform(-3, 3, 3)), state)
-            assert np.all(np.abs(state.hidden) < 1.0)
+        trace = L.CellTrace.empty(params, 20)
+        trace.hidden[0] = rng.uniform(-1, 1, 4)
+        for j in range(20):
+            L.gru_step(params, input_gates(params, rng.uniform(-3, 3, 3)), trace, j)
+            assert np.all(np.abs(trace.hidden[j + 1]) < 1.0)
 
     def test_backward_matches_finite_differences(self, rng):
         d_in, d_h = 2, 3
         params = make_gru(rng, d_in, d_h)
         x = rng.uniform(-1, 1, d_in)
-        prev = L.RnnState(rng.uniform(-1, 1, d_h), T.zeros(d_h))
+        prev_h = rng.uniform(-1, 1, d_h)
         ph = rng.uniform(-1, 1, d_h)
 
         def run(xv, hv):
-            state, _ = L.gru_step(params, input_gates(params, xv), L.RnnState(hv, T.zeros(d_h)))
-            return float(np.dot(ph, state.hidden))
+            return float(np.dot(ph, stepped(params, xv, hv).hidden[1]))
 
-        _, cache = L.gru_step(params, input_gates(params, x), prev)
-        d_gates, d_h_prev, _ = L.gru_step_backward(params, cache, ph.copy(), T.zeros(d_h))
-        L.cell_weights_backward(params, x[None], [cache], d_gates[None])
+        trace = stepped(params, x, prev_h)
+        d_gates, d_h_prev, _ = L.gru_step_backward(params, trace, 0, ph.copy(), np.zeros(d_h))
+        L.cell_weights_backward(params, x[None], trace, d_gates[None])
         d_x = d_gates @ params.w_in.value.T
 
-        assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev.hidden), x.copy())) < 1e-6
-        assert max_rel_err(d_h_prev, fd_grad(lambda v: run(x, v), prev.hidden.copy())) < 1e-6
+        assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev_h), x.copy())) < 1e-6
+        assert max_rel_err(d_h_prev, fd_grad(lambda v: run(x, v), prev_h.copy())) < 1e-6
         for slot in params.slots():
-            numeric = fd_grad(lambda v: run(x, prev.hidden), slot.value)
+            numeric = fd_grad(lambda v: run(x, prev_h), slot.value)
             assert max_rel_err(slot.grad, numeric) < 1e-6
 
 
 def attend(params, hiddens, query):
-    return L.attention_context(params, L.attention_memory(params, hiddens), query)
+    """One attention step: its context, its weights, and its (memory, one-row trace)."""
+    memory = L.attention_memory(params, hiddens)
+    trace = L.AttentionTrace.empty(params, memory, 1)
+    L.attention_context(params, memory, query, trace, 0)
+    return trace.context[0], trace.weights[0], (memory, trace)
 
 
 class TestAttention:
@@ -230,10 +241,10 @@ class TestAttention:
             context, _, _ = attend(params, hv, qv)
             return float(np.dot(pc, context))
 
-        memory = L.attention_memory(params, h)
-        _, _, cache = L.attention_context(params, memory, query)
-        d_q, grads = L.attention_backward(params, memory, cache, pc.copy())
-        d_h = L.attention_weights_backward(params, memory, [cache], [grads])
+        _, _, (memory, trace) = attend(params, h, query)
+        grads = L.AttentionTrace.empty(params, memory, 1)
+        d_q = L.attention_backward(params, memory, trace, grads, 0, pc.copy())
+        d_h = L.attention_weights_backward(params, memory, trace, grads, query[None])
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, query), h.copy())) < 1e-6
         assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), query.copy())) < 1e-6
         for slot in params.slots():
@@ -243,15 +254,15 @@ class TestAttention:
 
 class TestProjection:
     def test_zero_params_give_uniform(self):
-        proj = L.OutputProjection(ParamSlot("u", T.zeros(3, 5)), ParamSlot("a", T.zeros(5)))
+        proj = L.OutputProjection(ParamSlot("u", np.zeros((3, 5))), ParamSlot("a", np.zeros(5)))
         probs, _ = L.project_to_vocab(proj, T.tensor([0.3, -0.2, 0.9]))
         np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-15)
 
     def test_dominating_logit_wins(self):
-        a = T.zeros(5)
+        a = np.zeros(5)
         a[2] = 50.0
-        proj = L.OutputProjection(ParamSlot("u", T.zeros(3, 5)), ParamSlot("a", a))
-        probs, _ = L.project_to_vocab(proj, T.zeros(3))
+        proj = L.OutputProjection(ParamSlot("u", np.zeros((3, 5))), ParamSlot("a", a))
+        probs, _ = L.project_to_vocab(proj, np.zeros(3))
         assert probs[2] > 0.99
 
     def test_simplex_on_random_params(self, rng):
@@ -297,24 +308,23 @@ class TestStackedCopies:
         self.assert_rows_equal([s.grad for s in stacked_slots], [s.grad for s in single_slots], l)
 
     @staticmethod
-    def run_cell(params, x, state, d_hidden, d_cell):
-        """T steps forward, the reverse loop, then the sequence's weight gradients.
+    def run_cell(params, x, hidden, cell, d_hidden, d_cell):
+        """T steps forward from (hidden, cell), the reverse loop, then the trace's weight gradients.
 
         Sequences are ([n,] T, width); the returned hiddens and d_gates are (T, [n,] width).
         """
-        caches, hiddens = [], []
-        for gates_in in input_gates(params, x).swapaxes(0, -2):
-            state, cache = L.cell_step(params, gates_in, state)
-            caches.append(cache)
-            hiddens.append(state.hidden)
-        d_gates, carry_h, carry_c = [], np.zeros_like(state.hidden), d_cell
-        for t in reversed(range(len(caches))):
-            d_g, carry_h, carry_c = L.cell_step_backward(
-                params, caches[t], d_hidden[t] + carry_h, carry_c
+        gates = input_gates(params, x)
+        trace = L.CellTrace.empty(params, gates.shape[-2])
+        trace.hidden[0], trace.cell[0] = hidden, cell
+        for t, gates_in in enumerate(gates.swapaxes(0, -2)):
+            L.cell_step(params, gates_in, trace, t)
+        d_gates, carry_h, carry_c = np.empty_like(gates), np.zeros_like(hidden), d_cell
+        for t in reversed(range(gates.shape[-2])):
+            d_gates[..., t, :], carry_h, carry_c = L.cell_step_backward(
+                params, trace, t, d_hidden[t] + carry_h, carry_c
             )
-            d_gates.insert(0, d_g)
-        L.cell_weights_backward(params, x, caches, np.stack(d_gates, axis=-2))
-        return np.stack(hiddens), np.stack(d_gates), carry_h, carry_c
+        L.cell_weights_backward(params, x, trace, d_gates)
+        return trace.hidden[1:], d_gates.swapaxes(0, -2), carry_h, carry_c
 
     @pytest.mark.parametrize("kind,gates", [("lstm", 4), ("gru", 3)])
     def test_cell(self, rng, kind, gates):
@@ -326,26 +336,29 @@ class TestStackedCopies:
             make_slot(rng, "bias", n, gates * d_h),
         )
         x = rng.uniform(-1, 1, (n, steps, d_in))
-        prev = L.RnnState(rng.uniform(-1, 1, (n, d_h)), rng.uniform(-1, 1, (n, d_h)))
+        hidden, cell = rng.uniform(-1, 1, (n, d_h)), rng.uniform(-1, 1, (n, d_h))
         d_hidden = rng.uniform(-1, 1, (steps, n, d_h))
         d_cell = rng.uniform(-1, 1, (n, d_h))
-        hiddens, d_gates, carry_h, carry_c = self.run_cell(stacked, x, prev, d_hidden, d_cell)
+        hiddens, d_gates, carry_h, carry_c = self.run_cell(stacked, x, hidden, cell, d_hidden, d_cell)
         for l in range(n):
             single = L.CellParams(kind, *self.copy_of(stacked.slots(), l))
-            prev_l = L.RnnState(prev.hidden[l], prev.cell[l])
-            out_l = self.run_cell(single, x[l], prev_l, d_hidden[:, l], d_cell[l])
+            out_l = self.run_cell(single, x[l], hidden[l], cell[l], d_hidden[:, l], d_cell[l])
             self.assert_rows_equal([hiddens, d_gates], out_l[:2], l, axis=1)
             self.assert_rows_equal([carry_h, carry_c], out_l[2:], l)
             self.assert_grads_equal(stacked.slots(), single.slots(), l)
 
     @staticmethod
     def run_attention(params, hiddens, queries, d_contexts):
+        """T steps of (T, [n,] d_h) queries forward and backward, then the weight gradients."""
         memory = L.attention_memory(params, hiddens)
-        contexts, weights, caches = zip(*(L.attention_context(params, memory, q) for q in queries))
-        backward = (L.attention_backward(params, memory, c, d) for c, d in zip(caches, d_contexts))
-        d_queries, grads = zip(*backward)
-        d_hiddens = L.attention_weights_backward(params, memory, list(caches), list(grads))
-        return np.stack(contexts), np.stack(weights), np.stack(d_queries), d_hiddens
+        trace, grads = (L.AttentionTrace.empty(params, memory, len(queries)) for _ in range(2))
+        for t, query in enumerate(queries):
+            L.attention_context(params, memory, query, trace, t)
+        d_queries = np.array([
+            L.attention_backward(params, memory, trace, grads, t, d) for t, d in enumerate(d_contexts)
+        ])
+        d_hiddens = L.attention_weights_backward(params, memory, trace, grads, queries)
+        return trace.context, trace.weights, d_queries, d_hiddens
 
     def test_attention(self, rng):
         n, steps, m, d_h, d_a = self.N, 4, 5, 7, 6

@@ -12,9 +12,7 @@ import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe.config import BOS_ID, EOS_ID, SPECIAL_TOKENS, OptimizerConfig, SchemeConfig, VariantConfig
 from tokmoe.errors import DomainError
-from tokmoe.layers import RnnState
 from tokmoe.model import (
-    EncoderOutput,
     GatingParams,
     chair_combine,
     encode_context,
@@ -37,8 +35,8 @@ class TestEncoder:
     def test_hidden_count_matches_context_length(self):
         params = tiny_model()
         for length in (1, 2, 5):
-            enc, _ = encode_context(params, [4] * length)
-            assert enc.hiddens.shape == (length, 3)
+            enc = encode_context(params, [4] * length)
+            assert enc.trace.hidden[1:].shape == (length, 3)
 
     def test_empty_context_rejected(self):
         with pytest.raises(DomainError):
@@ -48,20 +46,32 @@ class TestEncoder:
         params = tiny_model()
         for slot in params.encoder.slots():
             slot.value[...] = 0.0
-        enc, _ = encode_context(params, [4, 5, 4])
-        np.testing.assert_array_equal(enc.hiddens, np.zeros((3, 3)))
-        np.testing.assert_array_equal(enc.final_state.hidden, np.zeros(3))
+        enc = encode_context(params, [4, 5, 4])
+        np.testing.assert_array_equal(enc.trace.hidden[1:], np.zeros((3, 3)))
+        np.testing.assert_array_equal(enc.trace.hidden[-1], np.zeros(3))
 
 
 def step(params, token, state, enc):
-    """Every decoder's (k+1, V) distribution and state after one recurrence step on ``token``."""
-    new_state, _ = expert_step(params, M.decoder_inputs(params, [token])[:, 0], state, enc)
-    return M.readout(params, new_state.hidden[None]).dists[0], new_state
+    """Every decoder's (k+1, V) distribution and (hidden, cell) state rows after one
+    recurrence step on ``token`` from the (k+1, d_h) rows of ``state``."""
+    trace, attn = M.decoder_traces(params, enc, 1)
+    trace.hidden[0], trace.cell[0] = state
+    expert_step(params, enc, M.decoder_inputs(params, [token])[:, 0], trace, attn, 0)
+    return M.readout(params, trace.hidden[1:]).dists[0], (trace.hidden[1], trace.cell[1])
 
 
 def stacked_state(rng, n_dec, d_h=3):
-    """One random state shared by every decoder row."""
-    return RnnState(np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)), np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)))
+    """One random (hidden, cell) state shared by every decoder row."""
+    return np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1)), np.tile(rng.uniform(-1, 1, d_h), (n_dec, 1))
+
+
+def fabricated_encoding(params, hiddens):
+    """An encoding whose hidden rows are ``hiddens``, the last one its final state (zero cell)."""
+    hiddens = np.asarray(hiddens, dtype=np.float64)
+    trace = L.CellTrace.empty(params.encoder, len(hiddens))
+    trace.hidden[1:] = hiddens
+    memory = None if params.attention is None else L.attention_memory(params.attention, trace.hidden[1:])
+    return M.Encoding(np.full(len(hiddens), 4), None, trace, memory)
 
 
 class TestStackedSlots:
@@ -121,7 +131,7 @@ class TestStackedSlots:
 
     def test_adam_step_over_slots_changes_the_stacked_step(self, rng):
         params = tiny_model()
-        enc, _ = encode_context(params, [4, 5])
+        enc = encode_context(params, [4, 5])
         state = stacked_state(rng, params.num_decoders)
         before = step(params, 4, state, enc)[0]
         params.grads[...] = 1.0
@@ -133,8 +143,8 @@ class TestStackedSlots:
 class TestExpertStep:
     def test_distribution_on_simplex(self, rng):
         params = tiny_model()
-        enc, _ = encode_context(params, [4, 5])
-        state = RnnState(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)))
+        enc = encode_context(params, [4, 5])
+        state = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
         dists, _ = step(params, 4, state, enc)
         assert dists.shape == (params.num_decoders, 6)
         for dist in dists:
@@ -145,9 +155,9 @@ class TestExpertStep:
         # Same final state, different per-position hiddens: with attention
         # off the step must not see the difference.
         params = tiny_model(attention_enabled=False)
-        final = RnnState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        enc_a = EncoderOutput(rng.uniform(-1, 1, (4, 3)), final)
-        enc_b = EncoderOutput(rng.uniform(-1, 1, (4, 3)), final)
+        final = rng.uniform(-1, 1, 3)
+        enc_a = fabricated_encoding(params, [*rng.uniform(-1, 1, (3, 3)), final])
+        enc_b = fabricated_encoding(params, [*rng.uniform(-1, 1, (3, 3)), final])
         state = stacked_state(rng, params.num_decoders)
         dist_a, _ = step(params, 4, state, enc_a)
         dist_b, _ = step(params, 4, state, enc_b)
@@ -155,7 +165,7 @@ class TestExpertStep:
 
     def test_attention_params_not_shared_between_experts(self, rng):
         params = tiny_model(num_experts=2)
-        enc, _ = encode_context(params, [4, 5])
+        enc = encode_context(params, [4, 5])
         state = stacked_state(rng, params.num_decoders)
         before = step(params, 4, state, enc)[0]
         params.attention.w.value[1] += rng.uniform(0.5, 1.5, (6, 2))
@@ -224,12 +234,11 @@ class TestExpertStep:
         exps = [math.exp(v - m) for v in logits]
         expected = [e / sum(exps) for e in exps]
 
-        memory = L.attention_memory(params.attention, T.tensor(h_enc))
-        enc = EncoderOutput(T.tensor(h_enc), RnnState(T.tensor(s_h), T.tensor(s_c)), memory)
-        dists, state = step(params, prev_token, RnnState(T.tensor([s_h]), T.tensor([s_c])), enc)
+        enc = fabricated_encoding(params, h_enc)
+        dists, (state_h, state_c) = step(params, prev_token, (T.tensor([s_h]), T.tensor([s_c])), enc)
         np.testing.assert_allclose(dists[0], expected, atol=1e-12)
-        np.testing.assert_allclose(state.hidden[0], hidden, atol=1e-12)
-        np.testing.assert_allclose(state.cell[0], cell, atol=1e-12)
+        np.testing.assert_allclose(state_h[0], hidden, atol=1e-12)
+        np.testing.assert_allclose(state_c[0], cell, atol=1e-12)
 
 
 class TestGating:
@@ -245,23 +254,23 @@ class TestGating:
 
     @staticmethod
     def fabricated_step(rng, n_dec=2, d_h=2, vocab=3):
-        states = RnnState(rng.uniform(-1, 1, (n_dec, d_h)), T.zeros(n_dec, d_h))
+        hidden = rng.uniform(-1, 1, (n_dec, d_h))
         raw = rng.uniform(0.1, 1.0, (n_dec, vocab))
-        return states, raw / raw.sum(axis=1, keepdims=True)
+        return hidden, raw / raw.sum(axis=1, keepdims=True)
 
     def test_equal_keys_give_uniform_beta(self, rng):
         gating = self.make_gating(rng, n_dec=3)
         shared = rng.uniform(-0.5, 0.5, 2)
         gating.expert_keys.value[...] = shared
-        states, dists = self.fabricated_step(rng, n_dec=3)
-        beta, _ = gate_weights(gating, states.hidden, dists)
+        hidden, dists = self.fabricated_step(rng, n_dec=3)
+        beta, _ = gate_weights(gating, hidden, dists)
         np.testing.assert_allclose(beta, np.full(3, 1 / 3), atol=1e-12)
 
     def test_beta_sums_to_one(self, rng):
         gating = self.make_gating(rng)
         for _ in range(100):
-            states, dists = self.fabricated_step(rng)
-            beta, _ = gate_weights(gating, states.hidden, dists)
+            hidden, dists = self.fabricated_step(rng)
+            beta, _ = gate_weights(gating, hidden, dists)
             assert abs(beta.sum() - 1.0) <= 1e-12
 
     def test_hand_computed_two_decoder_case(self):
@@ -286,14 +295,13 @@ class TestGating:
         exps = [math.exp(v - mx) for v in logits]
         expected = [e / sum(exps) for e in exps]
 
-        states = RnnState(T.tensor([s1, s2]), T.zeros(2, 2))
-        beta, _ = gate_weights(gating, states.hidden, T.tensor([p1, p2]))
+        beta, _ = gate_weights(gating, T.tensor([s1, s2]), T.tensor([p1, p2]))
         np.testing.assert_allclose(beta, expected, atol=1e-12)
 
     def test_logit_shift_invariance_through_combination(self, rng):
         gating = self.make_gating(rng)
-        states, dists = self.fabricated_step(rng)
-        beta, cache = gate_weights(gating, states.hidden, dists)
+        hidden, dists = self.fabricated_step(rng)
+        beta, cache = gate_weights(gating, hidden, dists)
         combined = chair_combine(dists, beta)
         for c in (-40.0, 0.7, 123.0):
             shifted_beta = T.softmax(cache.logits + c)

@@ -126,4 +126,4 @@ class TestParamSlot:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            T.ParamSlot("w", T.tensor([1.0, 2.0]), grad=T.zeros(3))
+            T.ParamSlot("w", T.tensor([1.0, 2.0]), grad=np.zeros(3))

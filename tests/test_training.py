@@ -166,7 +166,7 @@ class TestSchemeModels:
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         values = T.tensor([1.0, -2.0, 3.0])
-        TR.adam_step(OptimizerConfig(), values, T.zeros(3), TR.AdamState.like(values))
+        TR.adam_step(OptimizerConfig(), values, np.zeros(3), TR.AdamState.like(values))
         np.testing.assert_array_equal(values, [1.0, -2.0, 3.0])
 
     def test_scalar_first_step_hand_value(self):
@@ -202,7 +202,7 @@ class TestClipAndL2:
     def test_l2_then_clip_order(self):
         # l2 is added to the raw gradient BEFORE clamping, so a huge weight
         # saturates at the clip boundary.
-        grads = T.zeros(1)
+        grads = np.zeros(1)
         TR.apply_l2(T.tensor([1e6]), grads, 1e-3)
         TR.clip_gradients(grads)
         np.testing.assert_array_equal(grads, [5.0])
@@ -416,6 +416,22 @@ class TestGradCheck:
         scheme = SchemeConfig.from_name("S3")
         params = init_model(6, 0, tiny_variant(), 0, scheme)
         assert TR.grad_check(params, tiny_samples(), scheme, {"alpha": 0, "beta": 1}) < 1e-4
+
+    @pytest.mark.parametrize("variant,scheme_name", [
+        ("base", "S4"), ("V1", "S3"), ("V2", "S1"),
+    ], ids=["base-S4", "V1-S3", "V2-S1"])
+    def test_mixed_length_batch_passes(self, variant, scheme_name):
+        # Contexts of 1, 2 and 5 tokens and responses of 1, 5 and 2: one-row traces and
+        # one-position attention, which the 2-3 token samples above never reach.
+        batch = [
+            EncodedSample([4], [3], "alpha", Sample(["x"], ["y"], "alpha")),
+            EncodedSample([5, 4], [4, 5, 4, 5, 3], "beta", Sample(["x"], ["y"], "beta")),
+            EncodedSample([4, 5, 5, 4, 4], [5, 3], "alpha", Sample(["x"], ["y"], "alpha")),
+        ]
+        overrides = {"base": {}, "V1": {"attention_enabled": False}, "V2": {"cell_kind": "gru"}}[variant]
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, 2, tiny_variant(**overrides), 0, scheme)
+        assert TR.grad_check(params, batch, scheme, {"alpha": 0, "beta": 1}) < 1e-4
 
     def test_corrupted_backward_detected(self, monkeypatch):
         original = T.tanh_backward
