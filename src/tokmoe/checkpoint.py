@@ -183,7 +183,7 @@ def load_model(path: str | Path) -> tuple[ModelParams, dict]:
     try:
         params = build_model(len(meta["tokens"]), meta["num_experts"], variant, scheme)
         layout = [(slot.name, slot.value.shape) for slot in params.slots()]
-    except ValueError:  # numpy cannot even describe the shapes of a model this wide
+    except ConfigError:  # numpy cannot even describe the shapes of a model this wide
         layout = None
     if [(name, arr.shape) for name, arr in tensors] != layout:
         raise IntegrityError(

@@ -15,7 +15,8 @@ A recurrent step (``cell_step``, ``attention_context``) and its backward do
 only what must run token by token. Weight gradients are left to one GEMM
 per weight over the whole trace (``cell_weights_backward``,
 ``attention_weights_backward``), as in Appleyard, Kocisky and Blunsom 2016
-(arXiv 1604.01946); the projection takes any leading rows at once.
+(arXiv 1604.01946); the projection takes any leading rows at once, and its
+backward reads the state rows and probabilities that its caller holds.
 
 Conventions pinned here (tests rely on them):
 
@@ -291,20 +292,15 @@ class OutputProjection:
         return [self.u, self.a]
 
 
-class ProjectionCache(NamedTuple):
-    state: Array
-    probs: Array
-
-
-def project_to_vocab(proj: OutputProjection, state: Array) -> tuple[Array, ProjectionCache]:
+def project_to_vocab(proj: OutputProjection, state: Array) -> Array:
     """softmax(U^T state + a) for every row of a ([n,] T, d_h) state, one GEMM per copy."""
     a = proj.a.value
-    probs = T.softmax(state @ proj.u.value + (a[:, None] if a.ndim == 2 else a))
-    return probs, ProjectionCache(state, probs)
+    return T.softmax(state @ proj.u.value + (a[:, None] if a.ndim == 2 else a))
 
 
-def project_backward(proj: OutputProjection, cache: ProjectionCache, d_probs: Array) -> Array:
-    d_logits = T.softmax_backward(d_probs, cache.probs)
-    proj.u.grad += _transpose(cache.state) @ d_logits
+def project_backward(proj: OutputProjection, state: Array, probs: Array, d_probs: Array) -> Array:
+    """Backward from the forward's ``state`` and its ``probs``; returns d_state."""
+    d_logits = T.softmax_backward(d_probs, probs)
+    proj.u.grad += _transpose(state) @ d_logits
     proj.a.grad += d_logits.sum(axis=-2)
     return d_logits @ _transpose(proj.u.value)

@@ -36,7 +36,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .config import BOS_ID, EOS_ID, SchemeConfig, VariantConfig
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .layers import (
     AttentionParams,
     CellParams,
@@ -111,10 +111,6 @@ class ModelParams:
         return self
 
     @property
-    def vocab_size(self) -> int:
-        return self.embedding.vocab_size
-
-    @property
     def num_decoders(self) -> int:
         return self.projection.a.value.shape[0]
 
@@ -150,7 +146,10 @@ def _view(stacked: ParamSlot, name: str, index: int) -> ParamSlot:
 
 
 def _slot(name: str, *shape: int) -> ParamSlot:
-    zero = np.broadcast_to(0.0, shape)  # takes no memory until ModelParams.allocate
+    try:
+        zero = np.broadcast_to(0.0, shape)  # takes no memory until ModelParams.allocate
+    except ValueError:  # numpy cannot even describe an array this large
+        raise ConfigError(f"tensor {name} of shape {shape} is too large") from None
     return ParamSlot(name, zero, zero)
 
 
@@ -340,7 +339,6 @@ class GateCache(NamedTuple):
     gate_input: Array
     hidden_out: Array
     query: Array
-    logits: Array
     beta: Array
     piece_lengths: list[int]
 
@@ -362,9 +360,8 @@ def gate_weights(gating: GatingParams, hidden: Array, dists: Array) -> tuple[Arr
     gate_input = T.concat([hidden, dists]).reshape(hidden.shape[:-2] + (-1,))
     hidden_out = T.tanh(gate_input @ gating.hidden_w.value + gating.hidden_b.value)
     query = hidden_out @ gating.out_w.value + gating.out_b.value
-    logits = query @ gating.expert_keys.value.T
-    beta = T.softmax(logits)
-    cache = GateCache(gate_input, hidden_out, query, logits, beta, [hidden.shape[-1], dists.shape[-1]])
+    beta = T.softmax(query @ gating.expert_keys.value.T)
+    cache = GateCache(gate_input, hidden_out, query, beta, [hidden.shape[-1], dists.shape[-1]])
     return beta, cache
 
 
@@ -404,7 +401,6 @@ class Readout(NamedTuple):
     dists: Array            # (T, k+1, V)
     beta: Array             # (T, k+1)
     combined: Array         # (T, V); without the mixture, a view of the chair's rows
-    proj_cache: L.ProjectionCache
     gate_cache: GateCache | None
 
 
@@ -417,14 +413,13 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
     distribution.
     """
     # The projection takes the decoder axis first: one GEMM per decoder over all T rows.
-    probs, proj_cache = L.project_to_vocab(params.projection, hidden.swapaxes(0, 1))
-    dists = probs.swapaxes(0, 1)
+    dists = L.project_to_vocab(params.projection, hidden.swapaxes(0, 1)).swapaxes(0, 1)
     if params.gating is not None:
         beta, gate_cache = gate_weights(params.gating, hidden, dists)
-        return Readout(dists, beta, chair_combine(dists, beta), proj_cache, gate_cache)
+        return Readout(dists, beta, chair_combine(dists, beta), gate_cache)
     beta = np.zeros(dists.shape[:-1])
     beta[..., -1] = 1.0
-    return Readout(dists, beta, dists[..., -1, :], proj_cache, None)
+    return Readout(dists, beta, dists[..., -1, :], None)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +475,9 @@ def backward_teacher_forced(
     if out.gate_cache is not None:
         d_hidden, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
         d_dists = d_dists + d_gate_dists
-    d_proj = L.project_backward(params.projection, out.proj_cache, d_dists.swapaxes(0, 1))
+    # The projection's rows take the decoder axis first, as in ``readout``.
+    rows = [a.swapaxes(0, 1) for a in (cache.trace.hidden[1:], out.dists, d_dists)]
+    d_proj = L.project_backward(params.projection, *rows)
     d_hidden = d_proj.swapaxes(0, 1) + d_hidden
 
     steps = len(cache.input_ids)

@@ -28,11 +28,6 @@ Array = np.ndarray
 PROB_FLOOR = 1e-12
 
 
-def tensor(values) -> Array:
-    """Build a float64 row-major array from nested lists or another array."""
-    return np.array(values, dtype=np.float64, order="C")
-
-
 @dataclass
 class ParamSlot:
     """A named learnable tensor paired with its same-shape gradient buffer."""

@@ -4,7 +4,11 @@ The joint objective is ``lambda * L_experts + (1 - lambda) * L_chair``:
 
 * ``L_experts`` sums each decoder's own negative log-likelihood over the
   samples it is localized to (expert l sees only its intent's partition;
-  the chair sees every sample), each term weighted by mu_l.
+  the chair sees every sample), each term weighted by mu_l. One
+  ``nll_sequence`` call over a response's (T, k+1, V) readout gives every
+  decoder's NLL at once; the sample's (k+1,) ``ownership`` row selects
+  which of them count, and lambda * mu * ownership weighs their gradient
+  seeds, so no code loops over the decoders or branches on the owner.
 * ``L_chair`` is the negative log-likelihood of the combined distribution
   over all samples: ``nll_sequence`` of each response's ``combined``.
 
@@ -78,40 +82,32 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
 # Losses
 
 
-def nll_sequence(dists: Array, targets) -> float:
-    """Sum of -log p[y] over a (T, V) sequence, with the probability floor: one gather.
+def nll_sequence(dists: Array, targets) -> float | Array:
+    """Sum of -log p[y] over a response, with the probability floor: one gather.
 
-    A NaN probability is not floored, so it yields a NaN sum.
+    A (T, V) sequence gives a float; a (T, k+1, V) readout gives a (k+1,)
+    array, each decoder's own NLL. Each decoder's T terms are summed from
+    one contiguous row, so they add in the order of a (T, V) call. A NaN
+    probability is not floored, so it yields a NaN sum.
     """
-    p = np.asarray(dists)[np.arange(len(targets)), targets]
-    return float(-np.log(np.maximum(p, T.PROB_FLOOR)).sum())
+    p = np.asarray(dists)[np.arange(len(targets)), ..., targets]
+    nll = -np.log(np.maximum(np.ascontiguousarray(p.T), T.PROB_FLOOR)).sum(axis=-1)
+    return float(nll) if nll.ndim == 0 else nll
 
 
-def localized_decoders(intent: str, expert_of: dict[str, int], chair: int) -> tuple[int, ...]:
-    """Decoders whose own NLL on a sample of ``intent`` enters the expert loss.
+def ownership(intent: str, expert_of: dict[str, int], num_decoders: int) -> Array:
+    """The (k+1,) row of decoders whose own NLL on a sample of ``intent`` enters the expert loss.
 
-    The intent's expert, then the chair, which sees every sample. In
-    single-decoder mode (``chair == 0``) that is the one decoder, once.
+    The intent's expert and the chair, which sees every sample; in
+    single-decoder mode, the one decoder.
     """
-    if chair == 0:
-        return (0,)
-    if intent not in expert_of:
-        raise DataError(f"intent {intent!r} has no assigned expert")
-    return (expert_of[intent], chair)
-
-
-def loss_experts(dists: Array, targets: list[int], intent: str, expert_of: dict[str, int]) -> list[float]:
-    """Localized expert loss of one response: the own NLL of each decoder localized to it.
-
-    Returns the unweighted NLL per decoder (chair last) of the (T, k+1, V)
-    distributions; the expert loss is its dot product with mu. Expert l
-    accrues loss only on samples of its intent, the chair on every sample,
-    each scoring with its OWN distribution, not the combination.
-    """
-    raw = [0.0] * dists.shape[1]
-    for l in localized_decoders(intent, expert_of, len(raw) - 1):
-        raw[l] = nll_sequence(dists[:, l], targets)
-    return raw
+    own = np.zeros(num_decoders, dtype=bool)
+    own[-1] = True
+    if num_decoders > 1:
+        if intent not in expert_of:
+            raise DataError(f"intent {intent!r} has no assigned expert")
+        own[expert_of[intent]] = True
+    return own
 
 
 def loss_total(expert_loss: float, chair_loss: float, lam: float) -> float:
@@ -137,14 +133,20 @@ class LossReport:
     lambda_value: float
 
 
-def _nll_grad_seeds(dists: Array, targets: list[int], weight: float) -> Array:
-    """Gradient of weight * nll_sequence(dists, targets) w.r.t. the (T, V) distributions."""
+def _nll_grad_seeds(dists: Array, targets: list[int], weight: float | Array) -> Array:
+    """Gradient of weight * nll_sequence(dists, targets) w.r.t. the distributions.
+
+    ``weight`` is a scalar, or one weight per decoder of a (T, k+1, V)
+    readout. A zero weight, a floored or a NaN probability passes no
+    gradient: its seed stays +0.0.
+    """
+    rows = np.arange(len(targets))
+    p = dists[rows, ..., targets]
+    weight = np.broadcast_to(weight, p.shape)
+    grad = np.zeros(p.shape)
+    np.divide(-weight, p, out=grad, where=(p > T.PROB_FLOOR) & (weight != 0.0))
     seeds = np.zeros(dists.shape)
-    if weight != 0.0:
-        rows = np.arange(len(targets))
-        p = dists[rows, targets]
-        live = p > T.PROB_FLOOR  # floored (and NaN) probabilities pass no gradient
-        seeds[rows[live], np.asarray(targets)[live]] = -weight / p[live]
+    seeds[rows, ..., targets] = grad
     return seeds
 
 
@@ -172,13 +174,13 @@ def train_batch(
         cache = forward_teacher_forced(params, enc_sample.context_ids, targets)
         dists, combined = cache.readout.dists, cache.readout.combined
         token_count += len(targets)
-        raw_expert += loss_experts(dists, targets, enc_sample.intent, expert_of)
+        own = ownership(enc_sample.intent, expert_of, n_dec)
+        # Selected, not multiplied: a decoder that does not own the sample adds exactly 0.0.
+        raw_expert += np.where(own, nll_sequence(dists, targets), 0.0)
         chair_total += nll_sequence(combined, targets)
 
         if compute_grads:
-            d_dists = np.zeros(dists.shape)
-            for l in localized_decoders(enc_sample.intent, expert_of, n_dec - 1):
-                d_dists[:, l] = _nll_grad_seeds(dists[:, l], targets, lam * mu[l])
+            d_dists = _nll_grad_seeds(dists, targets, lam * mu * own)
             d_combined = _nll_grad_seeds(combined, targets, 1.0 - lam)
             backward_teacher_forced(params, cache, d_dists, d_combined)
 
@@ -228,7 +230,7 @@ def apply_l2(values: Array, grads: Array, weight: float) -> None:
             grads[lo:lo + BLOCK] += weight * values[lo:lo + BLOCK]
 
 
-def clip_gradients(grads: Array, low: float = -5.0, high: float = 5.0) -> None:
+def clip_gradients(grads: Array, low: float, high: float) -> None:
     """Element-wise value clamp of every gradient into [low, high]."""
     np.clip(grads, low, high, out=grads)
 

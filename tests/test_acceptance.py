@@ -149,7 +149,7 @@ def decoder_token_nlls(params, samples):
     tokens = 0
     for s in samples:
         dists = forward_teacher_forced(params, s.context_ids, s.response_ids).readout.dists
-        totals += [nll_sequence(dists[:, l], s.response_ids) for l in range(len(totals))]
+        totals += nll_sequence(dists, s.response_ids)
         tokens += len(s.response_ids)
     return totals / tokens
 

@@ -213,8 +213,8 @@ class TestGradcheckCommand:
     def test_nan_gradient_exits_one(self, capsys, monkeypatch):
         original = L.project_backward
 
-        def nan_coordinate(proj, cache, d_probs):
-            d_state = original(proj, cache, d_probs)
+        def nan_coordinate(proj, *args):
+            d_state = original(proj, *args)
             proj.a.grad.flat[0] = np.nan
             return d_state
 
@@ -360,6 +360,8 @@ BOUNDARY_CASES = [
      lambda c: c.evaluate(corpus=c.file("t.jsonl", _TOKENS_NOT_STRINGS))),
     ("valid-corpus-empty", 1, "data", lambda c: c.train("--valid", c.file("empty.jsonl", ""))),
     ("evaluate-corpus-empty", 1, "data", lambda c: c.evaluate(corpus=c.file("empty.jsonl", ""))),
+    # A width whose tensors numpy cannot describe: refused when the model is built, before any allocation.
+    ("train-width-too-large", 1, "config", lambda c: c.train("--hidden-size", "1000000000000")),
     # Checkpoint framing: the footer is the checksum of every byte before it.
     ("flipped-checkpoint-byte", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, len(c.blob) // 2))),
     ("header-byte-flipped", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, 20))),  # header from 16

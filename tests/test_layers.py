@@ -51,7 +51,7 @@ def make_gru(rng, d_in, d_h):
 
 class TestEmbedding:
     def test_lookup_reads_the_row(self):
-        table = L.EmbeddingTable(ParamSlot("emb", T.tensor([[0.1, 0.2], [0.3, 0.4]])))
+        table = L.EmbeddingTable(ParamSlot("emb", np.array([[0.1, 0.2], [0.3, 0.4]], dtype=np.float64)))
         np.testing.assert_array_equal(table.lookup(0), [0.1, 0.2])
 
     def test_out_of_range_id(self):
@@ -63,7 +63,7 @@ class TestEmbedding:
 
     def test_gradient_touches_exactly_one_row(self):
         table = L.EmbeddingTable(ParamSlot("emb", np.zeros((4, 3))))
-        table.lookup_backward(2, T.tensor([1.0, 2.0, 3.0]))
+        table.lookup_backward(2, np.array([1.0, 2.0, 3.0], dtype=np.float64))
         touched = np.any(table.matrix.grad != 0.0, axis=1)
         np.testing.assert_array_equal(touched, [False, False, True, False])
 
@@ -205,7 +205,9 @@ class TestAttention:
         h2 = [-0.3, 0.2]
         s = [0.2, -0.1]
         params = L.AttentionParams(
-            ParamSlot("w", T.tensor(w)), ParamSlot("b", T.tensor(b)), ParamSlot("v", T.tensor(v))
+            ParamSlot("w", np.array(w, dtype=np.float64)),
+            ParamSlot("b", np.array(b, dtype=np.float64)),
+            ParamSlot("v", np.array(v, dtype=np.float64)),
         )
 
         def score(h):
@@ -217,7 +219,7 @@ class TestAttention:
         a1, a2 = e1 / (e1 + e2), e2 / (e1 + e2)
         expected_context = [a1 * h1[0] + a2 * h2[0], a1 * h1[1] + a2 * h2[1]]
 
-        context, weights, _ = attend(params, T.tensor([h1, h2]), T.tensor(s))
+        context, weights, _ = attend(params, np.array([h1, h2], dtype=np.float64), np.array(s, dtype=np.float64))
         np.testing.assert_allclose(weights, [a1, a2], atol=1e-12)
         np.testing.assert_allclose(context, expected_context, atol=1e-12)
 
@@ -255,20 +257,20 @@ class TestAttention:
 class TestProjection:
     def test_zero_params_give_uniform(self):
         proj = L.OutputProjection(ParamSlot("u", np.zeros((3, 5))), ParamSlot("a", np.zeros(5)))
-        probs, _ = L.project_to_vocab(proj, T.tensor([0.3, -0.2, 0.9]))
+        probs = L.project_to_vocab(proj, np.array([0.3, -0.2, 0.9], dtype=np.float64))
         np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-15)
 
     def test_dominating_logit_wins(self):
         a = np.zeros(5)
         a[2] = 50.0
         proj = L.OutputProjection(ParamSlot("u", np.zeros((3, 5))), ParamSlot("a", a))
-        probs, _ = L.project_to_vocab(proj, np.zeros(3))
+        probs = L.project_to_vocab(proj, np.zeros(3))
         assert probs[2] > 0.99
 
     def test_simplex_on_random_params(self, rng):
         proj = L.OutputProjection(make_slot(rng, "u", 3, 6), make_slot(rng, "a", 6))
         for _ in range(50):
-            probs, _ = L.project_to_vocab(proj, rng.uniform(-2, 2, 3))
+            probs = L.project_to_vocab(proj, rng.uniform(-2, 2, 3))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs >= 0)
 
@@ -278,11 +280,10 @@ class TestProjection:
         g = rng.uniform(-1, 1, (1, 4))
 
         def run(sv):
-            probs, _ = L.project_to_vocab(proj, sv)
-            return float(np.sum(probs * g))
+            return float(np.sum(L.project_to_vocab(proj, sv) * g))
 
-        probs, cache = L.project_to_vocab(proj, state)
-        d_state = L.project_backward(proj, cache, g.copy())
+        probs = L.project_to_vocab(proj, state)
+        d_state = L.project_backward(proj, state, probs, g.copy())
         assert max_rel_err(d_state, fd_grad(run, state.copy())) < 1e-6
         for slot in proj.slots():
             numeric = fd_grad(lambda v: run(state), slot.value)
@@ -381,12 +382,12 @@ class TestStackedCopies:
         stacked = L.OutputProjection(make_slot(rng, "u", n, d_h, vocab), make_slot(rng, "a", n, vocab))
         state = rng.uniform(-1, 1, (n, steps, d_h))
         d_probs = rng.uniform(-1, 1, (n, steps, vocab))
-        probs, cache = L.project_to_vocab(stacked, state)
-        d_state = L.project_backward(stacked, cache, d_probs)
+        probs = L.project_to_vocab(stacked, state)
+        d_state = L.project_backward(stacked, state, probs, d_probs)
         for l in range(n):
             single = L.OutputProjection(*self.copy_of(stacked.slots(), l))
-            probs_l, cache_l = L.project_to_vocab(single, state[l])
-            d_state_l = L.project_backward(single, cache_l, d_probs[l])
+            probs_l = L.project_to_vocab(single, state[l])
+            d_state_l = L.project_backward(single, state[l], probs_l, d_probs[l])
             self.assert_rows_equal([probs, d_state], [probs_l, d_state_l], l)
             self.assert_grads_equal(stacked.slots(), single.slots(), l)
 

@@ -235,7 +235,8 @@ class TestExpertStep:
         expected = [e / sum(exps) for e in exps]
 
         enc = fabricated_encoding(params, h_enc)
-        dists, (state_h, state_c) = step(params, prev_token, (T.tensor([s_h]), T.tensor([s_c])), enc)
+        state = (np.array([s_h], dtype=np.float64), np.array([s_c], dtype=np.float64))
+        dists, (state_h, state_c) = step(params, prev_token, state, enc)
         np.testing.assert_allclose(dists[0], expected, atol=1e-12)
         np.testing.assert_allclose(state_h[0], hidden, atol=1e-12)
         np.testing.assert_allclose(state_c[0], cell, atol=1e-12)
@@ -281,9 +282,9 @@ class TestGating:
         ob = [0.01, -0.04]
         keys = [[0.5, -0.2], [-0.1, 0.3]]
         gating = GatingParams(
-            ParamSlot("hw", T.tensor(hw)), ParamSlot("hb", T.tensor(hb)),
-            ParamSlot("ow", T.tensor(ow)), ParamSlot("ob", T.tensor(ob)),
-            ParamSlot("keys", T.tensor(keys)),
+            ParamSlot("hw", np.array(hw, dtype=np.float64)), ParamSlot("hb", np.array(hb, dtype=np.float64)),
+            ParamSlot("ow", np.array(ow, dtype=np.float64)), ParamSlot("ob", np.array(ob, dtype=np.float64)),
+            ParamSlot("keys", np.array(keys, dtype=np.float64)),
         )
         s1, s2 = [0.1, -0.3], [0.2, 0.05]
         p1, p2 = [0.5, 0.3, 0.2], [0.1, 0.7, 0.2]
@@ -295,7 +296,7 @@ class TestGating:
         exps = [math.exp(v - mx) for v in logits]
         expected = [e / sum(exps) for e in exps]
 
-        beta, _ = gate_weights(gating, T.tensor([s1, s2]), T.tensor([p1, p2]))
+        beta, _ = gate_weights(gating, np.array([s1, s2], dtype=np.float64), np.array([p1, p2], dtype=np.float64))
         np.testing.assert_allclose(beta, expected, atol=1e-12)
 
     def test_logit_shift_invariance_through_combination(self, rng):
@@ -304,7 +305,7 @@ class TestGating:
         beta, cache = gate_weights(gating, hidden, dists)
         combined = chair_combine(dists, beta)
         for c in (-40.0, 0.7, 123.0):
-            shifted_beta = T.softmax(cache.logits + c)
+            shifted_beta = T.softmax(cache.query @ gating.expert_keys.value.T + c)
             np.testing.assert_allclose(shifted_beta, beta, atol=1e-12)
             np.testing.assert_allclose(chair_combine(dists, shifted_beta), combined, atol=1e-12)
 
@@ -323,7 +324,8 @@ class TestChairCombine:
         np.testing.assert_array_equal(chair_combine(dists, beta), dists[1])
 
     def test_hand_midpoint(self):
-        out = chair_combine([T.tensor([0.8, 0.2]), T.tensor([0.2, 0.8])], T.tensor([0.5, 0.5]))
+        dists = np.array([[0.8, 0.2], [0.2, 0.8]], dtype=np.float64)
+        out = chair_combine(dists, np.array([0.5, 0.5], dtype=np.float64))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_equals_decoder_by_decoder_sum_bitwise(self, rng):
@@ -455,7 +457,7 @@ class TestOneDecodePath:
     @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
     def test_teacher_forcing_the_greedy_output_repeats_it(self, monkeypatch, rng, shape, scheme_name):
         params = self.model(shape, scheme_name)
-        context = [int(t) for t in rng.integers(4, params.vocab_size, 6)]
+        context = [int(t) for t in rng.integers(4, params.embedding.vocab_size, 6)]
         betas, combined = [], []
         original = M.readout
 

@@ -14,16 +14,16 @@ from conftest import fd_grad, max_rel_err
 class TestMatmul:
     def test_identity(self):
         a = np.eye(2)
-        b = T.tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
         np.testing.assert_array_equal(T.matmul(a, b), b)
 
     def test_hand_product(self):
-        out = T.matmul(T.tensor([[1.0, 2.0]]), T.tensor([[3.0], [4.0]]))
+        out = T.matmul(np.array([[1.0, 2.0]], dtype=np.float64), np.array([[3.0], [4.0]], dtype=np.float64))
         np.testing.assert_allclose(out, [[11.0]])
 
     def test_dimension_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 2\)"):
-            T.matmul(T.tensor([[1.0, 2.0]]), T.tensor([[3.0, 4.0]]))
+            T.matmul(np.array([[1.0, 2.0]], dtype=np.float64), np.array([[3.0, 4.0]], dtype=np.float64))
 
     def test_associativity_on_random_chains(self, rng):
         for _ in range(20):
@@ -37,10 +37,10 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform_over_equal_logits(self):
-        np.testing.assert_allclose(T.softmax(T.tensor([0.0, 0.0, 0.0])), [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(T.softmax(np.array([0.0, 0.0, 0.0], dtype=np.float64)), [1 / 3] * 3, atol=1e-15)
 
     def test_closed_form_ratio(self):
-        out = T.softmax(T.tensor([math.log(2.0), 0.0]))
+        out = T.softmax(np.array([math.log(2.0), 0.0], dtype=np.float64))
         np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_shift_invariance(self, rng):
@@ -69,11 +69,11 @@ class TestSoftmax:
 
 class TestConcat:
     def test_single_part(self):
-        np.testing.assert_array_equal(T.concat([T.tensor([1.0, 2.0])]), [1.0, 2.0])
+        np.testing.assert_array_equal(T.concat([np.array([1.0, 2.0], dtype=np.float64)]), [1.0, 2.0])
 
     def test_order_preserved(self):
         np.testing.assert_array_equal(
-            T.concat([T.tensor([1.0]), T.tensor([2.0, 3.0])]), [1.0, 2.0, 3.0]
+            T.concat([np.array([1.0], dtype=np.float64), np.array([2.0, 3.0], dtype=np.float64)]), [1.0, 2.0, 3.0]
         )
 
     def test_length_additivity(self, rng):
@@ -95,13 +95,13 @@ class TestConcat:
 
 class TestElementwise:
     def test_tanh_at_origin(self):
-        np.testing.assert_array_equal(T.tanh(T.tensor([0.0])), [0.0])
+        np.testing.assert_array_equal(T.tanh(np.array([0.0], dtype=np.float64)), [0.0])
 
     def test_sigmoid_midpoint(self):
-        np.testing.assert_array_equal(T.sigmoid(T.tensor([0.0])), [0.5])
+        np.testing.assert_array_equal(T.sigmoid(np.array([0.0], dtype=np.float64)), [0.5])
 
     def test_sigmoid_saturation_is_finite(self):
-        out = T.sigmoid(T.tensor([-1e9, 1e9]))
+        out = T.sigmoid(np.array([-1e9, 1e9], dtype=np.float64))
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
@@ -120,10 +120,10 @@ class TestElementwise:
 
 class TestParamSlot:
     def test_grad_zero_initialized_with_matching_shape(self):
-        slot = T.ParamSlot("w", T.tensor([[1.0, 2.0]]))
+        slot = T.ParamSlot("w", np.array([[1.0, 2.0]], dtype=np.float64))
         assert slot.grad.shape == (1, 2)
         assert np.all(slot.grad == 0.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            T.ParamSlot("w", T.tensor([1.0, 2.0]), grad=np.zeros(3))
+            T.ParamSlot("w", np.array([1.0, 2.0], dtype=np.float64), grad=np.zeros(3))

@@ -21,6 +21,12 @@ def sequence(*steps):
     return np.array(steps, dtype=float)
 
 
+def localized(dists, targets, intent, expert_of):
+    """The per-decoder expert loss of one response, as train_batch forms it."""
+    own = TR.ownership(intent, expert_of, dists.shape[1])
+    return np.where(own, TR.nll_sequence(dists, targets), 0.0)
+
+
 class TestPartition:
     def corpus(self, intents):
         samples = [Sample([f"c{i}"], [f"r{i}"], intent) for i, intent in enumerate(intents)]
@@ -52,18 +58,18 @@ class TestPartition:
 class TestLossFunctions:
     def test_one_hot_expert_contributes_zero(self):
         one_hot = [0.0, 1.0, 0.0, 0.0]
-        assert TR.loss_experts(sequence([one_hot]), [1], "a", {}) == [0.0]
+        assert localized(sequence([one_hot]), [1], "a", {}).tolist() == [0.0]
 
     def test_uniform_single_token_is_log4(self):
         uniform = [0.25] * 4
-        (loss,) = TR.loss_experts(sequence([uniform]), [2], "a", {})
+        (loss,) = localized(sequence([uniform]), [2], "a", {})
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_uniform_weighting_over_experts(self):
         # k = 2 experts plus chair, all uniform over 4 tokens, mu = 1/k.
         uniform = [0.25] * 4
         mu = np.array([0.5, 0.5, 0.5])
-        raw = TR.loss_experts(sequence([uniform, uniform, uniform]), [0], "a", {"a": 0})
+        raw = localized(sequence([uniform, uniform, uniform]), [0], "a", {"a": 0})
         assert raw[1] == 0.0  # expert 1 does not own intent "a"
         # owner expert + chair, each weighted 1/2.
         assert abs(np.dot(mu, raw) - math.log(4.0)) < 1e-12
@@ -71,7 +77,35 @@ class TestLossFunctions:
     def test_unassigned_intent_rejected(self):
         uniform = [0.25] * 4
         with pytest.raises(DataError, match="no assigned expert"):
-            TR.loss_experts(sequence([uniform, uniform]), [0], "mystery", {"a": 0})
+            localized(sequence([uniform, uniform]), [0], "mystery", {"a": 0})
+
+    def test_ownership_rows(self):
+        expert_of = {"a": 0, "b": 1}
+        assert TR.ownership("b", expert_of, 3).tolist() == [False, True, True]
+        # Single-decoder mode: the one decoder owns every sample, whatever its intent.
+        assert TR.ownership("mystery", {}, 1).tolist() == [True]
+
+    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 33])
+    def test_readout_nll_is_each_decoders_sequence_nll_bitwise(self, rng, steps):
+        # Past 8 terms numpy sums pairwise, so the bits depend on the order the terms add in.
+        dists = rng.dirichlet(np.ones(11), size=(steps, 4))
+        targets = [int(t) for t in rng.integers(0, 11, steps)]
+        per_column = [TR.nll_sequence(dists[:, l], targets) for l in range(4)]
+        assert TR.nll_sequence(dists, targets).tolist() == per_column
+
+    def test_grad_seed_row_is_each_decoders_seeds_bitwise(self, rng):
+        dists = rng.dirichlet(np.ones(6), size=(9, 3))
+        dists[2, :, 0] = 0.0       # floored probabilities pass no gradient
+        dists[5, 2, 0] = math.nan  # nor does a NaN one
+        targets = [0] * 6 + [3, 4, 5]
+        weight = np.array([0.25, 0.0, 0.75])
+        seeds = TR._nll_grad_seeds(dists, targets, weight)
+        for l in range(3):
+            assert seeds[:, l].tobytes() == TR._nll_grad_seeds(dists[:, l], targets, weight[l]).tobytes()
+        # The zero-weight column, the floored row and the NaN entry hold +0.0, not -0.0.
+        for passes_none in (seeds[:, 1], seeds[2], seeds[5, 2]):
+            assert not passes_none.any() and not np.signbit(passes_none).any()
+        assert (seeds[:, 0] < 0.0).sum() == 8
 
     def test_chair_loss_additivity(self):
         uniform = [0.25] * 4
@@ -165,15 +199,15 @@ class TestSchemeModels:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        values = T.tensor([1.0, -2.0, 3.0])
+        values = np.array([1.0, -2.0, 3.0], dtype=np.float64)
         TR.adam_step(OptimizerConfig(), values, np.zeros(3), TR.AdamState.like(values))
         np.testing.assert_array_equal(values, [1.0, -2.0, 3.0])
 
     def test_scalar_first_step_hand_value(self):
         # theta = 0, g = 1: m_hat = 1, v_hat = 1, delta = -alpha / (1 + eps).
-        values = T.tensor([0.0])
+        values = np.array([0.0], dtype=np.float64)
         opt = OptimizerConfig()
-        TR.adam_step(opt, values, T.tensor([1.0]), TR.AdamState.like(values))
+        TR.adam_step(opt, values, np.array([1.0], dtype=np.float64), TR.AdamState.like(values))
         expected = -opt.alpha / (1.0 + opt.epsilon)
         assert abs(values[0] - expected) < 1e-15
         assert abs(values[0] + 0.005) < 1e-9
@@ -195,16 +229,16 @@ class TestAdam:
 
 class TestClipAndL2:
     def test_clip_values(self):
-        grads = T.tensor([6.0, -7.5, 3.2])
-        TR.clip_gradients(grads)
+        grads = np.array([6.0, -7.5, 3.2], dtype=np.float64)
+        TR.clip_gradients(grads, -5.0, 5.0)
         np.testing.assert_array_equal(grads, [5.0, -5.0, 3.2])
 
     def test_l2_then_clip_order(self):
         # l2 is added to the raw gradient BEFORE clamping, so a huge weight
         # saturates at the clip boundary.
         grads = np.zeros(1)
-        TR.apply_l2(T.tensor([1e6]), grads, 1e-3)
-        TR.clip_gradients(grads)
+        TR.apply_l2(np.array([1e6], dtype=np.float64), grads, 1e-3)
+        TR.clip_gradients(grads, -5.0, 5.0)
         np.testing.assert_array_equal(grads, [5.0])
 
     def test_adversarial_gradients_never_produce_nonfinite_params(self):
@@ -320,7 +354,7 @@ class TestTrainBatch:
         chair_loss = 0.0
         for s in samples:
             out = forward_teacher_forced(params, s.context_ids, s.response_ids).readout
-            expert_losses += TR.loss_experts(out.dists, s.response_ids, s.intent, expert_of)
+            expert_losses += localized(out.dists, s.response_ids, s.intent, expert_of)
             chair_loss += TR.nll_sequence(out.combined, s.response_ids)
         assert report.expert_losses == expert_losses.tolist()
         assert report.chair_loss == chair_loss
@@ -445,8 +479,8 @@ class TestGradCheck:
         # max(worst, nan) would keep worst, so a NaN coordinate must fail on its own.
         original = L.project_backward
 
-        def nan_coordinate(proj, cache, d_probs):
-            d_state = original(proj, cache, d_probs)
+        def nan_coordinate(proj, *args):
+            d_state = original(proj, *args)
             proj.a.grad.flat[0] = math.nan
             return d_state
 
