@@ -3,8 +3,13 @@
 A shared encoder, k expert decoders, and a chair decoder with a learned
 gating network, trained with a joint global-and-local objective, plus the
 data, evaluation, and CLI machinery around it. Everything is float64 and
-seeded, so runs are bit-reproducible.
+seeded, so runs are bit-reproducible; importing tokmoe pins BLAS to one
+thread first, because a threaded GEMM's bits depend on the thread count.
 """
+
+import os
+
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .config import (
     BOS_ID,

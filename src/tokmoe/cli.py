@@ -211,7 +211,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     ids = M.greedy_decode(params, context_ids, args.max_len)
     print(" ".join(vocab.decode_ids(ids)))
     if args.trace:
-        betas = M.forward_teacher_forced(params, context_ids, ids).readout.beta
+        betas = M.forward_teacher_forced(params, [context_ids], [ids]).readout.beta
         names = [params.decoder_name(i) for i in range(params.num_decoders)]
         print("# gating weights per generated token (" + ", ".join(names) + ")")
         for token_id, beta in zip(ids, betas):

@@ -4,19 +4,21 @@ These are the building blocks the encoder and all decoders are assembled
 from. Layers are immutable during inference and may be shared across
 threads; training mutates ParamSlot gradients single-threaded.
 
-A recurrence writes its steps into one preallocated, time-first trace, and
-its backward reads rows of it. A ``CellTrace`` holds T+1 state rows: row 0
-is the initial state, step j reads row j and writes row j+1, so the hiddens
-are rows 1..T and the previous states rows 0..T-1. An ``AttentionTrace``
-holds row j of step j; its gradients fill a second trace of the same
-shapes. Greedy decoding reuses a one-step trace, copying row 1 to row 0.
+A recurrence steps B rows (a group of sequences) at once into one
+preallocated, time-first trace, whose steps ``rows`` lays out as the
+([n,] T*B, width) rows of one GEMM per copy. A ``CellTrace`` holds T+1
+state rows: row 0 is the initial state, step j reads row j and writes row
+j+1. An ``AttentionTrace`` holds row j of step j; its gradients fill a
+second one. Greedy decoding reuses a one-step, one-row trace, copying row
+1 to row 0.
 
 A recurrent step (``cell_step``, ``attention_context``) and its backward do
 only what must run token by token. Weight gradients are left to one GEMM
-per weight over the whole trace (``cell_weights_backward``,
+per weight over all T*B rows (``cell_weights_backward``,
 ``attention_weights_backward``), as in Appleyard, Kocisky and Blunsom 2016
-(arXiv 1604.01946); the projection takes any leading rows at once, and its
-backward reads the state rows and probabilities that its caller holds.
+(arXiv 1604.01946); the projection takes any leading rows at once. Each
+row attends over its own right-padded context: scores at padded positions
+are -inf, so their weights, and every gradient through them, are 0.
 
 Conventions pinned here (tests rely on them):
 
@@ -29,11 +31,11 @@ Conventions pinned here (tests rely on them):
 * Weight matrices are stored (input_width, output_width) and applied as
   ``x @ W``; a cell step takes its input projected, ``x @ w_in + bias``.
 * Every layer also runs a stack of independent copies at once: weights,
-  inputs and states with a leading axis of n copies. A trace row is then
-  ([n,] width) and a sequence input ([n,] T, width). Along the copy axis
+  inputs and states with a leading axis of n copies. Along the copy axis
   every result is bit-identical to running that copy alone; the decoders
-  use this, the encoder runs unstacked. Along the time axis a GEMM over T
-  rows matches T one-row products to 1e-12 relative, not bitwise.
+  use this, the encoder runs unstacked. Along the row axis a GEMM over R
+  rows matches R one-row products to about 1e-11 relative, not bitwise;
+  with B = 1 every product has the shape of the one-sequence step.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ def _transpose(w: Array) -> Array:
     return w.swapaxes(-1, -2)
 
 
+def rows(a: Array) -> Array:
+    """Time-first (T, [n,] B, width) as the ([n,] T*B, width) rows of one GEMM per copy, step by step."""
+    return a.swapaxes(0, -3).reshape(*a.shape[1:-2], -1, a.shape[-1])
+
+
 @dataclass
 class CellParams:
     """Recurrent cell weights; ``kind`` picks the LSTM (G = 4) or GRU (G = 3) step."""
@@ -93,20 +100,20 @@ class CellParams:
 
 @dataclass
 class CellTrace:
-    """T steps of a cell (of each of its n copies), time first."""
+    """T steps of a cell (of each of its n copies) over B rows, time first."""
 
-    hidden: Array  # (T+1, [n,] d_h); row 0 is the initial state
-    cell: Array    # (T+1, [n,] d_h); zero for GRU
-    acts: Array    # (T, [n,] G*d_h), the gate activations in weight order
-    aux: Array     # (T, [n,] d_h): tanh(cell) for LSTM, reset * h_prev for GRU
+    hidden: Array  # (T+1, [n,] B, d_h); row 0 is the initial state
+    cell: Array    # (T+1, [n,] B, d_h); zero for GRU
+    acts: Array    # (T, [n,] B, G*d_h), the gate activations in weight order
+    aux: Array     # (T, [n,] B, d_h): tanh(cell) for LSTM, reset * h_prev for GRU
 
     @classmethod
-    def empty(cls, params: CellParams, steps: int) -> "CellTrace":
-        """A trace of ``steps`` steps from the all-zero initial state."""
+    def empty(cls, params: CellParams, steps: int, batch: int) -> "CellTrace":
+        """A trace of ``steps`` steps of ``batch`` rows from the all-zero initial state."""
         lead = params.w_rec.value.shape[:-2]
-        rows = (*lead, params.hidden_size)
-        return cls(np.zeros((steps + 1, *rows)), np.zeros((steps + 1, *rows)),
-                   np.empty((steps, *lead, params.w_rec.value.shape[-1])), np.empty((steps, *rows)))
+        state = (*lead, batch, params.hidden_size)
+        return cls(np.zeros((steps + 1, *state)), np.zeros((steps + 1, *state)),
+                   np.empty((steps, *lead, batch, params.w_rec.value.shape[-1])), np.empty((steps, *state)))
 
 
 def lstm_step(params: CellParams, gates_in: Array, trace: CellTrace, j: int) -> None:
@@ -185,17 +192,21 @@ def cell_step_backward(params: CellParams, trace: CellTrace, j: int, d_hidden: A
     return step_backward(params, trace, j, d_hidden, d_cell)
 
 
-def cell_weights_backward(params: CellParams, x: Array, trace: CellTrace, d_gates: Array) -> None:
-    """Weight gradients of the trace's T steps from the ([n,] T, d_in) input and ([n,] T, G*d_h) ``d_gates``."""
-    params.w_in.grad += _transpose(x) @ d_gates
+def cell_weights_backward(params: CellParams, xs: list[Array], trace: CellTrace, d_gates: Array) -> None:
+    """Weight gradients of the trace's steps from its ([n,] T*B, G*d_h) ``d_gates`` rows, one GEMM
+    per weight: each ([n,] T*B, width) input block fills the next rows of ``w_in``."""
+    start = 0
+    for x in xs:
+        params.w_in.grad[..., start:start + x.shape[-1], :] += _transpose(x) @ d_gates
+        start += x.shape[-1]
     params.bias.grad += d_gates.sum(axis=-2)
-    prev = np.moveaxis(trace.hidden[:-1], 0, -1)
+    prev = _transpose(rows(trace.hidden[:-1]))
     if params.kind == "lstm":
         params.w_rec.grad += prev @ d_gates
         return
     d_h = params.hidden_size
     params.w_rec.grad[..., :2 * d_h] += prev @ d_gates[..., :2 * d_h]
-    params.w_rec.grad[..., 2 * d_h:] += np.moveaxis(trace.aux, 0, -1) @ d_gates[..., 2 * d_h:]
+    params.w_rec.grad[..., 2 * d_h:] += _transpose(rows(trace.aux)) @ d_gates[..., 2 * d_h:]
 
 
 @dataclass
@@ -211,76 +222,83 @@ class AttentionParams:
 
 
 class AttentionMemory(NamedTuple):
-    hiddens: Array  # (m, d_h)
-    keys: Array     # ([n,] m, attn_size): W_h^T h_i + b, the query-free part of each score
+    hiddens: Array  # (B, m, d_h), each row's context right-padded
+    keys: Array     # ([n,] B, m, attn_size): W_h^T h_i + b, the query-free part of each score
+    mask: Array     # (B, m): 0 at each context's positions, -inf at its padding
 
 
-def attention_memory(params: AttentionParams, encoder_hiddens: Array) -> AttentionMemory:
-    """Project the encoder hiddens once per sequence, one GEMM per copy."""
-    hiddens = np.asarray(encoder_hiddens, dtype=np.float64)
-    if hiddens.ndim != 2 or hiddens.shape[0] == 0:
+def attention_memory(
+    params: AttentionParams, encoder_hiddens: Array, valid: Array | None = None
+) -> AttentionMemory:
+    """Project B contexts' (B, m, d_h) hiddens once, one GEMM per copy over all B*m rows."""
+    hiddens = np.ascontiguousarray(encoder_hiddens, dtype=np.float64)
+    if hiddens.ndim != 3 or hiddens.shape[1] == 0:
         raise DomainError("attention requires at least one encoder hidden vector")
-    w_h = params.w.value[..., :hiddens.shape[1], :]
-    return AttentionMemory(hiddens, hiddens @ w_h + params.b.value[..., None, :])
+    batch, m, d_h = hiddens.shape
+    keys = hiddens.reshape(-1, d_h) @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
+    mask = np.zeros((batch, m)) if valid is None else np.where(valid, 0.0, -np.inf)
+    return AttentionMemory(hiddens, keys.reshape(*keys.shape[:-2], batch, m, -1), mask)
 
 
 @dataclass
 class AttentionTrace:
-    """T attention steps over m encoder hiddens, time first. A gradient trace holds
-    d_context, d_scores and d_pre in the same three fields."""
+    """T attention steps of B rows, time first. A gradient trace holds d_context and d_share
+    in the same fields, and d_keys summed over its steps."""
 
-    context: Array  # (T, [n,] d_h)
-    weights: Array  # (T, [n,] m)
-    pre: Array      # (T, [n,] m, attn_size), the tanh outputs
+    context: Array  # (T, [n,] B, d_h)
+    weights: Array  # (T, [n,] B, m)
+    share: Array    # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
+    keys: Array     # ([n,] B, m, attn_size): d_keys in a gradient trace; unused in the forward
 
     @classmethod
     def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int) -> "AttentionTrace":
-        lead = (steps, *params.v.value.shape[:-1])
-        m, d_h = memory.hiddens.shape
-        return cls(np.empty((*lead, d_h)), np.empty((*lead, m)), np.empty((*lead, *memory.keys.shape[-2:])))
+        lead = (steps, *params.v.value.shape[:-1], len(memory.hiddens))
+        return cls(np.empty((*lead, memory.hiddens.shape[-1])), np.empty((*lead, memory.hiddens.shape[1])),
+                   np.empty((*lead, params.v.value.shape[-1])), np.zeros(memory.keys.shape))
 
 
 def attention_context(
     params: AttentionParams, memory: AttentionMemory, query: Array, trace: AttentionTrace, j: int
 ) -> None:
-    """Score each encoder hidden against the previous decoder state; writes row j of ``trace``.
+    """Score each row's encoder hiddens against its previous decoder state; writes row j of ``trace``.
 
-    score_i = v . tanh(W^T (h_i ++ query) + b); weights = softmax(scores);
-    context = sum_i weights_i * h_i. A stacked (n, d_h) query attends with
-    the stacked weights, one row each.
+    score_i = v . tanh(W^T (h_i ++ query) + b), -inf at padded positions;
+    weights = softmax(scores); context = sum_i weights_i * h_i. ([n,] B, d_h)
+    queries attend with the stacked weights, one row each.
     """
-    w_q = params.w.value[..., memory.hiddens.shape[1]:, :]
-    pre = T.tanh(memory.keys + T.matmul(query, w_q)[..., None, :])
-    weights = T.softmax((pre @ params.v.value[..., None])[..., 0])
-    trace.pre[j], trace.weights[j], trace.context[j] = pre, weights, T.matmul(weights, memory.hiddens)
+    trace.share[j] = T.matmul(query, params.w.value[..., memory.hiddens.shape[-1]:, :])
+    scores = (T.tanh(memory.keys + trace.share[j][..., None, :]) @ params.v.value[..., None, :, None])[..., 0]
+    trace.weights[j] = T.softmax(scores + memory.mask)
+    trace.context[j] = T.matmul(trace.weights[j][..., None, :], memory.hiddens)[..., 0, :]
 
 
 def attention_backward(
     params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
     j: int, d_context: Array,
 ) -> Array:
-    """Step j backward: fill row j of ``grads`` for ``attention_weights_backward``; return d_query."""
-    grads.context[j] = d_context
-    grads.weights[j] = T.softmax_backward((memory.hiddens @ d_context[..., None])[..., 0], trace.weights[j])
-    grads.pre[j] = T.tanh_backward(grads.weights[j][..., :, None] * params.v.value[..., None, :], trace.pre[j])
-    w_q = params.w.value[..., memory.hiddens.shape[1]:, :]
-    return T.matmul(grads.pre[j].sum(axis=-2), _transpose(w_q))
+    """Step j backward: fill row j of ``grads``, add to its d_keys and to v's gradient; return d_query."""
+    pre = T.tanh(memory.keys + trace.share[j][..., None, :])  # recomputed, not stored
+    d_scores = T.softmax_backward(T.matmul(memory.hiddens, d_context[..., None])[..., 0], trace.weights[j])
+    d_pre = T.tanh_backward(d_scores[..., None] * params.v.value[..., None, None, :], pre)
+    params.v.grad += (pre * d_scores[..., None]).sum(axis=(-3, -2))
+    grads.keys += d_pre
+    grads.context[j], grads.share[j] = d_context, d_pre.sum(axis=-2)
+    return T.matmul(grads.share[j], _transpose(params.w.value[..., memory.hiddens.shape[-1]:, :]))
 
 
 def attention_weights_backward(
     params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
     queries: Array,
 ) -> Array:
-    """Weight gradients of T steps from the (T, [n,] d_h) queries, one GEMM each;
-    returns d_hiddens, one (m, d_h) block per copy."""
-    d_h = memory.hiddens.shape[1]
-    d_keys = grads.pre.sum(axis=0)
-    params.v.grad += (trace.pre * grads.weights[..., None]).sum(axis=(0, -2))
-    params.w.grad[..., :d_h, :] += _transpose(memory.hiddens) @ d_keys
-    params.w.grad[..., d_h:, :] += np.moveaxis(queries, 0, -1) @ np.moveaxis(grads.pre.sum(axis=-2), 0, -2)
+    """Weight gradients of T steps from the (T, [n,] B, d_h) queries, one GEMM each over
+    all rows; returns the ([n,] B, m, d_h) gradient of each row's context hiddens."""
+    d_h = memory.hiddens.shape[-1]
+    d_keys = grads.keys.reshape(*grads.keys.shape[:-3], -1, grads.keys.shape[-1])
+    params.w.grad[..., :d_h, :] += _transpose(memory.hiddens.reshape(-1, d_h)) @ d_keys
+    params.w.grad[..., d_h:, :] += _transpose(rows(queries)) @ rows(grads.share)
     params.b.grad += d_keys.sum(axis=-2)
-    d_context = np.moveaxis(grads.context, 0, -2)
-    return np.moveaxis(trace.weights, 0, -1) @ d_context + d_keys @ _transpose(params.w.value[..., :d_h, :])
+    from_keys = (d_keys @ _transpose(params.w.value[..., :d_h, :])).reshape(memory.keys.shape[:-1] + (d_h,))
+    return np.moveaxis(trace.weights, 0, -1) @ np.moveaxis(grads.context, 0, -2) + from_keys
 
 
 @dataclass

@@ -13,14 +13,17 @@ token: the gold token under teacher forcing, the chair's argmax during
 generation (the gating input concatenates all decoders' step-j states,
 which requires aligned timelines).
 
-Only the *recurrence* (``expert_step``: attention and the cell update of
-all k+1 decoders) runs token by token, into the time-first traces of
-``layers``; row 0 of the decoders' (T+1, k+1, d_h) trace is the encoder
-final state. The *readout* (``readout``: projection, softmax, gate MLP,
-chair combine) feeds nothing back, so it takes any leading time axis:
-greedy decoding calls it on row 1 of a one-step trace per token, teacher
-forcing once on rows 1..T, whose arrays its ``ForwardCache.readout``
-returns to the losses, accuracy and ``--trace``.
+Teacher forcing runs a group of B right-padded samples at once. Only the
+*recurrence* (the encoder on (B, d_h) rows; ``expert_step``: attention and
+the cell update of all k+1 decoders on (k+1, B, d_h) rows) runs token by
+token, into the time-first traces of ``layers``; row 0 of the decoders'
+(T+1, k+1, B, d_h) trace is each context's final encoder state. The
+*readout* (``readout``: projection, softmax, gate MLP, chair combine) feeds
+nothing back, so it takes any leading row axis: greedy decoding calls it on
+row 1 of a one-step trace per token, teacher forcing once on the N valid
+(sample, step) rows; padded positions are never read, so their gradients
+are 0. With B = 1 every product has the shape, so the bits, of one
+sequence alone; BLAS runs on one thread (see ``tokmoe``).
 
 Inference over frozen parameters is read-only and thread-safe; training
 mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .config import BOS_ID, EOS_ID, SchemeConfig, VariantConfig
+from .config import BOS_ID, EOS_ID, PAD_ID, SchemeConfig, VariantConfig
 from .errors import ConfigError, DomainError, ShapeError
 from .layers import (
     AttentionParams,
@@ -234,25 +237,38 @@ def init_model(
 # Encoder
 
 
+def _padded(sequences: list, what: str) -> tuple[Array, Array]:
+    """B id sequences right-padded into time-first (T_max, B) ids, and their validity mask."""
+    if min(map(len, sequences), default=0) == 0:
+        raise DomainError(f"cannot {what}")
+    valid = np.arange(max(map(len, sequences)))[:, None] < [len(ids) for ids in sequences]
+    ids = np.full(valid.shape, PAD_ID)
+    ids.T[valid.T] = np.concatenate(sequences)
+    return ids, valid
+
+
 class Encoding(NamedTuple):
-    token_ids: Array
-    emb: Array                        # (m, d_emb)
-    trace: L.CellTrace                # hidden rows 1..m are the encoder hiddens, row m the final state
+    token_ids: Array                  # (m, B), right-padded
+    last: tuple[Array, Array]         # the (step, context) that wrote each context's final state
+    emb: Array                        # (m*B, d_emb), step by step
+    trace: L.CellTrace                # hidden rows 1..m are the encoder hiddens
     memory: L.AttentionMemory | None  # the hiddens projected for attention, if it is on
 
 
-def encode_context(params: ModelParams, context_ids: list[int]) -> Encoding:
-    """Run the encoder cell left-to-right from the all-zero initial state; the input
-    projections of all positions, and the attention keys of all hiddens, are one GEMM each."""
-    if len(context_ids) == 0:
-        raise DomainError("cannot encode an empty context")
+def encode_context(params: ModelParams, contexts: list[list[int]]) -> Encoding:
+    """Run the encoder over B contexts from the all-zero initial state; the input
+    projections of all positions, and the attention keys of all hiddens, are one GEMM each.
+    Steps past a context's end run on padding; nothing reads their states."""
+    ids, valid = _padded(contexts, "encode an empty context")
     cell = params.encoder
-    emb = params.embedding.lookup(context_ids)
-    trace = L.CellTrace.empty(cell, len(emb))
-    for j, gates_in in enumerate(emb @ cell.w_in.value + cell.bias.value):
+    emb = params.embedding.lookup(ids.reshape(-1))
+    gates = (emb @ cell.w_in.value + cell.bias.value).reshape(*ids.shape, -1)
+    trace = L.CellTrace.empty(cell, *ids.shape)
+    for j, gates_in in enumerate(gates):
         L.cell_step(cell, gates_in, trace, j)
-    memory = None if params.attention is None else L.attention_memory(params.attention, trace.hidden[1:])
-    return Encoding(np.asarray(context_ids), emb, trace, memory)
+    hiddens = trace.hidden[1:].swapaxes(0, 1)
+    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens, valid.T)
+    return Encoding(ids, (valid.sum(axis=0) - 1, np.arange(len(contexts))), emb, trace, memory)
 
 
 def encode_backward(
@@ -262,16 +278,19 @@ def encode_backward(
     d_final_hidden: Array,
     d_final_cell: Array,
 ) -> None:
+    """Consumes ``d_hiddens`` (m, B, d_h): each final state's gradient joins it at the step that wrote it."""
     cell = params.encoder
-    d_gates = np.empty((len(enc.emb), cell.w_rec.value.shape[-1]))
-    carry_h = d_final_hidden
-    carry_c = d_final_cell
+    d_hiddens[enc.last] += d_final_hidden
+    d_cells = np.zeros_like(d_hiddens)
+    d_cells[enc.last] = d_final_cell
+    d_gates = np.empty((*enc.token_ids.shape, cell.w_rec.value.shape[-1]))
+    carry_h = carry_c = np.zeros_like(d_final_hidden)
     for i in reversed(range(len(d_gates))):
         d_gates[i], carry_h, carry_c = L.cell_step_backward(
-            cell, enc.trace, i, d_hiddens[i] + carry_h, carry_c
+            cell, enc.trace, i, d_hiddens[i] + carry_h, d_cells[i] + carry_c
         )
-    L.cell_weights_backward(cell, enc.emb, enc.trace, d_gates)
-    params.embedding.lookup_backward(enc.token_ids, d_gates @ cell.w_in.value.T)
+    L.cell_weights_backward(cell, [enc.emb], enc.trace, L.rows(d_gates))
+    params.embedding.lookup_backward(enc.token_ids.reshape(-1), L.rows(d_gates) @ cell.w_in.value.T)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +298,12 @@ def encode_backward(
 
 
 def decoder_inputs(params: ModelParams, token_ids) -> Array:
-    """The T tokens' embedding share of every decoder's cell gates, plus the bias:
-    (k+1, T, G*d_h), one GEMM per decoder."""
+    """The (T, B) tokens' embedding share of every decoder's cell gates, plus the bias:
+    (k+1, T, B, G*d_h), one GEMM per decoder over all T*B rows."""
     emb = params.embedding.lookup(token_ids)
     cell = params.decoder_cell
-    return emb @ cell.w_in.value[:, :emb.shape[-1]] + cell.bias.value[:, None]
+    gates = emb.reshape(-1, emb.shape[-1]) @ cell.w_in.value[:, :emb.shape[-1]] + cell.bias.value[:, None]
+    return gates.reshape(len(gates), *emb.shape[:-1], -1)
 
 
 def decoder_traces(
@@ -291,9 +311,9 @@ def decoder_traces(
 ) -> tuple[L.CellTrace, L.AttentionTrace | None]:
     """The decoders' cell trace of ``steps`` steps, every decoder starting from the
     shared encoder final state, and their attention trace when attention is on."""
-    trace = L.CellTrace.empty(params.decoder_cell, steps)
-    trace.hidden[0] = enc.trace.hidden[-1]
-    trace.cell[0] = enc.trace.cell[-1]
+    trace = L.CellTrace.empty(params.decoder_cell, steps, len(enc.last[1]))
+    trace.hidden[0] = enc.trace.hidden[1:][enc.last]
+    trace.cell[0] = enc.trace.cell[1:][enc.last]
     attn = None if params.attention is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
     return trace, attn
 
@@ -303,13 +323,13 @@ def expert_step(
     j: int,
 ) -> None:
     """Attention and the cell update of every decoder for token j, from the token's
-    (k+1, G*d_h) column of ``decoder_inputs``: reads state row j, writes row j+1 of
+    (k+1, B, G*d_h) column of ``decoder_inputs``: reads state row j, writes row j+1 of
     ``trace`` and row j of ``attn``. With attention disabled the context vector is a
     constant zero and adds nothing."""
     if params.attention is not None:
         L.attention_context(params.attention, enc.memory, trace.hidden[j], attn, j)
         context = attn.context[j]
-        gates_in = gates_in + T.matmul(context, params.decoder_cell.w_in.value[:, -context.shape[1]:])
+        gates_in = gates_in + T.matmul(context, params.decoder_cell.w_in.value[:, -context.shape[-1]:])
     L.cell_step(params.decoder_cell, gates_in, trace, j)
 
 
@@ -324,7 +344,7 @@ def expert_step_backward(
         params.decoder_cell, trace, j, d_hidden, d_cell
     )
     if params.attention is not None:
-        w_context = params.decoder_cell.w_in.value[:, -d_hidden.shape[1]:]
+        w_context = params.decoder_cell.w_in.value[:, -d_hidden.shape[-1]:]
         d_context = T.matmul(d_gates, w_context.swapaxes(-1, -2))
         d_query = L.attention_backward(params.attention, enc.memory, attn, d_attn, j, d_context)
         d_prev_hidden = d_prev_hidden + d_query
@@ -423,35 +443,37 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
 
 
 # ---------------------------------------------------------------------------
-# Decoding: the recurrence token by token, the readout once per sequence
+# Decoding: the recurrence token by token, the readout once per group
 
 
 class ForwardCache(NamedTuple):
     enc: Encoding
-    input_ids: Array        # BOS, then every gold token but the last
-    trace: L.CellTrace      # (T+1, k+1, ·)
+    input_ids: Array        # (T, B): BOS, then every gold token but the last, right-padded
+    rows: tuple             # indexes the readout's (step, :, sample) rows in trace.hidden[1:]
+    trace: L.CellTrace      # (T+1, k+1, B, ·)
     attn: L.AttentionTrace | None
     readout: Readout
 
 
 def forward_teacher_forced(
-    params: ModelParams, context_ids: list[int], response_ids: list[int]
+    params: ModelParams, contexts: list[list[int]], responses: list[list[int]]
 ) -> ForwardCache:
-    """Run all decoders over a gold response (BOS prepended internally).
+    """Run all decoders over B gold responses (BOS prepended internally).
 
-    At step j every decoder consumes the shared ground-truth token y_{j-1};
-    ``readout`` then runs once over all T states. Its arrays are the result:
-    ``cache.readout.dists`` (T, k+1, V), ``.beta`` (T, k+1), ``.combined`` (T, V).
+    At step j every decoder consumes each sample's ground-truth token y_{j-1};
+    ``readout`` then runs once over the N valid states, sample after sample.
+    Its arrays are the result: ``cache.readout.dists`` (N, k+1, V), ``.beta``
+    (N, k+1), ``.combined`` (N, V); for one sample, N = T.
     """
-    if len(response_ids) == 0:
-        raise DomainError("cannot teacher-force an empty response")
-    enc = encode_context(params, context_ids)
-    input_ids = np.array([BOS_ID, *response_ids[:-1]])
+    enc = encode_context(params, contexts)
+    input_ids, valid = _padded([[BOS_ID, *r][:len(r)] for r in responses], "teacher-force an empty response")
     gates = decoder_inputs(params, input_ids)
     trace, attn = decoder_traces(params, enc, len(input_ids))
     for j in range(len(input_ids)):
         expert_step(params, enc, gates[:, j], trace, attn, j)
-    return ForwardCache(enc, input_ids, trace, attn, readout(params, trace.hidden[1:]))
+    sample, step = np.nonzero(valid.T)  # sample-major
+    rows = (step, slice(None), sample)
+    return ForwardCache(enc, input_ids, rows, trace, attn, readout(params, trace.hidden[1:][rows]))
 
 
 def backward_teacher_forced(
@@ -462,40 +484,42 @@ def backward_teacher_forced(
 ) -> None:
     """Manual reverse pass over a teacher-forced forward.
 
-    ``d_dists`` (T, k+1, V) seeds the per-step distributions (the localized
-    expert losses), ``d_combined`` (T, V) the combined one (the chair loss).
+    ``d_dists`` (N, k+1, V) seeds the per-step distributions (the localized
+    expert losses), ``d_combined`` (N, V) the combined one (the chair loss).
     The readout backward runs once, through the combine for every model (beta
-    is one-hot on the chair without a gate); the reverse loop carries only the
-    recurrence, and each weight gradient is one GEMM over the sequence.
+    is one-hot on the chair without a gate), into the valid state rows; the
+    reverse loop carries only the recurrence, and each weight gradient is one
+    GEMM over the group.
     """
     out, enc, cell = cache.readout, cache.enc, params.decoder_cell
     d_beta, d_mix = chair_combine_backward(out.dists, out.beta, d_combined)
     d_dists = d_dists + d_mix
-    d_hidden = 0.0
+    d_read = 0.0
     if out.gate_cache is not None:
-        d_hidden, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
+        d_read, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
         d_dists = d_dists + d_gate_dists
     # The projection's rows take the decoder axis first, as in ``readout``.
-    rows = [a.swapaxes(0, 1) for a in (cache.trace.hidden[1:], out.dists, d_dists)]
-    d_proj = L.project_backward(params.projection, *rows)
-    d_hidden = d_proj.swapaxes(0, 1) + d_hidden
+    hidden = cache.trace.hidden[1:]
+    read = [a.swapaxes(0, 1) for a in (hidden[cache.rows], out.dists, d_dists)]
+    d_hidden = np.zeros(hidden.shape)
+    d_hidden[cache.rows] = L.project_backward(params.projection, *read).swapaxes(0, 1) + d_read
 
-    steps = len(cache.input_ids)
+    steps, batch = cache.input_ids.shape
     carry_hidden = np.zeros_like(d_hidden[0])
     carry_cell = np.zeros_like(d_hidden[0])
-    d_gates = np.empty((params.num_decoders, steps, cell.bias.value.shape[-1]))
+    d_gates = np.empty((params.num_decoders, steps, batch, cell.bias.value.shape[-1]))  # GEMM rows as a view
     d_attn = None if cache.attn is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
     for j in reversed(range(steps)):
         d_gates[:, j], carry_hidden, carry_cell = expert_step_backward(
             params, enc, cache.trace, cache.attn, d_attn, j, d_hidden[j] + carry_hidden, carry_cell
         )
 
-    emb = params.embedding.lookup(cache.input_ids)
-    contexts = np.zeros_like(d_hidden) if cache.attn is None else cache.attn.context  # (T, k+1, d_h)
-    x = T.concat([np.broadcast_to(emb, d_gates.shape[:1] + emb.shape), np.moveaxis(contexts, 0, 1)])
-    L.cell_weights_backward(cell, x, cache.trace, d_gates)
+    emb = params.embedding.lookup(cache.input_ids.reshape(-1))
+    d_gates = d_gates.reshape(len(d_gates), len(emb), -1)
+    xs = [emb] if cache.attn is None else [emb, L.rows(cache.attn.context)]
+    L.cell_weights_backward(cell, xs, cache.trace, d_gates)
     w_emb = cell.w_in.value[:, :emb.shape[1]]
-    params.embedding.lookup_backward(cache.input_ids, d_gates @ w_emb.swapaxes(-1, -2))
+    params.embedding.lookup_backward(cache.input_ids.reshape(-1), d_gates @ w_emb.swapaxes(-1, -2))
     # Axis-0 sums from an initial 0.0 add the decoders one at a time, in order: the
     # attention blocks of the encoder hiddens, and the carries into the initial
     # states, which were copies of the encoder final state.
@@ -504,7 +528,7 @@ def backward_teacher_forced(
         blocks = L.attention_weights_backward(
             params.attention, enc.memory, cache.attn, d_attn, cache.trace.hidden[:-1]
         )
-        d_enc_hiddens = blocks.sum(axis=0, initial=0.0)
+        d_enc_hiddens = blocks.sum(axis=0, initial=0.0).swapaxes(0, 1)
     d_final_hidden = carry_hidden.sum(axis=0, initial=0.0)
     d_final_cell = carry_cell.sum(axis=0, initial=0.0)
     encode_backward(params, enc, d_enc_hiddens, d_final_hidden, d_final_cell)
@@ -520,13 +544,13 @@ def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> 
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    enc = encode_context(params, context_ids)
+    enc = encode_context(params, [context_ids])
     trace, attn = decoder_traces(params, enc, 1)
     token = BOS_ID
     out_ids: list[int] = []
     for _ in range(max_len):
-        expert_step(params, enc, decoder_inputs(params, [token])[:, 0], trace, attn, 0)
-        out = readout(params, trace.hidden[1:])
+        expert_step(params, enc, decoder_inputs(params, [[token]])[:, 0], trace, attn, 0)
+        out = readout(params, trace.hidden[1:, :, 0])
         token = int(np.argmax(out.combined[0]))  # first maximum, so lowest id wins ties
         out_ids.append(token)
         if token == EOS_ID:

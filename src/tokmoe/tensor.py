@@ -47,15 +47,15 @@ class ParamSlot:
 
 
 def matmul(a: Array, b: Array) -> Array:
-    """Row vector(s) times matrix: each row of ``a`` meets the matrix ``b[..., :, :]``.
+    """Rows times a stacked matrix: the (..., R, k) rows of ``a`` meet the (..., k, m) matrices of ``b``.
 
-    Leading axes broadcast, so a (n, k) ``a`` and a stacked (n, k, m) ``b``
-    give row l times ``b[l]``. Every row is its own vector-matrix product,
-    bit-identical to multiplying that row alone.
+    Leading axes broadcast, so (n, B, k) rows and a stacked (n, k, m) ``b``
+    give ``a[l] @ b[l]``, one GEMM per matrix; a (k,) ``a`` is one row. GEMM
+    rows match one-row products to about 1e-11 relative, not bitwise.
     """
     if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul expects (..., k) and (..., k, m) operands, got {a.shape} and {b.shape}")
-    return (a[..., None, :] @ b)[..., 0, :]
+    return a @ b
 
 
 def softmax(x: Array) -> Array:
@@ -68,7 +68,7 @@ def softmax(x: Array) -> Array:
 
 def softmax_backward(grad: Array, out: Array) -> Array:
     """Backward through softmax over the last axis, given its output ``out``: y * (g - g.y)."""
-    return out * (grad - matmul(grad, out[..., :, None]))
+    return out * (grad - matmul(grad[..., None, :], out[..., :, None])[..., 0])
 
 
 def concat(parts: list[Array]) -> Array:

@@ -5,15 +5,16 @@ The joint objective is ``lambda * L_experts + (1 - lambda) * L_chair``:
 * ``L_experts`` sums each decoder's own negative log-likelihood over the
   samples it is localized to (expert l sees only its intent's partition;
   the chair sees every sample), each term weighted by mu_l. One
-  ``nll_sequence`` call over a response's (T, k+1, V) readout gives every
-  decoder's NLL at once; the sample's (k+1,) ``ownership`` row selects
+  ``nll_sequence`` call over a group's readout gives every sample's NLL
+  under every decoder; the samples' (B, k+1) ``ownership`` rows select
   which of them count, and lambda * mu * ownership weighs their gradient
   seeds, so no code loops over the decoders or branches on the owner.
 * ``L_chair`` is the negative log-likelihood of the combined distribution
   over all samples: ``nll_sequence`` of each response's ``combined``.
 
-Losses are summed (not averaged) within a batch; gradients therefore
-accumulate additively and are zeroed after each optimizer step. The
+A batch is teacher-forced in groups of ``GROUP_SIZE`` samples. Losses are
+summed (not averaged) within a batch; gradients therefore accumulate
+additively and are zeroed after each optimizer step. The
 per-batch order of operations is fixed for reproducibility: forward,
 backward, add l2 to gradients, clamp gradient values, Adam step, zero;
 each step after the backward acts once on the flat parameter arena.
@@ -32,6 +33,8 @@ from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
 from .model import ModelParams, backward_teacher_forced, forward_teacher_forced
 from .tensor import Array
+
+GROUP_SIZE = 4  # samples teacher-forced at once; memory, not speed, sets it
 
 
 def partition_by_intent(corpus: Corpus) -> dict[str, list[Sample]]:
@@ -82,16 +85,20 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
 # Losses
 
 
-def nll_sequence(dists: Array, targets) -> float | Array:
+def nll_sequence(dists: Array, targets, lengths=None) -> float | Array:
     """Sum of -log p[y] over a response, with the probability floor: one gather.
 
     A (T, V) sequence gives a float; a (T, k+1, V) readout gives a (k+1,)
-    array, each decoder's own NLL. Each decoder's T terms are summed from
-    one contiguous row, so they add in the order of a (T, V) call. A NaN
+    array, each decoder's own NLL; given the ``lengths`` of B responses whose
+    rows follow one another, a (B[, k+1]) array. Each response's terms are
+    summed from one row, in the order of a (T, V) call of it alone. A NaN
     probability is not floored, so it yields a NaN sum.
     """
     p = np.asarray(dists)[np.arange(len(targets)), ..., targets]
-    nll = -np.log(np.maximum(np.ascontiguousarray(p.T), T.PROB_FLOOR)).sum(axis=-1)
+    terms = -np.log(np.maximum(np.ascontiguousarray(p.T), T.PROB_FLOOR))
+    if lengths is not None:
+        return np.array([terms[..., end - n:end].sum(axis=-1) for n, end in zip(lengths, np.cumsum(lengths))])
+    nll = terms.sum(axis=-1)
     return float(nll) if nll.ndim == 0 else nll
 
 
@@ -136,8 +143,8 @@ class LossReport:
 def _nll_grad_seeds(dists: Array, targets: list[int], weight: float | Array) -> Array:
     """Gradient of weight * nll_sequence(dists, targets) w.r.t. the distributions.
 
-    ``weight`` is a scalar, or one weight per decoder of a (T, k+1, V)
-    readout. A zero weight, a floored or a NaN probability passes no
+    ``weight`` is a scalar, or one weight per row and decoder of an
+    (N, k+1, V) readout. A zero weight, a floored or a NaN probability passes no
     gradient: its seed stays +0.0.
     """
     rows = np.arange(len(targets))
@@ -169,18 +176,20 @@ def train_batch(
     raw_expert = np.zeros(n_dec)
     chair_total = 0.0
     token_count = 0
-    for enc_sample in batch:
-        targets = enc_sample.response_ids
-        cache = forward_teacher_forced(params, enc_sample.context_ids, targets)
+    for start in range(0, len(batch), GROUP_SIZE):
+        group = batch[start:start + GROUP_SIZE]
+        responses = [s.response_ids for s in group]
+        cache = forward_teacher_forced(params, [s.context_ids for s in group], responses)
         dists, combined = cache.readout.dists, cache.readout.combined
+        targets, lengths = np.concatenate(responses), [len(ids) for ids in responses]
         token_count += len(targets)
-        own = ownership(enc_sample.intent, expert_of, n_dec)
-        # Selected, not multiplied: a decoder that does not own the sample adds exactly 0.0.
-        raw_expert += np.where(own, nll_sequence(dists, targets), 0.0)
-        chair_total += nll_sequence(combined, targets)
+        own = np.array([ownership(s.intent, expert_of, n_dec) for s in group])
+        # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
+        raw_expert += np.where(own, nll_sequence(dists, targets, lengths), 0.0).sum(axis=0)
+        chair_total += nll_sequence(combined, targets, lengths).sum()
 
         if compute_grads:
-            d_dists = _nll_grad_seeds(dists, targets, lam * mu * own)
+            d_dists = _nll_grad_seeds(dists, targets, lam * mu * np.repeat(own, lengths, axis=0))
             d_combined = _nll_grad_seeds(combined, targets, 1.0 - lam)
             backward_teacher_forced(params, cache, d_dists, d_combined)
 
@@ -367,13 +376,15 @@ def train_run(
 
 
 def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -> float:
-    """Fraction of response tokens where argmax(combined) hits the target."""
+    """Fraction of response tokens where argmax(combined) hits the target, one forward per group."""
     hits = 0
     total = 0
-    for enc_sample in samples:
-        cache = forward_teacher_forced(params, enc_sample.context_ids, enc_sample.response_ids)
-        hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == enc_sample.response_ids))
-        total += len(enc_sample.response_ids)
+    for start in range(0, len(samples), GROUP_SIZE):
+        group = samples[start:start + GROUP_SIZE]
+        responses = [s.response_ids for s in group]
+        cache = forward_teacher_forced(params, [s.context_ids for s in group], responses)
+        hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == np.concatenate(responses)))
+        total += sum(map(len, responses))
     return hits / total if total else 0.0
 
 

@@ -61,7 +61,7 @@ class TestCriterion2SimplexSuite:
             for _ in range(10):
                 context = [int(v) for v in rng.integers(0, 6, size=rng.integers(1, 4))]
                 response = [int(v) for v in rng.integers(0, 6, size=10)]
-                out = forward_teacher_forced(params, context, response).readout
+                out = forward_teacher_forced(params, [context], [response]).readout
                 for dists, beta, combined in zip(out.dists, out.beta, out.combined):
                     for dist in dists:
                         assert abs(dist.sum() - 1.0) <= 1e-9
@@ -85,7 +85,7 @@ class TestCriterion3SchemeDegeneration:
     def test_s3_combined_is_chair_distribution_bitwise(self):
         params = init_model(6, 2, tiny_variant(), seed=4, scheme=SchemeConfig.from_name("S3"))
         sample = tiny_samples()[0]
-        out = forward_teacher_forced(params, sample.context_ids, sample.response_ids).readout
+        out = forward_teacher_forced(params, [sample.context_ids], [sample.response_ids]).readout
         assert np.shares_memory(out.combined, out.dists[:, -1])
         np.testing.assert_array_equal(out.combined, out.dists[:, -1])
 
@@ -148,7 +148,7 @@ def decoder_token_nlls(params, samples):
     totals = np.zeros(params.num_decoders)
     tokens = 0
     for s in samples:
-        dists = forward_teacher_forced(params, s.context_ids, s.response_ids).readout.dists
+        dists = forward_teacher_forced(params, [s.context_ids], [s.response_ids]).readout.dists
         totals += nll_sequence(dists, s.response_ids)
         tokens += len(s.response_ids)
     return totals / tokens

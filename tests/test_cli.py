@@ -559,23 +559,40 @@ class TestRunConfig:
         assert (out / "model.ckpt").read_bytes() == (trained_run / "model.ckpt").read_bytes()
 
 
+def train_checkpoints_at_one_and_two_threads(tmp_path, synth_flags, train_flags):
+    """The ``model.ckpt`` bytes of one ``train`` run per OPENBLAS_NUM_THREADS value, 1 then 2,
+    each in a fresh process that imports tokmoe before numpy."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), *synth_flags]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    blobs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("TOKMOE_SEED", None)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "tokmoe.cli", "train", "--train", str(corpus / "train.jsonl"),
+             "--out", str(out), "--epochs", "1", *train_flags],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        blobs.append((out / "model.ckpt").read_bytes())
+    return blobs
+
+
 class TestBlasThreadCount:
     def test_paper_width_checkpoint_is_byte_equal_at_one_and_two_threads(self, tmp_path):
-        # The GEMMs over T rows must not depend on how BLAS splits them across threads.
-        corpus = tmp_path / "corpus"
-        assert main(["synth", "--out", str(corpus), "--intents", "3", "--per-intent", "3",
-                     "--shared-vocab", "150", "--per-intent-vocab", "150", "--seed", "3"]) == 0
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        blobs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            env.pop("TOKMOE_SEED", None)
-            out = tmp_path / f"threads{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "tokmoe.cli", "train", "--train", str(corpus / "train.jsonl"),
-                 "--out", str(out), "--epochs", "1", "--batch-size", "4"],
-                env=env, check=True, capture_output=True, timeout=600,
-            )
-            blobs.append((out / "model.ckpt").read_bytes())
+        # tokmoe pins BLAS to one thread before numpy loads, so no GEMM over a group's
+        # rows depends on how a threaded BLAS would split it.
+        blobs = train_checkpoints_at_one_and_two_threads(
+            tmp_path, ["--intents", "3", "--per-intent", "3", "--shared-vocab", "150",
+                       "--per-intent-vocab", "150", "--seed", "3"], ["--batch-size", "4"])
+        assert blobs[0] == blobs[1]
+
+    def test_vocab_400_checkpoint_is_byte_equal_at_one_and_two_threads(self, tmp_path):
+        # At vocabulary 400 and hidden 150 the gate's (T, 2200) @ (2200, 128) GEMM, among
+        # others, gives other bits on two OpenBLAS threads than on one.
+        blobs = train_checkpoints_at_one_and_two_threads(
+            tmp_path, ["--intents", "3", "--per-intent", "64", "--shared-vocab", "150",
+                       "--per-intent-vocab", "150", "--seed", "0"], ["--batch-size", "64"])
         assert blobs[0] == blobs[1]

@@ -18,14 +18,13 @@ def make_slot(rng, name, *shape):
 
 
 def input_gates(params, x):
-    """The projected cell input ``x @ w_in + bias`` of a ([n,] T, d_in) or (d_in,) x."""
-    bias = params.bias.value
-    return x @ params.w_in.value + (bias[:, None] if bias.ndim == 2 else bias)
+    """The projected cell input ``x @ w_in + bias`` of ([n,] B, d_in) rows or a (d_in,) x."""
+    return x @ params.w_in.value + params.bias.value[..., None, :]
 
 
 def stepped(params, x, hidden=0.0, cell=0.0):
-    """A one-step trace from the state (hidden, cell) after one step on the input ``x``."""
-    trace = L.CellTrace.empty(params, 1)
+    """A one-step, one-row trace from the state (hidden, cell) after one step on the input ``x``."""
+    trace = L.CellTrace.empty(params, 1, 1)
     trace.hidden[0], trace.cell[0] = hidden, cell
     L.cell_step(params, input_gates(params, x), trace, 0)
     return trace
@@ -79,12 +78,12 @@ class TestLstmCell:
         )
         x = rng.uniform(-2, 2, d_in)
         trace = stepped(params, x)
-        np.testing.assert_array_equal(trace.hidden[1], np.zeros(d_h))
-        np.testing.assert_array_equal(trace.cell[1], np.zeros(d_h))
+        np.testing.assert_array_equal(trace.hidden[1, 0], np.zeros(d_h))
+        np.testing.assert_array_equal(trace.cell[1, 0], np.zeros(d_h))
 
     def test_hidden_bounded_by_one(self, rng):
         params = make_lstm(rng, 3, 4)
-        trace = L.CellTrace.empty(params, 20)
+        trace = L.CellTrace.empty(params, 20, 1)
         trace.hidden[0], trace.cell[0] = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
         for j in range(20):
             L.lstm_step(params, input_gates(params, rng.uniform(-3, 3, 3)), trace, j)
@@ -100,11 +99,11 @@ class TestLstmCell:
 
         def run(xv, hv, cv):
             trace = stepped(params, xv, hv, cv)
-            return float(np.dot(ph, trace.hidden[1]) + np.dot(pc, trace.cell[1]))
+            return float(np.dot(ph, trace.hidden[1, 0]) + np.dot(pc, trace.cell[1, 0]))
 
         trace = stepped(params, x, prev_h, prev_c)
         d_gates, d_h_prev, d_c_prev = L.lstm_step_backward(params, trace, 0, ph.copy(), pc.copy())
-        L.cell_weights_backward(params, x[None], trace, d_gates[None])
+        L.cell_weights_backward(params, [x[None]], trace, d_gates)
         d_x = d_gates @ params.w_in.value.T
 
         assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev_h, prev_c), x.copy())) < 1e-6
@@ -125,15 +124,15 @@ class TestGruCell:
             ParamSlot("bias", np.zeros(3 * d_h)),
         )
         x = rng.uniform(-2, 2, d_in)
-        np.testing.assert_array_equal(stepped(params, x).hidden[1], np.zeros(d_h))
+        np.testing.assert_array_equal(stepped(params, x).hidden[1, 0], np.zeros(d_h))
 
     def test_cell_half_stays_zero(self, rng):
         params = make_gru(rng, 2, 3)
-        np.testing.assert_array_equal(stepped(params, rng.uniform(-1, 1, 2)).cell[1], np.zeros(3))
+        np.testing.assert_array_equal(stepped(params, rng.uniform(-1, 1, 2)).cell[1, 0], np.zeros(3))
 
     def test_hidden_bounded_by_one(self, rng):
         params = make_gru(rng, 3, 4)
-        trace = L.CellTrace.empty(params, 20)
+        trace = L.CellTrace.empty(params, 20, 1)
         trace.hidden[0] = rng.uniform(-1, 1, 4)
         for j in range(20):
             L.gru_step(params, input_gates(params, rng.uniform(-3, 3, 3)), trace, j)
@@ -147,11 +146,11 @@ class TestGruCell:
         ph = rng.uniform(-1, 1, d_h)
 
         def run(xv, hv):
-            return float(np.dot(ph, stepped(params, xv, hv).hidden[1]))
+            return float(np.dot(ph, stepped(params, xv, hv).hidden[1, 0]))
 
         trace = stepped(params, x, prev_h)
         d_gates, d_h_prev, _ = L.gru_step_backward(params, trace, 0, ph.copy(), np.zeros(d_h))
-        L.cell_weights_backward(params, x[None], trace, d_gates[None])
+        L.cell_weights_backward(params, [x[None]], trace, d_gates)
         d_x = d_gates @ params.w_in.value.T
 
         assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev_h), x.copy())) < 1e-6
@@ -162,11 +161,11 @@ class TestGruCell:
 
 
 def attend(params, hiddens, query):
-    """One attention step: its context, its weights, and its (memory, one-row trace)."""
-    memory = L.attention_memory(params, hiddens)
+    """One attention step of one row: its context, its weights, and its (memory, one-step trace)."""
+    memory = L.attention_memory(params, hiddens[None])
     trace = L.AttentionTrace.empty(params, memory, 1)
-    L.attention_context(params, memory, query, trace, 0)
-    return trace.context[0], trace.weights[0], (memory, trace)
+    L.attention_context(params, memory, query[None], trace, 0)
+    return trace.context[0, 0], trace.weights[0, 0], (memory, trace)
 
 
 class TestAttention:
@@ -245,8 +244,8 @@ class TestAttention:
 
         _, _, (memory, trace) = attend(params, h, query)
         grads = L.AttentionTrace.empty(params, memory, 1)
-        d_q = L.attention_backward(params, memory, trace, grads, 0, pc.copy())
-        d_h = L.attention_weights_backward(params, memory, trace, grads, query[None])
+        d_q = L.attention_backward(params, memory, trace, grads, 0, pc[None])
+        d_h = L.attention_weights_backward(params, memory, trace, grads, query[None, None])
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, query), h.copy())) < 1e-6
         assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), query.copy())) < 1e-6
         for slot in params.slots():
@@ -310,36 +309,38 @@ class TestStackedCopies:
 
     @staticmethod
     def run_cell(params, x, hidden, cell, d_hidden, d_cell):
-        """T steps forward from (hidden, cell), the reverse loop, then the trace's weight gradients.
+        """T steps of B rows forward from (hidden, cell), the reverse loop, then the trace's weight gradients.
 
-        Sequences are ([n,] T, width); the returned hiddens and d_gates are (T, [n,] width).
+        Inputs are ([n,] T, B, d_in) and states ([n,] B, d_h); the returned hiddens and d_gates are
+        time first, (T, [n,] B, width).
         """
-        gates = input_gates(params, x)
-        trace = L.CellTrace.empty(params, gates.shape[-2])
+        steps, batch, d_in = x.shape[-3:]
+        trace = L.CellTrace.empty(params, steps, batch)
         trace.hidden[0], trace.cell[0] = hidden, cell
-        for t, gates_in in enumerate(gates.swapaxes(0, -2)):
-            L.cell_step(params, gates_in, trace, t)
-        d_gates, carry_h, carry_c = np.empty_like(gates), np.zeros_like(hidden), d_cell
-        for t in reversed(range(gates.shape[-2])):
-            d_gates[..., t, :], carry_h, carry_c = L.cell_step_backward(
+        for t in range(steps):
+            L.cell_step(params, input_gates(params, x[..., t, :, :]), trace, t)
+        d_gates = np.empty((steps, *hidden.shape[:-1], params.w_rec.value.shape[-1]))
+        carry_h, carry_c = np.zeros_like(hidden), d_cell
+        for t in reversed(range(steps)):
+            d_gates[t], carry_h, carry_c = L.cell_step_backward(
                 params, trace, t, d_hidden[t] + carry_h, carry_c
             )
-        L.cell_weights_backward(params, x, trace, d_gates)
-        return trace.hidden[1:], d_gates.swapaxes(0, -2), carry_h, carry_c
+        L.cell_weights_backward(params, [x.reshape(*x.shape[:-3], -1, d_in)], trace, L.rows(d_gates))
+        return trace.hidden[1:], d_gates, carry_h, carry_c
 
     @pytest.mark.parametrize("kind,gates", [("lstm", 4), ("gru", 3)])
     def test_cell(self, rng, kind, gates):
-        n, steps, d_in, d_h = self.N, 4, 11, 9
+        n, steps, batch, d_in, d_h = self.N, 4, 2, 11, 9
         stacked = L.CellParams(
             kind,
             make_slot(rng, "w_in", n, d_in, gates * d_h),
             make_slot(rng, "w_rec", n, d_h, gates * d_h),
             make_slot(rng, "bias", n, gates * d_h),
         )
-        x = rng.uniform(-1, 1, (n, steps, d_in))
-        hidden, cell = rng.uniform(-1, 1, (n, d_h)), rng.uniform(-1, 1, (n, d_h))
-        d_hidden = rng.uniform(-1, 1, (steps, n, d_h))
-        d_cell = rng.uniform(-1, 1, (n, d_h))
+        x = rng.uniform(-1, 1, (n, steps, batch, d_in))
+        hidden, cell = rng.uniform(-1, 1, (n, batch, d_h)), rng.uniform(-1, 1, (n, batch, d_h))
+        d_hidden = rng.uniform(-1, 1, (steps, n, batch, d_h))
+        d_cell = rng.uniform(-1, 1, (n, batch, d_h))
         hiddens, d_gates, carry_h, carry_c = self.run_cell(stacked, x, hidden, cell, d_hidden, d_cell)
         for l in range(n):
             single = L.CellParams(kind, *self.copy_of(stacked.slots(), l))
@@ -350,7 +351,7 @@ class TestStackedCopies:
 
     @staticmethod
     def run_attention(params, hiddens, queries, d_contexts):
-        """T steps of (T, [n,] d_h) queries forward and backward, then the weight gradients."""
+        """T steps of (T, [n,] B, d_h) queries forward and backward, then the weight gradients."""
         memory = L.attention_memory(params, hiddens)
         trace, grads = (L.AttentionTrace.empty(params, memory, len(queries)) for _ in range(2))
         for t, query in enumerate(queries):
@@ -362,13 +363,13 @@ class TestStackedCopies:
         return trace.context, trace.weights, d_queries, d_hiddens
 
     def test_attention(self, rng):
-        n, steps, m, d_h, d_a = self.N, 4, 5, 7, 6
+        n, steps, batch, m, d_h, d_a = self.N, 4, 2, 5, 7, 6
         stacked = L.AttentionParams(
             make_slot(rng, "w", n, 2 * d_h, d_a), make_slot(rng, "b", n, d_a), make_slot(rng, "v", n, d_a)
         )
-        hiddens = rng.uniform(-1, 1, (m, d_h))
-        queries = rng.uniform(-1, 1, (steps, n, d_h))
-        d_contexts = rng.uniform(-1, 1, (steps, n, d_h))
+        hiddens = rng.uniform(-1, 1, (batch, m, d_h))
+        queries = rng.uniform(-1, 1, (steps, n, batch, d_h))
+        d_contexts = rng.uniform(-1, 1, (steps, n, batch, d_h))
         contexts, weights, d_queries, d_hiddens = self.run_attention(stacked, hiddens, queries, d_contexts)
         for l in range(n):
             single = L.AttentionParams(*self.copy_of(stacked.slots(), l))

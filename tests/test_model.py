@@ -1,5 +1,8 @@
 """Model wiring: encoding, expert steps, gating, combination, greedy decode."""
 
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -11,6 +14,7 @@ import tokmoe.model as M
 import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe.config import BOS_ID, EOS_ID, SPECIAL_TOKENS, OptimizerConfig, SchemeConfig, VariantConfig
+from tokmoe.cli import main
 from tokmoe.errors import DomainError
 from tokmoe.model import (
     GatingParams,
@@ -35,8 +39,8 @@ class TestEncoder:
     def test_hidden_count_matches_context_length(self):
         params = tiny_model()
         for length in (1, 2, 5):
-            enc = encode_context(params, [4] * length)
-            assert enc.trace.hidden[1:].shape == (length, 3)
+            enc = encode_context(params, [[4] * length])
+            assert enc.trace.hidden[1:].shape == (length, 1, 3)
 
     def test_empty_context_rejected(self):
         with pytest.raises(DomainError):
@@ -46,18 +50,18 @@ class TestEncoder:
         params = tiny_model()
         for slot in params.encoder.slots():
             slot.value[...] = 0.0
-        enc = encode_context(params, [4, 5, 4])
-        np.testing.assert_array_equal(enc.trace.hidden[1:], np.zeros((3, 3)))
-        np.testing.assert_array_equal(enc.trace.hidden[-1], np.zeros(3))
+        enc = encode_context(params, [[4, 5, 4]])
+        np.testing.assert_array_equal(enc.trace.hidden[1:], np.zeros((3, 1, 3)))
+        np.testing.assert_array_equal(enc.trace.hidden[-1], np.zeros((1, 3)))
 
 
 def step(params, token, state, enc):
     """Every decoder's (k+1, V) distribution and (hidden, cell) state rows after one
-    recurrence step on ``token`` from the (k+1, d_h) rows of ``state``."""
+    recurrence step of a one-context encoding on ``token`` from the (k+1, d_h) rows of ``state``."""
     trace, attn = M.decoder_traces(params, enc, 1)
-    trace.hidden[0], trace.cell[0] = state
-    expert_step(params, enc, M.decoder_inputs(params, [token])[:, 0], trace, attn, 0)
-    return M.readout(params, trace.hidden[1:]).dists[0], (trace.hidden[1], trace.cell[1])
+    trace.hidden[0, :, 0], trace.cell[0, :, 0] = state
+    expert_step(params, enc, M.decoder_inputs(params, [[token]])[:, 0], trace, attn, 0)
+    return M.readout(params, trace.hidden[1:, :, 0]).dists[0], (trace.hidden[1, :, 0], trace.cell[1, :, 0])
 
 
 def stacked_state(rng, n_dec, d_h=3):
@@ -66,12 +70,12 @@ def stacked_state(rng, n_dec, d_h=3):
 
 
 def fabricated_encoding(params, hiddens):
-    """An encoding whose hidden rows are ``hiddens``, the last one its final state (zero cell)."""
+    """A one-context encoding whose hidden rows are ``hiddens``, the last one its final state (zero cell)."""
     hiddens = np.asarray(hiddens, dtype=np.float64)
-    trace = L.CellTrace.empty(params.encoder, len(hiddens))
-    trace.hidden[1:] = hiddens
-    memory = None if params.attention is None else L.attention_memory(params.attention, trace.hidden[1:])
-    return M.Encoding(np.full(len(hiddens), 4), None, trace, memory)
+    trace = L.CellTrace.empty(params.encoder, len(hiddens), 1)
+    trace.hidden[1:, 0] = hiddens
+    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens[None])
+    return M.Encoding(np.full((len(hiddens), 1), 4), ([len(hiddens) - 1], [0]), None, trace, memory)
 
 
 class TestStackedSlots:
@@ -131,7 +135,7 @@ class TestStackedSlots:
 
     def test_adam_step_over_slots_changes_the_stacked_step(self, rng):
         params = tiny_model()
-        enc = encode_context(params, [4, 5])
+        enc = encode_context(params, [[4, 5]])
         state = stacked_state(rng, params.num_decoders)
         before = step(params, 4, state, enc)[0]
         params.grads[...] = 1.0
@@ -143,7 +147,7 @@ class TestStackedSlots:
 class TestExpertStep:
     def test_distribution_on_simplex(self, rng):
         params = tiny_model()
-        enc = encode_context(params, [4, 5])
+        enc = encode_context(params, [[4, 5]])
         state = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
         dists, _ = step(params, 4, state, enc)
         assert dists.shape == (params.num_decoders, 6)
@@ -165,7 +169,7 @@ class TestExpertStep:
 
     def test_attention_params_not_shared_between_experts(self, rng):
         params = tiny_model(num_experts=2)
-        enc = encode_context(params, [4, 5])
+        enc = encode_context(params, [[4, 5]])
         state = stacked_state(rng, params.num_decoders)
         before = step(params, 4, state, enc)[0]
         params.attention.w.value[1] += rng.uniform(0.5, 1.5, (6, 2))
@@ -350,26 +354,26 @@ class TestForwardTeacherForced:
     def test_output_length_matches_response(self):
         params = tiny_model()
         for n in (1, 2, 4):
-            out = forward_teacher_forced(params, [4, 5], [4] * (n - 1) + [3]).readout
+            out = forward_teacher_forced(params, [[4, 5]], [[4] * (n - 1) + [3]]).readout
             assert out.dists.shape == (n, 3, 6)
             assert out.beta.shape == (n, 3)
             assert out.combined.shape == (n, 6)
 
     def test_empty_response_rejected(self):
         with pytest.raises(DomainError):
-            forward_teacher_forced(tiny_model(), [4], [])
+            forward_teacher_forced(tiny_model(), [[4]], [[]])
 
     def test_teacher_forcing_feeds_bos_then_gold(self):
         params = tiny_model()
         response = [5, 4, 3]
-        cache = forward_teacher_forced(params, [4], response)
-        assert cache.input_ids.tolist() == [BOS_ID, 5, 4]
+        cache = forward_teacher_forced(params, [[4]], [response])
+        assert cache.input_ids[:, 0].tolist() == [BOS_ID, 5, 4]
 
     def test_single_decoder_mode_is_degenerate_mixture(self):
         params = tiny_model(num_experts=0)
         assert params.num_decoders == 1
         assert params.gating is None
-        out = forward_teacher_forced(params, [4, 5], [5, 3]).readout
+        out = forward_teacher_forced(params, [[4, 5]], [[5, 3]]).readout
         np.testing.assert_array_equal(out.beta, [[1.0], [1.0]])
         assert np.shares_memory(out.combined, out.dists[:, 0])
         np.testing.assert_array_equal(out.combined, out.dists[:, 0])
@@ -377,14 +381,14 @@ class TestForwardTeacherForced:
     def test_chair_only_mode_bitwise(self):
         # An S3 model holds no gate, so its combined distribution is the chair's.
         params = init_model(6, 2, tiny_variant(), 0, SchemeConfig.from_name("S3"))
-        out = forward_teacher_forced(params, [4, 5], [5, 4, 3]).readout
+        out = forward_teacher_forced(params, [[4, 5]], [[5, 4, 3]]).readout
         assert np.shares_memory(out.combined, out.dists[:, -1])
         np.testing.assert_array_equal(out.combined, out.dists[:, -1])
         np.testing.assert_array_equal(out.beta, np.tile([0.0, 0.0, 1.0], (3, 1)))
 
     def test_step_simplexes_on_random_params(self, rng):
         params = tiny_model(seed=int(rng.integers(0, 1000)))
-        out = forward_teacher_forced(params, [4, 5, 4], [5, 5, 3]).readout
+        out = forward_teacher_forced(params, [[4, 5, 4]], [[5, 5, 3]]).readout
         for dists, beta, combined in zip(out.dists, out.beta, out.combined):
             for dist in dists:
                 assert abs(dist.sum() - 1.0) <= 1e-9
@@ -397,7 +401,7 @@ class TestGatelessBackward:
     def test_combined_seed_is_a_chair_seed(self, rng, num_experts):
         # Without a gate, beta is one-hot on the chair: seeding d_combined is seeding the chair's rows.
         params = init_model(6, num_experts, tiny_variant(), 0, SchemeConfig.from_name("S3"))
-        cache = forward_teacher_forced(params, [4, 5, 4], [5, 4, 3])
+        cache = forward_teacher_forced(params, [[4, 5, 4]], [[5, 4, 3]])
         d_dists = rng.normal(size=cache.readout.dists.shape)
         d_combined = rng.normal(size=cache.readout.combined.shape)
         on_chair = d_dists.copy()
@@ -434,7 +438,7 @@ class TestGreedyDecode:
         # generate --trace reads the mixture weights of the generated ids from teacher forcing.
         params = tiny_model(seed=5)
         ids = greedy_decode(params, [4, 5], max_len=5)
-        betas = forward_teacher_forced(params, [4, 5], ids).readout.beta
+        betas = forward_teacher_forced(params, [[4, 5]], [ids]).readout.beta
         assert len(ids) == len(betas)
         for beta in betas:
             assert abs(beta.sum() - 1.0) <= 1e-9
@@ -470,7 +474,7 @@ class TestOneDecodePath:
         monkeypatch.setattr(M, "readout", recording)
         ids = greedy_decode(params, context, 12)
         monkeypatch.undo()
-        out = forward_teacher_forced(params, context, ids).readout
+        out = forward_teacher_forced(params, [context], [ids]).readout
         assert len(out.combined) == len(ids) == len(combined)
         rows = zip(out.beta, out.combined, ids, betas, combined)
         for tf_beta, tf_combined, token, beta, greedy_combined in rows:
@@ -488,3 +492,43 @@ class TestOneDecodePath:
             row = M.readout(params, hidden[t:t + 1])
             for rows, one in zip(whole[:3], row[:3]):
                 np.testing.assert_allclose(rows[t], one[0], rtol=1e-12, atol=0)
+
+
+class TestGroupOfOne:
+    """A single sample is a group of one, and with B = 1 every product has the call shape of
+    the per-sample path it replaced: greedy ids and ``generate --trace`` keep that path's bits.
+    The hashes were taken from the per-sample path, on the same inputs."""
+
+    IDS = {("desk", "S4"): "af9722b33a6ef472", ("desk", "S3"): "0449c691ee898bbd",
+           ("paper", "S4"): "0bc17d33d4c91f7e", ("paper", "S3"): "6a4ec172f6e06f56"}
+    TRACE = {"S4": "48ec706ce39ce316", "S3": "c8854e9475efb40e"}
+
+    @staticmethod
+    def model(shape, scheme_name):
+        params = TestOneDecodePath().model(shape, scheme_name)
+        params.values *= 5.0  # weights large enough that the argmax moves from token to token
+        return params
+
+    @staticmethod
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("shape", ["desk", "paper"])
+    @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
+    def test_greedy_ids_keep_the_per_sample_bits(self, shape, scheme_name):
+        params = self.model(shape, scheme_name)
+        rng = np.random.default_rng(5)
+        ids = [greedy_decode(params, [int(t) for t in rng.integers(4, params.embedding.vocab_size, n)], 30)
+               for n in (1, 3, 6, 8)]
+        assert self.digest(ids) == self.IDS[shape, scheme_name]
+
+    @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
+    def test_generate_trace_keeps_the_per_sample_bits(self, tmp_path, scheme_name):
+        params = self.model("desk", scheme_name)
+        words = [*SPECIAL_TOKENS, *(f"w{i}" for i in range(params.embedding.vocab_size - len(SPECIAL_TOKENS)))]
+        C.save_model(params, tmp_path / "m.ckpt", words, ["a", "b", "c"], scheme_name)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["generate", "--checkpoint", str(tmp_path / "m.ckpt"), "--max-len", "20", "--trace",
+                  "--context", "w5 w9 w1 w30"])
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == self.TRACE[scheme_name]

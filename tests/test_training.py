@@ -11,7 +11,7 @@ import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
-from tokmoe.model import forward_teacher_forced
+from tokmoe.model import backward_teacher_forced, forward_teacher_forced
 
 from conftest import tiny_samples, tiny_variant
 
@@ -344,18 +344,24 @@ class TestTrainBatch:
     @pytest.mark.parametrize("compute_grads", [False, True])
     def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts, compute_grads):
         # The losses train_batch reports (and seeds gradients from) are the
-        # loss functions above, applied to the same forward pass, bitwise.
+        # loss functions above, applied to each sample's rows of the same
+        # grouped forward pass, bitwise.
         params, scheme = scheme_model(num_experts, scheme_name, seed=2)
         samples = tiny_samples()
+        assert len(samples) <= TR.GROUP_SIZE
         expert_of = {"alpha": 0, "beta": 1}
         report = TR.train_batch(params, samples, scheme, expert_of, compute_grads)
 
         expert_losses = np.zeros(params.num_decoders)
         chair_loss = 0.0
+        contexts, responses = [s.context_ids for s in samples], [s.response_ids for s in samples]
+        out = forward_teacher_forced(params, contexts, responses).readout
+        start = 0
         for s in samples:
-            out = forward_teacher_forced(params, s.context_ids, s.response_ids).readout
-            expert_losses += localized(out.dists, s.response_ids, s.intent, expert_of)
-            chair_loss += TR.nll_sequence(out.combined, s.response_ids)
+            rows = slice(start, start + len(s.response_ids))
+            expert_losses += localized(out.dists[rows], s.response_ids, s.intent, expert_of)
+            chair_loss += TR.nll_sequence(out.combined[rows], s.response_ids)
+            start = rows.stop
         assert report.expert_losses == expert_losses.tolist()
         assert report.chair_loss == chair_loss
         if num_experts == 0:
@@ -436,6 +442,58 @@ class TestOptimizationTrap:
             trajectory.append(report.lambda_value)
         assert trajectory[-1] > 0.52
         assert all(b > a for a, b in zip(trajectory, trajectory[1:]))
+
+
+def mixed_group():
+    """One group of samples with contexts of 1-5 and responses of 1-6 tokens, so every
+    context and every response but the longest is padded."""
+    shapes = [([4], [5, 4, 5, 4, 5, 3]), ([5, 4, 4, 5, 4], [3]), ([5, 5, 4], [4, 3]), ([4, 5], [5, 5, 4, 3])]
+    assert len(shapes) == TR.GROUP_SIZE
+    return [EncodedSample(c, r, intent, Sample(["x"], ["y"], intent))
+            for (c, r), intent in zip(shapes, ["alpha", "beta", "beta", "alpha"])]
+
+
+VARIANTS = {"base": {}, "V1": {"attention_enabled": False}, "V2": {"cell_kind": "gru"}}
+
+
+class TestGroupedTeacherForcing:
+    """A group's padding adds nothing: its gradient is the finite-difference one, and each
+    sample's readout and gradient match the sample teacher-forced alone."""
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
+    def test_padded_group_passes_grad_check(self, variant, scheme_name, num_experts):
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, num_experts, tiny_variant(**VARIANTS[variant]), 0, scheme)
+        expert_of = {"alpha": 0, "beta": 1} if num_experts else {}
+        assert TR.grad_check(params, mixed_group(), scheme, expert_of) < 1e-4
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
+    def test_each_sample_matches_it_alone(self, rng, variant, scheme_name):
+        params = init_model(6, 2, tiny_variant(**VARIANTS[variant]), 1, SchemeConfig.from_name(scheme_name))
+        group = mixed_group()
+        cache = forward_teacher_forced(params, [s.context_ids for s in group], [s.response_ids for s in group])
+        start = 0
+        for s in group:
+            rows = slice(start, start + len(s.response_ids))
+            start = rows.stop
+            alone = forward_teacher_forced(params, [s.context_ids], [s.response_ids])
+            for grouped, single in zip(cache.readout[:3], alone.readout[:3]):
+                assert np.abs(grouped[rows] - single).max() <= 1e-12 * np.abs(single).max()
+            loss = TR.nll_sequence(alone.readout.combined, s.response_ids)
+            assert abs(TR.nll_sequence(cache.readout.combined[rows], s.response_ids) - loss) <= 1e-12 * loss
+            # Seed only this sample's rows of the group: the gradient is the sample's own.
+            seeds = [rng.normal(size=a.shape) for a in (alone.readout.dists, alone.readout.combined)]
+            placed = [np.zeros_like(a) for a in (cache.readout.dists, cache.readout.combined)]
+            for full, seed in zip(placed, seeds):
+                full[rows] = seed
+            grads = []
+            for forward, d_seeds in ((alone, seeds), (cache, placed)):
+                params.grads[...] = 0.0
+                backward_teacher_forced(params, forward, *d_seeds)
+                grads.append(params.grads.copy())
+            assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
 
 
 class TestGradCheck:
