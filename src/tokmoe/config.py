@@ -228,17 +228,19 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment, blanks ignored."""
-    mapping: dict[str, str] = {}
+    """Read a flat ``key = value`` file; '#' starts a comment, blanks ignored, a repeated key refused."""
+    found: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return mapping
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in found:
+            raise ParseError(f"{path}:{lineno}: {key!r} is given again (first on line {found[key][1]})")
+        found[key] = value, lineno
+    return {key: value for key, (value, _) in found.items()}
 
 
 def write_config_file(config: RunConfig, path: str | Path) -> None:

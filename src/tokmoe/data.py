@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_utf8
+from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_utf8, write_atomic
 from .errors import DataError, DomainError, ParseError
 
 
@@ -73,11 +73,13 @@ class Vocabulary:
 
     @classmethod
     def build(cls, corpus: Corpus, cap: int = 400) -> "Vocabulary":
-        """Most frequent tokens up to ``cap`` minus the specials.
+        """Most frequent tokens up to ``cap`` minus the specials; ``cap`` leaves room for one.
 
         Frequency ties break lexicographically, so identical corpora always
         produce identical vocabularies.
         """
+        if cap <= len(SPECIAL_TOKENS):
+            raise DomainError(f"vocabulary cap must be at least {len(SPECIAL_TOKENS) + 1}, got {cap}")
         if len(corpus) == 0:
             raise DataError("cannot build a vocabulary from an empty corpus")
         counts: Counter[str] = Counter()
@@ -155,6 +157,8 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ParseError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
         samples.append(_parse_sample(obj, f"{path}:{lineno}"))
     if not samples:
         raise DataError(f"{path}: corpus is empty")
@@ -163,7 +167,7 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
 
 def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
     lines = [json.dumps(s.to_json(), ensure_ascii=False) for s in corpus.samples]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +211,6 @@ _TOPIC_WORDS = [
 _REQUESTABLE = ["[value_time]", "[value_price]", "[value_area]"]
 
 
-def intent_names(k: int) -> list[str]:
-    names = list(_INTENT_NAMES[:k])
-    names += [f"domain{i}" for i in range(len(names), k)]
-    return names
-
-
 def _word_pool(base: list[str], count: int, prefix: str) -> list[str]:
     pool = list(base[:count])
     pool += [f"{prefix}{i}" for i in range(len(pool), count)]
@@ -230,7 +228,7 @@ def generate_synthetic_corpus(spec: SynthSpec, extra_per_intent: int = 0) -> Cor
     which appear in the response. Contexts are unique across the corpus.
     """
     rng = random.Random(spec.seed)
-    names = intent_names(spec.intents)
+    names = _word_pool(_INTENT_NAMES, spec.intents, "domain")
     shared = _word_pool(_SHARED_WORDS, spec.shared_vocab, "word")
     per_intent = spec.samples_per_intent + extra_per_intent
     seen_contexts: set[tuple[str, ...]] = set()

@@ -227,17 +227,15 @@ class AttentionMemory(NamedTuple):
     mask: Array     # (B, m): 0 at each context's positions, -inf at its padding
 
 
-def attention_memory(
-    params: AttentionParams, encoder_hiddens: Array, valid: Array | None = None
-) -> AttentionMemory:
-    """Project B contexts' (B, m, d_h) hiddens once, one GEMM per copy over all B*m rows."""
+def attention_memory(params: AttentionParams, encoder_hiddens: Array, valid: Array) -> AttentionMemory:
+    """Project B contexts' (B, m, d_h) hiddens once, one GEMM per copy over all B*m rows;
+    ``valid`` (B, m) marks each context's positions, False at its padding."""
     hiddens = np.ascontiguousarray(encoder_hiddens, dtype=np.float64)
     if hiddens.ndim != 3 or hiddens.shape[1] == 0:
         raise DomainError("attention requires at least one encoder hidden vector")
     batch, m, d_h = hiddens.shape
     keys = hiddens.reshape(-1, d_h) @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
-    mask = np.zeros((batch, m)) if valid is None else np.where(valid, 0.0, -np.inf)
-    return AttentionMemory(hiddens, keys.reshape(*keys.shape[:-2], batch, m, -1), mask)
+    return AttentionMemory(hiddens, keys.reshape(*keys.shape[:-2], batch, m, -1), np.where(valid, 0.0, -np.inf))
 
 
 @dataclass
@@ -311,9 +309,8 @@ class OutputProjection:
 
 
 def project_to_vocab(proj: OutputProjection, state: Array) -> Array:
-    """softmax(U^T state + a) for every row of a ([n,] T, d_h) state, one GEMM per copy."""
-    a = proj.a.value
-    return T.softmax(state @ proj.u.value + (a[:, None] if a.ndim == 2 else a))
+    """softmax(U^T state + a) for every row of a ([n,] T, d_h) stack of rows, one GEMM per copy."""
+    return T.softmax(state @ proj.u.value + proj.a.value[..., None, :])
 
 
 def project_backward(proj: OutputProjection, state: Array, probs: Array, d_probs: Array) -> Array:

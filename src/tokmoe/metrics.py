@@ -102,39 +102,28 @@ def composite_score(inform_pct: float, success_pct: float, bleu_pct: float) -> f
 # Paired t-test
 
 
+_TINY = 1e-300
+
+
+def _away_from_zero(value: float) -> float:
+    return _TINY if abs(value) < _TINY else value
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    # Lentz's algorithm for the incomplete-beta continued fraction.
-    tiny = 1e-300
+    # Lentz's algorithm for the incomplete-beta continued fraction, two half-steps per m.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _away_from_zero(1.0 + num * d)
+            c = _away_from_zero(1.0 + num / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-14:
             break
     return h

@@ -85,21 +85,18 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
 # Losses
 
 
-def nll_sequence(dists: Array, targets, lengths=None) -> float | Array:
-    """Sum of -log p[y] over a response, with the probability floor: one gather.
+def nll_sequence(dists: Array, targets, lengths) -> Array:
+    """Each response's sum of -log p[y], with the probability floor: one gather.
 
-    A (T, V) sequence gives a float; a (T, k+1, V) readout gives a (k+1,)
-    array, each decoder's own NLL; given the ``lengths`` of B responses whose
-    rows follow one another, a (B[, k+1]) array. Each response's terms are
-    summed from one row, in the order of a (T, V) call of it alone. A NaN
-    probability is not floored, so it yields a NaN sum.
+    ``targets`` hold B responses of the given ``lengths`` whose rows follow one
+    another. (N, V) rows give a (B,) array; an (N, k+1, V) readout gives a
+    (B, k+1) array, each decoder's own NLL. Each response's terms are summed
+    from its own contiguous row. A NaN probability is not floored, so it
+    yields a NaN sum.
     """
     p = np.asarray(dists)[np.arange(len(targets)), ..., targets]
     terms = -np.log(np.maximum(np.ascontiguousarray(p.T), T.PROB_FLOOR))
-    if lengths is not None:
-        return np.array([terms[..., end - n:end].sum(axis=-1) for n, end in zip(lengths, np.cumsum(lengths))])
-    nll = terms.sum(axis=-1)
-    return float(nll) if nll.ndim == 0 else nll
+    return np.array([terms[..., end - n:end].sum(axis=-1) for n, end in zip(lengths, np.cumsum(lengths))])
 
 
 def ownership(intent: str, expert_of: dict[str, int], num_decoders: int) -> Array:
@@ -404,9 +401,12 @@ def grad_check(
 
     Compares every coordinate of the parameter arena (S1's mu/lambda
     logits included) on the summed batch loss. Intended for tiny instances; cost
-    is two forward passes per coordinate. Any non-finite analytic gradient,
-    numeric gradient or error returns ``math.inf``, so it can never pass.
+    is two forward passes per coordinate. No samples is a DomainError; any
+    non-finite analytic gradient, numeric gradient or error returns
+    ``math.inf``, so it can never pass.
     """
+    if not samples:
+        raise DomainError("cannot check gradients on no samples")
     params.grads[...] = 0.0
     train_batch(params, samples, scheme, expert_of, compute_grads=True)
     analytic = params.grads.copy()

@@ -149,7 +149,7 @@ def decoder_token_nlls(params, samples):
     tokens = 0
     for s in samples:
         dists = forward_teacher_forced(params, [s.context_ids], [s.response_ids]).readout.dists
-        totals += nll_sequence(dists, s.response_ids)
+        totals += nll_sequence(dists, s.response_ids, [len(s.response_ids)])[0]
         tokens += len(s.response_ids)
     return totals / tokens
 

@@ -16,8 +16,8 @@ import tokmoe.checkpoint as C
 import tokmoe.layers as L
 import tokmoe.model as M
 from tokmoe import BOS_ID, RunConfig
-from tokmoe.cli import _build_run_config, build_parser, main
-from tokmoe.errors import IntegrityError
+from tokmoe.cli import _build_run_config, build_parser, main, run_gradcheck
+from tokmoe.errors import DomainError, IntegrityError
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,11 @@ class TestGradcheckCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[usage]")
 
+    def test_sweep_without_experts_cannot_pass(self):
+        # No experts means no gradcheck samples: the sweep is refused, not reported as zeros.
+        with pytest.raises(DomainError, match="no samples"):
+            run_gradcheck(num_experts=0, hidden=1, vocab_size=5)
+
     def test_clean_run_exits_zero_with_four_scheme_lines(self, capsys):
         code = main(["gradcheck", "--experts", "1", "--hidden", "2", "--vocab-size", "5"])
         assert code == 0
@@ -343,10 +348,12 @@ BOUNDARY_CASES = [
      lambda c: c.train("--batch-size", "0", corpus=str(c.tmp / "missing.jsonl"))),
     # Files.
     ("config-not-utf8", 1, "parse", lambda c: c.config(b"seed = 1\xff\n")),
+    ("config-duplicate-key", 1, "parse", lambda c: c.config("seed = 1\nseed = 2\n")),
     ("config-is-directory", 1, "io", lambda c: c.train("--config", str(c.tmp))),
     ("train-is-directory", 1, "io", lambda c: c.train(corpus=str(c.tmp))),
     ("train-not-utf8", 1, "parse", lambda c: c.train(corpus=c.file("t.jsonl", b"\xff\xfe\n"))),
     ("train-line-not-object", 1, "data", lambda c: c.train(corpus=c.file("t.jsonl", "5\n"))),
+    ("train-line-too-deep", 1, "parse", lambda c: c.train(corpus=c.file("t.jsonl", "[" * 200_000 + "\n"))),
     ("goal-requested-not-list", 1, "data",
      lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % '{"requested": 5}'))),
     ("goal-entity-not-string", 1, "data",
@@ -356,6 +363,7 @@ BOUNDARY_CASES = [
     ("out-is-file", 1, "io", lambda c: c.train("--out", c.file("taken", "x"))),
     ("corpus-is-directory", 1, "io", lambda c: c.evaluate(corpus=str(c.tmp))),
     ("corpus-line-not-object", 1, "data", lambda c: c.evaluate(corpus=c.file("t.jsonl", "5\n"))),
+    ("corpus-line-too-deep", 1, "parse", lambda c: c.evaluate(corpus=c.file("t.jsonl", "[" * 200_000 + "\n"))),
     ("corpus-token-not-string", 1, "data",
      lambda c: c.evaluate(corpus=c.file("t.jsonl", _TOKENS_NOT_STRINGS))),
     ("valid-corpus-empty", 1, "data", lambda c: c.train("--valid", c.file("empty.jsonl", ""))),

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,13 @@ class TestVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             D.Vocabulary.build(D.Corpus([]), cap=10)
+
+    def test_cap_leaves_room_for_one_token(self):
+        corpus = D.Corpus([D.Sample(["a", "b", "c"], ["d", "e", "f"], "x")])
+        for cap in (3, 4):
+            with pytest.raises(DomainError, match="at least 5"):
+                D.Vocabulary.build(corpus, cap=cap)
+        assert len(D.Vocabulary.build(corpus, cap=5)) == 5
 
 
 class TestEncodeSample:
@@ -123,6 +131,18 @@ class TestJsonl:
         D.save_corpus_jsonl(corpus, out)
         reread = D.load_corpus_jsonl(out)
         assert [s.to_json() for s in corpus.samples] == [s.to_json() for s in reread.samples]
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        out = self.write(tmp_path, [self.sample_line("hotel")])
+        before = out.read_bytes()
+
+        def interrupted(self, target):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(Path, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            D.save_corpus_jsonl(D.Corpus(D.load_corpus_jsonl(out).samples * 2), out)
+        assert out.read_bytes() == before
 
 
 class TestSyntheticCorpus:

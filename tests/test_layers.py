@@ -162,7 +162,7 @@ class TestGruCell:
 
 def attend(params, hiddens, query):
     """One attention step of one row: its context, its weights, and its (memory, one-step trace)."""
-    memory = L.attention_memory(params, hiddens[None])
+    memory = L.attention_memory(params, hiddens[None], np.ones((1, len(hiddens)), dtype=bool))
     trace = L.AttentionTrace.empty(params, memory, 1)
     L.attention_context(params, memory, query[None], trace, 0)
     return trace.context[0, 0], trace.weights[0, 0], (memory, trace)
@@ -192,7 +192,7 @@ class TestAttention:
 
     def test_empty_encoder_output_rejected(self, rng):
         with pytest.raises(DomainError):
-            L.attention_memory(self.make_params(rng), np.empty((0, 2)))
+            L.attention_memory(self.make_params(rng), np.empty((1, 0, 2)), np.ones((1, 0), dtype=bool))
 
     def test_hand_computed_two_position_case(self):
         # d_h = 2, d_a = 1, m = 2; every number below is evaluated with plain
@@ -256,20 +256,20 @@ class TestAttention:
 class TestProjection:
     def test_zero_params_give_uniform(self):
         proj = L.OutputProjection(ParamSlot("u", np.zeros((3, 5))), ParamSlot("a", np.zeros(5)))
-        probs = L.project_to_vocab(proj, np.array([0.3, -0.2, 0.9], dtype=np.float64))
-        np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-15)
+        probs = L.project_to_vocab(proj, np.array([[0.3, -0.2, 0.9]], dtype=np.float64))
+        np.testing.assert_allclose(probs, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_dominating_logit_wins(self):
         a = np.zeros(5)
         a[2] = 50.0
         proj = L.OutputProjection(ParamSlot("u", np.zeros((3, 5))), ParamSlot("a", a))
-        probs = L.project_to_vocab(proj, np.zeros(3))
-        assert probs[2] > 0.99
+        probs = L.project_to_vocab(proj, np.zeros((1, 3)))
+        assert probs[0, 2] > 0.99
 
     def test_simplex_on_random_params(self, rng):
         proj = L.OutputProjection(make_slot(rng, "u", 3, 6), make_slot(rng, "a", 6))
         for _ in range(50):
-            probs = L.project_to_vocab(proj, rng.uniform(-2, 2, 3))
+            probs = L.project_to_vocab(proj, rng.uniform(-2, 2, (1, 3)))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs >= 0)
 
@@ -352,7 +352,7 @@ class TestStackedCopies:
     @staticmethod
     def run_attention(params, hiddens, queries, d_contexts):
         """T steps of (T, [n,] B, d_h) queries forward and backward, then the weight gradients."""
-        memory = L.attention_memory(params, hiddens)
+        memory = L.attention_memory(params, hiddens, np.ones(hiddens.shape[:2], dtype=bool))
         trace, grads = (L.AttentionTrace.empty(params, memory, len(queries)) for _ in range(2))
         for t, query in enumerate(queries):
             L.attention_context(params, memory, query, trace, t)

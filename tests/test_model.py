@@ -74,7 +74,8 @@ def fabricated_encoding(params, hiddens):
     hiddens = np.asarray(hiddens, dtype=np.float64)
     trace = L.CellTrace.empty(params.encoder, len(hiddens), 1)
     trace.hidden[1:, 0] = hiddens
-    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens[None])
+    valid = np.ones((1, len(hiddens)), dtype=bool)
+    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens[None], valid)
     return M.Encoding(np.full((len(hiddens), 1), 4), ([len(hiddens) - 1], [0]), None, trace, memory)
 
 

@@ -21,10 +21,15 @@ def sequence(*steps):
     return np.array(steps, dtype=float)
 
 
+def nll(dists, targets):
+    """The NLL of one response: a float for (T, V) rows, each decoder's for a (T, k+1, V) readout."""
+    return TR.nll_sequence(dists, targets, [len(targets)])[0]
+
+
 def localized(dists, targets, intent, expert_of):
     """The per-decoder expert loss of one response, as train_batch forms it."""
     own = TR.ownership(intent, expert_of, dists.shape[1])
-    return np.where(own, TR.nll_sequence(dists, targets), 0.0)
+    return np.where(own, nll(dists, targets), 0.0)
 
 
 class TestPartition:
@@ -90,8 +95,8 @@ class TestLossFunctions:
         # Past 8 terms numpy sums pairwise, so the bits depend on the order the terms add in.
         dists = rng.dirichlet(np.ones(11), size=(steps, 4))
         targets = [int(t) for t in rng.integers(0, 11, steps)]
-        per_column = [TR.nll_sequence(dists[:, l], targets) for l in range(4)]
-        assert TR.nll_sequence(dists, targets).tolist() == per_column
+        per_column = [nll(dists[:, l], targets) for l in range(4)]
+        assert nll(dists, targets).tolist() == per_column
 
     def test_grad_seed_row_is_each_decoders_seeds_bitwise(self, rng):
         dists = rng.dirichlet(np.ones(6), size=(9, 3))
@@ -109,12 +114,12 @@ class TestLossFunctions:
 
     def test_chair_loss_additivity(self):
         uniform = [0.25] * 4
-        loss = TR.nll_sequence(np.array([uniform, uniform]), [1, 3])
+        loss = nll(np.array([uniform, uniform]), [1, 3])
         assert abs(loss - 2 * math.log(4.0)) < 1e-12
 
     def test_chair_one_hot_zero(self):
         hot = [1.0, 0.0]
-        assert TR.nll_sequence(np.array([hot]), [0]) == 0.0
+        assert nll(np.array([hot]), [0]) == 0.0
 
     def test_loss_total_cases(self):
         assert TR.loss_total(2.0, 4.0, 0.0) == 4.0
@@ -127,15 +132,15 @@ class TestLossFunctions:
         for _ in range(50):
             dist = rng.dirichlet(np.ones(5))
             y = int(rng.integers(0, 5))
-            value = TR.nll_sequence([dist], [y])
+            value = nll([dist], [y])
             assert value >= 0.0
             if dist[y] < 1.0:
                 assert value > 0.0
-        assert TR.nll_sequence([np.array([0.0, 1.0])], [1]) == 0.0
+        assert nll([np.array([0.0, 1.0])], [1]) == 0.0
         # A zero probability scores at the floor, never infinity.
-        assert TR.nll_sequence([np.array([0.0, 1.0])], [0]) == -math.log(T.PROB_FLOOR)
+        assert nll([np.array([0.0, 1.0])], [0]) == -math.log(T.PROB_FLOOR)
         # A NaN probability is not floored: the loss goes non-finite.
-        assert math.isnan(TR.nll_sequence([np.array([math.nan, 1.0])], [0]))
+        assert math.isnan(nll([np.array([math.nan, 1.0])], [0]))
 
 
 def scheme_model(num_experts, scheme_name, seed=0):
@@ -360,7 +365,7 @@ class TestTrainBatch:
         for s in samples:
             rows = slice(start, start + len(s.response_ids))
             expert_losses += localized(out.dists[rows], s.response_ids, s.intent, expert_of)
-            chair_loss += TR.nll_sequence(out.combined[rows], s.response_ids)
+            chair_loss += nll(out.combined[rows], s.response_ids)
             start = rows.stop
         assert report.expert_losses == expert_losses.tolist()
         assert report.chair_loss == chair_loss
@@ -481,8 +486,8 @@ class TestGroupedTeacherForcing:
             alone = forward_teacher_forced(params, [s.context_ids], [s.response_ids])
             for grouped, single in zip(cache.readout[:3], alone.readout[:3]):
                 assert np.abs(grouped[rows] - single).max() <= 1e-12 * np.abs(single).max()
-            loss = TR.nll_sequence(alone.readout.combined, s.response_ids)
-            assert abs(TR.nll_sequence(cache.readout.combined[rows], s.response_ids) - loss) <= 1e-12 * loss
+            loss = nll(alone.readout.combined, s.response_ids)
+            assert abs(nll(cache.readout.combined[rows], s.response_ids) - loss) <= 1e-12 * loss
             # Seed only this sample's rows of the group: the gradient is the sample's own.
             seeds = [rng.normal(size=a.shape) for a in (alone.readout.dists, alone.readout.combined)]
             placed = [np.zeros_like(a) for a in (cache.readout.dists, cache.readout.combined)]
@@ -547,6 +552,12 @@ class TestGradCheck:
         err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
                             {"alpha": 0, "beta": 1})
         assert err == math.inf
+
+    def test_no_samples_refused(self):
+        # An empty batch has zero loss and zero gradient everywhere: a 0.0 would pass having checked nothing.
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        with pytest.raises(DomainError, match="no samples"):
+            TR.grad_check(params, [], SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
 
     def test_one_hot_forcing_params_give_near_zero_gradients(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
