@@ -243,16 +243,16 @@ class AttentionTrace:
     """T attention steps of B rows, time first. A gradient trace holds d_context and d_share
     in the same fields, and d_keys summed over its steps."""
 
-    context: Array  # (T, [n,] B, d_h)
-    weights: Array  # (T, [n,] B, m)
-    share: Array    # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
-    keys: Array     # ([n,] B, m, attn_size): d_keys in a gradient trace; unused in the forward
+    context: Array       # (T, [n,] B, d_h)
+    weights: Array       # (T, [n,] B, m)
+    share: Array         # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
+    keys: Array | None   # ([n,] B, m, attn_size): d_keys, zeroed in a gradient trace (grads=True) only
 
     @classmethod
-    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int) -> "AttentionTrace":
+    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int, grads=False) -> "AttentionTrace":
         lead = (steps, *params.v.value.shape[:-1], len(memory.hiddens))
         return cls(np.empty((*lead, memory.hiddens.shape[-1])), np.empty((*lead, memory.hiddens.shape[1])),
-                   np.empty((*lead, params.v.value.shape[-1])), np.zeros(memory.keys.shape))
+                   np.empty((*lead, params.v.value.shape[-1])), np.zeros(memory.keys.shape) if grads else None)
 
 
 def attention_context(

@@ -13,17 +13,18 @@ token: the gold token under teacher forcing, the chair's argmax during
 generation (the gating input concatenates all decoders' step-j states,
 which requires aligned timelines).
 
-Teacher forcing runs a group of B right-padded samples at once. Only the
-*recurrence* (the encoder on (B, d_h) rows; ``expert_step``: attention and
-the cell update of all k+1 decoders on (k+1, B, d_h) rows) runs token by
-token, into the time-first traces of ``layers``; row 0 of the decoders'
-(T+1, k+1, B, d_h) trace is each context's final encoder state. The
-*readout* (``readout``: projection, softmax, gate MLP, chair combine) feeds
-nothing back, so it takes any leading row axis: greedy decoding calls it on
-row 1 of a one-step trace per token, teacher forcing once on the N valid
-(sample, step) rows; padded positions are never read, so their gradients
-are 0. With B = 1 every product has the shape, so the bits, of one
-sequence alone; BLAS runs on one thread (see ``tokmoe``).
+Teacher forcing runs a group of B right-padded samples at once (training
+sorts each batch by length and cuts groups of 8, a size set by peak memory:
+see ``training.GROUP_SIZE``). Only the *recurrence* (the encoder on (B, d_h)
+rows; ``expert_step``: attention and the cell update of all k+1 decoders on
+(k+1, B, d_h) rows) runs token by token, into the time-first traces of
+``layers``; row 0 of the decoders' (T+1, k+1, B, d_h) trace is each context's
+final encoder state. The *readout* (``readout``: projection, softmax, gate
+MLP, chair combine) feeds nothing back, so it takes any leading row axis:
+greedy decoding calls it on row 1 of a one-step trace per token, teacher
+forcing once on the N valid (sample, step) rows; padded positions are never
+read, so their gradients are 0. With B = 1 every product has the shape, so
+the bits, of one sequence alone; BLAS runs on one thread (see ``tokmoe``).
 
 Inference over frozen parameters is read-only and thread-safe; training
 mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
@@ -476,6 +477,24 @@ def forward_teacher_forced(
     return ForwardCache(enc, input_ids, rows, trace, attn, readout(params, trace.hidden[1:][rows]))
 
 
+def readout_backward(params: ModelParams, cache: ForwardCache, d_dists: Array, d_combined: Array) -> Array:
+    """The readout backward, once, through the combine for every model (beta is one-hot on
+    the chair without a gate): the (T, k+1, B, d_h) gradient of the states, 0 at padded steps."""
+    out = cache.readout
+    d_beta, d_probs = chair_combine_backward(out.dists, out.beta, d_combined)
+    d_probs += d_dists  # every loss's gradient of the distributions, summed in place
+    d_read = 0.0
+    if out.gate_cache is not None:
+        d_read, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
+        d_probs += d_gate_dists
+    # The projection's rows take the decoder axis first, as in ``readout``.
+    hidden = cache.trace.hidden[1:]
+    read = [a.swapaxes(0, 1) for a in (hidden[cache.rows], out.dists, d_probs)]
+    d_hidden = np.zeros(hidden.shape)
+    d_hidden[cache.rows] = L.project_backward(params.projection, *read).swapaxes(0, 1) + d_read
+    return d_hidden
+
+
 def backward_teacher_forced(
     params: ModelParams,
     cache: ForwardCache,
@@ -486,29 +505,20 @@ def backward_teacher_forced(
 
     ``d_dists`` (N, k+1, V) seeds the per-step distributions (the localized
     expert losses), ``d_combined`` (N, V) the combined one (the chair loss).
-    The readout backward runs once, through the combine for every model (beta
-    is one-hot on the chair without a gate), into the valid state rows; the
-    reverse loop carries only the recurrence, and each weight gradient is one
-    GEMM over the group.
+    Only ``readout_backward``'s state-row gradient reaches the reverse loop,
+    which carries only the recurrence; each weight gradient is one GEMM over
+    the group.
     """
-    out, enc, cell = cache.readout, cache.enc, params.decoder_cell
-    d_beta, d_mix = chair_combine_backward(out.dists, out.beta, d_combined)
-    d_dists = d_dists + d_mix
-    d_read = 0.0
-    if out.gate_cache is not None:
-        d_read, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
-        d_dists = d_dists + d_gate_dists
-    # The projection's rows take the decoder axis first, as in ``readout``.
-    hidden = cache.trace.hidden[1:]
-    read = [a.swapaxes(0, 1) for a in (hidden[cache.rows], out.dists, d_dists)]
-    d_hidden = np.zeros(hidden.shape)
-    d_hidden[cache.rows] = L.project_backward(params.projection, *read).swapaxes(0, 1) + d_read
-
+    enc, cell = cache.enc, params.decoder_cell
+    d_hidden = readout_backward(params, cache, d_dists, d_combined)
+    del d_dists, d_combined  # a caller that keeps no reference frees the seeds here
     steps, batch = cache.input_ids.shape
     carry_hidden = np.zeros_like(d_hidden[0])
     carry_cell = np.zeros_like(d_hidden[0])
     d_gates = np.empty((params.num_decoders, steps, batch, cell.bias.value.shape[-1]))  # GEMM rows as a view
-    d_attn = None if cache.attn is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
+    d_attn = None
+    if cache.attn is not None:
+        d_attn = L.AttentionTrace.empty(params.attention, enc.memory, steps, grads=True)
     for j in reversed(range(steps)):
         d_gates[:, j], carry_hidden, carry_cell = expert_step_backward(
             params, enc, cache.trace, cache.attn, d_attn, j, d_hidden[j] + carry_hidden, carry_cell

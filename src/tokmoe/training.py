@@ -12,12 +12,13 @@ The joint objective is ``lambda * L_experts + (1 - lambda) * L_chair``:
 * ``L_chair`` is the negative log-likelihood of the combined distribution
   over all samples: ``nll_sequence`` of each response's ``combined``.
 
-A batch is teacher-forced in groups of ``GROUP_SIZE`` samples. Losses are
-summed (not averaged) within a batch; gradients therefore accumulate
-additively and are zeroed after each optimizer step. The
-per-batch order of operations is fixed for reproducibility: forward,
-backward, add l2 to gradients, clamp gradient values, Adam step, zero;
-each step after the backward acts once on the flat parameter arena.
+A batch is sorted by length, so that a group pads few steps, and teacher-forced
+in groups of ``GROUP_SIZE`` samples; a group's arrays are freed before the next
+group's forward. Losses are summed (not averaged) within a batch, so its order
+changes only their summation order, and gradients accumulate additively until
+the optimizer step. The per-batch order of operations is fixed for
+reproducibility: forward, backward, add l2 to gradients, clamp gradient values,
+Adam step, zero; each step after the backward acts once on the flat arena.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .errors import ConfigError, DataError, DomainError
 from .model import ModelParams, backward_teacher_forced, forward_teacher_forced
 from .tensor import Array
 
-GROUP_SIZE = 4  # samples teacher-forced at once; memory, not speed, sets it
+GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
+
+
+def groups(samples: list[EncodedSample]) -> list[list[EncodedSample]]:
+    """The samples sorted stably by (response, context) length, cut into groups of ``GROUP_SIZE``."""
+    ordered = sorted(samples, key=lambda s: (len(s.response_ids), len(s.context_ids)))
+    return [ordered[start:start + GROUP_SIZE] for start in range(0, len(ordered), GROUP_SIZE)]
 
 
 def partition_by_intent(corpus: Corpus) -> dict[str, list[Sample]]:
@@ -167,29 +174,29 @@ def train_batch(
     l2/clip/step/zero sequence. In single-decoder mode lambda is 0, so the
     total is the chair loss alone.
     """
-    n_dec = params.num_decoders
     mu, lam = resolve_scheme_weights(scheme, params)
 
-    raw_expert = np.zeros(n_dec)
-    chair_total = 0.0
-    token_count = 0
-    for start in range(0, len(batch), GROUP_SIZE):
-        group = batch[start:start + GROUP_SIZE]
+    def group_losses(group: list[EncodedSample]) -> tuple[Array, float]:
+        # One call per group: every array of a group dies before the next group's forward.
         responses = [s.response_ids for s in group]
         cache = forward_teacher_forced(params, [s.context_ids for s in group], responses)
         dists, combined = cache.readout.dists, cache.readout.combined
         targets, lengths = np.concatenate(responses), [len(ids) for ids in responses]
-        token_count += len(targets)
-        own = np.array([ownership(s.intent, expert_of, n_dec) for s in group])
+        own = np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group])
+        if compute_grads:  # the seeds, left unbound here, are freed after the readout backward
+            backward_teacher_forced(
+                params, cache, _nll_grad_seeds(dists, targets, lam * mu * np.repeat(own, lengths, axis=0)),
+                _nll_grad_seeds(combined, targets, 1.0 - lam),
+            )
         # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
-        raw_expert += np.where(own, nll_sequence(dists, targets, lengths), 0.0).sum(axis=0)
-        chair_total += nll_sequence(combined, targets, lengths).sum()
+        expert = np.where(own, nll_sequence(dists, targets, lengths), 0.0).sum(axis=0)
+        return expert, nll_sequence(combined, targets, lengths).sum()
 
-        if compute_grads:
-            d_dists = _nll_grad_seeds(dists, targets, lam * mu * np.repeat(own, lengths, axis=0))
-            d_combined = _nll_grad_seeds(combined, targets, 1.0 - lam)
-            backward_teacher_forced(params, cache, d_dists, d_combined)
-
+    raw_expert = np.zeros(params.num_decoders)
+    chair_total = 0.0
+    for expert, chair in map(group_losses, groups(batch)):
+        raw_expert += expert
+        chair_total += chair
     experts_weighted = float(np.dot(mu, raw_expert))
     total = loss_total(experts_weighted, chair_total, lam)
 
@@ -203,7 +210,7 @@ def train_batch(
         expert_losses=[float(v) for v in raw_expert],
         chair_loss=float(chair_total),
         total=float(total),
-        token_count=token_count,
+        token_count=sum(len(s.response_ids) for s in batch),
         mu=[float(v) for v in mu],
         lambda_value=float(lam),
     )
@@ -375,13 +382,11 @@ def train_run(
 def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -> float:
     """Fraction of response tokens where argmax(combined) hits the target, one forward per group."""
     hits = 0
-    total = 0
-    for start in range(0, len(samples), GROUP_SIZE):
-        group = samples[start:start + GROUP_SIZE]
-        responses = [s.response_ids for s in group]
-        cache = forward_teacher_forced(params, [s.context_ids for s in group], responses)
-        hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == np.concatenate(responses)))
-        total += sum(map(len, responses))
+    for group in groups(samples):
+        contexts, responses = [s.context_ids for s in group], [s.response_ids for s in group]
+        chosen = forward_teacher_forced(params, contexts, responses).readout.combined.argmax(axis=-1)
+        hits += int(np.count_nonzero(chosen == np.concatenate(responses)))
+    total = sum(len(s.response_ids) for s in samples)
     return hits / total if total else 0.0
 
 

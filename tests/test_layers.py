@@ -243,7 +243,7 @@ class TestAttention:
             return float(np.dot(pc, context))
 
         _, _, (memory, trace) = attend(params, h, query)
-        grads = L.AttentionTrace.empty(params, memory, 1)
+        grads = L.AttentionTrace.empty(params, memory, 1, grads=True)
         d_q = L.attention_backward(params, memory, trace, grads, 0, pc[None])
         d_h = L.attention_weights_backward(params, memory, trace, grads, query[None, None])
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, query), h.copy())) < 1e-6
@@ -353,7 +353,8 @@ class TestStackedCopies:
     def run_attention(params, hiddens, queries, d_contexts):
         """T steps of (T, [n,] B, d_h) queries forward and backward, then the weight gradients."""
         memory = L.attention_memory(params, hiddens, np.ones(hiddens.shape[:2], dtype=bool))
-        trace, grads = (L.AttentionTrace.empty(params, memory, len(queries)) for _ in range(2))
+        trace, grads = (L.AttentionTrace.empty(params, memory, len(queries), grads=g) for g in (False, True))
+        assert trace.keys is None  # only the gradient trace holds d_keys
         for t, query in enumerate(queries):
             L.attention_context(params, memory, query, trace, t)
         d_queries = np.array([
