@@ -11,10 +11,12 @@ Layout (integers little-endian unsigned 64-bit):
     footer   u64      FNV-1a 64 checksum over every byte before it
 
 The checksum covers the header as well as the payload, so an edited
-vocabulary or intent order is caught like an edited weight. A ``TOKMOE1``
-file (a tensor archive with a separate JSON sidecar) is rejected by name.
-``save_tensors``/``load_tensors`` are the framing; ``save_model``/``load_model``
-map a ModelParams onto it.
+vocabulary or intent order is caught like an edited weight. It is the
+FNV-1a 64 of draft-eastlake-fnv, computed blockwise in NumPy (see
+``fnv1a64``) to the same value as the byte-at-a-time definition. A
+``TOKMOE1`` file (a tensor archive with a separate JSON sidecar) is
+rejected by name. ``save_tensors``/``load_tensors`` are the framing;
+``save_model``/``load_model`` map a ModelParams onto it.
 """
 
 from __future__ import annotations
@@ -36,17 +38,78 @@ from .tensor import Array
 
 MAGIC = b"TOKMOE2\n"
 _TOKMOE1 = b"TOKMOE1\n"
-_BLOCK = 1 << 20  # load checksums the file in slices of this size, never copying it whole
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_HASH_BLOCK = 1 << 14  # bytes per vectorised pass; fnv1a64's arrays take about 25 times this
+_BYTE_ONES = np.uint64(0x0101010101010101)
 
 
-def fnv1a64(data: bytes, value: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over ``data``; pass the previous value to chain chunks."""
-    for byte in data:
-        value = ((value ^ byte) * _FNV_PRIME) & _U64_MASK
+def _prime_powers(n: int) -> np.ndarray:
+    """P^n, ..., P^2, P^1 (mod 2^64) for the FNV prime P, by doubling."""
+    powers = np.empty(n, np.uint64)
+    powers[-1] = _FNV_PRIME
+    done = 1  # powers[n - done:] is filled
+    while done < n:
+        step = min(done, n - done)
+        np.multiply(powers[n - step:], powers[n - done], out=powers[n - done - step:n - done])
+        done += step
+    return powers
+
+
+def fnv1a64(data: bytes | bytearray | memoryview, value: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a over the bytes-like ``data``; pass the previous value to chain chunks.
+
+    A step h' = (h ^ b) * P changes only h's low byte s by the XOR, so
+    h' = P * (h + e) with e = (s ^ b) - s, and over n bytes
+    h_n = P^n * h_0 + sum_i P^(n-i) * e_i (mod 2^64): one wrapping uint64 dot
+    product per block once every s_i is known. The low bytes follow
+    s' = ((s ^ b) * 0xB3) mod 256 (0xB3 = P mod 256). As 0xB3 is odd, bit k
+    of a product is bit k of its factor XOR a function of the factor's lower
+    bits. So, given bits < k of every s_i, bit k of s_i is bit k of s_0 XOR
+    a prefix XOR over the block: eight vectorised rounds give every low byte.
+    """
+    data = np.frombuffer(data, dtype=np.uint8)
+    if data.size == 0:
+        return value
+    value &= _U64_MASK
+    width = min(data.size, _HASH_BLOCK)
+    powers = _prime_powers(width)
+    # Whole uint64 words; a last short block's stale tail reaches none of its first n bytes.
+    block = np.zeros(-(-width // 8) * 8, np.uint8)
+    low, step = np.empty_like(block), np.empty_like(block)
+    words = step.view(np.uint64)
+    scan, carry = np.empty_like(words), np.empty_like(words)
+    scan_bytes = scan.view(np.uint8)
+    change = np.empty(width, np.uint64)
+    for start in range(0, data.size, width):
+        n = min(width, data.size - start)
+        block[:n] = data[start:start + n]
+        low.fill(0)
+        for k in range(8):
+            bit = np.uint8(1 << k)
+            # Bit k of step[i] is bit k of s_(i+1) XOR bit k of s_i.
+            np.bitwise_xor(low, block, out=step)
+            np.multiply(step, np.uint8(0xB3), out=step)
+            np.bitwise_and(step, bit, out=step)
+            # Multiplying a word by 0x0101...01 adds each byte into every later
+            # one; with bit k alone set in each byte, bit k of byte j is then the
+            # XOR of bytes 0..j, as no carry reaches bit k of another byte.
+            np.multiply(words, _BYTE_ONES, out=scan)
+            # The XOR of every earlier word (top bytes) and of s_0, spread over each byte.
+            carry[0] = value & (1 << k)
+            np.right_shift(scan[:-1], np.uint64(56), out=carry[1:])
+            np.bitwise_xor.accumulate(carry, out=carry)
+            np.multiply(carry, _BYTE_ONES, out=carry)
+            np.bitwise_xor(scan, words, out=scan)  # exclude each byte's own step
+            np.bitwise_xor(scan, carry, out=scan)
+            np.bitwise_and(scan_bytes, bit, out=scan_bytes)
+            np.bitwise_or(low, scan_bytes, out=low)
+        np.bitwise_xor(low, block, out=step)
+        change[:n] = np.subtract(step[:n], low[:n], dtype=np.int16)  # e_i, wrapped into uint64
+        change[:1] += np.uint64(value)
+        value = int(np.dot(powers[width - n:], change[:n]))
     return value
 
 
@@ -93,9 +156,7 @@ def load_tensors(path: str | Path) -> tuple[dict, list[tuple[str, Array]]]:
     start = 16 + length
     if start > end:
         raise IntegrityError(f"{path}: header length {length} runs past the end of the file")
-    checksum = _FNV_OFFSET
-    for offset in range(0, end, _BLOCK):
-        checksum = fnv1a64(data[offset:min(offset + _BLOCK, end)], checksum)
+    checksum = fnv1a64(memoryview(data)[:end])
     (stored,) = struct.unpack_from("<Q", data, end)
     if stored != checksum:
         raise IntegrityError(

@@ -1,5 +1,8 @@
 """Checkpoint file format: round trips, corruption detection, shape inspection."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,25 @@ def small_tensors(rng):
     ]
 
 
+def fnv1a64_loop(data, value=0xCBF29CE484222325):
+    """FNV-1a 64 by its definition, one byte at a time: the oracle for ``C.fnv1a64``."""
+    for byte in data:
+        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+BLOCK = C._HASH_BLOCK
+
+
 class TestFnv1a:
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blockwise_equals_loop(self, length):
+        data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+        for value in (0xCBF29CE484222325, 0, 1, 2**64 - 1):
+            expected = fnv1a64_loop(data, value)
+            assert C.fnv1a64(data, value) == expected, hex(value)
+            assert C.fnv1a64(memoryview(b"x" + data)[1:], value) == expected, hex(value)
+
     def test_known_vectors(self):
         # Published FNV-1a 64 reference values.
         assert C.fnv1a64(b"") == 0xCBF29CE484222325
@@ -78,6 +99,20 @@ class TestArchiveRoundTrip:
         with pytest.raises(IntegrityError, match="magic"):
             C.load_tensors(path)
 
+    def test_load_memory_bounded_by_hash_block(self, tmp_path, rng):
+        # A 4 MB file: loading holds the file once plus the hash's arrays, about
+        # 25 bytes per byte of its block, and no copy of any part of the file.
+        path = tmp_path / "t.ckpt"
+        C.save_tensors([("w", rng.uniform(-1, 1, 500_000))], path, META)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            C.load_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size < 32 * BLOCK
+
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "t.ckpt"
         C.save_tensors(small_tensors(rng), path, META)
@@ -88,6 +123,17 @@ class TestArchiveRoundTrip:
 
 
 class TestModelCheckpoints:
+    def test_file_bytes_pinned(self, tmp_path):
+        # Pins every byte: the framing, the header's JSON and a footer hashed over
+        # several blocks (the digest was taken from the byte-at-a-time checksum).
+        params = init_model(6, 2, tiny_variant(hidden_size=24, attn_size=24), seed=9)
+        path = tmp_path / "model.ckpt"
+        C.save_model(params, path, TOKENS, ["a", "b"], "S4")
+        assert path.stat().st_size > 10 * BLOCK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b99562579d17f5ff76702391d9ebb735a194143085b64fa1fbc4ad0f7fc9a21d"
+        )
+
     def test_model_round_trip_bit_exact(self, tmp_path):
         params = init_model(6, 2, tiny_variant(), seed=9)
         path = tmp_path / "model.ckpt"

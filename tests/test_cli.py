@@ -141,11 +141,11 @@ class TestEvaluate:
         ("no-variant", lambda header: json.dumps({k: v for k, v in header.items() if k != "variant"}).encode()),
         ("unknown-scheme", lambda header: json.dumps({**header, "scheme": "S9"}).encode()),
     ])
-    def test_corrupted_sidecar_is_one_error_line(
+    def test_corrupted_header_is_one_error_line(
         self, trained_run, corpus_dir, workdir, capsys, name, corrupt
     ):
         header, payload = _split((trained_run / "model.ckpt").read_bytes())
-        bad = workdir / f"side-{name}.ckpt"
+        bad = workdir / f"header-{name}.ckpt"
         bad.write_bytes(_framed(corrupt(json.loads(header)), payload))
         for argv in (["evaluate", "--corpus", str(corpus_dir / "test.jsonl")],
                      ["generate", "--context", "i need help"]):
