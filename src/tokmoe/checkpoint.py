@@ -13,10 +13,12 @@ Layout (integers little-endian unsigned 64-bit):
 The checksum covers the header as well as the payload, so an edited
 vocabulary or intent order is caught like an edited weight. It is the
 FNV-1a 64 of draft-eastlake-fnv, computed blockwise in NumPy (see
-``fnv1a64``) to the same value as the byte-at-a-time definition. A
-``TOKMOE1`` file (a tensor archive with a separate JSON sidecar) is
-rejected by name. ``save_tensors``/``load_tensors`` are the framing;
-``save_model``/``load_model`` map a ModelParams onto it.
+``fnv1a64``) to the same value as the byte-at-a-time definition. Saving
+builds the whole file in one buffer and hashes it once; loading hashes the
+file as read; neither copies a tensor. A ``TOKMOE1`` file (a tensor archive
+with a separate JSON sidecar) is rejected by name.
+``save_tensors``/``load_tensors`` are the framing; ``save_model``/``load_model``
+map a ModelParams onto it.
 """
 
 from __future__ import annotations
@@ -41,25 +43,12 @@ _TOKMOE1 = b"TOKMOE1\n"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
 _HASH_BLOCK = 1 << 14  # bytes per vectorised pass; fnv1a64's arrays take about 25 times this
 _BYTE_ONES = np.uint64(0x0101010101010101)
 
 
-def _prime_powers(n: int) -> np.ndarray:
-    """P^n, ..., P^2, P^1 (mod 2^64) for the FNV prime P, by doubling."""
-    powers = np.empty(n, np.uint64)
-    powers[-1] = _FNV_PRIME
-    done = 1  # powers[n - done:] is filled
-    while done < n:
-        step = min(done, n - done)
-        np.multiply(powers[n - step:], powers[n - done], out=powers[n - done - step:n - done])
-        done += step
-    return powers
-
-
-def fnv1a64(data: bytes | bytearray | memoryview, value: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over the bytes-like ``data``; pass the previous value to chain chunks.
+def fnv1a64(data: bytes | bytearray | memoryview) -> int:
+    """64-bit FNV-1a over the bytes-like ``data``.
 
     A step h' = (h ^ b) * P changes only h's low byte s by the XOR, so
     h' = P * (h + e) with e = (s ^ b) - s, and over n bytes
@@ -71,11 +60,11 @@ def fnv1a64(data: bytes | bytearray | memoryview, value: int = _FNV_OFFSET) -> i
     a prefix XOR over the block: eight vectorised rounds give every low byte.
     """
     data = np.frombuffer(data, dtype=np.uint8)
+    value = _FNV_OFFSET
     if data.size == 0:
         return value
-    value &= _U64_MASK
     width = min(data.size, _HASH_BLOCK)
-    powers = _prime_powers(width)
+    powers = np.cumprod(np.full(width, _FNV_PRIME, np.uint64))[::-1]  # P^width, ..., P^1 (mod 2^64)
     # Whole uint64 words; a last short block's stale tail reaches none of its first n bytes.
     block = np.zeros(-(-width // 8) * 8, np.uint8)
     low, step = np.empty_like(block), np.empty_like(block)
@@ -113,20 +102,20 @@ def fnv1a64(data: bytes | bytearray | memoryview, value: int = _FNV_OFFSET) -> i
     return value
 
 
-def _u64(value: int) -> bytes:
-    return struct.pack("<Q", value)
-
-
 def save_tensors(tensors: list[tuple[str, Array]], path: str | Path, meta: dict) -> None:
     """Write the header fields ``meta`` and the named float64 tensors, in order; atomic on POSIX."""
     arrays = [np.asarray(arr, dtype="<f8") for _, arr in tensors]
     header = {**meta, "tensors": [[name, list(arr.shape)] for (name, _), arr in zip(tensors, arrays)]}
     text = json.dumps(header).encode("utf-8")
-    chunks = [MAGIC + _u64(len(text)) + text, *(arr.tobytes() for arr in arrays)]
-    checksum = _FNV_OFFSET
-    for chunk in chunks:
-        checksum = fnv1a64(chunk, checksum)
-    write_atomic(path, b"".join([*chunks, _u64(checksum)]))
+    start = 16 + len(text)
+    bounds = [0, *itertools.accumulate(arr.size for arr in arrays)]
+    buf = bytearray(start + 8 * bounds[-1] + 8)
+    buf[:start] = MAGIC + struct.pack("<Q", len(text)) + text
+    flat = np.frombuffer(buf, dtype="<f8", count=bounds[-1], offset=start)
+    for arr, a, b in zip(arrays, bounds, bounds[1:]):
+        flat[a:b].reshape(arr.shape)[...] = arr
+    struct.pack_into("<Q", buf, len(buf) - 8, fnv1a64(memoryview(buf)[:-8]))
+    write_atomic(path, buf)
 
 
 def _is_entry(entry) -> bool:
@@ -142,7 +131,11 @@ def load_tensors(path: str | Path) -> tuple[dict, list[tuple[str, Array]]]:
     Any defect of the framing, the checksum or the ``tensors`` list is an IntegrityError.
     """
     path = Path(path)
-    data = path.read_bytes()
+    # A bytearray, as in save_tensors: the heap block a save frees then fits this buffer
+    # (a bytes object is 32 bytes larger, and repeated save/load held one more file resident).
+    data = bytearray(path.stat().st_size)
+    with path.open("rb") as f:
+        f.readinto(data)
     if data[:8] == _TOKMOE1:
         raise IntegrityError(
             f"{path}: a TOKMOE1 checkpoint (archive plus JSON sidecar) is no longer read; retrain"
@@ -172,7 +165,7 @@ def load_tensors(path: str | Path) -> tuple[dict, list[tuple[str, Array]]]:
     bounds = [0, *itertools.accumulate(math.prod(dims) for _, dims in entries)]
     if 8 * bounds[-1] != end - start:
         raise IntegrityError(f"{path}: the payload holds {end - start} bytes, the header {8 * bounds[-1]}")
-    flat = np.frombuffer(memoryview(data)[start:end], dtype="<f8")
+    flat = np.frombuffer(memoryview(data).toreadonly()[start:end], dtype="<f8")
     return header, [
         (name, flat[a:b].reshape(dims)) for (name, dims), a, b in zip(entries, bounds, bounds[1:])
     ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_utf8, write_atomic
@@ -217,7 +217,7 @@ def _word_pool(base: list[str], count: int, prefix: str) -> list[str]:
     return pool
 
 
-def generate_synthetic_corpus(spec: SynthSpec, extra_per_intent: int = 0) -> Corpus:
+def generate_synthetic_corpus(spec: SynthSpec) -> Corpus:
     """Seeded multi-intent corpus from a small template grammar.
 
     Each intent owns an exclusive word pool (never emitted under another
@@ -230,13 +230,12 @@ def generate_synthetic_corpus(spec: SynthSpec, extra_per_intent: int = 0) -> Cor
     rng = random.Random(spec.seed)
     names = _word_pool(_INTENT_NAMES, spec.intents, "domain")
     shared = _word_pool(_SHARED_WORDS, spec.shared_vocab, "word")
-    per_intent = spec.samples_per_intent + extra_per_intent
     seen_contexts: set[tuple[str, ...]] = set()
     samples: list[Sample] = []
     for intent in names:
         exclusive = [f"{intent}_{w}" for w in _word_pool(_TOPIC_WORDS, spec.per_intent_vocab, "w")]
         entity = f"[{intent}_id]"
-        for _ in range(per_intent):
+        for _ in range(spec.samples_per_intent):
             for _attempt in range(200):
                 ctx_len = rng.randint(*spec.context_len)
                 context = [
@@ -266,8 +265,8 @@ def generate_synthetic_splits(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
     deterministic function of the spec.
     """
     holdout = max(2, spec.samples_per_intent // 5)
-    full = generate_synthetic_corpus(spec, extra_per_intent=2 * holdout)
     per_intent = spec.samples_per_intent + 2 * holdout
+    full = generate_synthetic_corpus(replace(spec, samples_per_intent=per_intent))
     train: list[Sample] = []
     valid: list[Sample] = []
     test: list[Sample] = []

@@ -21,6 +21,7 @@ from .data import Sample
 from .errors import DomainError
 
 BLEU_MAX_ORDER = 4
+_PROXY_NOTE = "inform/success are placeholder-containment proxies"
 
 
 def _ngram_counts(tokens: list[str], order: int) -> Counter:
@@ -199,7 +200,6 @@ class MetricsReport:
 
     overall: IntentMetrics
     per_intent: dict[str, IntentMetrics] = field(default_factory=dict)
-    proxy_note: str = "inform/success are placeholder-containment proxies"
 
     def to_json(self) -> str:
         def row(m: IntentMetrics) -> dict:
@@ -214,13 +214,13 @@ class MetricsReport:
         payload = {
             "overall": row(self.overall),
             "per_intent": {intent: row(m) for intent, m in sorted(self.per_intent.items())},
-            "note": self.proxy_note,
+            "note": _PROXY_NOTE,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         header = f"{'intent':<14}{'Inform%':>10}{'Success%':>10}{'BLEU%':>10}{'Score':>10}{'turns':>8}"
-        lines = [f"# {self.proxy_note}", header, "-" * len(header)]
+        lines = [f"# {_PROXY_NOTE}", header, "-" * len(header)]
 
         def fmt(name: str, m: IntentMetrics) -> str:
             return (
