@@ -211,10 +211,12 @@ def _coerce(key: str, raw: str, annotation: str):
     return text
 
 
-def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; undecodable bytes are a ParseError naming the offset."""
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, any line ending accepted; undecodable bytes are a ParseError
+    naming the offset. Only a line ending ends a line: ``str.splitlines`` would also break at
+    U+0085, U+2028 and U+2029, which a JSON string holds unescaped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
@@ -228,11 +230,12 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment, blanks ignored, a repeated key refused."""
+    """Read a flat ``key = value`` file; a line whose first non-blank character is '#' is a comment,
+    blanks are ignored and a repeated key is refused. A '#' inside a value, as in a path, is kept."""
     found: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+    for lineno, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {line!r}")

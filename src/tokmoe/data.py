@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_utf8, write_atomic
+from .config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, read_lines, write_atomic
 from .errors import DataError, DomainError, ParseError
 
 
@@ -150,7 +150,7 @@ def _parse_sample(obj: object, where: str) -> Sample:
 def load_corpus_jsonl(path: str | Path) -> Corpus:
     path = Path(path)
     samples: list[Sample] = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:

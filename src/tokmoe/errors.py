@@ -11,12 +11,6 @@ class TokmoeError(Exception):
     code = "error"
 
 
-class ShapeError(TokmoeError):
-    """Operand shapes are inconsistent (names both shapes in the message)."""
-
-    code = "shape"
-
-
 class DomainError(TokmoeError):
     """An input value is outside the operation's domain."""
 

@@ -46,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .errors import DomainError
 from .tensor import Array, ParamSlot
 
 
@@ -231,8 +230,6 @@ def attention_memory(params: AttentionParams, encoder_hiddens: Array, valid: Arr
     """Project B contexts' (B, m, d_h) hiddens once, one GEMM per copy over all B*m rows;
     ``valid`` (B, m) marks each context's positions, False at its padding."""
     hiddens = np.ascontiguousarray(encoder_hiddens, dtype=np.float64)
-    if hiddens.ndim != 3 or hiddens.shape[1] == 0:
-        raise DomainError("attention requires at least one encoder hidden vector")
     batch, m, d_h = hiddens.shape
     keys = hiddens.reshape(-1, d_h) @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
     return AttentionMemory(hiddens, keys.reshape(*keys.shape[:-2], batch, m, -1), np.where(valid, 0.0, -np.inf))

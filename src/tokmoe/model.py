@@ -40,7 +40,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .config import BOS_ID, EOS_ID, PAD_ID, SchemeConfig, VariantConfig
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError
 from .layers import (
     AttentionParams,
     CellParams,
@@ -203,7 +203,8 @@ def build_model(
     return ModelParams(
         embedding=EmbeddingTable(_slot("embedding.matrix", vocab_size, d_emb)),
         encoder=_cell(variant.cell_kind, "encoder", d_emb, d_h),
-        decoder_cell=_cell(variant.cell_kind, "cell", d_emb + d_h, d_h, n),
+        # A decoder cell reads the token embedding, then the attention context if there is one.
+        decoder_cell=_cell(variant.cell_kind, "cell", d_emb + (d_h if variant.attention_enabled else 0), d_h, n),
         attention=attention,
         projection=OutputProjection(u=_slot("proj.u", n, d_h, vocab_size), a=_slot("proj.a", n, vocab_size)),
         gating=gating,
@@ -325,8 +326,8 @@ def expert_step(
 ) -> None:
     """Attention and the cell update of every decoder for token j, from the token's
     (k+1, B, G*d_h) column of ``decoder_inputs``: reads state row j, writes row j+1 of
-    ``trace`` and row j of ``attn``. With attention disabled the context vector is a
-    constant zero and adds nothing."""
+    ``trace`` and row j of ``attn``. With attention disabled the cell reads the token's
+    embedding alone."""
     if params.attention is not None:
         L.attention_context(params.attention, enc.memory, trace.hidden[j], attn, j)
         context = attn.context[j]
@@ -372,12 +373,6 @@ def gate_weights(gating: GatingParams, hidden: Array, dists: Array) -> tuple[Arr
     is dotted with each decoder's key and the scores are softmax-normalized
     over all k+1 decoders. All T rows go through each layer as one GEMM.
     """
-    n = gating.expert_keys.value.shape[0]
-    if hidden.shape[-2] != n or dists.shape[-2] != n:
-        raise ShapeError(
-            f"gating expects {n} states and distributions, "
-            f"got {hidden.shape[-2]} and {dists.shape[-2]}"
-        )
     gate_input = T.concat([hidden, dists]).reshape(hidden.shape[:-2] + (-1,))
     hidden_out = T.tanh(gate_input @ gating.hidden_w.value + gating.hidden_b.value)
     query = hidden_out @ gating.out_w.value + gating.out_b.value
@@ -404,9 +399,6 @@ def gate_weights_backward(
 
 def chair_combine(dists: Array, beta: Array) -> Array:
     """Convex combination sum_l beta_l * p_l, per time row; stays on the simplex."""
-    dists = np.asarray(dists)
-    if dists.shape[:-1] != beta.shape:
-        raise ShapeError(f"distributions {dists.shape} do not match mixture weights {beta.shape}")
     # An axis -2 sum from an initial 0.0 adds the decoders one at a time, in order.
     return (beta[..., None] * dists).sum(axis=-2, initial=0.0)
 

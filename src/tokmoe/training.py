@@ -122,8 +122,6 @@ def ownership(intent: str, expert_of: dict[str, int], num_decoders: int) -> Arra
 
 
 def loss_total(expert_loss: float, chair_loss: float, lam: float) -> float:
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     return lam * expert_loss + (1.0 - lam) * chair_loss
 
 

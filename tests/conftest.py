@@ -9,6 +9,7 @@ import pytest
 
 from tokmoe import VariantConfig
 from tokmoe.data import EncodedSample, Sample
+from tokmoe.tensor import ParamSlot
 
 
 def fd_grad(func, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -69,6 +70,12 @@ def brute_force_bleu(hypotheses, references) -> float:
         log_sum += 0.25 * math.log(matched / total)
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(log_sum)
+
+
+def slot(name: str, value) -> ParamSlot:
+    """A float64 slot holding ``value``, with a zeroed gradient of its shape."""
+    value = np.asarray(value, dtype=np.float64)
+    return ParamSlot(name, value, np.zeros_like(value))
 
 
 def tiny_variant(**overrides) -> VariantConfig:

@@ -249,8 +249,9 @@ class TestCriterion10VariantPlumbing:
 
         v1 = init_model(12, 2, VariantConfig.from_name("V1", embedding_size=4, hidden_size=5), 0)
         C.save_model(v1, tmp_path / "v1.ckpt", tokens, ["a", "b"], "S4")
-        names = list(tensor_shapes(tmp_path / "v1.ckpt"))
-        assert names and not any(".attn." in n for n in names), "V1 must carry zero attention tensors"
+        v1_shapes = tensor_shapes(tmp_path / "v1.ckpt")
+        assert v1_shapes and not any(".attn." in n for n in v1_shapes), "V1 must carry zero attention tensors"
+        assert v1_shapes["chair.cell.w_in"] == (4, 20), "a V1 decoder cell reads the embedding alone"
 
         v3 = init_model(12, 2, VariantConfig.from_name("V3", embedding_size=4), 0)
         C.save_model(v3, tmp_path / "v3.ckpt", tokens, ["a", "b"], "S4")
@@ -266,5 +267,5 @@ class TestCriterion10VariantPlumbing:
         lstm_shapes = tensor_shapes(tmp_path / "lstm.ckpt")
         assert gru_shapes["encoder.w_rec"] == (5, 15)   # 3 gate blocks
         assert lstm_shapes["encoder.w_rec"] == (5, 20)  # 4 gate blocks
-        ok("criterion 10: V1 has zero attention tensors, V3 shows hidden 100, "
+        ok("criterion 10: V1 has zero attention tensors and embedding-wide decoder inputs, V3 shows hidden 100, "
            "V2 swaps to the 3-gate cell layout")

@@ -387,25 +387,24 @@ BOUNDARY_CASES = [
                         keep_footer=True)),
     ("header-intents-reversed", 1, "integrity",
      lambda c: c.header(lambda h: h["intents"].reverse(), keep_footer=True)),
-    # Header edits under a recomputed checksum, each reaching its field check. The
-    # sidecar-* ids name the separate file these fields were kept in before TOKMOE2.
+    # Header edits under a recomputed checksum, each reaching its field check.
     ("header-not-object", 1, "integrity", lambda c: c.raw_header(b"[1, 2]")),
     ("tensors-entry-malformed", 1, "integrity", lambda c: c.header(lambda h: h["tensors"][0][1].append("4"))),
     ("tensors-past-payload", 1, "integrity", lambda c: c.header(lambda h: h["tensors"][0][1].append(2))),
-    ("corrupted-sidecar", 1, "integrity", lambda c: c.raw_header(b"{not json")),
+    ("header-not-json", 1, "integrity", lambda c: c.raw_header(b"{not json")),
     ("tensor-name-not-utf8", 1, "integrity",
      lambda c: c.raw_header(_split(c.blob)[0].replace(b'"embedding.', b'"\xffmbedding.'))),
-    ("sidecar-disowns-attention", 1, "integrity",
+    ("header-disowns-attention", 1, "integrity",
      lambda c: c.header(lambda h: h["variant"].update(attention_enabled=False))),
-    ("sidecar-duplicate-token", 1, "integrity",
+    ("header-duplicate-token", 1, "integrity",
      lambda c: c.header(lambda h: h.update(tokens=h["tokens"][:5] + h["tokens"][4:5] + h["tokens"][6:]))),
-    ("sidecar-specials-out-of-order", 1, "integrity",
+    ("header-specials-out-of-order", 1, "integrity",
      lambda c: c.header(lambda h: h.update(tokens=h["tokens"][1::-1] + h["tokens"][2:]))),
-    ("sidecar-negative-experts", 1, "integrity", lambda c: c.header(lambda h: h.update(num_experts=-1))),
+    ("header-negative-experts", 1, "integrity", lambda c: c.header(lambda h: h.update(num_experts=-1))),
     # The tensors still match num_experts; only the intent count disagrees with it.
-    ("sidecar-experts-not-intents", 1, "integrity",
+    ("header-experts-not-intents", 1, "integrity",
      lambda c: c.header(lambda h: h.update(intents=h["intents"] + ["spare"]))),
-    ("sidecar-duplicate-intent", 1, "integrity",
+    ("header-duplicate-intent", 1, "integrity",
      lambda c: c.header(lambda h: h.update(intents=h["intents"][:1] * 2))),
     # A wider model than the tensors hold: refused before that model is allocated.
     ("header-claims-larger-width", 1, "integrity",
@@ -546,7 +545,8 @@ class TestRunConfig:
 
     def test_snapshot_replays_from_another_directory(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.delenv("TOKMOE_SEED", raising=False)
-        first, second = tmp_path / "a", tmp_path / "b"
+        # The snapshot holds absolute paths, and a '#' inside a value does not start a comment.
+        first, second = tmp_path / "h#1", tmp_path / "b"
         shutil.copytree(corpus_dir, first / "corpus")
         second.mkdir()
         monkeypatch.chdir(first)

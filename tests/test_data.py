@@ -132,6 +132,18 @@ class TestJsonl:
         reread = D.load_corpus_jsonl(out)
         assert [s.to_json() for s in corpus.samples] == [s.to_json() for s in reread.samples]
 
+    def test_round_trip_keeps_unicode_line_breaks_inside_tokens(self, tmp_path):
+        # The save writes these three unescaped; only "\n" (or "\r\n") may end a line.
+        tokens = ["a\u0085b", "a\u2028b", "a\u2029b"]
+        corpus = D.Corpus([D.Sample([token, "x"], ["y", token], "hotel") for token in tokens])
+        out = tmp_path / "again.jsonl"
+        D.save_corpus_jsonl(corpus, out)
+        assert all(token.encode("utf-8") in out.read_bytes() for token in tokens)
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+        for path in (out, crlf):
+            assert [s.to_json() for s in D.load_corpus_jsonl(path).samples] == [s.to_json() for s in corpus.samples]
+
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         out = self.write(tmp_path, [self.sample_line("hotel")])
         before = out.read_bytes()

@@ -26,9 +26,8 @@ from tokmoe.model import (
     greedy_decode,
     init_model,
 )
-from tokmoe.tensor import ParamSlot
 
-from conftest import tiny_variant
+from conftest import slot, tiny_variant
 
 
 def tiny_model(num_experts=2, vocab=6, seed=0, **variant_overrides):
@@ -251,11 +250,11 @@ class TestGating:
     def make_gating(self, rng, n_dec=2, d_h=2, vocab=3, g_h=2, g_out=2):
         gate_in = n_dec * (d_h + vocab)
         return GatingParams(
-            ParamSlot("g.hw", rng.uniform(-0.5, 0.5, (gate_in, g_h))),
-            ParamSlot("g.hb", rng.uniform(-0.5, 0.5, g_h)),
-            ParamSlot("g.ow", rng.uniform(-0.5, 0.5, (g_h, g_out))),
-            ParamSlot("g.ob", rng.uniform(-0.5, 0.5, g_out)),
-            ParamSlot("g.key", rng.uniform(-0.5, 0.5, (n_dec, g_out))),
+            slot("g.hw", rng.uniform(-0.5, 0.5, (gate_in, g_h))),
+            slot("g.hb", rng.uniform(-0.5, 0.5, g_h)),
+            slot("g.ow", rng.uniform(-0.5, 0.5, (g_h, g_out))),
+            slot("g.ob", rng.uniform(-0.5, 0.5, g_out)),
+            slot("g.key", rng.uniform(-0.5, 0.5, (n_dec, g_out))),
         )
 
     @staticmethod
@@ -287,9 +286,9 @@ class TestGating:
         ob = [0.01, -0.04]
         keys = [[0.5, -0.2], [-0.1, 0.3]]
         gating = GatingParams(
-            ParamSlot("hw", np.array(hw, dtype=np.float64)), ParamSlot("hb", np.array(hb, dtype=np.float64)),
-            ParamSlot("ow", np.array(ow, dtype=np.float64)), ParamSlot("ob", np.array(ob, dtype=np.float64)),
-            ParamSlot("keys", np.array(keys, dtype=np.float64)),
+            slot("hw", np.array(hw, dtype=np.float64)), slot("hb", np.array(hb, dtype=np.float64)),
+            slot("ow", np.array(ow, dtype=np.float64)), slot("ob", np.array(ob, dtype=np.float64)),
+            slot("keys", np.array(keys, dtype=np.float64)),
         )
         s1, s2 = [0.1, -0.3], [0.2, 0.05]
         p1, p2 = [0.5, 0.3, 0.2], [0.1, 0.7, 0.2]

@@ -3,10 +3,8 @@
 import math
 
 import numpy as np
-import pytest
 
 import tokmoe.tensor as T
-from tokmoe.errors import DomainError, ShapeError
 
 from conftest import fd_grad, max_rel_err
 
@@ -20,10 +18,6 @@ class TestMatmul:
     def test_hand_product(self):
         out = T.matmul(np.array([[1.0, 2.0]], dtype=np.float64), np.array([[3.0], [4.0]], dtype=np.float64))
         np.testing.assert_allclose(out, [[11.0]])
-
-    def test_dimension_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 2\)"):
-            T.matmul(np.array([[1.0, 2.0]], dtype=np.float64), np.array([[3.0, 4.0]], dtype=np.float64))
 
     def test_associativity_on_random_chains(self, rng):
         for _ in range(20):
@@ -55,10 +49,6 @@ class TestSoftmax:
             assert np.all(out >= 0.0)
             assert abs(out.sum() - 1.0) <= 1e-12
 
-    def test_empty_vector_rejected(self):
-        with pytest.raises(DomainError):
-            T.softmax(np.empty(0))
-
     def test_backward_matches_finite_differences(self, rng):
         x = rng.uniform(-2, 2, 5)
         g = rng.uniform(-1, 1, 5)
@@ -79,10 +69,6 @@ class TestConcat:
     def test_length_additivity(self, rng):
         parts = [rng.uniform(-1, 1, int(n)) for n in rng.integers(1, 6, size=5)]
         assert T.concat(parts).shape[0] == sum(p.shape[0] for p in parts)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(DomainError):
-            T.concat([])
 
     def test_backward_splits_by_offsets(self, rng):
         parts = [rng.uniform(-1, 1, n) for n in (2, 3, 1)]
@@ -117,13 +103,3 @@ class TestElementwise:
         numeric = fd_grad(lambda v: float(np.dot(T.sigmoid(v), g)), x.copy())
         assert max_rel_err(analytic, numeric) < 1e-6
 
-
-class TestParamSlot:
-    def test_grad_zero_initialized_with_matching_shape(self):
-        slot = T.ParamSlot("w", np.array([[1.0, 2.0]], dtype=np.float64))
-        assert slot.grad.shape == (1, 2)
-        assert np.all(slot.grad == 0.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            T.ParamSlot("w", np.array([1.0, 2.0], dtype=np.float64), grad=np.zeros(3))

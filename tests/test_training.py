@@ -10,6 +10,7 @@ import tokmoe.layers as L
 import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
+from tokmoe.cli import _gradcheck_samples, _gradcheck_variants
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
 from tokmoe.model import backward_teacher_forced, forward_teacher_forced
@@ -126,8 +127,6 @@ class TestLossFunctions:
         assert TR.loss_total(2.0, 4.0, 0.0) == 4.0
         assert TR.loss_total(2.0, 4.0, 1.0) == 2.0
         assert TR.loss_total(2.0, 4.0, 0.5) == 3.0
-        with pytest.raises(ConfigError):
-            TR.loss_total(1.0, 1.0, 1.5)
 
     def test_nll_nonnegative_and_zero_only_at_one_hot(self, rng):
         for _ in range(50):
@@ -585,6 +584,18 @@ class TestGradCheck:
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, 2, tiny_variant(**overrides), 0, scheme)
         assert TR.grad_check(params, batch, scheme, {"alpha": 0, "beta": 1}) < 1e-4
+
+    @pytest.mark.parametrize("variant", [name for name, _ in _gradcheck_variants(3)])
+    @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
+    def test_every_weight_gets_a_gradient(self, variant, scheme_name, num_experts):
+        # A coordinate the loss never reads costs l2 decay, Adam work and checkpoint bytes.
+        # Embedding rows of ids absent from the samples are the only ones allowed a zero.
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
+        samples, expert_of = _gradcheck_samples(6, 2)
+        TR.train_batch(params, samples, scheme, expert_of)
+        dead = np.flatnonzero(params.grads[params.embedding.matrix.value.size:] == 0.0)
+        assert dead.size == 0, f"{dead.size} coordinates get no gradient"
 
     def test_corrupted_backward_detected(self, monkeypatch):
         original = T.tanh_backward
