@@ -12,8 +12,10 @@ Layout (integers little-endian unsigned 64-bit):
 
 The checksum covers the header as well as the payload, so an edited
 vocabulary or intent order is caught like an edited weight. It is the
-FNV-1a 64 of draft-eastlake-fnv, computed blockwise in NumPy (see
-``fnv1a64``) to the same value as the byte-at-a-time definition. Saving
+FNV-1a 64 of draft-eastlake-fnv, computed in NumPy to the same value as
+the byte-at-a-time definition: per 64 KiB block, eight two-level prefix
+scans give the running hash's low bytes and a dot over 4 KiB slices folds
+the block in, using about 4 bytes per block byte (see ``fnv1a64``). Saving
 builds the whole file in one buffer and hashes it once; loading hashes the
 file as read; neither copies a tensor. A ``TOKMOE1`` file (a tensor archive
 with a separate JSON sidecar) is rejected by name.
@@ -43,7 +45,8 @@ _TOKMOE1 = b"TOKMOE1\n"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_HASH_BLOCK = 1 << 14  # bytes per vectorised pass; fnv1a64's arrays take about 25 times this
+_HASH_BLOCK = 1 << 16  # bytes per vectorised pass; fnv1a64's arrays take about 4 times this
+_DOT_SLICE = 1 << 12  # bytes per wrapping uint64 dot; its two arrays take 16 times this
 _BYTE_ONES = np.uint64(0x0101010101010101)
 
 
@@ -51,31 +54,48 @@ def fnv1a64(data: bytes | bytearray | memoryview) -> int:
     """64-bit FNV-1a over the bytes-like ``data``.
 
     A step h' = (h ^ b) * P changes only h's low byte s by the XOR, so
-    h' = P * (h + e) with e = (s ^ b) - s, and over n bytes
-    h_n = P^n * h_0 + sum_i P^(n-i) * e_i (mod 2^64): one wrapping uint64 dot
-    product per block once every s_i is known. The low bytes follow
+    h' = P * (h + e) with e = (s ^ b) - s, and over m bytes
+    h_m = P^m * h_0 + sum_i P^(m-i) * e_i (mod 2^64): one wrapping uint64 dot
+    product per slice once every s_i is known. The low bytes follow
     s' = ((s ^ b) * 0xB3) mod 256 (0xB3 = P mod 256). As 0xB3 is odd, bit k
     of a product is bit k of its factor XOR a function of the factor's lower
     bits. So, given bits < k of every s_i, bit k of s_i is bit k of s_0 XOR
     a prefix XOR over the block: eight vectorised rounds give every low byte.
+
+    Each round's prefix XOR is a two-level scan (Blelloch 1990): one multiply
+    by 0x0101...01 scans the eight bytes of every uint64 word, a second scans
+    the word totals eight to a group, and the serial accumulate runs over only
+    the n/64 group totals of an n-byte block. The dot then runs over slices of
+    ``_DOT_SLICE`` bytes against one table of powers, each folded in as
+    h = h * P^m + dot. A block takes 4 bytes per byte (its copy, the low
+    bytes, the step and the scan, the last two then holding the int16 e_i)
+    plus an eighth for the word totals; the slices a fixed 64 KiB.
     """
     data = np.frombuffer(data, dtype=np.uint8)
     value = _FNV_OFFSET
     if data.size == 0:
         return value
-    width = min(data.size, _HASH_BLOCK)
-    powers = np.cumprod(np.full(width, _FNV_PRIME, np.uint64))[::-1]  # P^width, ..., P^1 (mod 2^64)
-    # Whole uint64 words; a last short block's stale tail reaches none of its first n bytes.
-    block = np.zeros(-(-width // 8) * 8, np.uint8)
-    low, step = np.empty_like(block), np.empty_like(block)
-    words = step.view(np.uint64)
-    scan, carry = np.empty_like(words), np.empty_like(words)
-    scan_bytes = scan.view(np.uint8)
-    change = np.empty(width, np.uint64)
+    # Whole groups of eight words; a last short block's stale tail reaches none of its first n bytes.
+    width = min(-(-data.size // 64) * 64, _HASH_BLOCK)
+    block = np.zeros(width, np.uint8)
+    lows = np.empty(width + 1, np.uint8)  # s_0, ..., s_width
+    low, following = lows[:-1], lows[1:]
+    work = np.empty(2 * width, np.uint8)
+    step, scan = work[:width], work[width:]
+    words, scan_words = step.view(np.uint64), scan.view(np.uint64)
+    changes = work.view(np.int16)
+    totals = np.empty(width // 8, np.uint8)
+    groups = totals.view(np.uint64)
+    group_scan, group_carry = np.empty_like(groups), np.empty_like(groups)
+    span = min(width, _DOT_SLICE)
+    powers = np.full(span, _FNV_PRIME, np.uint64)
+    np.multiply.accumulate(powers, out=powers)
+    powers = powers[::-1]  # P^span, ..., P^1 (mod 2^64)
+    wrapped = np.empty(span, np.uint64)
     for start in range(0, data.size, width):
         n = min(width, data.size - start)
         block[:n] = data[start:start + n]
-        low.fill(0)
+        lows.fill(0)
         for k in range(8):
             bit = np.uint8(1 << k)
             # Bit k of step[i] is bit k of s_(i+1) XOR bit k of s_i.
@@ -85,20 +105,32 @@ def fnv1a64(data: bytes | bytearray | memoryview) -> int:
             # Multiplying a word by 0x0101...01 adds each byte into every later
             # one; with bit k alone set in each byte, bit k of byte j is then the
             # XOR of bytes 0..j, as no carry reaches bit k of another byte.
-            np.multiply(words, _BYTE_ONES, out=scan)
-            # The XOR of every earlier word (top bytes) and of s_0, spread over each byte.
-            carry[0] = value & (1 << k)
-            np.right_shift(scan[:-1], np.uint64(56), out=carry[1:])
-            np.bitwise_xor.accumulate(carry, out=carry)
-            np.multiply(carry, _BYTE_ONES, out=carry)
-            np.bitwise_xor(scan, words, out=scan)  # exclude each byte's own step
-            np.bitwise_xor(scan, carry, out=scan)
-            np.bitwise_and(scan_bytes, bit, out=scan_bytes)
-            np.bitwise_or(low, scan_bytes, out=low)
-        np.bitwise_xor(low, block, out=step)
-        change[:n] = np.subtract(step[:n], low[:n], dtype=np.int16)  # e_i, wrapped into uint64
-        change[:1] += np.uint64(value)
-        value = int(np.dot(powers[width - n:], change[:n]))
+            np.multiply(words, _BYTE_ONES, out=scan_words)
+            # Each word's total is bit k of its top byte (a carry may set the others,
+            # below bit k too from k = 5); the same scan over the totals, eight to a group.
+            np.copyto(totals, scan[7::8])
+            np.bitwise_and(groups, bit * _BYTE_ONES, out=groups)
+            np.multiply(groups, _BYTE_ONES, out=group_scan)
+            # The XOR of every earlier group (top bytes) and of s_0, spread over each byte.
+            group_carry[0] = value & (1 << k)
+            np.right_shift(group_scan[:-1], np.uint64(56), out=group_carry[1:])
+            np.bitwise_xor.accumulate(group_carry, out=group_carry)
+            np.multiply(group_carry, _BYTE_ONES, out=group_carry)
+            # Each word's carry, the XOR of every earlier word and of s_0, spread over the word.
+            np.bitwise_xor(group_scan, groups, out=group_scan)  # exclude each word's own total
+            np.bitwise_xor(group_scan, group_carry, out=group_scan)
+            np.multiply(group_scan.view(np.uint8), _BYTE_ONES, out=words)
+            np.bitwise_xor(scan_words, words, out=scan_words)  # bit k of s_(i+1)
+            np.bitwise_and(scan, bit, out=scan)
+            np.bitwise_or(following, scan, out=following)
+            lows[0] = value & ((2 << k) - 1)  # bits 0..k of s_0
+        np.bitwise_xor(block, low, out=block)
+        np.subtract(block, low, out=changes, dtype=np.int16)  # e_i
+        for a in range(0, n, span):
+            m = min(span, n - a)
+            tail = powers[span - m:]  # P^m, ..., P^1
+            np.copyto(wrapped[:m].view(np.int64), changes[a:a + m])  # e_i, wrapped into uint64
+            value = (value * int(tail[0]) + int(np.dot(tail, wrapped[:m]))) % (1 << 64)
     return value
 
 

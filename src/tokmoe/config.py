@@ -222,11 +222,18 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` through a temporary sibling, so ``path`` never holds part of it."""
+    """Write ``data`` through a temporary sibling, so ``path`` never holds part of it.
+
+    A write that fails removes the sibling before the error propagates.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -2,12 +2,13 @@
 
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tokmoe.checkpoint as C
-from tokmoe.config import SPECIAL_TOKENS, OptimizerConfig, SchemeConfig
+from tokmoe.config import SPECIAL_TOKENS, OptimizerConfig, SchemeConfig, write_atomic
 from tokmoe.errors import IntegrityError
 from tokmoe.model import init_model
 from tokmoe.training import train_run
@@ -36,10 +37,15 @@ def fnv1a64_loop(data):
 
 
 BLOCK = C._HASH_BLOCK
+# The memory tests' headroom, 512 KiB whatever the block size: the hash's arrays must stay below it.
+HEADROOM = 32 * 16 * 1024
 
 
 class TestFnv1a:
-    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("length", [
+        0, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 16383, 16384, 16385, 49157,
+        BLOCK - 64, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 64, 3 * BLOCK + 5, 10 * BLOCK + 37,
+    ])
     def test_blockwise_equals_loop(self, length):
         data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
         expected = fnv1a64_loop(data)
@@ -98,7 +104,7 @@ class TestArchiveRoundTrip:
 
     def test_load_memory_bounded_by_hash_block(self, tmp_path, rng):
         # A 4 MB file: loading holds the file once plus the hash's arrays, about
-        # 25 bytes per byte of its block, and no copy of any part of the file.
+        # 4 bytes per byte of its block, and no copy of any part of the file.
         path = tmp_path / "t.ckpt"
         C.save_tensors([("w", rng.uniform(-1, 1, 500_000))], path, META)
         size = path.stat().st_size
@@ -108,7 +114,7 @@ class TestArchiveRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - size < 32 * BLOCK
+        assert peak - size < HEADROOM
 
     def test_save_memory_bounded_by_hash_block(self, tmp_path, rng):
         # Saving builds the file once in memory and hashes it in place: no copy of a tensor.
@@ -120,7 +126,7 @@ class TestArchiveRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < path.stat().st_size + 32 * BLOCK
+        assert peak < path.stat().st_size + HEADROOM
 
     def test_save_and_load_hash_once(self, tmp_path, rng, monkeypatch):
         calls = []
@@ -130,6 +136,22 @@ class TestArchiveRoundTrip:
         C.save_tensors(small_tensors(rng), path, META)
         C.load_tensors(path)
         assert calls == [path.stat().st_size - 8] * 2
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # A write that fails partway (a full disk, a file-size limit) leaves the old file
+        # and no partial sibling.
+        def write_part(self, data):
+            with self.open("wb") as f:
+                f.write(data[:4096])
+            raise OSError(27, "File too large")
+
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"old")
+        monkeypatch.setattr(Path, "write_bytes", write_part)
+        with pytest.raises(OSError, match="too large"):
+            write_atomic(path, bytes(100_000))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert path.read_bytes() == b"old"
 
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "t.ckpt"
@@ -147,7 +169,7 @@ class TestModelCheckpoints:
         params = init_model(6, 2, tiny_variant(hidden_size=24, attn_size=24), seed=9)
         path = tmp_path / "model.ckpt"
         C.save_model(params, path, TOKENS, ["a", "b"], "S4")
-        assert path.stat().st_size > 10 * BLOCK
+        assert path.stat().st_size > 10 * 16 * 1024
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "b99562579d17f5ff76702391d9ebb735a194143085b64fa1fbc4ad0f7fc9a21d"
         )
