@@ -458,7 +458,11 @@ def forward_teacher_forced(
     Its arrays are the result: ``cache.readout.dists`` (N, k+1, V), ``.beta``
     (N, k+1), ``.combined`` (N, V); for one sample, N = T.
     """
-    enc = encode_context(params, contexts)
+    return decode_teacher_forced(params, encode_context(params, contexts), responses)
+
+
+def decode_teacher_forced(params: ModelParams, enc: Encoding, responses: list[list[int]]) -> ForwardCache:
+    """``forward_teacher_forced`` from the contexts' encoding on: the recurrence, then the readout."""
     input_ids, valid = _padded([[BOS_ID, *r][:len(r)] for r in responses], "teacher-force an empty response")
     gates = decoder_inputs(params, input_ids)
     trace, attn = decoder_traces(params, enc, len(input_ids))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,15 @@ from . import tensor as T
 from .config import OptimizerConfig, SchemeConfig
 from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
-from .model import ModelParams, backward_teacher_forced, forward_teacher_forced
+from .model import (
+    ForwardCache,
+    ModelParams,
+    Readout,
+    backward_teacher_forced,
+    decode_teacher_forced,
+    forward_teacher_forced,
+    readout,
+)
 from .tensor import Array
 
 GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
@@ -159,14 +168,47 @@ def _nll_grad_seeds(dists: Array, targets: list[int], weight: float | Array) -> 
     return seeds
 
 
+class GroupInputs(NamedTuple):
+    """One group's teacher-forcing inputs and the rows its losses read."""
+
+    contexts: list[list[int]]
+    responses: list[list[int]]
+    targets: Array         # the responses' ids, one after another
+    lengths: list[int]
+    own: Array             # (B, k+1): each sample's ``ownership`` row
+
+
+def group_inputs(group: list[EncodedSample], expert_of: dict[str, int], num_decoders: int) -> GroupInputs:
+    responses = [s.response_ids for s in group]
+    own = np.array([ownership(s.intent, expert_of, num_decoders) for s in group])
+    return GroupInputs([s.context_ids for s in group], responses, np.concatenate(responses),
+                       [len(ids) for ids in responses], own)
+
+
+def group_loss(out: Readout, inputs: GroupInputs) -> tuple[Array, float]:
+    """A group's (k+1,) localized expert losses and its chair loss, from its readout."""
+    # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
+    expert = np.where(inputs.own, nll_sequence(out.dists, inputs.targets, inputs.lengths), 0.0).sum(axis=0)
+    return expert, nll_sequence(out.combined, inputs.targets, inputs.lengths).sum()
+
+
+def summed_loss(losses: Iterable[tuple[Array, float]], mu: Array, lam: float) -> tuple[Array, float, float]:
+    """The groups' ``group_loss`` results summed in order: raw expert losses, chair loss, total."""
+    raw_expert = np.zeros(len(mu))
+    chair_total = 0.0
+    for expert, chair in losses:
+        raw_expert += expert
+        chair_total += chair
+    return raw_expert, chair_total, loss_total(float(np.dot(mu, raw_expert)), chair_total, lam)
+
+
 def train_batch(
     params: ModelParams,
     batch: list[EncodedSample],
     scheme: SchemeConfig,
     expert_of: dict[str, int],
-    compute_grads: bool = True,
 ) -> LossReport:
-    """Forward (and optionally backward) over one mini-batch, losses summed.
+    """Forward and backward over one mini-batch, losses summed.
 
     Gradients accumulate into the gradient arena; callers own the
     l2/clip/step/zero sequence. In single-decoder mode lambda is 0, so the
@@ -174,35 +216,26 @@ def train_batch(
     """
     mu, lam = resolve_scheme_weights(scheme, params)
 
-    def group_losses(group: list[EncodedSample]) -> tuple[Array, float]:
+    def forward_backward(group: list[EncodedSample]) -> tuple[Array, float]:
         # One call per group: every array of a group dies before the next group's forward.
-        responses = [s.response_ids for s in group]
-        cache = forward_teacher_forced(params, [s.context_ids for s in group], responses)
-        dists, combined = cache.readout.dists, cache.readout.combined
-        targets, lengths = np.concatenate(responses), [len(ids) for ids in responses]
-        own = np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group])
-        if compute_grads:  # the seeds, left unbound here, are freed after the readout backward
-            backward_teacher_forced(
-                params, cache, _nll_grad_seeds(dists, targets, lam * mu * np.repeat(own, lengths, axis=0)),
-                _nll_grad_seeds(combined, targets, 1.0 - lam),
-            )
-        # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
-        expert = np.where(own, nll_sequence(dists, targets, lengths), 0.0).sum(axis=0)
-        return expert, nll_sequence(combined, targets, lengths).sum()
+        inputs = group_inputs(group, expert_of, params.num_decoders)
+        cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
+        out, targets = cache.readout, inputs.targets
+        # The seeds, left unbound here, are freed after the readout backward.
+        backward_teacher_forced(
+            params, cache,
+            _nll_grad_seeds(out.dists, targets, lam * mu * np.repeat(inputs.own, inputs.lengths, axis=0)),
+            _nll_grad_seeds(out.combined, targets, 1.0 - lam),
+        )
+        return group_loss(out, inputs)
 
-    raw_expert = np.zeros(params.num_decoders)
-    chair_total = 0.0
-    for expert, chair in map(group_losses, groups(batch)):
-        raw_expert += expert
-        chair_total += chair
-    experts_weighted = float(np.dot(mu, raw_expert))
-    total = loss_total(experts_weighted, chair_total, lam)
+    raw_expert, chair_total, total = summed_loss(map(forward_backward, groups(batch)), mu, lam)
 
-    if compute_grads and scheme.learns_weights and params.num_experts > 0:
+    if scheme.learns_weights and params.num_experts > 0:
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
         weights = params.scheme_weights
         weights.mu_logits.grad += T.softmax_backward(lam * raw_expert[:-1], mu[:-1])
-        weights.lambda_logit.grad += (experts_weighted - chair_total) * lam * (1.0 - lam)
+        weights.lambda_logit.grad += (float(np.dot(mu, raw_expert)) - chair_total) * lam * (1.0 - lam)
 
     return LossReport(
         expert_losses=[float(v) for v in raw_expert],
@@ -290,7 +323,7 @@ def train_epoch(
     report = None
     for start in range(0, len(order), opt.batch_size):
         batch = [samples[i] for i in order[start:start + opt.batch_size]]
-        report = train_batch(params, batch, scheme, expert_of, compute_grads=True)
+        report = train_batch(params, batch, scheme, expert_of)
         if not math.isfinite(report.total):
             raise DomainError(
                 f"batch {start // opt.batch_size + 1}: non-finite loss {report.total}; "
@@ -393,6 +426,54 @@ def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -
 GRAD_CHECK_FLOOR = 1e-4
 
 
+# The forward's stages in order. A stage reads the outputs of the stages before it,
+# and a coordinate's first stage is the first that reads its tensor.
+ENCODE, RECURRENCE, READOUT, LOSS = range(4)
+# Keyed by module, the first part of a tensor's name. Attention is encode's, because
+# ``encode_context`` builds the attention keys.
+FIRST_STAGE = {
+    "embedding": ENCODE, "encoder": ENCODE, "attn": ENCODE, "cell": RECURRENCE,
+    "proj": READOUT, "gating": READOUT, "scheme": LOSS,
+}
+
+
+class StagedLoss:
+    """The summed loss of ``samples`` from any stage on, over cached earlier stages.
+
+    Built from the model as it is: each group's inputs, ``ForwardCache`` and
+    ``group_loss``. A call recomputes every group from ``stage`` on and reuses
+    the cached outputs of the stages before it, so it gives the full forward's
+    value, bit for bit, while no changed value is read before ``stage``.
+    """
+
+    def __init__(
+        self, params: ModelParams, samples: list[EncodedSample], scheme: SchemeConfig, expert_of: dict[str, int],
+    ) -> None:
+        self.params, self.scheme = params, scheme
+        self.cached = []
+        for group in groups(samples):
+            inputs = group_inputs(group, expert_of, params.num_decoders)
+            cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
+            self.cached.append((inputs, cache, group_loss(cache.readout, inputs)))
+
+    def __call__(self, stage: int) -> float:
+        mu, lam = resolve_scheme_weights(self.scheme, self.params)
+        return summed_loss((self._group_loss(stage, *group) for group in self.cached), mu, lam)[2]
+
+    def _group_loss(
+        self, stage: int, inputs: GroupInputs, cache: ForwardCache, cached: tuple[Array, float],
+    ) -> tuple[Array, float]:
+        params = self.params
+        if stage == LOSS:
+            return cached
+        if stage == ENCODE:
+            cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
+        elif stage == RECURRENCE:
+            cache = decode_teacher_forced(params, cache.enc, inputs.responses)
+        out = readout(params, cache.trace.hidden[1:][cache.rows]) if stage == READOUT else cache.readout
+        return group_loss(out, inputs)
+
+
 def grad_check(
     params: ModelParams,
     samples: list[EncodedSample],
@@ -403,34 +484,41 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients.
 
     Compares every coordinate of the parameter arena (S1's mu/lambda
-    logits included) on the summed batch loss. Intended for tiny instances; cost
-    is two forward passes per coordinate. No samples is a DomainError; any
-    non-finite analytic gradient, numeric gradient or error returns
-    ``math.inf``, so it can never pass.
+    logits included) on the summed batch loss. Intended for tiny instances.
+    Each +-epsilon loss is a ``StagedLoss`` from the coordinate's
+    ``FIRST_STAGE`` on, so most coordinates skip the encoder, and many the
+    recurrence too. The table checks itself: for each tensor it places after
+    *encode*, its first coordinate's +epsilon loss is also taken from *encode*,
+    and two losses that differ return ``math.inf``. No samples is a
+    DomainError; any non-finite analytic gradient, numeric gradient or error
+    returns ``math.inf``, so it can never pass.
     """
     if not samples:
         raise DomainError("cannot check gradients on no samples")
     params.grads[...] = 0.0
-    train_batch(params, samples, scheme, expert_of, compute_grads=True)
+    train_batch(params, samples, scheme, expert_of)
     analytic = params.grads.copy()
     params.grads[...] = 0.0
     if not np.isfinite(analytic).all():
         return math.inf
 
-    def loss_value() -> float:
-        return train_batch(params, samples, scheme, expert_of, compute_grads=False).total
-
+    loss = StagedLoss(params, samples, scheme, expert_of)
+    tensors = params.tensors()
+    sizes = [t.value.size for t in tensors]
+    stages = np.repeat([FIRST_STAGE[t.name.split(".")[0]] for t in tensors], sizes).tolist()
+    firsts = set(np.cumsum([0, *sizes[:-1]]).tolist())
     worst = 0.0
-    for idx, a in enumerate(analytic):
+    for idx, (a, stage) in enumerate(zip(analytic, stages)):
         original = params.values[idx]
         params.values[idx] = original + epsilon
-        up = loss_value()
+        up = loss(stage)
+        misplaced = stage > ENCODE and idx in firsts and up != loss(ENCODE)
         params.values[idx] = original - epsilon
-        down = loss_value()
+        down = loss(stage)
         params.values[idx] = original
         numeric = (up - down) / (2.0 * epsilon)
         err = abs(a - numeric) / max(abs(a) + abs(numeric), GRAD_CHECK_FLOOR)
-        if not math.isfinite(err):
+        if misplaced or not math.isfinite(err):
             return math.inf
         worst = max(worst, err)
     return worst

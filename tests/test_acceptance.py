@@ -79,7 +79,7 @@ class TestCriterion3SchemeDegeneration:
     def test_s2_total_is_chair_loss_bitwise(self):
         params = init_model(6, 2, tiny_variant(), seed=4)
         report = TR.train_batch(params, tiny_samples(), SchemeConfig.from_name("S2"),
-                                {"alpha": 0, "beta": 1}, compute_grads=False)
+                                {"alpha": 0, "beta": 1})
         assert report.total == report.chair_loss  # bitwise
 
     def test_s3_combined_is_chair_distribution_bitwise(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tokmoe.layers as L
+import tokmoe.model as M
 import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
@@ -314,9 +315,9 @@ class TestArenaOptimizer:
 
 
 class TestTrainBatch:
-    def run_batch(self, scheme_name, compute_grads=False, seed=0):
+    def run_batch(self, scheme_name, seed=0):
         params, scheme = scheme_model(2, scheme_name, seed)
-        report = TR.train_batch(params, tiny_samples(), scheme, {"alpha": 0, "beta": 1}, compute_grads)
+        report = TR.train_batch(params, tiny_samples(), scheme, {"alpha": 0, "beta": 1})
         return params, report
 
     @pytest.mark.parametrize("scheme_name", ["S1", "S2", "S3", "S4"])
@@ -346,8 +347,7 @@ class TestTrainBatch:
     @pytest.mark.parametrize("scheme_name,num_experts", [
         ("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0),
     ])
-    @pytest.mark.parametrize("compute_grads", [False, True])
-    def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts, compute_grads):
+    def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts):
         # The losses train_batch reports (and seeds gradients from) are the
         # loss functions above, applied to each sample's rows of the same
         # grouped forward pass, taken in the grouping helper's order, bitwise.
@@ -355,7 +355,7 @@ class TestTrainBatch:
         (samples,) = TR.groups(tiny_samples())
         assert [s.intent for s in samples] == ["beta", "alpha"]  # sorted: the shorter context first
         expert_of = {"alpha": 0, "beta": 1}
-        report = TR.train_batch(params, tiny_samples(), scheme, expert_of, compute_grads)
+        report = TR.train_batch(params, tiny_samples(), scheme, expert_of)
 
         expert_losses = np.zeros(params.num_decoders)
         chair_loss = 0.0
@@ -404,10 +404,11 @@ class TestTrainEpoch:
         scheme = SchemeConfig.from_name("S4")
         opt = OptimizerConfig(batch_size=8)
         expert_of = {"alpha": 0, "beta": 1}
-        before = TR.train_batch(params, samples, scheme, expert_of, compute_grads=False)
+        before = TR.train_batch(params, samples, scheme, expert_of)
+        params.grads[...] = 0.0
         TR.train_epoch(params, samples, scheme, opt, TR.AdamState.like(params.values),
                        np.random.default_rng(1), expert_of)
-        after = TR.train_batch(params, samples, scheme, expert_of, compute_grads=False)
+        after = TR.train_batch(params, samples, scheme, expert_of)
         assert after.total < before.total
 
     def test_batch_count_is_ceil(self):
@@ -596,6 +597,42 @@ class TestGradCheck:
         TR.train_batch(params, samples, scheme, expert_of)
         dead = np.flatnonzero(params.grads[params.embedding.matrix.value.size:] == 0.0)
         assert dead.size == 0, f"{dead.size} coordinates get no gradient"
+
+    @pytest.mark.parametrize("variant", [name for name, _ in _gradcheck_variants(3)])
+    @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
+    def test_staged_losses_are_full_losses(self, variant, scheme_name, num_experts):
+        # A loss recomputed from a tensor's first stage, over the unperturbed model's cached
+        # earlier stages, is bit for bit the full forward's and train_batch's.
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
+        samples, expert_of = _gradcheck_samples(6, 2)
+        loss = TR.StagedLoss(params, samples, scheme, expert_of)
+        for tensor in params.tensors():
+            stage = TR.FIRST_STAGE[tensor.name.split(".")[0]]
+            for index in (0, tensor.value.size - 1):
+                original = tensor.value.flat[index]
+                tensor.value.flat[index] = original + 1e-3
+                staged, full = loss(stage), loss(TR.ENCODE)
+                assert staged == full == TR.train_batch(params, samples, scheme, expert_of).total, tensor.name
+                tensor.value.flat[index] = original
+
+    def test_forward_only_dependency_detected(self, monkeypatch):
+        # The encoding reads a gate bias that no backward knows of. The read is 0 at the
+        # model's own value, so every other coordinate's gradient stays exact.
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        bias = params.gating.out_b.value
+        start = bias[0]
+        original = M.encode_context
+
+        def leaky(params, contexts):
+            enc = original(params, contexts)
+            enc.trace.hidden[1:] += bias[0] - start
+            return enc
+
+        monkeypatch.setattr(M, "encode_context", leaky)
+        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
+                            {"alpha": 0, "beta": 1})
+        assert err > 1e-4
 
     def test_corrupted_backward_detected(self, monkeypatch):
         original = T.tanh_backward
