@@ -347,14 +347,20 @@ class TestTrainBatch:
     @pytest.mark.parametrize("scheme_name,num_experts", [
         ("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0),
     ])
-    def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts):
+    @pytest.mark.parametrize("grads_accumulated", [False, True])
+    def test_reported_losses_are_the_loss_functions(self, scheme_name, num_experts, grads_accumulated):
         # The losses train_batch reports (and seeds gradients from) are the
         # loss functions above, applied to each sample's rows of the same
         # grouped forward pass, taken in the grouping helper's order, bitwise.
+        # Gradients already in the arena from an earlier call change nothing:
+        # train_batch reads parameter values only and writes gradients only.
         params, scheme = scheme_model(num_experts, scheme_name, seed=2)
         (samples,) = TR.groups(tiny_samples())
         assert [s.intent for s in samples] == ["beta", "alpha"]  # sorted: the shorter context first
         expert_of = {"alpha": 0, "beta": 1}
+        if grads_accumulated:
+            TR.train_batch(params, tiny_samples(), scheme, expert_of)
+            assert np.any(params.grads != 0.0)
         report = TR.train_batch(params, tiny_samples(), scheme, expert_of)
 
         expert_losses = np.zeros(params.num_decoders)
