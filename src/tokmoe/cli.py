@@ -108,6 +108,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train_path not set (use --train or the config file)")
     train_corpus = D.load_corpus_jsonl(config.train_path)
     valid_corpus = D.load_corpus_jsonl(config.valid_path) if config.valid_path else None
+    # Hashed now, so the manifest names the corpora trained on, even if a file changes later.
+    checksums = {"train": _sha256(Path(config.train_path))}
+    if config.valid_path:
+        checksums["valid"] = _sha256(Path(config.valid_path))
     vocab = D.Vocabulary.build(train_corpus, cap=config.vocab_cap)
     encoded = D.encode_corpus(vocab, train_corpus)
     intents = sorted(TR.partition_by_intent(train_corpus))
@@ -148,9 +152,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     ckpt.save_model(params, ckpt_path, vocab.id_to_token, intents, config.scheme)
     write_config_file(config, out_dir / "config.snapshot")
 
-    checksums = {"train": _sha256(Path(config.train_path))}
-    if config.valid_path:
-        checksums["valid"] = _sha256(Path(config.valid_path))
     manifest = {
         "config": config.to_mapping(),
         "seed": config.seed,

@@ -7,7 +7,8 @@ pre-delexicalized:
      "goal": {"entity": "[hotel_id]", "requested": ["[value_time]"]}}
 
 ``goal`` is optional. Entity mentions arrive already replaced by bracketed
-placeholder tokens; tokenization is out of scope.
+placeholder tokens; tokenization is out of scope. A reserved string such as
+``<unk>`` is the reserved token: it takes no slot and encodes to its id.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Vocabulary:
 
     @classmethod
     def build(cls, corpus: Corpus, cap: int = 400) -> "Vocabulary":
-        """Most frequent tokens up to ``cap`` minus the specials; ``cap`` leaves room for one.
+        """Most frequent unreserved tokens up to ``cap`` minus the specials; ``cap`` leaves room for one.
 
         Frequency ties break lexicographically, so identical corpora always
         produce identical vocabularies.
@@ -87,7 +88,7 @@ class Vocabulary:
             counts.update(sample.context)
             counts.update(sample.response)
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        keep = [token for token, _ in ranked[: cap - len(SPECIAL_TOKENS)]]
+        keep = [token for token, _ in ranked if token not in SPECIAL_TOKENS][: cap - len(SPECIAL_TOKENS)]
         return cls(list(SPECIAL_TOKENS) + keep)
 
     def encode_token(self, token: str) -> int:

@@ -33,9 +33,10 @@ Conventions pinned here (tests rely on them):
 * Every layer also runs a stack of independent copies at once: weights,
   inputs and states with a leading axis of n copies. Along the copy axis
   every result is bit-identical to running that copy alone; the decoders
-  use this, the encoder runs unstacked. Along the row axis a GEMM over R
-  rows matches R one-row products to about 1e-11 relative, not bitwise;
-  with B = 1 every product has the shape of the one-sequence step.
+  use this, and the encoder's one cell runs unstacked through the same
+  loops of ``model``. Along the row axis a GEMM over R rows matches R
+  one-row products to about 1e-11 relative, not bitwise; with B = 1 every
+  product has the shape of the one-sequence step.
 """
 
 from __future__ import annotations

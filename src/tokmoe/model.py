@@ -15,11 +15,11 @@ which requires aligned timelines).
 
 Teacher forcing runs a group of B right-padded samples at once (training
 sorts each batch by length and cuts groups of 8, a size set by peak memory:
-see ``training.GROUP_SIZE``). Only the *recurrence* (the encoder on (B, d_h)
-rows; ``expert_step``: attention and the cell update of all k+1 decoders on
-(k+1, B, d_h) rows) runs token by token, into the time-first traces of
-``layers``; row 0 of the decoders' (T+1, k+1, B, d_h) trace is each context's
-final encoder state. The *readout* (``readout``: projection, softmax, gate
+see ``training.GROUP_SIZE``). Only the *recurrence* (``expert_step``: the
+encoder's cell on (B, d_h) rows, or attention and the cells of all k+1 decoders
+on (k+1, B, d_h) rows) runs token by token, in one loop each way over the
+time-first traces of ``layers``; row 0 of the decoders' (T+1, k+1, B, d_h)
+trace is each context's final encoder state. The *readout* (``readout``: projection, softmax, gate
 MLP, chair combine) feeds nothing back, so it takes any leading row axis:
 greedy decoding calls it on row 1 of a one-step trace per token, teacher
 forcing once on the N valid (sample, step) rows; padded positions are never
@@ -236,7 +236,85 @@ def init_model(
 
 
 # ---------------------------------------------------------------------------
-# Encoder
+# The recurrence: the encoder, or every decoder, token by token
+
+
+class Recurrence(NamedTuple):
+    """A cell, or a stack of n copies, stepping B rows: its weights and traces. The
+    decoders' recurrence also attends over the encoder memory at every step."""
+
+    cell: CellParams
+    trace: L.CellTrace                          # (T+1, [n,] B, ·); row 0 is the initial state
+    attention: AttentionParams | None = None
+    memory: L.AttentionMemory | None = None
+    attn: L.AttentionTrace | None = None        # (T, n, B, ·), when ``attention`` is set
+
+
+def expert_step(rec: Recurrence, gates_in: Array, j: int) -> None:
+    """Attention, if any, and the cell update for token j, from the token's ([n,] B, G*d_h)
+    column of the projected inputs: reads state row j, writes row j+1 of ``rec.trace`` and
+    row j of ``rec.attn``. Without attention the cell reads the token's embedding alone."""
+    if rec.attention is not None:
+        L.attention_context(rec.attention, rec.memory, rec.trace.hidden[j], rec.attn, j)
+        context = rec.attn.context[j]
+        gates_in = gates_in + T.matmul(context, rec.cell.w_in.value[..., -context.shape[-1]:, :])
+    L.cell_step(rec.cell, gates_in, rec.trace, j)
+
+
+def expert_step_backward(
+    rec: Recurrence, d_attn: L.AttentionTrace | None, j: int, d_hidden: Array, d_cell: Array,
+) -> tuple[Array, Array, Array]:
+    """Step j backward from the gradients of state row j+1: returns the cell's gate
+    gradients and the (hidden, cell) gradients of row j, and fills row j of ``d_attn``;
+    weight gradients come later."""
+    d_gates, d_prev_hidden, d_prev_cell = L.cell_step_backward(rec.cell, rec.trace, j, d_hidden, d_cell)
+    if rec.attention is not None:
+        w_context = rec.cell.w_in.value[..., -d_hidden.shape[-1]:, :]
+        d_context = T.matmul(d_gates, w_context.swapaxes(-1, -2))
+        d_query = L.attention_backward(rec.attention, rec.memory, rec.attn, d_attn, j, d_context)
+        d_prev_hidden = d_prev_hidden + d_query
+    return d_gates, d_prev_hidden, d_prev_cell
+
+
+def recur(embedding: EmbeddingTable, rec: Recurrence, token_ids: Array) -> None:
+    """Step ``rec`` from its state row 0 over (T, B) tokens. The tokens' embedding share
+    of the cell gates, plus the bias, is one GEMM per copy over all T*B rows."""
+    emb = embedding.lookup(token_ids.reshape(-1))
+    gates = emb @ rec.cell.w_in.value[..., :emb.shape[-1], :] + rec.cell.bias.value[..., None, :]
+    gates = gates.reshape(*gates.shape[:-2], *token_ids.shape, -1)
+    for j, gates_in in enumerate(gates.swapaxes(0, -3)):  # time first, like the traces
+        expert_step(rec, gates_in, j)
+
+
+def recur_backward(
+    embedding: EmbeddingTable, rec: Recurrence, token_ids: Array, d_hidden: Array, d_cell: Array | None = None,
+) -> tuple[Array, Array, L.AttentionTrace | None]:
+    """Reverse ``recur`` from the (T, [n,] B, d_h) gradients of state rows 1..T, and of
+    their cells if given; each weight gradient is one GEMM over all T*B rows. Returns the
+    (hidden, cell) gradients of state row 0 and the attention gradient trace."""
+    cell, (steps, batch) = rec.cell, token_ids.shape
+    *lead, width = cell.bias.value.shape
+    d_gates = np.empty((*lead, steps, batch, width))  # GEMM rows as a view
+    step_gates = d_gates.swapaxes(0, -3)  # time first, like the traces
+    d_attn = None if rec.attn is None else L.AttentionTrace.empty(rec.attention, rec.memory, steps, grads=True)
+    carry_hidden = carry_cell = np.zeros_like(d_hidden[0])
+    for j in reversed(range(steps)):
+        # No zero cell gradient is added to the carry: it could turn a -0.0 into +0.0.
+        d_carry = carry_cell if d_cell is None else d_cell[j] + carry_cell
+        step_gates[j], carry_hidden, carry_cell = expert_step_backward(
+            rec, d_attn, j, d_hidden[j] + carry_hidden, d_carry
+        )
+    ids = token_ids.reshape(-1)
+    emb = embedding.lookup(ids)
+    d_gates = d_gates.reshape(*lead, len(ids), width)
+    xs = [emb] if rec.attn is None else [emb, L.rows(rec.attn.context)]
+    L.cell_weights_backward(cell, xs, rec.trace, d_gates)
+    embedding.lookup_backward(ids, d_gates @ cell.w_in.value[..., :emb.shape[-1], :].swapaxes(-1, -2))
+    return carry_hidden, carry_cell, d_attn
+
+
+# ---------------------------------------------------------------------------
+# The encoder, and the decoders' recurrence from its final state
 
 
 def _padded(sequences: list, what: str) -> tuple[Array, Array]:
@@ -252,25 +330,20 @@ def _padded(sequences: list, what: str) -> tuple[Array, Array]:
 class Encoding(NamedTuple):
     token_ids: Array                  # (m, B), right-padded
     last: tuple[Array, Array]         # the (step, context) that wrote each context's final state
-    emb: Array                        # (m*B, d_emb), step by step
     trace: L.CellTrace                # hidden rows 1..m are the encoder hiddens
     memory: L.AttentionMemory | None  # the hiddens projected for attention, if it is on
 
 
 def encode_context(params: ModelParams, contexts: list[list[int]]) -> Encoding:
-    """Run the encoder over B contexts from the all-zero initial state; the input
-    projections of all positions, and the attention keys of all hiddens, are one GEMM each.
-    Steps past a context's end run on padding; nothing reads their states."""
+    """Run the encoder over B contexts from the all-zero initial state; the attention
+    keys of all hiddens are one GEMM. Steps past a context's end run on padding;
+    nothing reads their states."""
     ids, valid = _padded(contexts, "encode an empty context")
-    cell = params.encoder
-    emb = params.embedding.lookup(ids.reshape(-1))
-    gates = (emb @ cell.w_in.value + cell.bias.value).reshape(*ids.shape, -1)
-    trace = L.CellTrace.empty(cell, *ids.shape)
-    for j, gates_in in enumerate(gates):
-        L.cell_step(cell, gates_in, trace, j)
+    trace = L.CellTrace.empty(params.encoder, *ids.shape)
+    recur(params.embedding, Recurrence(params.encoder, trace), ids)
     hiddens = trace.hidden[1:].swapaxes(0, 1)
     memory = None if params.attention is None else L.attention_memory(params.attention, hiddens, valid.T)
-    return Encoding(ids, (valid.sum(axis=0) - 1, np.arange(len(contexts))), emb, trace, memory)
+    return Encoding(ids, (valid.sum(axis=0) - 1, np.arange(len(contexts))), trace, memory)
 
 
 def encode_backward(
@@ -280,77 +353,21 @@ def encode_backward(
     d_final_hidden: Array,
     d_final_cell: Array,
 ) -> None:
-    """Consumes ``d_hiddens`` (m, B, d_h): each final state's gradient joins it at the step that wrote it."""
-    cell = params.encoder
+    """Consumes ``d_hiddens`` (m, B, d_h): each final state's gradients join the step that wrote it."""
     d_hiddens[enc.last] += d_final_hidden
     d_cells = np.zeros_like(d_hiddens)
     d_cells[enc.last] = d_final_cell
-    d_gates = np.empty((*enc.token_ids.shape, cell.w_rec.value.shape[-1]))
-    carry_h = carry_c = np.zeros_like(d_final_hidden)
-    for i in reversed(range(len(d_gates))):
-        d_gates[i], carry_h, carry_c = L.cell_step_backward(
-            cell, enc.trace, i, d_hiddens[i] + carry_h, d_cells[i] + carry_c
-        )
-    L.cell_weights_backward(cell, [enc.emb], enc.trace, L.rows(d_gates))
-    params.embedding.lookup_backward(enc.token_ids.reshape(-1), L.rows(d_gates) @ cell.w_in.value.T)
+    recur_backward(params.embedding, Recurrence(params.encoder, enc.trace), enc.token_ids, d_hiddens, d_cells)
 
 
-# ---------------------------------------------------------------------------
-# The recurrence: every decoder, one token
-
-
-def decoder_inputs(params: ModelParams, token_ids) -> Array:
-    """The (T, B) tokens' embedding share of every decoder's cell gates, plus the bias:
-    (k+1, T, B, G*d_h), one GEMM per decoder over all T*B rows."""
-    emb = params.embedding.lookup(token_ids)
-    cell = params.decoder_cell
-    gates = emb.reshape(-1, emb.shape[-1]) @ cell.w_in.value[:, :emb.shape[-1]] + cell.bias.value[:, None]
-    return gates.reshape(len(gates), *emb.shape[:-1], -1)
-
-
-def decoder_traces(
-    params: ModelParams, enc: Encoding, steps: int
-) -> tuple[L.CellTrace, L.AttentionTrace | None]:
-    """The decoders' cell trace of ``steps`` steps, every decoder starting from the
-    shared encoder final state, and their attention trace when attention is on."""
+def decoders(params: ModelParams, enc: Encoding, steps: int) -> Recurrence:
+    """The decoders' recurrence of ``steps`` steps, every decoder starting from the shared
+    encoder final state, and attending over the encoder memory when attention is on."""
     trace = L.CellTrace.empty(params.decoder_cell, steps, len(enc.last[1]))
     trace.hidden[0] = enc.trace.hidden[1:][enc.last]
     trace.cell[0] = enc.trace.cell[1:][enc.last]
     attn = None if params.attention is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
-    return trace, attn
-
-
-def expert_step(
-    params: ModelParams, enc: Encoding, gates_in: Array, trace: L.CellTrace, attn: L.AttentionTrace | None,
-    j: int,
-) -> None:
-    """Attention and the cell update of every decoder for token j, from the token's
-    (k+1, B, G*d_h) column of ``decoder_inputs``: reads state row j, writes row j+1 of
-    ``trace`` and row j of ``attn``. With attention disabled the cell reads the token's
-    embedding alone."""
-    if params.attention is not None:
-        L.attention_context(params.attention, enc.memory, trace.hidden[j], attn, j)
-        context = attn.context[j]
-        gates_in = gates_in + T.matmul(context, params.decoder_cell.w_in.value[:, -context.shape[-1]:])
-    L.cell_step(params.decoder_cell, gates_in, trace, j)
-
-
-def expert_step_backward(
-    params: ModelParams, enc: Encoding, trace: L.CellTrace, attn: L.AttentionTrace | None,
-    d_attn: L.AttentionTrace | None, j: int, d_hidden: Array, d_cell: Array,
-) -> tuple[Array, Array, Array]:
-    """Step j of every decoder backward from the gradients of state row j+1: returns the
-    cell's gate gradients and the (hidden, cell) gradients of row j, and fills row j of
-    ``d_attn``; weight gradients come later."""
-    d_gates, d_prev_hidden, d_prev_cell = L.cell_step_backward(
-        params.decoder_cell, trace, j, d_hidden, d_cell
-    )
-    if params.attention is not None:
-        w_context = params.decoder_cell.w_in.value[:, -d_hidden.shape[-1]:]
-        d_context = T.matmul(d_gates, w_context.swapaxes(-1, -2))
-        d_query = L.attention_backward(params.attention, enc.memory, attn, d_attn, j, d_context)
-        d_prev_hidden = d_prev_hidden + d_query
-    return d_gates, d_prev_hidden, d_prev_cell
+    return Recurrence(params.decoder_cell, trace, params.attention, enc.memory, attn)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +459,8 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
 class ForwardCache(NamedTuple):
     enc: Encoding
     input_ids: Array        # (T, B): BOS, then every gold token but the last, right-padded
-    rows: tuple             # indexes the readout's (step, :, sample) rows in trace.hidden[1:]
-    trace: L.CellTrace      # (T+1, k+1, B, ·)
-    attn: L.AttentionTrace | None
+    rows: tuple             # indexes the readout's (step, :, sample) rows in decoders.trace.hidden[1:]
+    decoders: Recurrence    # its traces are (T+1, k+1, B, ·)
     readout: Readout
 
 
@@ -464,13 +480,11 @@ def forward_teacher_forced(
 def decode_teacher_forced(params: ModelParams, enc: Encoding, responses: list[list[int]]) -> ForwardCache:
     """``forward_teacher_forced`` from the contexts' encoding on: the recurrence, then the readout."""
     input_ids, valid = _padded([[BOS_ID, *r][:len(r)] for r in responses], "teacher-force an empty response")
-    gates = decoder_inputs(params, input_ids)
-    trace, attn = decoder_traces(params, enc, len(input_ids))
-    for j in range(len(input_ids)):
-        expert_step(params, enc, gates[:, j], trace, attn, j)
+    rec = decoders(params, enc, len(input_ids))
+    recur(params.embedding, rec, input_ids)
     sample, step = np.nonzero(valid.T)  # sample-major
     rows = (step, slice(None), sample)
-    return ForwardCache(enc, input_ids, rows, trace, attn, readout(params, trace.hidden[1:][rows]))
+    return ForwardCache(enc, input_ids, rows, rec, readout(params, rec.trace.hidden[1:][rows]))
 
 
 def readout_backward(params: ModelParams, cache: ForwardCache, d_dists: Array, d_combined: Array) -> Array:
@@ -484,7 +498,7 @@ def readout_backward(params: ModelParams, cache: ForwardCache, d_dists: Array, d
         d_read, d_gate_dists = gate_weights_backward(params.gating, out.gate_cache, d_beta)
         d_probs += d_gate_dists
     # The projection's rows take the decoder axis first, as in ``readout``.
-    hidden = cache.trace.hidden[1:]
+    hidden = cache.decoders.trace.hidden[1:]
     read = [a.swapaxes(0, 1) for a in (hidden[cache.rows], out.dists, d_probs)]
     d_hidden = np.zeros(hidden.shape)
     d_hidden[cache.rows] = L.project_backward(params.projection, *read).swapaxes(0, 1) + d_read
@@ -505,39 +519,20 @@ def backward_teacher_forced(
     which carries only the recurrence; each weight gradient is one GEMM over
     the group.
     """
-    enc, cell = cache.enc, params.decoder_cell
+    enc, rec = cache.enc, cache.decoders
     d_hidden = readout_backward(params, cache, d_dists, d_combined)
     del d_dists, d_combined  # a caller that keeps no reference frees the seeds here
-    steps, batch = cache.input_ids.shape
-    carry_hidden = np.zeros_like(d_hidden[0])
-    carry_cell = np.zeros_like(d_hidden[0])
-    d_gates = np.empty((params.num_decoders, steps, batch, cell.bias.value.shape[-1]))  # GEMM rows as a view
-    d_attn = None
-    if cache.attn is not None:
-        d_attn = L.AttentionTrace.empty(params.attention, enc.memory, steps, grads=True)
-    for j in reversed(range(steps)):
-        d_gates[:, j], carry_hidden, carry_cell = expert_step_backward(
-            params, enc, cache.trace, cache.attn, d_attn, j, d_hidden[j] + carry_hidden, carry_cell
-        )
-
-    emb = params.embedding.lookup(cache.input_ids.reshape(-1))
-    d_gates = d_gates.reshape(len(d_gates), len(emb), -1)
-    xs = [emb] if cache.attn is None else [emb, L.rows(cache.attn.context)]
-    L.cell_weights_backward(cell, xs, cache.trace, d_gates)
-    w_emb = cell.w_in.value[:, :emb.shape[1]]
-    params.embedding.lookup_backward(cache.input_ids.reshape(-1), d_gates @ w_emb.swapaxes(-1, -2))
+    carry_hidden, carry_cell, d_attn = recur_backward(params.embedding, rec, cache.input_ids, d_hidden)
     # Axis-0 sums from an initial 0.0 add the decoders one at a time, in order: the
     # attention blocks of the encoder hiddens, and the carries into the initial
     # states, which were copies of the encoder final state.
     d_enc_hiddens = np.zeros_like(enc.trace.hidden[1:])
-    if params.attention is not None:
-        blocks = L.attention_weights_backward(
-            params.attention, enc.memory, cache.attn, d_attn, cache.trace.hidden[:-1]
-        )
+    if d_attn is not None:
+        blocks = L.attention_weights_backward(rec.attention, rec.memory, rec.attn, d_attn, rec.trace.hidden[:-1])
         d_enc_hiddens = blocks.sum(axis=0, initial=0.0).swapaxes(0, 1)
-    d_final_hidden = carry_hidden.sum(axis=0, initial=0.0)
-    d_final_cell = carry_cell.sum(axis=0, initial=0.0)
-    encode_backward(params, enc, d_enc_hiddens, d_final_hidden, d_final_cell)
+    encode_backward(
+        params, enc, d_enc_hiddens, carry_hidden.sum(axis=0, initial=0.0), carry_cell.sum(axis=0, initial=0.0)
+    )
 
 
 def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> list[int]:
@@ -550,17 +545,16 @@ def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> 
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    enc = encode_context(params, [context_ids])
-    trace, attn = decoder_traces(params, enc, 1)
+    rec = decoders(params, encode_context(params, [context_ids]), 1)
     token = BOS_ID
     out_ids: list[int] = []
     for _ in range(max_len):
-        expert_step(params, enc, decoder_inputs(params, [[token]])[:, 0], trace, attn, 0)
-        out = readout(params, trace.hidden[1:, :, 0])
+        recur(params.embedding, rec, np.full((1, 1), token))
+        out = readout(params, rec.trace.hidden[1:, :, 0])
         token = int(np.argmax(out.combined[0]))  # first maximum, so lowest id wins ties
         out_ids.append(token)
         if token == EOS_ID:
             break
-        trace.hidden[0] = trace.hidden[1]
-        trace.cell[0] = trace.cell[1]
+        rec.trace.hidden[0] = rec.trace.hidden[1]
+        rec.trace.cell[0] = rec.trace.cell[1]
     return out_ids

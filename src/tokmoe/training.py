@@ -470,7 +470,7 @@ class StagedLoss:
             cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
         elif stage == RECURRENCE:
             cache = decode_teacher_forced(params, cache.enc, inputs.responses)
-        out = readout(params, cache.trace.hidden[1:][cache.rows]) if stage == READOUT else cache.readout
+        out = readout(params, cache.decoders.trace.hidden[1:][cache.rows]) if stage == READOUT else cache.readout
         return group_loss(out, inputs)
 
 

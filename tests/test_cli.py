@@ -1,5 +1,6 @@
 """End-to-end command behavior: files, exit codes, error stream prefixes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ import pytest
 import tokmoe.checkpoint as C
 import tokmoe.layers as L
 import tokmoe.model as M
+import tokmoe.training as TR
 from tokmoe import BOS_ID, RunConfig
 from tokmoe.cli import _build_run_config, build_parser, main, run_gradcheck
 from tokmoe.errors import DomainError, IntegrityError
@@ -103,6 +105,30 @@ class TestTrain:
         names = [name for name, _ in C.load_tensors(out / "model.ckpt")[1]]
         assert names and not any(name.startswith("gating.") for name in names)
         assert C.load_model(out / "model.ckpt")[0].gating is None
+
+    @pytest.mark.parametrize("change", ["rewrite", "delete"])
+    def test_manifest_hashes_the_corpus_trained_on(self, corpus_dir, workdir, monkeypatch, change):
+        # The train file changes once training has begun; the manifest still names the bytes loaded.
+        train = workdir / f"{change}.jsonl"
+        shutil.copyfile(corpus_dir / "train.jsonl", train)
+        loaded = hashlib.sha256(train.read_bytes()).hexdigest()
+        original = TR.train_run
+
+        def changing(*args, **kwargs):
+            if change == "rewrite":
+                train.write_bytes((corpus_dir / "valid.jsonl").read_bytes())
+            else:
+                train.unlink()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "train_run", changing)
+        out = workdir / f"r-{change}"
+        code = main([
+            "train", "--train", str(train), "--out", str(out), "--epochs", "1",
+            "--hidden-size", "4", "--embedding-size", "3", "--vocab-cap", "60",
+        ])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["corpus_checksums"] == {"train": loaded}
 
     def test_single_module_requires_s3(self, corpus_dir, workdir, capsys):
         code = main([

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tokmoe.data as D
-from tokmoe.config import EOS_ID, UNK_ID
+from tokmoe.config import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID
 from tokmoe.errors import DataError, DomainError, ParseError
 
 
@@ -60,6 +60,13 @@ class TestVocabulary:
             with pytest.raises(DomainError, match="at least 5"):
                 D.Vocabulary.build(corpus, cap=cap)
         assert len(D.Vocabulary.build(corpus, cap=5)) == 5
+
+    def test_reserved_strings_are_the_reserved_tokens(self):
+        # Each reserved string outnumbers every word, yet takes no slot and keeps its id.
+        plain = [["a", "b", "a"], ["c", "b"]]
+        vocab = D.Vocabulary.build(corpus_of([[*row, *SPECIAL_TOKENS * 3] for row in plain]), cap=7)
+        assert vocab.id_to_token == D.Vocabulary.build(corpus_of(plain), cap=7).id_to_token
+        assert vocab.encode_tokens(list(SPECIAL_TOKENS)) == [PAD_ID, UNK_ID, BOS_ID, EOS_ID]
 
 
 class TestEncodeSample:

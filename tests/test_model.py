@@ -20,7 +20,6 @@ from tokmoe.model import (
     GatingParams,
     chair_combine,
     encode_context,
-    expert_step,
     forward_teacher_forced,
     gate_weights,
     greedy_decode,
@@ -57,9 +56,10 @@ class TestEncoder:
 def step(params, token, state, enc):
     """Every decoder's (k+1, V) distribution and (hidden, cell) state rows after one
     recurrence step of a one-context encoding on ``token`` from the (k+1, d_h) rows of ``state``."""
-    trace, attn = M.decoder_traces(params, enc, 1)
+    rec = M.decoders(params, enc, 1)
+    trace = rec.trace
     trace.hidden[0, :, 0], trace.cell[0, :, 0] = state
-    expert_step(params, enc, M.decoder_inputs(params, [[token]])[:, 0], trace, attn, 0)
+    M.recur(params.embedding, rec, np.full((1, 1), token))
     return M.readout(params, trace.hidden[1:, :, 0]).dists[0], (trace.hidden[1, :, 0], trace.cell[1, :, 0])
 
 
@@ -75,7 +75,7 @@ def fabricated_encoding(params, hiddens):
     trace.hidden[1:, 0] = hiddens
     valid = np.ones((1, len(hiddens)), dtype=bool)
     memory = None if params.attention is None else L.attention_memory(params.attention, hiddens[None], valid)
-    return M.Encoding(np.full((len(hiddens), 1), 4), ([len(hiddens) - 1], [0]), None, trace, memory)
+    return M.Encoding(np.full((len(hiddens), 1), 4), ([len(hiddens) - 1], [0]), trace, memory)
 
 
 class TestStackedSlots:

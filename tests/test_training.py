@@ -433,6 +433,38 @@ class TestTrainEpoch:
                            TR.AdamState.like(params.values), np.random.default_rng(1), {})
 
 
+class TestBestEpoch:
+    """With a scorer, ``train_run`` ends on the best epoch's values, the earlier one on a tie."""
+
+    @staticmethod
+    def run(scores):
+        params = init_model(6, 2, tiny_variant(), seed=3)
+        seen = []
+
+        def scripted(p):
+            seen.append(p.values.copy())
+            return scores[len(seen) - 1]
+
+        result = TR.train_run(
+            params, TestTrainEpoch().setup_corpus(), SchemeConfig.from_name("S4"), OptimizerConfig(batch_size=4),
+            3, 1, {"alpha": 0, "beta": 1}, valid_scorer=scripted if scores else None,
+        )
+        return params.values, result, seen
+
+    @pytest.mark.parametrize("scores, best", [((0.1, 0.9, 0.3), 2), ((0.5, 0.2, 0.5), 1)])
+    def test_best_epoch_values_restored(self, scores, best):
+        values, result, seen = self.run(scores)
+        assert (result.best_epoch, result.best_score) == (best, scores[best - 1])
+        assert [r.valid_score for r in result.history] == list(scores)
+        np.testing.assert_array_equal(values, seen[best - 1])
+        assert not np.array_equal(values, seen[-1])
+
+    def test_without_scorer_last_epoch_stands(self):
+        values, result, _ = self.run(None)
+        assert (result.best_epoch, result.best_score) == (3, None)
+        np.testing.assert_array_equal(values, self.run((0.0, 0.0, 0.0))[2][-1])
+
+
 class TestOptimizationTrap:
     def test_s1_lambda_drifts_up_when_chair_loss_dominates(self):
         # Three experts: the weighted expert sum is ~(2/3) of the chair loss,
