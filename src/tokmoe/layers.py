@@ -33,8 +33,8 @@ Conventions pinned here (tests rely on them):
 * Every layer also runs a stack of independent copies at once: weights,
   inputs and states with a leading axis of n copies. Along the copy axis
   every result is bit-identical to running that copy alone; the decoders
-  use this, and the encoder's one cell runs unstacked through the same
-  loops of ``model``. Along the row axis a GEMM over R rows matches R
+  use this, as do the gradient check's perturbed copies of one decoder, and
+  the encoder's one cell runs unstacked through the same loops of ``model``. Along the row axis a GEMM over R rows matches R
   one-row products to about 1e-11 relative, not bitwise; with B = 1 every
   product has the shape of the one-sequence step.
 """

@@ -158,8 +158,8 @@ def t_pvalue(t: float, df: int) -> float:
 def paired_t_test(scores_a: list[float], scores_b: list[float]) -> tuple[float, float]:
     """(t statistic, two-tailed p) of paired differences a_i - b_i.
 
-    Zero-variance conventions: all differences equal and zero -> (0, 1);
-    all equal and nonzero -> (signed inf, 0).
+    Zero-variance conventions: all differences equal and zero -> (0, 1); all
+    equal and nonzero -> (signed inf, 0), even where their rounded mean is not them.
     """
     if len(scores_a) != len(scores_b):
         raise DomainError("paired t-test requires equally long score lists")
@@ -169,6 +169,8 @@ def paired_t_test(scores_a: list[float], scores_b: list[float]) -> tuple[float, 
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    if all(d == diffs[0] for d in diffs):
+        mean, var = diffs[0], 0.0
     sd = math.sqrt(var)
     if sd == 0.0:
         if mean == 0.0:

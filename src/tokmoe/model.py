@@ -331,19 +331,16 @@ class Encoding(NamedTuple):
     token_ids: Array                  # (m, B), right-padded
     last: tuple[Array, Array]         # the (step, context) that wrote each context's final state
     trace: L.CellTrace                # hidden rows 1..m are the encoder hiddens
-    memory: L.AttentionMemory | None  # the hiddens projected for attention, if it is on
+    valid: Array                      # (m, B): True at each context's tokens, False at its padding
 
 
 def encode_context(params: ModelParams, contexts: list[list[int]]) -> Encoding:
-    """Run the encoder over B contexts from the all-zero initial state; the attention
-    keys of all hiddens are one GEMM. Steps past a context's end run on padding;
-    nothing reads their states."""
+    """Run the encoder over B contexts from the all-zero initial state. Steps past a
+    context's end run on padding; nothing reads their states."""
     ids, valid = _padded(contexts, "encode an empty context")
     trace = L.CellTrace.empty(params.encoder, *ids.shape)
     recur(params.embedding, Recurrence(params.encoder, trace), ids)
-    hiddens = trace.hidden[1:].swapaxes(0, 1)
-    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens, valid.T)
-    return Encoding(ids, (valid.sum(axis=0) - 1, np.arange(len(contexts))), trace, memory)
+    return Encoding(ids, (valid.sum(axis=0) - 1, np.arange(len(contexts))), trace, valid)
 
 
 def encode_backward(
@@ -360,14 +357,17 @@ def encode_backward(
     recur_backward(params.embedding, Recurrence(params.encoder, enc.trace), enc.token_ids, d_hiddens, d_cells)
 
 
-def decoders(params: ModelParams, enc: Encoding, steps: int) -> Recurrence:
-    """The decoders' recurrence of ``steps`` steps, every decoder starting from the shared
-    encoder final state, and attending over the encoder memory when attention is on."""
-    trace = L.CellTrace.empty(params.decoder_cell, steps, len(enc.last[1]))
+def decoders(cell: CellParams, attention: AttentionParams | None, enc: Encoding, steps: int) -> Recurrence:
+    """The recurrence of ``steps`` steps of a stack of decoders (the model's, or copies of
+    one), every decoder starting from the shared encoder final state. With attention, the
+    keys of all encoder hiddens are one GEMM per decoder."""
+    trace = L.CellTrace.empty(cell, steps, len(enc.last[1]))
     trace.hidden[0] = enc.trace.hidden[1:][enc.last]
     trace.cell[0] = enc.trace.cell[1:][enc.last]
-    attn = None if params.attention is None else L.AttentionTrace.empty(params.attention, enc.memory, steps)
-    return Recurrence(params.decoder_cell, trace, params.attention, enc.memory, attn)
+    if attention is None:
+        return Recurrence(cell, trace)
+    memory = L.attention_memory(attention, enc.trace.hidden[1:].swapaxes(0, 1), enc.valid.T)
+    return Recurrence(cell, trace, attention, memory, L.AttentionTrace.empty(attention, memory, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +474,9 @@ def forward_teacher_forced(
     Its arrays are the result: ``cache.readout.dists`` (N, k+1, V), ``.beta``
     (N, k+1), ``.combined`` (N, V); for one sample, N = T.
     """
-    return decode_teacher_forced(params, encode_context(params, contexts), responses)
-
-
-def decode_teacher_forced(params: ModelParams, enc: Encoding, responses: list[list[int]]) -> ForwardCache:
-    """``forward_teacher_forced`` from the contexts' encoding on: the recurrence, then the readout."""
+    enc = encode_context(params, contexts)
     input_ids, valid = _padded([[BOS_ID, *r][:len(r)] for r in responses], "teacher-force an empty response")
-    rec = decoders(params, enc, len(input_ids))
+    rec = decoders(params.decoder_cell, params.attention, enc, len(input_ids))
     recur(params.embedding, rec, input_ids)
     sample, step = np.nonzero(valid.T)  # sample-major
     rows = (step, slice(None), sample)
@@ -545,7 +541,7 @@ def greedy_decode(params: ModelParams, context_ids: list[int], max_len: int) -> 
     """
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
-    rec = decoders(params, encode_context(params, [context_ids]), 1)
+    rec = decoders(params.decoder_cell, params.attention, encode_context(params, [context_ids]), 1)
     token = BOS_ID
     out_ids: list[int] = []
     for _ in range(max_len):

@@ -33,16 +33,18 @@ from . import tensor as T
 from .config import OptimizerConfig, SchemeConfig
 from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
+from .layers import AttentionParams, CellParams
 from .model import (
     ForwardCache,
     ModelParams,
     Readout,
     backward_teacher_forced,
-    decode_teacher_forced,
+    decoders,
     forward_teacher_forced,
     readout,
+    recur,
 )
-from .tensor import Array
+from .tensor import Array, ParamSlot
 
 GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
 
@@ -429,49 +431,85 @@ GRAD_CHECK_FLOOR = 1e-4
 # The forward's stages in order. A stage reads the outputs of the stages before it,
 # and a coordinate's first stage is the first that reads its tensor.
 ENCODE, RECURRENCE, READOUT, LOSS = range(4)
-# Keyed by module, the first part of a tensor's name. Attention is encode's, because
-# ``encode_context`` builds the attention keys.
+# Keyed by module, the first part of a tensor's name. The decoders' recurrence reads
+# their cell and builds their attention keys.
 FIRST_STAGE = {
-    "embedding": ENCODE, "encoder": ENCODE, "attn": ENCODE, "cell": RECURRENCE,
+    "embedding": ENCODE, "encoder": ENCODE, "attn": RECURRENCE, "cell": RECURRENCE,
     "proj": READOUT, "gating": READOUT, "scheme": LOSS,
 }
+# At most this many recurrence coordinates, so twice as many copies of a decoder, step
+# in one stack: it bounds the stack's memory at any width.
+STACK = 64
 
 
 class StagedLoss:
     """The summed loss of ``samples`` from any stage on, over cached earlier stages.
 
-    Built from the model as it is: each group's inputs, ``ForwardCache`` and
-    ``group_loss``. A call recomputes every group from ``stage`` on and reuses
-    the cached outputs of the stages before it, so it gives the full forward's
-    value, bit for bit, while no changed value is read before ``stage``.
+    Built from the model as it is: each group's inputs, ``ForwardCache``, readout
+    state rows and ``group_loss``. A call from ENCODE, READOUT or LOSS recomputes every
+    group from that stage on and reuses the cached outputs of the stages before it, so
+    it gives the full forward's value, bit for bit, while no changed value is read
+    before ``stage``. The RECURRENCE stage's losses come from ``copies``, a decoder at once.
     """
 
     def __init__(
         self, params: ModelParams, samples: list[EncodedSample], scheme: SchemeConfig, expert_of: dict[str, int],
     ) -> None:
         self.params, self.scheme = params, scheme
+        # The decoder cell's tensors, then attention's, as ``CellParams`` and ``AttentionParams`` take them.
+        self.stacked = [t for t in params.tensors() if FIRST_STAGE[t.name.split(".")[0]] == RECURRENCE]
         self.cached = []
         for group in groups(samples):
             inputs = group_inputs(group, expert_of, params.num_decoders)
             cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
-            self.cached.append((inputs, cache, group_loss(cache.readout, inputs)))
+            hidden = cache.decoders.trace.hidden[1:][cache.rows]
+            self.cached.append((inputs, cache, hidden, group_loss(cache.readout, inputs)))
 
     def __call__(self, stage: int) -> float:
         mu, lam = resolve_scheme_weights(self.scheme, self.params)
         return summed_loss((self._group_loss(stage, *group) for group in self.cached), mu, lam)[2]
 
     def _group_loss(
-        self, stage: int, inputs: GroupInputs, cache: ForwardCache, cached: tuple[Array, float],
+        self, stage: int, inputs: GroupInputs, cache: ForwardCache, hidden: Array, cached: tuple[Array, float],
     ) -> tuple[Array, float]:
-        params = self.params
-        if stage == LOSS:
-            return cached
         if stage == ENCODE:
-            cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
-        elif stage == RECURRENCE:
-            cache = decode_teacher_forced(params, cache.enc, inputs.responses)
-        out = readout(params, cache.decoders.trace.hidden[1:][cache.rows]) if stage == READOUT else cache.readout
-        return group_loss(out, inputs)
+            return group_loss(forward_teacher_forced(self.params, inputs.contexts, inputs.responses).readout, inputs)
+        return group_loss(readout(self.params, hidden), inputs) if stage == READOUT else cached
+
+    def copies(self, decoder: int, epsilon: float) -> tuple[Array, Array]:
+        """The summed losses at +epsilon and at -epsilon on each coordinate of one decoder's
+        block: its slices of the recurrence's tensors, one after another.
+
+        ``STACK`` coordinates at a time, 2C copies of the block (copy 2i at +epsilon and
+        copy 2i+1 at -epsilon on coordinate i) step as one stack through the recurrence
+        over each group's cached encoding; each copy's state rows then stand in for the
+        decoder's cached rows in one readout. Along the copy axis every result is
+        bit-identical to the copy alone.
+        """
+        params = self.params
+        block = np.concatenate([t.value[decoder].ravel() for t in self.stacked])
+        bounds = np.cumsum([t.value[decoder].size for t in self.stacked])[:-1]
+        mu, lam = resolve_scheme_weights(self.scheme, params)
+        totals = []
+        for lo in range(0, block.size, STACK):
+            coords = np.arange(lo, min(lo + STACK, block.size))
+            copies = np.repeat(block[None], 2 * coords.size, axis=0)
+            copies[np.arange(len(copies)), coords.repeat(2)] += np.tile([epsilon, -epsilon], coords.size)
+            # Forward only: the copies have no gradients.
+            slots = [ParamSlot(t.name, np.ascontiguousarray(part).reshape(len(copies), *t.value.shape[1:]), None)
+                     for t, part in zip(self.stacked, np.split(copies, bounds, axis=1))]
+            cell = CellParams(params.decoder_cell.kind, *slots[:3])
+            attention = None if params.attention is None else AttentionParams(*slots[3:])
+            losses = [[] for _ in copies]
+            for inputs, cache, hidden, _ in self.cached:
+                rec = decoders(cell, attention, cache.enc, len(cache.input_ids))
+                recur(params.embedding, rec, cache.input_ids)
+                for rows, copy_losses in zip(rec.trace.hidden[1:][cache.rows].swapaxes(0, 1), losses):
+                    swapped = hidden.copy()
+                    swapped[:, decoder] = rows
+                    copy_losses.append(group_loss(readout(params, swapped), inputs))
+            totals += [summed_loss(copy_losses, mu, lam)[2] for copy_losses in losses]
+        return np.array(totals[0::2]), np.array(totals[1::2])
 
 
 def grad_check(
@@ -485,13 +523,15 @@ def grad_check(
 
     Compares every coordinate of the parameter arena (S1's mu/lambda
     logits included) on the summed batch loss. Intended for tiny instances.
-    Each +-epsilon loss is a ``StagedLoss`` from the coordinate's
-    ``FIRST_STAGE`` on, so most coordinates skip the encoder, and many the
-    recurrence too. The table checks itself: for each tensor it places after
-    *encode*, its first coordinate's +epsilon loss is also taken from *encode*,
-    and two losses that differ return ``math.inf``. No samples is a
-    DomainError; any non-finite analytic gradient, numeric gradient or error
-    returns ``math.inf``, so it can never pass.
+    The +-epsilon losses of each decoder's cell and attention coordinates come
+    from ``StagedLoss.copies``, as copies of one stacked recurrence; every other
+    coordinate's is a ``StagedLoss`` from its ``FIRST_STAGE`` on, so most skip
+    the encoder, and the projection, gate and S1 logits the recurrence too. The
+    pass checks itself: the +epsilon loss of the first coordinate of each tensor
+    placed after the recurrence, and of the first and the last coordinate of each
+    decoder's block, is also taken from *encode*, and two losses that differ
+    return ``math.inf``. No samples is a DomainError; any non-finite analytic
+    gradient, numeric gradient or error returns ``math.inf``, so it can never pass.
     """
     if not samples:
         raise DomainError("cannot check gradients on no samples")
@@ -505,20 +545,31 @@ def grad_check(
     loss = StagedLoss(params, samples, scheme, expert_of)
     tensors = params.tensors()
     sizes = [t.value.size for t in tensors]
-    stages = np.repeat([FIRST_STAGE[t.name.split(".")[0]] for t in tensors], sizes).tolist()
-    firsts = set(np.cumsum([0, *sizes[:-1]]).tolist())
-    worst = 0.0
-    for idx, (a, stage) in enumerate(zip(analytic, stages)):
+    stages = np.repeat([FIRST_STAGE[t.name.split(".")[0]] for t in tensors], sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    up, down = np.empty(analytic.size), np.empty(analytic.size)
+    for idx in np.flatnonzero(stages != RECURRENCE):
         original = params.values[idx]
         params.values[idx] = original + epsilon
-        up = loss(stage)
-        misplaced = stage > ENCODE and idx in firsts and up != loss(ENCODE)
+        up[idx] = loss(stages[idx])
         params.values[idx] = original - epsilon
-        down = loss(stage)
+        down[idx] = loss(stages[idx])
         params.values[idx] = original
-        numeric = (up - down) / (2.0 * epsilon)
-        err = abs(a - numeric) / max(abs(a) + abs(numeric), GRAD_CHECK_FLOOR)
-        if misplaced or not math.isfinite(err):
+    checked = [start for start in starts if stages[start] > RECURRENCE]
+    for l in range(params.num_decoders):
+        block = np.concatenate([np.arange(start, start + t.value.size).reshape(t.value.shape)[l].ravel()
+                                for t, start in zip(tensors, starts) if stages[start] == RECURRENCE])
+        up[block], down[block] = loss.copies(l, epsilon)
+        checked += [block[0], block[-1]]
+    for idx in checked:
+        original = params.values[idx]
+        params.values[idx] = original + epsilon
+        misplaced = up[idx] != loss(ENCODE)
+        params.values[idx] = original
+        if misplaced:
             return math.inf
-        worst = max(worst, err)
-    return worst
+    numeric = (up - down) / (2.0 * epsilon)
+    err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), GRAD_CHECK_FLOOR)
+    if not np.isfinite(err).all():
+        return math.inf
+    return max(0.0, err.max())  # a numpy float, or 0.0 when every error is 0.0

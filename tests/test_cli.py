@@ -233,6 +233,15 @@ class TestGradcheckCommand:
         with pytest.raises(DomainError, match="no samples"):
             run_gradcheck(num_experts=0, hidden=1, vocab_size=5)
 
+    @pytest.mark.parametrize("kwargs,digest", [
+        ({"num_experts": 1, "hidden": 2, "vocab_size": 5, "seed": 1}, "890608c86ebed6d7"),
+        ({"seed": 1}, "63eec46411331c5f"),
+    ], ids=["k1-hidden2-vocab5", "default-seed1"])
+    def test_result_bits_pinned(self, kwargs, digest):
+        # Every error's value and type as numpy 2 prints them: a faster way to take the
+        # same losses keeps these digests.
+        assert hashlib.sha256(repr(run_gradcheck(**kwargs)).encode()).hexdigest()[:16] == digest
+
     def test_clean_run_exits_zero_with_four_scheme_lines(self, capsys):
         code = main(["gradcheck", "--experts", "1", "--hidden", "2", "--vocab-size", "5"])
         assert code == 0

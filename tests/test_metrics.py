@@ -137,6 +137,13 @@ class TestPairedTTest:
         assert math.isinf(t) and t > 0
         assert p == 0.0
 
+    @pytest.mark.parametrize("diff", [0.1, -0.1, 1e-300, 1.0 / 3.0])
+    def test_equal_differences_whose_mean_rounds_give_p_zero(self, diff):
+        # sum([0.1] * 3) / 3 is not 0.1, so the sd about that mean comes out near 1e-17, not 0.
+        for n in (2, 3, 7):
+            t, p = MX.paired_t_test([diff] * n, [0.0] * n)
+            assert t == math.copysign(math.inf, diff) and p == 0.0
+
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
             MX.paired_t_test([1.0], [2.0])

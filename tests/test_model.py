@@ -56,7 +56,7 @@ class TestEncoder:
 def step(params, token, state, enc):
     """Every decoder's (k+1, V) distribution and (hidden, cell) state rows after one
     recurrence step of a one-context encoding on ``token`` from the (k+1, d_h) rows of ``state``."""
-    rec = M.decoders(params, enc, 1)
+    rec = M.decoders(params.decoder_cell, params.attention, enc, 1)
     trace = rec.trace
     trace.hidden[0, :, 0], trace.cell[0, :, 0] = state
     M.recur(params.embedding, rec, np.full((1, 1), token))
@@ -73,9 +73,8 @@ def fabricated_encoding(params, hiddens):
     hiddens = np.asarray(hiddens, dtype=np.float64)
     trace = L.CellTrace.empty(params.encoder, len(hiddens), 1)
     trace.hidden[1:, 0] = hiddens
-    valid = np.ones((1, len(hiddens)), dtype=bool)
-    memory = None if params.attention is None else L.attention_memory(params.attention, hiddens[None], valid)
-    return M.Encoding(np.full((len(hiddens), 1), 4), ([len(hiddens) - 1], [0]), trace, memory)
+    valid = np.ones((len(hiddens), 1), dtype=bool)
+    return M.Encoding(np.full((len(hiddens), 1), 4), ([len(hiddens) - 1], [0]), trace, valid)
 
 
 class TestStackedSlots:

@@ -11,7 +11,7 @@ import tokmoe.model as M
 import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
-from tokmoe.cli import _gradcheck_samples, _gradcheck_variants
+from tokmoe.cli import GRADCHECK_MAX_HIDDEN, _gradcheck_samples, _gradcheck_variants
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
 from tokmoe.model import backward_teacher_forced, forward_teacher_forced
@@ -595,6 +595,71 @@ class TestGroupMemory:
         assert peak(batch) <= 1.05 * peak(batch[:TR.GROUP_SIZE])
 
 
+class TestStackedLosses:
+    """Each decoder's cell and attention coordinates are perturbed as copies of one stacked
+    recurrence; every copy's loss is the full forward's of the same perturbation."""
+
+    @pytest.mark.parametrize("variant,scheme_name,num_experts,batch", [
+        ("base", "S4", 2, "gradcheck"), ("V1", "S3", 2, "gradcheck"), ("V2", "S1", 2, "gradcheck"),
+        ("base", "S3", 0, "gradcheck"), ("base", "S4", 2, "two-groups"),
+    ], ids=["base-S4", "V1-S3", "V2-S1", "S3-k0", "two-groups"])
+    def test_every_copy_is_the_full_loss(self, variant, scheme_name, num_experts, batch):
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
+        if batch == "two-groups":
+            samples, expert_of = mixed_batch(TR.GROUP_SIZE + 3), {"alpha": 0, "beta": 1}
+        else:
+            samples, expert_of = _gradcheck_samples(6, 2)
+        loss = TR.StagedLoss(params, samples, scheme, expert_of)
+        assert len(loss.cached) == (2 if batch == "two-groups" else 1)
+        assert [t.name.split(".")[0] for t in loss.stacked] == ["cell"] * 3 + ["attn"] * 3 * (variant != "V1")
+        epsilon = 1e-5
+        for decoder in range(params.num_decoders):
+            up, down = loss.copies(decoder, epsilon)
+            full = []
+            for view in (t.value[decoder].reshape(-1) for t in loss.stacked):
+                for i, original in enumerate(view.copy()):
+                    for value in (original + epsilon, original - epsilon):
+                        view[i] = value
+                        full.append(loss(TR.ENCODE))
+                    view[i] = original
+            assert up.size > TR.STACK
+            assert np.column_stack([up, down]).tolist() == np.reshape(full, (-1, 2)).tolist(), decoder
+
+    @pytest.mark.parametrize("copy", [0, 2])
+    def test_fault_only_the_stack_sees_is_detected(self, monkeypatch, copy):
+        # One copy's states move by 1e-9, and only in a stack of more copies than the model
+        # has decoders: no per-coordinate loss and no analytic gradient can see it. Copy 0
+        # is the self-checked first coordinate's +epsilon; copy 2 is the second coordinate's.
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        original = L.cell_step
+
+        def shifted(cell, gates_in, trace, j):
+            original(cell, gates_in, trace, j)
+            if trace.hidden.ndim == 4 and trace.hidden.shape[1] > params.num_decoders:
+                trace.hidden[j + 1, copy] += 1e-9
+
+        monkeypatch.setattr(L, "cell_step", shifted)
+        err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+        assert err == math.inf if copy == 0 else err > 1e-4
+
+    def test_peak_is_bounded_by_the_stack(self):
+        # Each coordinate of a stack holds two copies of the decoder's block: their weights
+        # twice (the copies, then each tensor's contiguous part), and their traces. All of a
+        # decoder's coordinates in one stack read about 6x this bound at this shape.
+        scheme = SchemeConfig.from_name("S4")
+        params = init_model(6, 2, dict(_gradcheck_variants(GRADCHECK_MAX_HIDDEN))["base"], 0, scheme)
+        samples, expert_of = _gradcheck_samples(6, 2)
+        block = sum(t.value[0].nbytes for t in (*params.decoder_cell.slots(), *params.attention.slots()))
+        tracemalloc.start()
+        try:
+            assert TR.grad_check(params, samples, scheme, expert_of) < 1e-4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 20) + TR.STACK * 2 * 4 * block
+
+
 class TestGradCheck:
     def test_correct_backward_passes(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
@@ -640,17 +705,25 @@ class TestGradCheck:
     @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
     def test_staged_losses_are_full_losses(self, variant, scheme_name, num_experts):
         # A loss recomputed from a tensor's first stage, over the unperturbed model's cached
-        # earlier stages, is bit for bit the full forward's and train_batch's.
+        # earlier stages, is bit for bit the full forward's and train_batch's. A recurrence
+        # tensor's loss is its copy's in the decoder's stacked pass.
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
         loss = TR.StagedLoss(params, samples, scheme, expert_of)
+        stacked = [loss.copies(decoder, 1e-3)[0] for decoder in range(params.num_decoders)]
         for tensor in params.tensors():
             stage = TR.FIRST_STAGE[tensor.name.split(".")[0]]
             for index in (0, tensor.value.size - 1):
                 original = tensor.value.flat[index]
+                if stage == TR.RECURRENCE:
+                    decoder, offset = divmod(index, tensor.value[0].size)
+                    before = loss.stacked[:[t.name for t in loss.stacked].index(tensor.name)]
+                    staged = stacked[decoder][sum(t.value[0].size for t in before) + offset]
                 tensor.value.flat[index] = original + 1e-3
-                staged, full = loss(stage), loss(TR.ENCODE)
+                if stage != TR.RECURRENCE:
+                    staged = loss(stage)
+                full = loss(TR.ENCODE)
                 assert staged == full == TR.train_batch(params, samples, scheme, expert_of).total, tensor.name
                 tensor.value.flat[index] = original
 
