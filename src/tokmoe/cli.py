@@ -249,7 +249,6 @@ def _gradcheck_variants(hidden: int) -> list[tuple[str, VariantConfig]]:
 
 def run_gradcheck(
     num_experts: int = 2, hidden: int = 3, vocab_size: int = 6, seed: int = 0,
-    epsilon: float = 1e-5,
 ) -> dict[str, dict[str, float]]:
     """Gradient-oracle sweep over every scheme x variant combination."""
     if hidden > GRADCHECK_MAX_HIDDEN:
@@ -261,7 +260,7 @@ def run_gradcheck(
         per_variant: dict[str, float] = {}
         for variant_name, variant in _gradcheck_variants(hidden):
             params = M.init_model(vocab_size, num_experts, variant, seed, scheme)
-            per_variant[variant_name] = TR.grad_check(params, samples, scheme, expert_of, epsilon=epsilon)
+            per_variant[variant_name] = TR.grad_check(params, samples, scheme, expert_of)
         results[scheme_name] = per_variant
     return results
 
@@ -271,13 +270,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise UsageError("--experts must be at least 1")
     if args.vocab_size < 5:
         raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
-    if not 0 < args.epsilon < float("inf"):
-        raise UsageError("--epsilon must be positive and finite")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     results = run_gradcheck(
-        num_experts=args.experts, hidden=args.hidden,
-        vocab_size=args.vocab_size, seed=args.seed, epsilon=args.epsilon,
+        num_experts=args.experts, hidden=args.hidden, vocab_size=args.vocab_size, seed=args.seed,
     )
     worst = 0.0
     for scheme_name, per_variant in results.items():
@@ -354,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=3)
     p.add_argument("--vocab-size", type=int, default=6, dest="vocab_size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

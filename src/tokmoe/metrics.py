@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .data import Sample
 from .errors import DomainError
@@ -205,13 +205,7 @@ class MetricsReport:
 
     def to_json(self) -> str:
         def row(m: IntentMetrics) -> dict:
-            return {
-                "inform": m.inform,
-                "success": m.success,
-                "bleu": m.bleu,
-                "score": m.score,
-                "count": m.count,
-            }
+            return {**asdict(m), "score": m.score}
 
         payload = {
             "overall": row(self.overall),

@@ -35,7 +35,6 @@ from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
 from .layers import AttentionParams, CellParams
 from .model import (
-    ForwardCache,
     ModelParams,
     Readout,
     backward_teacher_forced,
@@ -426,16 +425,17 @@ def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -
 # Relative disagreement below this gradient magnitude is treated as absolute
 # (finite-difference noise would otherwise dominate near-zero coordinates).
 GRAD_CHECK_FLOOR = 1e-4
+GRAD_CHECK_EPSILON = 1e-5  # every central difference's step; the CLI's pass line is calibrated at it
 
 
 # The forward's stages in order. A stage reads the outputs of the stages before it,
 # and a coordinate's first stage is the first that reads its tensor.
-ENCODE, RECURRENCE, READOUT, LOSS = range(4)
+ENCODE, RECURRENCE, READOUT = range(3)
 # Keyed by module, the first part of a tensor's name. The decoders' recurrence reads
-# their cell and builds their attention keys.
+# their cell and builds their attention keys; S1's logits weigh the readout's losses.
 FIRST_STAGE = {
     "embedding": ENCODE, "encoder": ENCODE, "attn": RECURRENCE, "cell": RECURRENCE,
-    "proj": READOUT, "gating": READOUT, "scheme": LOSS,
+    "proj": READOUT, "gating": READOUT, "scheme": READOUT,
 }
 # At most this many recurrence coordinates, so twice as many copies of a decoder, step
 # in one stack: it bounds the stack's memory at any width.
@@ -443,13 +443,12 @@ STACK = 64
 
 
 class StagedLoss:
-    """The summed loss of ``samples`` from any stage on, over cached earlier stages.
+    """The summed loss of ``samples`` from ENCODE or READOUT on, over cached earlier stages.
 
-    Built from the model as it is: each group's inputs, ``ForwardCache``, readout
-    state rows and ``group_loss``. A call from ENCODE, READOUT or LOSS recomputes every
-    group from that stage on and reuses the cached outputs of the stages before it, so
-    it gives the full forward's value, bit for bit, while no changed value is read
-    before ``stage``. The RECURRENCE stage's losses come from ``copies``, a decoder at once.
+    Built from the model as it is: each group's inputs, ``ForwardCache`` and readout
+    state rows. ENCODE runs each group's full forward, READOUT its readout of the cached
+    rows, so either gives the full forward's value, bit for bit, while no changed value
+    is read before ``stage``. The RECURRENCE stage's losses come from ``copies``.
     """
 
     def __init__(
@@ -462,23 +461,18 @@ class StagedLoss:
         for group in groups(samples):
             inputs = group_inputs(group, expert_of, params.num_decoders)
             cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
-            hidden = cache.decoders.trace.hidden[1:][cache.rows]
-            self.cached.append((inputs, cache, hidden, group_loss(cache.readout, inputs)))
+            self.cached.append((inputs, cache, cache.decoders.trace.hidden[1:][cache.rows]))
 
     def __call__(self, stage: int) -> float:
-        mu, lam = resolve_scheme_weights(self.scheme, self.params)
-        return summed_loss((self._group_loss(stage, *group) for group in self.cached), mu, lam)[2]
+        params = self.params
+        mu, lam = resolve_scheme_weights(self.scheme, params)
+        return summed_loss((group_loss(readout(params, hidden) if stage == READOUT else
+                                       forward_teacher_forced(params, inputs.contexts, inputs.responses).readout, inputs)
+                            for inputs, _, hidden in self.cached), mu, lam)[2]
 
-    def _group_loss(
-        self, stage: int, inputs: GroupInputs, cache: ForwardCache, hidden: Array, cached: tuple[Array, float],
-    ) -> tuple[Array, float]:
-        if stage == ENCODE:
-            return group_loss(forward_teacher_forced(self.params, inputs.contexts, inputs.responses).readout, inputs)
-        return group_loss(readout(self.params, hidden), inputs) if stage == READOUT else cached
-
-    def copies(self, decoder: int, epsilon: float) -> tuple[Array, Array]:
-        """The summed losses at +epsilon and at -epsilon on each coordinate of one decoder's
-        block: its slices of the recurrence's tensors, one after another.
+    def copies(self, decoder: int) -> tuple[Array, Array]:
+        """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each
+        coordinate of one decoder's block: its slices of the recurrence's tensors, one after another.
 
         ``STACK`` coordinates at a time, 2C copies of the block (copy 2i at +epsilon and
         copy 2i+1 at -epsilon on coordinate i) step as one stack through the recurrence
@@ -494,14 +488,14 @@ class StagedLoss:
         for lo in range(0, block.size, STACK):
             coords = np.arange(lo, min(lo + STACK, block.size))
             copies = np.repeat(block[None], 2 * coords.size, axis=0)
-            copies[np.arange(len(copies)), coords.repeat(2)] += np.tile([epsilon, -epsilon], coords.size)
+            copies[np.arange(len(copies)), coords.repeat(2)] += GRAD_CHECK_EPSILON * np.tile([1.0, -1.0], coords.size)
             # Forward only: the copies have no gradients.
             slots = [ParamSlot(t.name, np.ascontiguousarray(part).reshape(len(copies), *t.value.shape[1:]), None)
                      for t, part in zip(self.stacked, np.split(copies, bounds, axis=1))]
             cell = CellParams(params.decoder_cell.kind, *slots[:3])
             attention = None if params.attention is None else AttentionParams(*slots[3:])
             losses = [[] for _ in copies]
-            for inputs, cache, hidden, _ in self.cached:
+            for inputs, cache, hidden in self.cached:
                 rec = decoders(cell, attention, cache.enc, len(cache.input_ids))
                 recur(params.embedding, rec, cache.input_ids)
                 for rows, copy_losses in zip(rec.trace.hidden[1:][cache.rows].swapaxes(0, 1), losses):
@@ -517,21 +511,18 @@ def grad_check(
     samples: list[EncodedSample],
     scheme: SchemeConfig,
     expert_of: dict[str, int],
-    epsilon: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Compares every coordinate of the parameter arena (S1's mu/lambda
-    logits included) on the summed batch loss. Intended for tiny instances.
-    The +-epsilon losses of each decoder's cell and attention coordinates come
-    from ``StagedLoss.copies``, as copies of one stacked recurrence; every other
-    coordinate's is a ``StagedLoss`` from its ``FIRST_STAGE`` on, so most skip
-    the encoder, and the projection, gate and S1 logits the recurrence too. The
-    pass checks itself: the +epsilon loss of the first coordinate of each tensor
-    placed after the recurrence, and of the first and the last coordinate of each
-    decoder's block, is also taken from *encode*, and two losses that differ
-    return ``math.inf``. No samples is a DomainError; any non-finite analytic
-    gradient, numeric gradient or error returns ``math.inf``, so it can never pass.
+    Compares every coordinate of the parameter arena (S1's mu/lambda logits
+    included), shifted by +-``GRAD_CHECK_EPSILON``, on the summed batch loss of a
+    tiny instance. Each decoder's cell and attention coordinates are copies of one
+    stacked recurrence (``StagedLoss.copies``); every other coordinate's loss is a
+    ``StagedLoss`` from its ``FIRST_STAGE`` on. The pass checks itself: the
+    +epsilon loss of the first coordinate of each READOUT tensor, and of the first
+    and the last coordinate of each decoder's block, is also taken from ENCODE, and
+    two losses that differ return ``math.inf``. No samples is a DomainError; any
+    non-finite analytic gradient, numeric gradient or error returns ``math.inf``.
     """
     if not samples:
         raise DomainError("cannot check gradients on no samples")
@@ -543,32 +534,31 @@ def grad_check(
         return math.inf
 
     loss = StagedLoss(params, samples, scheme, expert_of)
+
+    def shifted_loss(idx: int, step: float, stage: int) -> float:
+        original = params.values[idx]
+        params.values[idx] = original + step
+        value = loss(stage)
+        params.values[idx] = original
+        return value
+
     tensors = params.tensors()
     sizes = [t.value.size for t in tensors]
     stages = np.repeat([FIRST_STAGE[t.name.split(".")[0]] for t in tensors], sizes)
     starts = np.cumsum([0, *sizes[:-1]])
     up, down = np.empty(analytic.size), np.empty(analytic.size)
     for idx in np.flatnonzero(stages != RECURRENCE):
-        original = params.values[idx]
-        params.values[idx] = original + epsilon
-        up[idx] = loss(stages[idx])
-        params.values[idx] = original - epsilon
-        down[idx] = loss(stages[idx])
-        params.values[idx] = original
-    checked = [start for start in starts if stages[start] > RECURRENCE]
+        up[idx] = shifted_loss(idx, GRAD_CHECK_EPSILON, stages[idx])
+        down[idx] = shifted_loss(idx, -GRAD_CHECK_EPSILON, stages[idx])
+    checked = [start for start in starts if stages[start] == READOUT]
     for l in range(params.num_decoders):
         block = np.concatenate([np.arange(start, start + t.value.size).reshape(t.value.shape)[l].ravel()
                                 for t, start in zip(tensors, starts) if stages[start] == RECURRENCE])
-        up[block], down[block] = loss.copies(l, epsilon)
+        up[block], down[block] = loss.copies(l)
         checked += [block[0], block[-1]]
-    for idx in checked:
-        original = params.values[idx]
-        params.values[idx] = original + epsilon
-        misplaced = up[idx] != loss(ENCODE)
-        params.values[idx] = original
-        if misplaced:
-            return math.inf
-    numeric = (up - down) / (2.0 * epsilon)
+    if any(up[idx] != shifted_loss(idx, GRAD_CHECK_EPSILON, ENCODE) for idx in checked):
+        return math.inf
+    numeric = (up - down) / (2.0 * GRAD_CHECK_EPSILON)
     err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), GRAD_CHECK_FLOOR)
     if not np.isfinite(err).all():
         return math.inf

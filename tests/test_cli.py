@@ -1,6 +1,7 @@
 """End-to-end command behavior: files, exit codes, error stream prefixes."""
 
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -139,6 +140,61 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error[config]")
 
 
+@pytest.fixture(scope="module")
+def pin_corpus(workdir):
+    out = workdir / "pin-corpus"
+    assert main(["synth", "--out", str(out), "--intents", "3", "--per-intent", "12", "--seed", "4"]) == 0
+    return out
+
+
+class TestTrainedRunPinned:
+    """A 2-epoch ``train --valid`` per scheme and variant, at hidden 8 and embedding 6 on
+    3 intents x 12 samples, pinned to the byte: the sha256 of ``model.ckpt``, of the
+    manifest's history, of ``evaluate --json`` and of ``generate --trace``. A change meant
+    to alter the training arithmetic re-pins these digests and says so in CHANGES.md;
+    any other change keeps them."""
+
+    @pytest.mark.parametrize("flags,digests", [
+        (["--scheme", "S1"], (
+            "d317de1a9c8bbc4f", "4f44df606f3394a9", "cf091004c8e7f09c", "99b98f41c4741836")),
+        (["--scheme", "S2"], (
+            "18b65daf38542f1d", "e78844266a500a13", "3156d51a458b9913", "6e3f3b6f05db1d59")),
+        (["--scheme", "S3"], (
+            "5bf8d43595ef8d4e", "2a61811fc722cf43", "3156d51a458b9913", "cb0258583cf181a6")),
+        (["--scheme", "S4"], (
+            "ba7dfb4a4b178c8a", "81c4dae324212d4d", "cf091004c8e7f09c", "99b98f41c4741836")),
+        (["--scheme", "S3", "--single-module"], (
+            "e4ffb77be2e3b460", "cd3139f058c1c0a9", "3156d51a458b9913", "b4408cee7a769eca")),
+        (["--no-attention"], (
+            "85e4dd61cd27dafe", "5382545ed85f32b0", "84e661c671e8216f", "e5e1b30e68c8e994")),
+        (["--cell", "gru"], (
+            "672fffd9c9c7d7b5", "a3bf426b20aee512", "3156d51a458b9913", "cb0258583cf181a6")),
+        # V3's preset is its width, so this run keeps hidden 100.
+        (["--variant", "V3"], (
+            "22c84624682423f3", "f8cf5eab0bd00201", "cf091004c8e7f09c", "346b6861999c5333")),
+    ], ids=["S1", "S2", "S3", "S4", "S3-single-module", "no-attention", "gru", "V3"])
+    def test_outputs_pinned(self, pin_corpus, tmp_path, monkeypatch, capsys, flags, digests):
+        monkeypatch.delenv("TOKMOE_SEED", raising=False)
+        # A step size at which two epochs already move the scores and the generated tokens.
+        (tmp_path / "run.cfg").write_text("alpha = 0.1\n")
+        sizes = ["--embedding-size", "6"] + ([] if "V3" in flags else ["--hidden-size", "8"])
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(tmp_path / "run.cfg"), "--train", str(pin_corpus / "train.jsonl"),
+                     "--valid", str(pin_corpus / "valid.jsonl"), "--out", str(run), "--epochs", "2", "--seed", "5",
+                     "--batch-size", "8", "--max-gen-len", "12", *sizes, *flags]) == 0
+        checkpoint = str(run / "model.ckpt")
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", checkpoint, "--corpus", str(pin_corpus / "test.jsonl"),
+                     "--max-len", "12", "--json"]) == 0
+        evaluated = capsys.readouterr().out
+        context = " ".join(json.loads((pin_corpus / "test.jsonl").read_text().splitlines()[0])["context"])
+        assert main(["generate", "--checkpoint", checkpoint, "--context", context, "--max-len", "12", "--trace"]) == 0
+        history = json.loads((run / "manifest.json").read_text())["history"]
+        outputs = [(run / "model.ckpt").read_bytes(), json.dumps(history, sort_keys=True).encode(),
+                   evaluated.encode(), capsys.readouterr().out.encode()]
+        assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in outputs) == digests
+
+
 class TestEvaluate:
     def test_json_report_with_score_identity(self, trained_run, corpus_dir, capsys):
         code = main([
@@ -217,7 +273,7 @@ class TestGradcheckCommand:
         assert capsys.readouterr().err.startswith("error[config]")
 
     @pytest.mark.parametrize("flags", [
-        ["--vocab-size", "4"], ["--epsilon", "0"], ["--epsilon=-1e-5"], ["--epsilon", "inf"],
+        ["--vocab-size", "4"], ["--vocab-size", "0"], ["--experts=-1"], ["--seed=-1"],
         ["--experts", "0"],
     ])
     def test_degenerate_sweep_is_usage_error(self, capsys, flags):
@@ -227,6 +283,13 @@ class TestGradcheckCommand:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[usage]")
+
+    def test_epsilon_is_not_an_option(self, capsys):
+        # Every sweep steps by GRAD_CHECK_EPSILON, the step GRADCHECK_TOLERANCE is calibrated at.
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--epsilon", "1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
     def test_sweep_without_experts_cannot_pass(self):
         # No experts means no gradcheck samples: the sweep is refused, not reported as zeros.
@@ -271,6 +334,16 @@ class TestGradcheckCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+def test_console_script_is_the_cli_main():
+    # The installed ``tokmoe`` command: pyproject.toml's [project.scripts] target resolves to main.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"tokmoe": "tokmoe.cli:main"}
+    module, name = scripts["tokmoe"].split(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 class Boundary:
@@ -379,16 +452,29 @@ BOUNDARY_CASES = [
     ("epsilon-0", 1, "config", lambda c: c.config("epsilon = 0\n")),
     ("l2-negative", 1, "config", lambda c: c.config("l2_weight = -1e-5\n")),
     ("clip-high-inf", 1, "config", lambda c: c.config("clip_high = inf\n")),
+    ("cell-kind-rnn", 1, "config", lambda c: c.config("cell_kind = rnn\n")),
+    ("attn-size-0", 1, "config", lambda c: c.config("attn_size = 0\n")),
+    ("beta1-1", 1, "config", lambda c: c.config("beta1 = 1\n")),
+    ("alpha-negative", 1, "config", lambda c: c.config("alpha = -0.1\n")),
+    ("clip-low-above-high", 1, "config", lambda c: c.config("clip_low = 6\n")),
+    # Without c.train's flags, whose --epochs would win over the file's.
+    ("epochs-not-int", 1, "config",
+     lambda c: ["train", "--config", c.file("run.cfg", "epochs = ten\n"), "--out", str(c.out)]),
+    ("train-path-unset", 1, "config", lambda c: ["train", "--out", str(c.out)]),
     ("settings-before-files", 1, "config",
      lambda c: c.train("--batch-size", "0", corpus=str(c.tmp / "missing.jsonl"))),
     # Files.
     ("config-not-utf8", 1, "parse", lambda c: c.config(b"seed = 1\xff\n")),
     ("config-duplicate-key", 1, "parse", lambda c: c.config("seed = 1\nseed = 2\n")),
+    ("config-line-without-equals", 1, "parse", lambda c: c.config("seed 1\n")),
     ("config-is-directory", 1, "io", lambda c: c.train("--config", str(c.tmp))),
     ("train-is-directory", 1, "io", lambda c: c.train(corpus=str(c.tmp))),
     ("train-not-utf8", 1, "parse", lambda c: c.train(corpus=c.file("t.jsonl", b"\xff\xfe\n"))),
     ("train-line-not-object", 1, "data", lambda c: c.train(corpus=c.file("t.jsonl", "5\n"))),
     ("train-line-too-deep", 1, "parse", lambda c: c.train(corpus=c.file("t.jsonl", "[" * 200_000 + "\n"))),
+    ("intent-empty", 1, "data",
+     lambda c: c.train(corpus=c.file("t.jsonl", '{"context": ["a"], "response": ["b"], "intent": ""}\n'))),
+    ("goal-not-object", 1, "data", lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % "[]"))),
     ("goal-requested-not-list", 1, "data",
      lambda c: c.train(corpus=c.file("t.jsonl", _SAMPLE % '{"requested": 5}'))),
     ("goal-entity-not-string", 1, "data",
@@ -403,12 +489,20 @@ BOUNDARY_CASES = [
      lambda c: c.evaluate(corpus=c.file("t.jsonl", _TOKENS_NOT_STRINGS))),
     ("valid-corpus-empty", 1, "data", lambda c: c.train("--valid", c.file("empty.jsonl", ""))),
     ("evaluate-corpus-empty", 1, "data", lambda c: c.evaluate(corpus=c.file("empty.jsonl", ""))),
+    # synth: each setting is checked, and the corpus drawn, before the output directory is made.
+    ("synth-per-intent-0", 2, "usage", lambda c: ["synth", "--out", str(c.out), "--per-intent", "0"]),
+    ("synth-shared-vocab-0", 1, "domain", lambda c: ["synth", "--out", str(c.out), "--shared-vocab", "0"]),
+    # Two intents of one exclusive word share one word: four one-word contexts for six samples.
+    ("synth-no-fresh-context", 1, "domain",
+     lambda c: ["synth", "--out", str(c.out), "--intents", "2", "--per-intent", "3", "--shared-vocab", "1",
+                "--per-intent-vocab", "1", "--context-min", "1", "--context-max", "1"]),
     # A width whose tensors numpy cannot describe: refused when the model is built, before any allocation.
     ("train-width-too-large", 1, "config", lambda c: c.train("--hidden-size", "1000000000000")),
     # Checkpoint framing: the footer is the checksum of every byte before it.
     ("flipped-checkpoint-byte", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, len(c.blob) // 2))),
     ("header-byte-flipped", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, 20))),  # header from 16
     ("footer-byte-flipped", 1, "integrity", lambda c: c.checkpoint(_flip_byte(c.blob, len(c.blob) - 1))),
+    ("truncated-after-magic", 1, "integrity", lambda c: c.checkpoint(c.blob[:20])),
     ("truncated-in-header", 1, "integrity", lambda c: c.checkpoint(c.blob[:40])),
     ("truncated-in-payload", 1, "integrity", lambda c: c.checkpoint(c.blob[:len(c.blob) // 2])),
     ("trailing-bytes", 1, "integrity", lambda c: c.checkpoint(c.blob + bytes(8))),
@@ -429,6 +523,8 @@ BOUNDARY_CASES = [
     ("header-not-json", 1, "integrity", lambda c: c.raw_header(b"{not json")),
     ("tensor-name-not-utf8", 1, "integrity",
      lambda c: c.raw_header(_split(c.blob)[0].replace(b'"embedding.', b'"\xffmbedding.'))),
+    ("header-field-wrong-type", 1, "integrity", lambda c: c.header(lambda h: h.update(scheme=4))),
+    ("header-intent-not-string", 1, "integrity", lambda c: c.header(lambda h: h.update(intents=[0, 1]))),
     ("header-disowns-attention", 1, "integrity",
      lambda c: c.header(lambda h: h["variant"].update(attention_enabled=False))),
     ("header-duplicate-token", 1, "integrity",

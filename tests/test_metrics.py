@@ -113,6 +113,11 @@ class TestInformSuccess:
                 generated.append([pool[i] for i in rng.integers(0, len(pool), 5)])
             assert MX.success_rate(samples, generated) <= MX.inform_rate(samples, generated)
 
+    @pytest.mark.parametrize("rate", [MX.inform_rate, MX.success_rate], ids=["inform", "success"])
+    def test_empty_sample_set_rejected(self, rate):
+        with pytest.raises(DomainError):
+            rate([], [])
+
 
 class TestCompositeScore:
     def test_paper_arithmetic_rows(self):
@@ -149,6 +154,13 @@ class TestPairedTTest:
             MX.paired_t_test([1.0], [2.0])
         with pytest.raises(DomainError):
             MX.paired_t_test([1.0, 2.0], [1.0])
+
+    def test_t_pvalue_needs_one_degree_of_freedom(self):
+        with pytest.raises(DomainError):
+            MX.t_pvalue(1.0, 0)
+
+    def test_infinite_t_gives_p_zero(self):
+        assert MX.t_pvalue(math.inf, 3) == 0.0 and MX.t_pvalue(-math.inf, 3) == 0.0
 
     def test_antisymmetry(self):
         a = [1.0, 4.0, 2.0, 5.0, 3.0]
@@ -218,6 +230,10 @@ class TestReport:
         assert report.overall.count == 3
         assert report.per_intent["hotel"].success == 0.5
         assert report.per_intent["train"].success == 1.0
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            MX.build_report([sample_with_goal()], [])
 
     def test_score_identity(self):
         report = self.build()

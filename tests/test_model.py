@@ -81,6 +81,10 @@ class TestStackedSlots:
     """Per-decoder slots are views into the stacked decoder arrays, and every tensor is a
     view into the model's flat arena, never a copy."""
 
+    def test_negative_experts_rejected(self):
+        with pytest.raises(DomainError):
+            init_model(6, -1, tiny_variant(), seed=0)
+
     @staticmethod
     def stacked_of(params):
         # per-decoder slot name -> (stacked slot, decoder index)
@@ -427,6 +431,10 @@ class TestGreedyDecode:
         a = greedy_decode(params, [4, 5, 4], max_len=8)
         b = greedy_decode(params, [4, 5, 4], max_len=8)
         assert a == b
+
+    def test_zero_max_len_rejected(self):
+        with pytest.raises(DomainError):
+            greedy_decode(tiny_model(), [4], max_len=0)
 
     def test_respects_max_len(self):
         params = tiny_model(seed=3)

@@ -613,9 +613,9 @@ class TestStackedLosses:
         loss = TR.StagedLoss(params, samples, scheme, expert_of)
         assert len(loss.cached) == (2 if batch == "two-groups" else 1)
         assert [t.name.split(".")[0] for t in loss.stacked] == ["cell"] * 3 + ["attn"] * 3 * (variant != "V1")
-        epsilon = 1e-5
+        epsilon = TR.GRAD_CHECK_EPSILON
         for decoder in range(params.num_decoders):
-            up, down = loss.copies(decoder, epsilon)
+            up, down = loss.copies(decoder)
             full = []
             for view in (t.value[decoder].reshape(-1) for t in loss.stacked):
                 for i, original in enumerate(view.copy()):
@@ -711,7 +711,7 @@ class TestGradCheck:
         params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
         loss = TR.StagedLoss(params, samples, scheme, expert_of)
-        stacked = [loss.copies(decoder, 1e-3)[0] for decoder in range(params.num_decoders)]
+        stacked = [loss.copies(decoder)[0] for decoder in range(params.num_decoders)]
         for tensor in params.tensors():
             stage = TR.FIRST_STAGE[tensor.name.split(".")[0]]
             for index in (0, tensor.value.size - 1):
@@ -720,7 +720,7 @@ class TestGradCheck:
                     decoder, offset = divmod(index, tensor.value[0].size)
                     before = loss.stacked[:[t.name for t in loss.stacked].index(tensor.name)]
                     staged = stacked[decoder][sum(t.value[0].size for t in before) + offset]
-                tensor.value.flat[index] = original + 1e-3
+                tensor.value.flat[index] = original + TR.GRAD_CHECK_EPSILON
                 if stage != TR.RECURRENCE:
                     staged = loss(stage)
                 full = loss(TR.ENCODE)
@@ -763,6 +763,22 @@ class TestGradCheck:
             return d_state
 
         monkeypatch.setattr(L, "project_backward", nan_coordinate)
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
+                            {"alpha": 0, "beta": 1})
+        assert err == math.inf
+
+    def test_nan_numeric_gradient_fails(self, monkeypatch):
+        # A NaN loss at a coordinate the self-check does not retake, beside a finite analytic
+        # gradient: only the error's own finiteness check can fail it.
+        original = TR.StagedLoss.copies
+
+        def nan_second_coordinate(loss, decoder):
+            up, down = original(loss, decoder)
+            up[1] = math.nan
+            return up, down
+
+        monkeypatch.setattr(TR.StagedLoss, "copies", nan_second_coordinate)
         params = init_model(6, 2, tiny_variant(), seed=0)
         err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
                             {"alpha": 0, "beta": 1})
