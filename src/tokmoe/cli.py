@@ -251,8 +251,6 @@ def run_gradcheck(
     num_experts: int = 2, hidden: int = 3, vocab_size: int = 6, seed: int = 0,
 ) -> dict[str, dict[str, float]]:
     """Gradient-oracle sweep over every scheme x variant combination."""
-    if hidden > GRADCHECK_MAX_HIDDEN:
-        raise ConfigError(f"gradcheck refuses hidden size {hidden} > {GRADCHECK_MAX_HIDDEN}")
     samples, expert_of = _gradcheck_samples(vocab_size, num_experts)
     results: dict[str, dict[str, float]] = {}
     for scheme_name in SCHEME_NAMES:
@@ -268,6 +266,8 @@ def run_gradcheck(
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.experts < 1:
         raise UsageError("--experts must be at least 1")
+    if not 1 <= args.hidden <= GRADCHECK_MAX_HIDDEN:
+        raise UsageError(f"--hidden must be between 1 and {GRADCHECK_MAX_HIDDEN}")
     if args.vocab_size < 5:
         raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
     if args.seed < 0:

@@ -41,7 +41,7 @@ Conventions pinned here (tests rely on them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -50,8 +50,15 @@ from . import tensor as T
 from .tensor import Array, ParamSlot
 
 
+class ParamGroup:
+    """A dataclass whose ``ParamSlot`` fields, in declaration order, are its tensors in checkpoint order."""
+
+    def slots(self) -> list[ParamSlot]:
+        return [v for v in (getattr(self, f.name) for f in fields(self)) if isinstance(v, ParamSlot)]
+
+
 @dataclass
-class EmbeddingTable:
+class EmbeddingTable(ParamGroup):
     """Token embedding rows; lookup gradients scatter into the rows looked up."""
 
     matrix: ParamSlot  # (vocab_size, emb_size)
@@ -82,7 +89,7 @@ def rows(a: Array) -> Array:
 
 
 @dataclass
-class CellParams:
+class CellParams(ParamGroup):
     """Recurrent cell weights; ``kind`` picks the LSTM (G = 4) or GRU (G = 3) step."""
 
     kind: str         # "lstm" or "gru"
@@ -93,9 +100,6 @@ class CellParams:
     @property
     def hidden_size(self) -> int:
         return self.w_rec.value.shape[-2]
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.w_in, self.w_rec, self.bias]
 
 
 @dataclass
@@ -210,15 +214,12 @@ def cell_weights_backward(params: CellParams, xs: list[Array], trace: CellTrace,
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParamGroup):
     """Concatenation attention; per-decoder instances are never shared."""
 
     w: ParamSlot  # ([n,] 2*d_h, attn_size): encoder-hidden rows, then query rows
     b: ParamSlot  # ([n,] attn_size)
     v: ParamSlot  # ([n,] attn_size)
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.w, self.b, self.v]
 
 
 class AttentionMemory(NamedTuple):
@@ -298,12 +299,9 @@ def attention_weights_backward(
 
 
 @dataclass
-class OutputProjection:
+class OutputProjection(ParamGroup):
     u: ParamSlot  # ([n,] d_h, vocab_size)
     a: ParamSlot  # ([n,] vocab_size)
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.u, self.a]
 
 
 def project_to_vocab(proj: OutputProjection, state: Array) -> Array:

@@ -53,7 +53,7 @@ INIT_RANGE = 0.08  # uniform(-r, r) parameter initialization
 
 
 @dataclass
-class GatingParams:
+class GatingParams(L.ParamGroup):
     """Two-layer MLP over the concatenated decoder states and distributions.
 
     The MLP output is dotted with one learnable key vector per decoder;
@@ -66,19 +66,13 @@ class GatingParams:
     out_b: ParamSlot        # (gate_out,)
     expert_keys: ParamSlot  # (k+1, gate_out), one key row per decoder
 
-    def slots(self) -> list[ParamSlot]:
-        return [self.hidden_w, self.hidden_b, self.out_w, self.out_b, self.expert_keys]
-
 
 @dataclass
-class SchemeWeights:
+class SchemeWeights(L.ParamGroup):
     """Scheme S1's learnable loss weights: softmax mu over the k experts, sigmoid lambda."""
 
     mu_logits: ParamSlot    # (k,)
     lambda_logit: ParamSlot  # (1,)
-
-    def slots(self) -> list[ParamSlot]:
-        return [self.mu_logits, self.lambda_logit]
 
 
 @dataclass
@@ -128,17 +122,18 @@ class ModelParams:
 
     def tensors(self) -> list[ParamSlot]:
         """The tensors the model owns, stacked ones whole, in arena order."""
-        rest = [s for g in (self.gating, self.scheme_weights) if g is not None for s in g.slots()]
-        return [self.embedding.matrix, *self.encoder.slots(), *self.decoder_slots(), *rest]
+        groups = (self.embedding, self.encoder, self.decoder_cell, self.attention, self.projection,
+                  self.gating, self.scheme_weights)
+        return [s for g in groups if g is not None for s in g.slots()]
 
     def slots(self) -> list[ParamSlot]:
         """Every learnable tensor in checkpoint and init-draw order, one view per decoder of a stack."""
-        out = [self.embedding.matrix, *self.encoder.slots()]
+        out = [*self.embedding.slots(), *self.encoder.slots()]
         for l in range(self.num_decoders):
             out.extend(_view(s, f"{self.decoder_name(l)}.{s.name}", l) for s in self.decoder_slots())
         if self.gating is not None:
             g = self.gating
-            out.extend([g.hidden_w, g.hidden_b, g.out_w, g.out_b])
+            out.extend(g.slots()[:-1])  # all but the stacked expert keys, which come last
             out.extend(_view(g.expert_keys, f"gating.expert_key.{l}", l) for l in range(self.num_decoders))
         if self.scheme_weights is not None:
             out.extend(self.scheme_weights.slots())
@@ -460,6 +455,8 @@ class ForwardCache(NamedTuple):
     enc: Encoding
     input_ids: Array        # (T, B): BOS, then every gold token but the last, right-padded
     rows: tuple             # indexes the readout's (step, :, sample) rows in decoders.trace.hidden[1:]
+    targets: Array          # (N,): each readout row's gold token, the responses one after another
+    lengths: list[int]      # each of the B responses' length, so its count of readout rows
     decoders: Recurrence    # its traces are (T+1, k+1, B, ·)
     readout: Readout
 
@@ -480,7 +477,8 @@ def forward_teacher_forced(
     recur(params.embedding, rec, input_ids)
     sample, step = np.nonzero(valid.T)  # sample-major
     rows = (step, slice(None), sample)
-    return ForwardCache(enc, input_ids, rows, rec, readout(params, rec.trace.hidden[1:][rows]))
+    targets, lengths = np.concatenate(responses), [len(r) for r in responses]
+    return ForwardCache(enc, input_ids, rows, targets, lengths, rec, readout(params, rec.trace.hidden[1:][rows]))
 
 
 def readout_backward(params: ModelParams, cache: ForwardCache, d_dists: Array, d_combined: Array) -> Array:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
 from .layers import AttentionParams, CellParams
 from .model import (
+    ForwardCache,
     ModelParams,
     Readout,
     backward_teacher_forced,
@@ -169,28 +170,16 @@ def _nll_grad_seeds(dists: Array, targets: list[int], weight: float | Array) -> 
     return seeds
 
 
-class GroupInputs(NamedTuple):
-    """One group's teacher-forcing inputs and the rows its losses read."""
-
-    contexts: list[list[int]]
-    responses: list[list[int]]
-    targets: Array         # the responses' ids, one after another
-    lengths: list[int]
-    own: Array             # (B, k+1): each sample's ``ownership`` row
+def teacher_force(params: ModelParams, group: list[EncodedSample]) -> ForwardCache:
+    return forward_teacher_forced(params, [s.context_ids for s in group], [s.response_ids for s in group])
 
 
-def group_inputs(group: list[EncodedSample], expert_of: dict[str, int], num_decoders: int) -> GroupInputs:
-    responses = [s.response_ids for s in group]
-    own = np.array([ownership(s.intent, expert_of, num_decoders) for s in group])
-    return GroupInputs([s.context_ids for s in group], responses, np.concatenate(responses),
-                       [len(ids) for ids in responses], own)
-
-
-def group_loss(out: Readout, inputs: GroupInputs) -> tuple[Array, float]:
-    """A group's (k+1,) localized expert losses and its chair loss, from its readout."""
+def group_loss(out: Readout, cache: ForwardCache, own: Array) -> tuple[Array, float]:
+    """A group's (k+1,) localized expert losses and its chair loss, from a readout of the cache's
+    rows; ``own`` holds each sample's ``ownership`` row."""
     # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
-    expert = np.where(inputs.own, nll_sequence(out.dists, inputs.targets, inputs.lengths), 0.0).sum(axis=0)
-    return expert, nll_sequence(out.combined, inputs.targets, inputs.lengths).sum()
+    expert = np.where(own, nll_sequence(out.dists, cache.targets, cache.lengths), 0.0).sum(axis=0)
+    return expert, nll_sequence(out.combined, cache.targets, cache.lengths).sum()
 
 
 def summed_loss(losses: Iterable[tuple[Array, float]], mu: Array, lam: float) -> tuple[Array, float, float]:
@@ -219,16 +208,16 @@ def train_batch(
 
     def forward_backward(group: list[EncodedSample]) -> tuple[Array, float]:
         # One call per group: every array of a group dies before the next group's forward.
-        inputs = group_inputs(group, expert_of, params.num_decoders)
-        cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
-        out, targets = cache.readout, inputs.targets
+        own = np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group])
+        cache = teacher_force(params, group)
+        out, targets = cache.readout, cache.targets
         # The seeds, left unbound here, are freed after the readout backward.
         backward_teacher_forced(
             params, cache,
-            _nll_grad_seeds(out.dists, targets, lam * mu * np.repeat(inputs.own, inputs.lengths, axis=0)),
+            _nll_grad_seeds(out.dists, targets, lam * mu * np.repeat(own, cache.lengths, axis=0)),
             _nll_grad_seeds(out.combined, targets, 1.0 - lam),
         )
-        return group_loss(out, inputs)
+        return group_loss(out, cache, own)
 
     raw_expert, chair_total, total = summed_loss(map(forward_backward, groups(batch)), mu, lam)
 
@@ -415,9 +404,8 @@ def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -
     """Fraction of response tokens where argmax(combined) hits the target, one forward per group."""
     hits = 0
     for group in groups(samples):
-        contexts, responses = [s.context_ids for s in group], [s.response_ids for s in group]
-        chosen = forward_teacher_forced(params, contexts, responses).readout.combined.argmax(axis=-1)
-        hits += int(np.count_nonzero(chosen == np.concatenate(responses)))
+        cache = teacher_force(params, group)
+        hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == cache.targets))
     total = sum(len(s.response_ids) for s in samples)
     return hits / total if total else 0.0
 
@@ -445,10 +433,10 @@ STACK = 64
 class StagedLoss:
     """The summed loss of ``samples`` from ENCODE or READOUT on, over cached earlier stages.
 
-    Built from the model as it is: each group's inputs, ``ForwardCache`` and readout
-    state rows. ENCODE runs each group's full forward, READOUT its readout of the cached
-    rows, so either gives the full forward's value, bit for bit, while no changed value
-    is read before ``stage``. The RECURRENCE stage's losses come from ``copies``.
+    Built from the model as it is: each group's samples, ownership rows, ``ForwardCache``
+    and readout state rows. ENCODE runs each group's full forward, READOUT its readout of
+    the cached rows, so either gives the full forward's value, bit for bit, while no
+    changed value is read before ``stage``. The RECURRENCE stage's losses come from ``copies``.
     """
 
     def __init__(
@@ -459,16 +447,16 @@ class StagedLoss:
         self.stacked = [t for t in params.tensors() if FIRST_STAGE[t.name.split(".")[0]] == RECURRENCE]
         self.cached = []
         for group in groups(samples):
-            inputs = group_inputs(group, expert_of, params.num_decoders)
-            cache = forward_teacher_forced(params, inputs.contexts, inputs.responses)
-            self.cached.append((inputs, cache, cache.decoders.trace.hidden[1:][cache.rows]))
+            own = np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group])
+            cache = teacher_force(params, group)
+            self.cached.append((group, own, cache, cache.decoders.trace.hidden[1:][cache.rows]))
 
     def __call__(self, stage: int) -> float:
         params = self.params
         mu, lam = resolve_scheme_weights(self.scheme, params)
         return summed_loss((group_loss(readout(params, hidden) if stage == READOUT else
-                                       forward_teacher_forced(params, inputs.contexts, inputs.responses).readout, inputs)
-                            for inputs, _, hidden in self.cached), mu, lam)[2]
+                                       teacher_force(params, group).readout, cache, own)
+                            for group, own, cache, hidden in self.cached), mu, lam)[2]
 
     def copies(self, decoder: int) -> tuple[Array, Array]:
         """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each
@@ -495,13 +483,13 @@ class StagedLoss:
             cell = CellParams(params.decoder_cell.kind, *slots[:3])
             attention = None if params.attention is None else AttentionParams(*slots[3:])
             losses = [[] for _ in copies]
-            for inputs, cache, hidden in self.cached:
+            for _, own, cache, hidden in self.cached:
                 rec = decoders(cell, attention, cache.enc, len(cache.input_ids))
                 recur(params.embedding, rec, cache.input_ids)
                 for rows, copy_losses in zip(rec.trace.hidden[1:][cache.rows].swapaxes(0, 1), losses):
                     swapped = hidden.copy()
                     swapped[:, decoder] = rows
-                    copy_losses.append(group_loss(readout(params, swapped), inputs))
+                    copy_losses.append(group_loss(readout(params, swapped), cache, own))
             totals += [summed_loss(copy_losses, mu, lam)[2] for copy_losses in losses]
         return np.array(totals[0::2]), np.array(totals[1::2])
 

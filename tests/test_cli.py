@@ -147,52 +147,54 @@ def pin_corpus(workdir):
     return out
 
 
+def child_env(**variables):
+    """This process's environment plus ``variables``, for a fresh interpreter that imports
+    tokmoe from ``src``, without TOKMOE_SEED."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **variables,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("TOKMOE_SEED", None)
+    return env
+
+
+def pinned(function, **kwargs):
+    """``tests/pinned.py``'s ``function`` of ``kwargs``, taken in a fresh interpreter that runs
+    numpy and OpenBLAS under one CPU profile, so that the bits are those of any x86 host
+    with AVX2."""
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("pinned.py")), function, json.dumps(kwargs)],
+                          env=child_env(), capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestTrainedRunPinned:
     """A 2-epoch ``train --valid`` per scheme and variant, at hidden 8 and embedding 6 on
     3 intents x 12 samples, pinned to the byte: the sha256 of ``model.ckpt``, of the
-    manifest's history, of ``evaluate --json`` and of ``generate --trace``. A change meant
-    to alter the training arithmetic re-pins these digests and says so in CHANGES.md;
-    any other change keeps them."""
+    manifest's history, of ``evaluate --json`` and of ``generate --trace``, under the CPU
+    profile of ``tests/pinned.py``. A change meant to alter the training arithmetic re-pins
+    these digests and says so in CHANGES.md; any other change keeps them."""
 
     @pytest.mark.parametrize("flags,digests", [
         (["--scheme", "S1"], (
-            "d317de1a9c8bbc4f", "4f44df606f3394a9", "cf091004c8e7f09c", "99b98f41c4741836")),
+            "39d74d1a2eefe005", "583c5a0589c9f4ce", "cf091004c8e7f09c", "99b98f41c4741836")),
         (["--scheme", "S2"], (
-            "18b65daf38542f1d", "e78844266a500a13", "3156d51a458b9913", "6e3f3b6f05db1d59")),
+            "dc14a5c03e1db358", "540e00d96d177b7b", "3156d51a458b9913", "6e3f3b6f05db1d59")),
         (["--scheme", "S3"], (
-            "5bf8d43595ef8d4e", "2a61811fc722cf43", "3156d51a458b9913", "cb0258583cf181a6")),
+            "079a250b30b4c1e7", "e2982e0a016adcf3", "3156d51a458b9913", "cb0258583cf181a6")),
         (["--scheme", "S4"], (
-            "ba7dfb4a4b178c8a", "81c4dae324212d4d", "cf091004c8e7f09c", "99b98f41c4741836")),
+            "432b9c9dba9ad3ae", "d29a0c39a30848c9", "cf091004c8e7f09c", "99b98f41c4741836")),
         (["--scheme", "S3", "--single-module"], (
-            "e4ffb77be2e3b460", "cd3139f058c1c0a9", "3156d51a458b9913", "b4408cee7a769eca")),
+            "003b38794b932af4", "cd3139f058c1c0a9", "3156d51a458b9913", "b4408cee7a769eca")),
         (["--no-attention"], (
-            "85e4dd61cd27dafe", "5382545ed85f32b0", "84e661c671e8216f", "e5e1b30e68c8e994")),
+            "d68513a88a7f53ca", "7accca6a127a5f8e", "84e661c671e8216f", "e5e1b30e68c8e994")),
         (["--cell", "gru"], (
-            "672fffd9c9c7d7b5", "a3bf426b20aee512", "3156d51a458b9913", "cb0258583cf181a6")),
+            "75318b6a8deca036", "7d4c4c91ba87a326", "3156d51a458b9913", "cb0258583cf181a6")),
         # V3's preset is its width, so this run keeps hidden 100.
         (["--variant", "V3"], (
-            "22c84624682423f3", "f8cf5eab0bd00201", "cf091004c8e7f09c", "346b6861999c5333")),
+            "8775959bb88b5fbc", "91881eace7a47c16", "cf091004c8e7f09c", "346b6861999c5333")),
     ], ids=["S1", "S2", "S3", "S4", "S3-single-module", "no-attention", "gru", "V3"])
-    def test_outputs_pinned(self, pin_corpus, tmp_path, monkeypatch, capsys, flags, digests):
-        monkeypatch.delenv("TOKMOE_SEED", raising=False)
-        # A step size at which two epochs already move the scores and the generated tokens.
-        (tmp_path / "run.cfg").write_text("alpha = 0.1\n")
-        sizes = ["--embedding-size", "6"] + ([] if "V3" in flags else ["--hidden-size", "8"])
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(tmp_path / "run.cfg"), "--train", str(pin_corpus / "train.jsonl"),
-                     "--valid", str(pin_corpus / "valid.jsonl"), "--out", str(run), "--epochs", "2", "--seed", "5",
-                     "--batch-size", "8", "--max-gen-len", "12", *sizes, *flags]) == 0
-        checkpoint = str(run / "model.ckpt")
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", checkpoint, "--corpus", str(pin_corpus / "test.jsonl"),
-                     "--max-len", "12", "--json"]) == 0
-        evaluated = capsys.readouterr().out
-        context = " ".join(json.loads((pin_corpus / "test.jsonl").read_text().splitlines()[0])["context"])
-        assert main(["generate", "--checkpoint", checkpoint, "--context", context, "--max-len", "12", "--trace"]) == 0
-        history = json.loads((run / "manifest.json").read_text())["history"]
-        outputs = [(run / "model.ckpt").read_bytes(), json.dumps(history, sort_keys=True).encode(),
-                   evaluated.encode(), capsys.readouterr().out.encode()]
-        assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in outputs) == digests
+    def test_outputs_pinned(self, pin_corpus, tmp_path, flags, digests):
+        assert tuple(pinned("trained_run", corpus=str(pin_corpus), out=str(tmp_path), flags=flags)) == digests
 
 
 class TestEvaluate:
@@ -269,12 +271,12 @@ class TestGenerate:
 class TestGradcheckCommand:
     def test_oversized_hidden_refused(self, capsys):
         code = main(["gradcheck", "--hidden", "9"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error[config]")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[usage]")
 
     @pytest.mark.parametrize("flags", [
         ["--vocab-size", "4"], ["--vocab-size", "0"], ["--experts=-1"], ["--seed=-1"],
-        ["--experts", "0"],
+        ["--experts", "0"], ["--hidden", "0"], ["--hidden=-3"],
     ])
     def test_degenerate_sweep_is_usage_error(self, capsys, flags):
         code = main(["gradcheck", *flags])
@@ -297,13 +299,13 @@ class TestGradcheckCommand:
             run_gradcheck(num_experts=0, hidden=1, vocab_size=5)
 
     @pytest.mark.parametrize("kwargs,digest", [
-        ({"num_experts": 1, "hidden": 2, "vocab_size": 5, "seed": 1}, "890608c86ebed6d7"),
-        ({"seed": 1}, "63eec46411331c5f"),
+        ({"num_experts": 1, "hidden": 2, "vocab_size": 5, "seed": 1}, "958550b28d5cb06b"),
+        ({"seed": 1}, "fbc6e91e89980771"),
     ], ids=["k1-hidden2-vocab5", "default-seed1"])
     def test_result_bits_pinned(self, kwargs, digest):
-        # Every error's value and type as numpy 2 prints them: a faster way to take the
-        # same losses keeps these digests.
-        assert hashlib.sha256(repr(run_gradcheck(**kwargs)).encode()).hexdigest()[:16] == digest
+        # Every error's value and type as numpy 2 prints them, under the CPU profile of
+        # ``tests/pinned.py``: a faster way to take the same losses keeps these digests.
+        assert pinned("gradcheck", **kwargs) == digest
 
     def test_clean_run_exits_zero_with_four_scheme_lines(self, capsys):
         code = main(["gradcheck", "--experts", "1", "--hidden", "2", "--vocab-size", "5"])
@@ -703,17 +705,13 @@ def train_checkpoints_at_one_and_two_threads(tmp_path, synth_flags, train_flags)
     each in a fresh process that imports tokmoe before numpy."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), *synth_flags]) == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
     blobs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("TOKMOE_SEED", None)
         out = tmp_path / f"threads{threads}"
         subprocess.run(
             [sys.executable, "-m", "tokmoe.cli", "train", "--train", str(corpus / "train.jsonl"),
              "--out", str(out), "--epochs", "1", *train_flags],
-            env=env, check=True, capture_output=True, timeout=600,
+            env=child_env(OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, timeout=600,
         )
         blobs.append((out / "model.ckpt").read_bytes())
     return blobs

@@ -504,6 +504,24 @@ class TestGroupedTeacherForcing:
     """A group's padding adds nothing: its gradient is the finite-difference one, and each
     sample's readout and gradient match the sample teacher-forced alone."""
 
+    def test_cache_holds_its_rows_targets(self):
+        # The forward returns each readout row's gold token and each response's row count,
+        # so no caller rebuilds them from the responses.
+        params = init_model(6, 2, tiny_variant(), 3)  # a seed at which some argmaxes hit and some miss
+        group = mixed_group()
+        cache = forward_teacher_forced(params, [s.context_ids for s in group], [s.response_ids for s in group])
+        step, _, sample = cache.rows
+        assert cache.targets.tolist() == [group[b].response_ids[j] for j, b in zip(step, sample)]
+        assert cache.lengths == [len(s.response_ids) for s in group]
+        assert sum(cache.lengths) == len(cache.targets) == len(cache.readout.combined)
+        hits = 0
+        for s in group:
+            alone = forward_teacher_forced(params, [s.context_ids], [s.response_ids]).readout.combined
+            hits += int(np.count_nonzero(alone.argmax(axis=-1) == s.response_ids))
+        total = sum(len(s.response_ids) for s in group)
+        assert 0 < hits < total
+        assert TR.teacher_forced_accuracy(params, group) == hits / total
+
     @pytest.mark.parametrize("variant", list(VARIANTS))
     @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
     def test_padded_group_passes_grad_check(self, variant, scheme_name, num_experts):
