@@ -3,8 +3,9 @@
 Every command is deterministic given its flags, seed, and input files.
 ``train`` settings layer a ``key = value`` file, the flags given (each
 ``dest`` is a config key) and TOKMOE_SEED, later layers winning, and are all
-checked before any file is read. Errors print one ``error[<code>]: message``
-line on stderr; exit code 0 means success, 2 bad usage, 1 any other failure.
+checked before any file is read. Errors, the parser's own included, print one
+``error[<code>]: message`` line on stderr; exit code 0 means success, 2 bad
+usage, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NoReturn
 
 from . import checkpoint as ckpt
 from . import data as D
@@ -55,10 +57,6 @@ def _decode_and_score(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.intents < 2:
-        raise UsageError("--intents must be at least 2")
-    if args.per_intent < 1:
-        raise UsageError("--per-intent must be at least 1")
     spec = D.SynthSpec(
         intents=args.intents,
         shared_vocab=args.shared_vocab,
@@ -188,8 +186,6 @@ def _load_checkpoint(path: str) -> tuple[M.ModelParams, D.Vocabulary]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.max_len < 1:
-        raise UsageError("--max-len must be at least 1")
     corpus = D.load_corpus_jsonl(args.corpus)
     params, vocab = _load_checkpoint(args.checkpoint)
     report = _decode_and_score(params, vocab, D.encode_corpus(vocab, corpus), args.max_len)
@@ -202,8 +198,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.max_len < 1:
-        raise UsageError("--max-len must be at least 1")
     tokens = args.context.split()
     if not tokens:
         raise UsageError("context must contain at least one token")
@@ -264,14 +258,6 @@ def run_gradcheck(
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.experts < 1:
-        raise UsageError("--experts must be at least 1")
-    if not 1 <= args.hidden <= GRADCHECK_MAX_HIDDEN:
-        raise UsageError(f"--hidden must be between 1 and {GRADCHECK_MAX_HIDDEN}")
-    if args.vocab_size < 5:
-        raise UsageError("--vocab-size must be at least 5 (4 reserved ids plus one word)")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
     results = run_gradcheck(
         num_experts=args.experts, hidden=args.hidden, vocab_size=args.vocab_size, seed=args.seed,
     )
@@ -290,8 +276,24 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An integer flag's ``type=``, refusing a value below low or above high."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be at least {low}" if high is None else f"must be in {low}..{high}")
+        return value
+    parse.__name__ = "int"  # the type argparse names in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tokmoe",
         description="Token-level mixture-of-experts dialogue generator (desk scale)",
     )
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit a seeded synthetic multi-intent corpus")
     p.add_argument("--out", required=True, help="output directory for train/valid/test.jsonl")
-    p.add_argument("--intents", type=int, default=3)
-    p.add_argument("--per-intent", type=int, default=20, dest="per_intent")
+    p.add_argument("--intents", type=_int_in(2), default=3)
+    p.add_argument("--per-intent", type=_int_in(1), default=20, dest="per_intent")
     p.add_argument("--shared-vocab", type=int, default=14, dest="shared_vocab")
     p.add_argument("--per-intent-vocab", type=int, default=10, dest="per_intent_vocab")
     p.add_argument("--context-min", type=int, default=4, dest="context_min")
@@ -334,38 +336,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="greedy-decode a corpus and report metrics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--max-len", type=int, default=40, dest="max_len")
+    p.add_argument("--max-len", type=_int_in(1), default=40, dest="max_len")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="generate a response for one context")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--context", required=True, help="whitespace-tokenized context")
-    p.add_argument("--max-len", type=int, default=40, dest="max_len")
+    p.add_argument("--max-len", type=_int_in(1), default=40, dest="max_len")
     p.add_argument("--trace", action="store_true", help="print per-token gating weights")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient oracle, all schemes")
-    p.add_argument("--experts", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=3)
-    p.add_argument("--vocab-size", type=int, default=6, dest="vocab_size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--experts", type=_int_in(1), default=2)
+    p.add_argument("--hidden", type=_int_in(1, GRADCHECK_MAX_HIDDEN), default=3)
+    p.add_argument("--vocab-size", type=_int_in(5), default=6, dest="vocab_size", help="4 reserved ids and 1+ words")
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except TokmoeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1

@@ -42,6 +42,6 @@ class IntegrityError(TokmoeError):
 
 
 class UsageError(TokmoeError):
-    """Bad command-line usage detected outside argparse."""
+    """Bad command-line usage: a flag the parser refuses, or a command's own check."""
 
     code = "usage"

@@ -74,24 +74,8 @@ def _informed(sample: Sample, generated: list[str]) -> bool:
 
 
 def _successful(sample: Sample, generated: list[str]) -> bool:
-    if not _informed(sample, generated):
-        return False
     requested = sample.goal.requested if sample.goal is not None else []
-    return all(token in generated for token in requested)
-
-
-def inform_rate(samples: list[Sample], generated: list[list[str]]) -> float:
-    """Fraction of responses containing their goal's entity placeholder."""
-    if not samples:
-        raise DomainError("inform rate of an empty sample set")
-    return sum(_informed(s, g) for s, g in zip(samples, generated)) / len(samples)
-
-
-def success_rate(samples: list[Sample], generated: list[list[str]]) -> float:
-    """Fraction informed AND containing every requested placeholder."""
-    if not samples:
-        raise DomainError("success rate of an empty sample set")
-    return sum(_successful(s, g) for s, g in zip(samples, generated)) / len(samples)
+    return _informed(sample, generated) and all(token in generated for token in requested)
 
 
 def composite_score(inform_pct: float, success_pct: float, bleu_pct: float) -> float:
@@ -234,18 +218,19 @@ class MetricsReport:
 def build_report(
     samples: list[Sample], generated: list[list[str]]
 ) -> MetricsReport:
-    """Score every sample group: one row per intent plus the overall row."""
+    """One row per intent plus the overall row; a row's rates are means of per-sample indicators."""
     if len(samples) != len(generated):
         raise DomainError("sample/generation count mismatch")
+    if not samples:
+        raise DomainError("report of an empty sample set")
+    informed = [_informed(s, g) for s, g in zip(samples, generated)]
+    successful = [_successful(s, g) for s, g in zip(samples, generated)]
 
     def metrics_for(idx: list[int]) -> IntentMetrics:
-        subset = [samples[i] for i in idx]
-        gen = [generated[i] for i in idx]
-        refs = [s.response for s in subset]
         return IntentMetrics(
-            inform=inform_rate(subset, gen),
-            success=success_rate(subset, gen),
-            bleu=bleu_corpus(gen, refs),
+            inform=sum(informed[i] for i in idx) / len(idx),
+            success=sum(successful[i] for i in idx) / len(idx),
+            bleu=bleu_corpus([generated[i] for i in idx], [samples[i].response for i in idx]),
             count=len(idx),
         )
 

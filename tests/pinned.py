@@ -9,6 +9,8 @@ function's result as JSON:
 
     PYTHONPATH=src python tests/pinned.py <function> '<JSON keyword arguments>'
 
+``PYTHONPATH=src python tests/pinned.py profile '{}'`` prints the profile alone, as
+``[["X86_V3"], "Haswell"]``, or exits non-zero naming what numpy and OpenBLAS run instead.
 It needs the numpy wheel, whose bundled OpenBLAS reports the core it runs.
 """
 
@@ -81,4 +83,4 @@ if __name__ == "__main__":
     taken = profile()
     if taken != (["X86_V3"], "Haswell"):
         sys.exit(f"the CPU profile {PROFILE} did not take effect: numpy dispatches {taken[0]}, OpenBLAS runs {taken[1]}")
-    print(json.dumps({"trained_run": trained_run, "gradcheck": gradcheck}[sys.argv[1]](**json.loads(sys.argv[2]))))
+    print(json.dumps({"profile": profile, "trained_run": trained_run, "gradcheck": gradcheck}[sys.argv[1]](**json.loads(sys.argv[2]))))

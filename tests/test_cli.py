@@ -286,13 +286,6 @@ class TestGradcheckCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[usage]")
 
-    def test_epsilon_is_not_an_option(self, capsys):
-        # Every sweep steps by GRAD_CHECK_EPSILON, the step GRADCHECK_TOLERANCE is calibrated at.
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--epsilon", "1e-5"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
-
     def test_sweep_without_experts_cannot_pass(self):
         # No experts means no gradcheck samples: the sweep is refused, not reported as zeros.
         with pytest.raises(DomainError, match="no samples"):
@@ -346,6 +339,15 @@ def test_console_script_is_the_cli_main():
     assert scripts == {"tokmoe": "tokmoe.cli:main"}
     module, name = scripts["tokmoe"].split(":")
     assert getattr(importlib.import_module(module), name) is main
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gradcheck", "--help"]], ids=["tokmoe", "gradcheck"])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tokmoe") and captured.err == ""
 
 
 class Boundary:
@@ -554,6 +556,13 @@ BOUNDARY_CASES = [
                 "--max-len", "-2"]),
     ("gradcheck-vocab-size-4", 2, "usage", lambda c: ["gradcheck", "--vocab-size", "4"]),
     ("gradcheck-seed", 2, "usage", lambda c: ["gradcheck", "--seed", "-1"]),
+    # The parser's own refusals: one error line too, not argparse's usage text.
+    ("gradcheck-hidden-not-int", 2, "usage", lambda c: ["gradcheck", "--hidden", "x"]),
+    ("evaluate-without-checkpoint", 2, "usage", lambda c: ["evaluate", "--corpus", str(c.corpus / "test.jsonl")]),
+    ("train-scheme-s9", 2, "usage", lambda c: c.train("--scheme", "S9")),
+    ("no-command", 2, "usage", lambda c: []),
+    # Every sweep steps by GRAD_CHECK_EPSILON, the step GRADCHECK_TOLERANCE is calibrated at.
+    ("gradcheck-epsilon", 2, "usage", lambda c: ["gradcheck", "--epsilon", "1e-5"]),
 ]
 
 

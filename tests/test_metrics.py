@@ -76,28 +76,30 @@ def sample_with_goal(intent="hotel", entity="[hotel_id]", requested=()):
 
 
 class TestInformSuccess:
+    """Each behaviour of the per-sample indicators, read from ``build_report``'s rows."""
+
     def test_all_entities_present(self):
         samples = [sample_with_goal() for _ in range(3)]
         generated = [["here", "is", "[hotel_id]"]] * 3
-        assert MX.inform_rate(samples, generated) == 1.0
+        assert MX.build_report(samples, generated).overall.inform == 1.0
 
     def test_vacuous_goals_count_as_informed(self):
         samples = [Sample(["c"], ["r"], "general", None),
                    Sample(["c"], ["r"], "general", Goal(None, []))]
         generated = [["anything"], ["at", "all"]]
-        assert MX.inform_rate(samples, generated) == 1.0
-        assert MX.success_rate(samples, generated) == 1.0
+        overall = MX.build_report(samples, generated).overall
+        assert (overall.inform, overall.success) == (1.0, 1.0)
 
     def test_half_informed(self):
         samples = [sample_with_goal(), sample_with_goal()]
         generated = [["[hotel_id]"], ["nothing", "useful"]]
-        assert MX.inform_rate(samples, generated) == 0.5
+        assert MX.build_report(samples, generated).overall.inform == 0.5
 
     def test_missing_requested_blocks_success(self):
         samples = [sample_with_goal(requested=["[value_time]", "[value_price]"])]
         generated = [["[hotel_id]", "[value_time]"]]
-        assert MX.inform_rate(samples, generated) == 1.0
-        assert MX.success_rate(samples, generated) == 0.0
+        overall = MX.build_report(samples, generated).overall
+        assert (overall.inform, overall.success) == (1.0, 0.0)
 
     def test_success_never_exceeds_inform(self, rng):
         entities = ["[a_id]", "[b_id]", None]
@@ -108,15 +110,16 @@ class TestInformSuccess:
             for _ in range(8):
                 entity = entities[rng.integers(0, 3)]
                 requested = [t for t in requested_pool if rng.random() < 0.4]
-                samples.append(Sample(["c"], ["r"], "x", Goal(entity, requested)))
+                samples.append(Sample(["c"], ["r"], "xyz"[rng.integers(0, 3)], Goal(entity, requested)))
                 pool = ["w1", "w2", "[a_id]", "[b_id]"] + requested_pool
                 generated.append([pool[i] for i in rng.integers(0, len(pool), 5)])
-            assert MX.success_rate(samples, generated) <= MX.inform_rate(samples, generated)
+            report = MX.build_report(samples, generated)
+            for row in [report.overall, *report.per_intent.values()]:
+                assert row.success <= row.inform
 
-    @pytest.mark.parametrize("rate", [MX.inform_rate, MX.success_rate], ids=["inform", "success"])
-    def test_empty_sample_set_rejected(self, rate):
+    def test_empty_sample_set_rejected(self):
         with pytest.raises(DomainError):
-            rate([], [])
+            MX.build_report([], [])
 
 
 class TestCompositeScore:
@@ -248,3 +251,40 @@ class TestReport:
         assert payload["note"].startswith("inform/success")
         table = report.to_table()
         assert "hotel" in table and "overall" in table
+
+    def test_rows_match_per_sample_reference(self):
+        # Every row, overall and per intent, against a reference taken by slicing the samples.
+        rng = random.Random(11)
+        words = ["a", "b", "c", "[x_id]", "[y_id]", "[value_time]", "[value_price]"]
+
+        def informed(sample, gen):
+            return sample.goal is None or sample.goal.entity is None or sample.goal.entity in gen
+
+        def successful(sample, gen):
+            return informed(sample, gen) and all(t in gen for t in (sample.goal.requested if sample.goal else []))
+
+        def reference(pairs):
+            return MX.IntentMetrics(
+                inform=sum(informed(s, g) for s, g in pairs) / len(pairs),
+                success=sum(successful(s, g) for s, g in pairs) / len(pairs),
+                bleu=MX.bleu_corpus([g for _, g in pairs], [s.response for s, _ in pairs]),
+                count=len(pairs),
+            )
+
+        for _ in range(200):
+            samples, generated = [], []
+            for _ in range(rng.randint(1, 12)):
+                draw = rng.random()
+                goal = None if draw < 0.2 else Goal(
+                    None if draw < 0.4 else rng.choice(["[x_id]", "[y_id]"]),
+                    [t for t in ("[value_time]", "[value_price]") if rng.random() < 0.4])
+                response = [rng.choice(words) for _ in range(rng.randint(1, 8))]
+                samples.append(Sample(["c"], response, rng.choice(["hotel", "train", "taxi"]), goal))
+                generated.append([] if rng.random() < 0.15 else [rng.choice(words) for _ in range(rng.randint(1, 8))])
+            pairs = list(zip(samples, generated))
+            report = MX.build_report(samples, generated)
+            assert report.overall == reference(pairs)
+            assert report.per_intent == {
+                intent: reference([(s, g) for s, g in pairs if s.intent == intent])
+                for intent in {s.intent for s in samples}
+            }
