@@ -117,9 +117,10 @@ class TestInformSuccess:
             for row in [report.overall, *report.per_intent.values()]:
                 assert row.success <= row.inform
 
-    def test_empty_sample_set_rejected(self):
+    @pytest.mark.parametrize("rate", ["inform", "success"])
+    def test_empty_sample_set_rejected(self, rate):
         with pytest.raises(DomainError):
-            MX.build_report([], [])
+            getattr(MX.build_report([], []).overall, rate)
 
 
 class TestCompositeScore:
