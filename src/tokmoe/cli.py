@@ -303,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for train/valid/test.jsonl")
     p.add_argument("--intents", type=_int_in(2), default=3)
     p.add_argument("--per-intent", type=_int_in(1), default=20, dest="per_intent")
-    p.add_argument("--shared-vocab", type=int, default=14, dest="shared_vocab")
-    p.add_argument("--per-intent-vocab", type=int, default=10, dest="per_intent_vocab")
-    p.add_argument("--context-min", type=int, default=4, dest="context_min")
-    p.add_argument("--context-max", type=int, default=8, dest="context_max")
-    p.add_argument("--response-min", type=int, default=5, dest="response_min")
-    p.add_argument("--response-max", type=int, default=9, dest="response_max")
+    p.add_argument("--shared-vocab", type=_int_in(1), default=14, dest="shared_vocab")
+    p.add_argument("--per-intent-vocab", type=_int_in(1), default=10, dest="per_intent_vocab")
+    p.add_argument("--context-min", type=_int_in(1), default=4, dest="context_min")
+    p.add_argument("--context-max", type=_int_in(1), default=8, dest="context_max")
+    p.add_argument("--response-min", type=_int_in(1), default=5, dest="response_min")
+    p.add_argument("--response-max", type=_int_in(1), default=9, dest="response_max")
     p.add_argument("--seed", type=int, default=13)
     p.set_defaults(func=cmd_synth)
 

@@ -31,17 +31,19 @@ Conventions pinned here (tests rely on them):
 * Weight matrices are stored (input_width, output_width) and applied as
   ``x @ W``; a cell step takes its input projected, ``x @ w_in + bias``.
 * Every layer also runs a stack of independent copies at once: weights,
-  inputs and states with a leading axis of n copies. Along the copy axis
-  every result is bit-identical to running that copy alone; the decoders
-  use this, as do the gradient check's perturbed copies of one decoder, and
-  the encoder's one cell runs unstacked through the same loops of ``model``. Along the row axis a GEMM over R rows matches R
-  one-row products to about 1e-11 relative, not bitwise; with B = 1 every
-  product has the shape of the one-sequence step.
+  inputs and states with leading copy axes, which broadcast against one
+  another. Along those axes every result is bit-identical to running that
+  copy alone. The decoders are such a stack, and the gradient check stacks
+  copies of the whole model, each with one coordinate shifted: a copy axis
+  leads every weight group that a copy shifts and every state computed from
+  one. Along the row axis a GEMM over R rows matches R one-row products to
+  about 1e-11 relative, not bitwise; with B = 1 every product has the shape
+  of the one-sequence step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +58,11 @@ class ParamGroup:
     def slots(self) -> list[ParamSlot]:
         return [v for v in (getattr(self, f.name) for f in fields(self)) if isinstance(v, ParamSlot)]
 
+    def replaced(self, values: dict[str, Array]) -> "ParamGroup":
+        """A copy whose tensors named in ``values`` take those values, without gradients."""
+        return replace(self, **{f.name: ParamSlot(v.name, values[v.name], None) for f in fields(self)
+                                if isinstance(v := getattr(self, f.name), ParamSlot) and v.name in values})
+
 
 @dataclass
 class EmbeddingTable(ParamGroup):
@@ -65,14 +72,14 @@ class EmbeddingTable(ParamGroup):
 
     @property
     def vocab_size(self) -> int:
-        return self.matrix.value.shape[0]
+        return self.matrix.value.shape[-2]
 
     def lookup(self, token_ids) -> Array:
-        """The row of one id, or the (len, emb_size) rows of a sequence of ids."""
+        """The row of one id, or the ([n,] len, emb_size) rows of a sequence of ids."""
         ids = np.asarray(token_ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise IndexError(f"token ids {ids} outside vocabulary of size {self.vocab_size}")
-        return self.matrix.value[ids]
+        return np.take(self.matrix.value, ids, axis=-2)
 
     def lookup_backward(self, token_ids, grad: Array) -> None:
         # grad is ([n,] ids, emb_size); its rows add into the table in C order.
@@ -112,9 +119,10 @@ class CellTrace:
     aux: Array     # (T, [n,] B, d_h): tanh(cell) for LSTM, reset * h_prev for GRU
 
     @classmethod
-    def empty(cls, params: CellParams, steps: int, batch: int) -> "CellTrace":
-        """A trace of ``steps`` steps of ``batch`` rows from the all-zero initial state."""
-        lead = params.w_rec.value.shape[:-2]
+    def empty(cls, params: CellParams, steps: int, batch: int, lead: tuple = ()) -> "CellTrace":
+        """A trace of ``steps`` steps of ``batch`` rows from the all-zero initial state, for the
+        copies of the cell's weights and of ``lead``, the copy axes of what else its steps read."""
+        lead = np.broadcast_shapes(params.w_rec.value.shape[:-2], lead)
         state = (*lead, batch, params.hidden_size)
         return cls(np.zeros((steps + 1, *state)), np.zeros((steps + 1, *state)),
                    np.empty((steps, *lead, batch, params.w_rec.value.shape[-1])), np.empty((steps, *state)))
@@ -223,17 +231,17 @@ class AttentionParams(ParamGroup):
 
 
 class AttentionMemory(NamedTuple):
-    hiddens: Array  # (B, m, d_h), each row's context right-padded
+    hiddens: Array  # ([n,] B, m, d_h), each row's context right-padded
     keys: Array     # ([n,] B, m, attn_size): W_h^T h_i + b, the query-free part of each score
     mask: Array     # (B, m): 0 at each context's positions, -inf at its padding
 
 
 def attention_memory(params: AttentionParams, encoder_hiddens: Array, valid: Array) -> AttentionMemory:
-    """Project B contexts' (B, m, d_h) hiddens once, one GEMM per copy over all B*m rows;
+    """Project B contexts' ([n,] B, m, d_h) hiddens once, one GEMM per copy over all B*m rows;
     ``valid`` (B, m) marks each context's positions, False at its padding."""
     hiddens = np.ascontiguousarray(encoder_hiddens, dtype=np.float64)
-    batch, m, d_h = hiddens.shape
-    keys = hiddens.reshape(-1, d_h) @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
+    *lead, batch, m, d_h = hiddens.shape
+    keys = hiddens.reshape(*lead, -1, d_h) @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
     return AttentionMemory(hiddens, keys.reshape(*keys.shape[:-2], batch, m, -1), np.where(valid, 0.0, -np.inf))
 
 
@@ -248,9 +256,11 @@ class AttentionTrace:
     keys: Array | None   # ([n,] B, m, attn_size): d_keys, zeroed in a gradient trace (grads=True) only
 
     @classmethod
-    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int, grads=False) -> "AttentionTrace":
-        lead = (steps, *params.v.value.shape[:-1], len(memory.hiddens))
-        return cls(np.empty((*lead, memory.hiddens.shape[-1])), np.empty((*lead, memory.hiddens.shape[1])),
+    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int, grads=False,
+              lead: tuple | None = None) -> "AttentionTrace":
+        """A trace of ``steps`` steps for the weights' copies, or for ``lead``, those of the queries."""
+        lead = (steps, *(params.v.value.shape[:-1] if lead is None else lead), memory.hiddens.shape[-3])
+        return cls(np.empty((*lead, memory.hiddens.shape[-1])), np.empty((*lead, memory.hiddens.shape[-2])),
                    np.empty((*lead, params.v.value.shape[-1])), np.zeros(memory.keys.shape) if grads else None)
 
 

@@ -32,7 +32,7 @@ mutates the flat gradient arena (``ModelParams.grads``) single-threaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -110,7 +110,7 @@ class ModelParams:
 
     @property
     def num_decoders(self) -> int:
-        return self.projection.a.value.shape[0]
+        return self.projection.a.value.shape[-2]
 
     def decoder_name(self, index: int) -> str:
         return "chair" if index == self.num_decoders - 1 else f"expert.{index}"
@@ -120,11 +120,16 @@ class ModelParams:
         groups = (self.decoder_cell, self.attention, self.projection)
         return [s for g in groups if g is not None for s in g.slots()]
 
+    # The parameter groups, in arena order.
+    GROUPS = ("embedding", "encoder", "decoder_cell", "attention", "projection", "gating", "scheme_weights")
+
     def tensors(self) -> list[ParamSlot]:
         """The tensors the model owns, stacked ones whole, in arena order."""
-        groups = (self.embedding, self.encoder, self.decoder_cell, self.attention, self.projection,
-                  self.gating, self.scheme_weights)
-        return [s for g in groups if g is not None for s in g.slots()]
+        return [s for name in self.GROUPS if (g := getattr(self, name)) is not None for s in g.slots()]
+
+    def replaced(self, values: dict[str, Array]) -> "ModelParams":
+        """A model, with no arena, whose tensors named in ``values`` take those values."""
+        return replace(self, **{name: g.replaced(values) for name in self.GROUPS if (g := getattr(self, name))})
 
     def slots(self) -> list[ParamSlot]:
         """Every learnable tensor in checkpoint and init-draw order, one view per decoder of a stack."""
@@ -277,8 +282,8 @@ def recur(embedding: EmbeddingTable, rec: Recurrence, token_ids: Array) -> None:
     emb = embedding.lookup(token_ids.reshape(-1))
     gates = emb @ rec.cell.w_in.value[..., :emb.shape[-1], :] + rec.cell.bias.value[..., None, :]
     gates = gates.reshape(*gates.shape[:-2], *token_ids.shape, -1)
-    for j, gates_in in enumerate(gates.swapaxes(0, -3)):  # time first, like the traces
-        expert_step(rec, gates_in, j)
+    for j in range(len(token_ids)):
+        expert_step(rec, gates[..., j, :, :], j)
 
 
 def recur_backward(
@@ -324,7 +329,7 @@ def _padded(sequences: list, what: str) -> tuple[Array, Array]:
 
 class Encoding(NamedTuple):
     token_ids: Array                  # (m, B), right-padded
-    last: tuple[Array, Array]         # the (step, context) that wrote each context's final state
+    last: tuple                       # indexes the (B, [n,] d_h) final states, each at the step that wrote it
     trace: L.CellTrace                # hidden rows 1..m are the encoder hiddens
     valid: Array                      # (m, B): True at each context's tokens, False at its padding
 
@@ -333,9 +338,9 @@ def encode_context(params: ModelParams, contexts: list[list[int]]) -> Encoding:
     """Run the encoder over B contexts from the all-zero initial state. Steps past a
     context's end run on padding; nothing reads their states."""
     ids, valid = _padded(contexts, "encode an empty context")
-    trace = L.CellTrace.empty(params.encoder, *ids.shape)
+    trace = L.CellTrace.empty(params.encoder, *ids.shape, params.embedding.matrix.value.shape[:-2])
     recur(params.embedding, Recurrence(params.encoder, trace), ids)
-    return Encoding(ids, (valid.sum(axis=0) - 1, np.arange(len(contexts))), trace, valid)
+    return Encoding(ids, (valid.sum(axis=0) - 1, Ellipsis, np.arange(len(contexts)), slice(None)), trace, valid)
 
 
 def encode_backward(
@@ -353,16 +358,20 @@ def encode_backward(
 
 
 def decoders(cell: CellParams, attention: AttentionParams | None, enc: Encoding, steps: int) -> Recurrence:
-    """The recurrence of ``steps`` steps of a stack of decoders (the model's, or copies of
-    one), every decoder starting from the shared encoder final state. With attention, the
-    keys of all encoder hiddens are one GEMM per decoder."""
-    trace = L.CellTrace.empty(cell, steps, len(enc.last[1]))
-    trace.hidden[0] = enc.trace.hidden[1:][enc.last]
-    trace.cell[0] = enc.trace.cell[1:][enc.last]
+    """The recurrence of ``steps`` steps of the stack of decoders, every decoder starting
+    from the shared encoder final state. With attention, the keys of all encoder hiddens
+    are one GEMM per decoder. Copies of the encoding, of the cell or of attention step as
+    copies of the whole stack."""
+    # A stacked encoding's (n, 1) copy axes lead its rows' (B, m, d_h) hiddens.
+    memory = None if attention is None else L.attention_memory(
+        attention, np.moveaxis(enc.trace.hidden[1:], 0, -2), enc.valid.T)
+    lead = enc.trace.hidden.shape[1:-2] if memory is None else memory.keys.shape[:-3]
+    trace = L.CellTrace.empty(cell, steps, enc.valid.shape[1], lead)
+    trace.hidden[0], trace.cell[0] = (np.moveaxis(a[1:][enc.last], 0, -2) for a in (enc.trace.hidden, enc.trace.cell))
     if attention is None:
         return Recurrence(cell, trace)
-    memory = L.attention_memory(attention, enc.trace.hidden[1:].swapaxes(0, 1), enc.valid.T)
-    return Recurrence(cell, trace, attention, memory, L.AttentionTrace.empty(attention, memory, steps))
+    attn = L.AttentionTrace.empty(attention, memory, steps, lead=trace.hidden.shape[1:-2])
+    return Recurrence(cell, trace, attention, memory, attn)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +390,15 @@ def gate_weights(gating: GatingParams, hidden: Array, dists: Array) -> tuple[Arr
     """Normalized importance scores over all decoders (chair included).
 
     Input is the concatenation s_1 ++ p_1 ++ ... ++ s_{k+1} ++ p_{k+1} of
-    the ([T,] k+1, d_h) states and ([T,] k+1, V) distributions; the MLP query
-    is dotted with each decoder's key and the scores are softmax-normalized
-    over all k+1 decoders. All T rows go through each layer as one GEMM.
+    the ([T,] k+1, d_h) states and ([T,] k+1, V) distributions, or of (n, T, ...)
+    copies of them; the MLP query is dotted with each decoder's key and the scores
+    are softmax-normalized over all k+1 decoders. All T rows go through each layer
+    as one GEMM per copy.
     """
     gate_input = T.concat([hidden, dists]).reshape(hidden.shape[:-2] + (-1,))
     hidden_out = T.tanh(gate_input @ gating.hidden_w.value + gating.hidden_b.value)
     query = hidden_out @ gating.out_w.value + gating.out_b.value
-    beta = T.softmax(query @ gating.expert_keys.value.T)
+    beta = T.softmax(query @ gating.expert_keys.value.swapaxes(-1, -2))
     cache = GateCache(gate_input, hidden_out, query, beta, [hidden.shape[-1], dists.shape[-1]])
     return beta, cache
 
@@ -423,23 +433,25 @@ def chair_combine_backward(
 
 
 class Readout(NamedTuple):
-    dists: Array            # (T, k+1, V)
-    beta: Array             # (T, k+1)
-    combined: Array         # (T, V); without the mixture, a view of the chair's rows
+    dists: Array            # ([n,] T, k+1, V)
+    beta: Array             # ([n,] T, k+1)
+    combined: Array         # ([n,] T, V); without the mixture, a view of the chair's rows
     gate_cache: GateCache | None
 
 
 def readout(params: ModelParams, hidden: Array) -> Readout:
-    """Distributions, mixture weights and combined distribution of (T, k+1, d_h) states.
+    """Distributions, mixture weights and combined distribution of ([n,] T, k+1, d_h) states.
 
     A gated model weighs all decoders. A model without a gate (S3, or one
     decoder) selects the chair, which in single-decoder mode is the only
     decoder; beta is one-hot on it and the combined distribution IS its
-    distribution.
+    distribution. Copies of the states or of the readout's weights lead every array.
     """
     # The projection takes the decoder axis first: one GEMM per decoder over all T rows.
-    dists = L.project_to_vocab(params.projection, hidden.swapaxes(0, 1)).swapaxes(0, 1)
+    dists = L.project_to_vocab(params.projection, hidden.swapaxes(-3, -2)).swapaxes(-3, -2)
     if params.gating is not None:
+        if hidden.ndim < dists.ndim:  # copies of the projection read the same states
+            hidden = np.broadcast_to(hidden, dists.shape[:-1] + hidden.shape[-1:])
         beta, gate_cache = gate_weights(params.gating, hidden, dists)
         return Readout(dists, beta, chair_combine(dists, beta), gate_cache)
     beta = np.zeros(dists.shape[:-1])
@@ -454,7 +466,7 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
 class ForwardCache(NamedTuple):
     enc: Encoding
     input_ids: Array        # (T, B): BOS, then every gold token but the last, right-padded
-    rows: tuple             # indexes the readout's (step, :, sample) rows in decoders.trace.hidden[1:]
+    rows: tuple             # indexes the readout's (step, [n,] :, sample) rows in decoders.trace.hidden[1:]
     targets: Array          # (N,): each readout row's gold token, the responses one after another
     lengths: list[int]      # each of the B responses' length, so its count of readout rows
     decoders: Recurrence    # its traces are (T+1, k+1, B, ·)
@@ -469,16 +481,20 @@ def forward_teacher_forced(
     At step j every decoder consumes each sample's ground-truth token y_{j-1};
     ``readout`` then runs once over the N valid states, sample after sample.
     Its arrays are the result: ``cache.readout.dists`` (N, k+1, V), ``.beta``
-    (N, k+1), ``.combined`` (N, V); for one sample, N = T.
+    (N, k+1), ``.combined`` (N, V); for one sample, N = T. A model whose tensors
+    carry a copy axis (``training.copies``) teacher-forces every copy at once, and
+    the copy axis leads the readout's arrays.
     """
     enc = encode_context(params, contexts)
     input_ids, valid = _padded([[BOS_ID, *r][:len(r)] for r in responses], "teacher-force an empty response")
     rec = decoders(params.decoder_cell, params.attention, enc, len(input_ids))
     recur(params.embedding, rec, input_ids)
     sample, step = np.nonzero(valid.T)  # sample-major
-    rows = (step, slice(None), sample)
+    rows = (step, Ellipsis, sample, slice(None))
     targets, lengths = np.concatenate(responses), [len(r) for r in responses]
-    return ForwardCache(enc, input_ids, rows, targets, lengths, rec, readout(params, rec.trace.hidden[1:][rows]))
+    # The readout's rows come first (N, [n,] k+1, d_h); copies lead the readout.
+    hidden = rec.trace.hidden[1:][rows].swapaxes(0, -3)
+    return ForwardCache(enc, input_ids, rows, targets, lengths, rec, readout(params, hidden))
 
 
 def readout_backward(params: ModelParams, cache: ForwardCache, d_dists: Array, d_combined: Array) -> Array:

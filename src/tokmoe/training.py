@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -33,18 +34,13 @@ from . import tensor as T
 from .config import OptimizerConfig, SchemeConfig
 from .data import Corpus, EncodedSample, Sample
 from .errors import ConfigError, DataError, DomainError
-from .layers import AttentionParams, CellParams
 from .model import (
     ForwardCache,
     ModelParams,
-    Readout,
     backward_teacher_forced,
-    decoders,
     forward_teacher_forced,
-    readout,
-    recur,
 )
-from .tensor import Array, ParamSlot
+from .tensor import Array
 
 GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
 
@@ -73,14 +69,15 @@ def expert_index_map(intents: list[str]) -> dict[str, int]:
 # Scheme weights (mu, lambda)
 
 
-def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[Array, float]:
+def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[Array, float | Array]:
     """Full per-decoder weight vector (chair last) and lambda for one batch.
 
     The chair's term in the expert loss always carries the uniform 1/k
     weight; under S1 the k expert entries are the softmax of the model's mu
     logits and lambda is the sigmoid of its lambda logit. Single-decoder mode
     (``num_experts == 0``) trains on the chair loss alone: mu = [1],
-    lambda = 0. The model must have a gate exactly when the scheme mixes,
+    lambda = 0. Copies of S1's logits give a row of mu and a lambda per copy.
+    The model must have a gate exactly when the scheme mixes,
     and S1's logits when the scheme learns them (extra logits go unread);
     anything else is a ConfigError.
     """
@@ -94,8 +91,9 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
         weights = params.scheme_weights
         if weights is None:
             raise ConfigError(f"scheme {scheme.scheme} learns mu and lambda, but the model has no logits")
-        mu = np.concatenate([T.softmax(weights.mu_logits.value), [1.0 / k]])
-        return mu, float(T.sigmoid(weights.lambda_logit.value)[0])
+        mu = T.softmax(weights.mu_logits.value)
+        return np.concatenate([mu, np.full((*mu.shape[:-1], 1), 1.0 / k)], axis=-1), T.sigmoid(
+            weights.lambda_logit.value)[..., 0]
     return np.full(k + 1, 1.0 / k), float(scheme.lambda_value)
 
 
@@ -104,17 +102,24 @@ def resolve_scheme_weights(scheme: SchemeConfig, params: ModelParams) -> tuple[A
 
 
 def nll_sequence(dists: Array, targets, lengths) -> Array:
-    """Each response's sum of -log p[y], with the probability floor: one gather.
+    """Each response's sum of -log p[y], with the probability floor: one gather, one sum per length.
 
     ``targets`` hold B responses of the given ``lengths`` whose rows follow one
-    another. (N, V) rows give a (B,) array; an (N, k+1, V) readout gives a
-    (B, k+1) array, each decoder's own NLL. Each response's terms are summed
-    from its own contiguous row. A NaN probability is not floored, so it
+    another. (N, V) rows give a (B,) array; (N, ..., V) rows, such as an
+    (N, k+1, V) readout, a (B, ...) array: each decoder's own NLL. Each run of
+    equal lengths sums as one (..., b, n) view of the terms, so each response's
+    terms add as those of its own contiguous row would; a group sorted by length
+    has one run per distinct length. A NaN probability is not floored, so it
     yields a NaN sum.
     """
     p = np.asarray(dists)[np.arange(len(targets)), ..., targets]
     terms = -np.log(np.maximum(np.ascontiguousarray(p.T), T.PROB_FLOOR))
-    return np.array([terms[..., end - n:end].sum(axis=-1) for n, end in zip(lengths, np.cumsum(lengths))])
+    sums, row, col = np.empty((len(lengths), *p.shape[1:])), 0, 0
+    for n, run in groupby(lengths):
+        b = len(list(run))
+        sums[row:row + b] = terms[..., col:col + b * n].reshape(*terms.shape[:-1], b, n).sum(axis=-1).T
+        row, col = row + b, col + b * n
+    return sums
 
 
 def ownership(intent: str, expert_of: dict[str, int], num_decoders: int) -> Array:
@@ -170,26 +175,38 @@ def _nll_grad_seeds(dists: Array, targets: list[int], weight: float | Array) -> 
     return seeds
 
 
+def owned_groups(
+    samples: list[EncodedSample], expert_of: dict[str, int], num_decoders: int,
+) -> list[tuple[list[EncodedSample], Array]]:
+    """Each of ``groups(samples)`` with its (B, k+1) ``ownership`` rows."""
+    return [(group, np.array([ownership(s.intent, expert_of, num_decoders) for s in group]))
+            for group in groups(samples)]
+
+
 def teacher_force(params: ModelParams, group: list[EncodedSample]) -> ForwardCache:
     return forward_teacher_forced(params, [s.context_ids for s in group], [s.response_ids for s in group])
 
 
-def group_loss(out: Readout, cache: ForwardCache, own: Array) -> tuple[Array, float]:
-    """A group's (k+1,) localized expert losses and its chair loss, from a readout of the cache's
-    rows; ``own`` holds each sample's ``ownership`` row."""
+def group_loss(cache: ForwardCache, own: Array) -> tuple[Array, Array]:
+    """A group's (k+1,) localized expert losses and its chair loss, from its forward; ``own``
+    holds each sample's ``ownership`` row. Copies in the readout give ([n,] k+1) and ([n],)."""
+    # Rows first for the gather; the samples' sums stay outermost, so each copy adds them in order.
+    nll = nll_sequence(cache.readout.dists.swapaxes(0, -3), cache.targets, cache.lengths).swapaxes(0, -2)
     # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
-    expert = np.where(own, nll_sequence(out.dists, cache.targets, cache.lengths), 0.0).sum(axis=0)
-    return expert, nll_sequence(out.combined, cache.targets, cache.lengths).sum()
+    expert = np.where(own, nll, 0.0).sum(axis=-2)
+    chair = nll_sequence(cache.readout.combined.swapaxes(0, -2), cache.targets, cache.lengths).T
+    return expert, np.ascontiguousarray(chair).sum(axis=-1)
 
 
-def summed_loss(losses: Iterable[tuple[Array, float]], mu: Array, lam: float) -> tuple[Array, float, float]:
-    """The groups' ``group_loss`` results summed in order: raw expert losses, chair loss, total."""
-    raw_expert = np.zeros(len(mu))
+def summed_loss(losses: Iterable[tuple[Array, Array]], mu: Array, lam) -> tuple[Array, Array, Array]:
+    """The groups' ``group_loss`` results summed in order: raw expert losses, chair loss, total.
+    Copies in the losses or in the weights lead each result; mu . raw_expert is one dot per copy."""
+    raw_expert = np.zeros(mu.shape[-1])
     chair_total = 0.0
     for expert, chair in losses:
-        raw_expert += expert
-        chair_total += chair
-    return raw_expert, chair_total, loss_total(float(np.dot(mu, raw_expert)), chair_total, lam)
+        raw_expert = raw_expert + expert
+        chair_total = chair_total + chair
+    return raw_expert, chair_total, loss_total((mu[..., None, :] @ raw_expert[..., None])[..., 0, 0], chair_total, lam)
 
 
 def train_batch(
@@ -206,9 +223,8 @@ def train_batch(
     """
     mu, lam = resolve_scheme_weights(scheme, params)
 
-    def forward_backward(group: list[EncodedSample]) -> tuple[Array, float]:
+    def forward_backward(group: list[EncodedSample], own: Array) -> tuple[Array, Array]:
         # One call per group: every array of a group dies before the next group's forward.
-        own = np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group])
         cache = teacher_force(params, group)
         out, targets = cache.readout, cache.targets
         # The seeds, left unbound here, are freed after the readout backward.
@@ -217,9 +233,10 @@ def train_batch(
             _nll_grad_seeds(out.dists, targets, lam * mu * np.repeat(own, cache.lengths, axis=0)),
             _nll_grad_seeds(out.combined, targets, 1.0 - lam),
         )
-        return group_loss(out, cache, own)
+        return group_loss(cache, own)
 
-    raw_expert, chair_total, total = summed_loss(map(forward_backward, groups(batch)), mu, lam)
+    raw_expert, chair_total, total = summed_loss(
+        (forward_backward(*owned) for owned in owned_groups(batch, expert_of, params.num_decoders)), mu, lam)
 
     if scheme.learns_weights and params.num_experts > 0:
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
@@ -416,82 +433,55 @@ GRAD_CHECK_FLOOR = 1e-4
 GRAD_CHECK_EPSILON = 1e-5  # every central difference's step; the CLI's pass line is calibrated at it
 
 
-# The forward's stages in order. A stage reads the outputs of the stages before it,
-# and a coordinate's first stage is the first that reads its tensor.
-ENCODE, RECURRENCE, READOUT = range(3)
-# Keyed by module, the first part of a tensor's name. The decoders' recurrence reads
-# their cell and builds their attention keys; S1's logits weigh the readout's losses.
-FIRST_STAGE = {
-    "embedding": ENCODE, "encoder": ENCODE, "attn": RECURRENCE, "cell": RECURRENCE,
-    "proj": READOUT, "gating": READOUT, "scheme": READOUT,
-}
-# At most this many recurrence coordinates, so twice as many copies of a decoder, step
-# in one stack: it bounds the stack's memory at any width.
+# At most this many copies of the model step in one stack: it bounds the stack's memory at any width.
 STACK = 64
 
 
-class StagedLoss:
-    """The summed loss of ``samples`` from ENCODE or READOUT on, over cached earlier stages.
+def copies(params: ModelParams, coords: Array) -> ModelParams:
+    """The model as a stack of 2C copies, C = len(``coords``): copy 2i has the arena coordinate
+    ``coords[i]`` shifted by +``GRAD_CHECK_EPSILON`` and copy 2i+1 by -``GRAD_CHECK_EPSILON``.
 
-    Built from the model as it is: each group's samples, ownership rows, ``ForwardCache``
-    and readout state rows. ENCODE runs each group's full forward, READOUT its readout of
-    the cached rows, so either gives the full forward's value, bit for bit, while no
-    changed value is read before ``stage``. The RECURRENCE stage's losses come from ``copies``.
+    Each parameter group (the embedding, the encoder, the decoder cells, ...) that some copy
+    shifts gains a leading copy axis on all its tensors, followed by a unit axis where the
+    forward reads a tensor across an axis it lacks: the decoders read the embedding and the
+    encoder, and the gate's biases add to its rows. The other groups stay as they are and
+    broadcast, so the forward runs copies only from where they first differ, and each copy's
+    results are bit for bit its model's alone. Forward only: no gradients.
     """
+    at = np.repeat(coords, 2)
+    shifts = np.tile([GRAD_CHECK_EPSILON, -GRAD_CHECK_EPSILON], len(coords))
+    values, start = {}, 0
+    for name in params.GROUPS:
+        tensors = [] if getattr(params, name) is None else getattr(params, name).slots()
+        shifted = ((at >= start) & (at < start + sum(t.value.size for t in tensors))).any()
+        for t in tensors:
+            if shifted:
+                unit = name in ("embedding", "encoder") or (name == "gating" and t.value.ndim == 1)
+                value = np.broadcast_to(t.value, (len(at), *[1] * unit, *t.value.shape))
+                hit = np.flatnonzero((at >= start) & (at < start + t.value.size))
+                if hit.size:
+                    value = value.copy()
+                    value.reshape(len(at), -1)[hit, at[hit] - start] += shifts[hit]
+                values[t.name] = value
+            start += t.value.size
+    return params.replaced(values)
 
-    def __init__(
-        self, params: ModelParams, samples: list[EncodedSample], scheme: SchemeConfig, expert_of: dict[str, int],
-    ) -> None:
-        self.params, self.scheme = params, scheme
-        # The decoder cell's tensors, then attention's, as ``CellParams`` and ``AttentionParams`` take them.
-        self.stacked = [t for t in params.tensors() if FIRST_STAGE[t.name.split(".")[0]] == RECURRENCE]
-        self.cached = []
-        for group in groups(samples):
-            own = np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group])
-            cache = teacher_force(params, group)
-            self.cached.append((group, own, cache, cache.decoders.trace.hidden[1:][cache.rows]))
 
-    def __call__(self, stage: int) -> float:
-        params = self.params
-        mu, lam = resolve_scheme_weights(self.scheme, params)
-        return summed_loss((group_loss(readout(params, hidden) if stage == READOUT else
-                                       teacher_force(params, group).readout, cache, own)
-                            for group, own, cache, hidden in self.cached), mu, lam)[2]
+def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig):
+    """The summed loss of the ``owned_groups`` by full forwards: a float for the model, one
+    per copy for a stack of ``copies``."""
+    mu, lam = resolve_scheme_weights(scheme, params)
+    return summed_loss((group_loss(teacher_force(params, group), own) for group, own in owned), mu, lam)[2]
 
-    def copies(self, decoder: int) -> tuple[Array, Array]:
-        """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each
-        coordinate of one decoder's block: its slices of the recurrence's tensors, one after another.
 
-        ``STACK`` coordinates at a time, 2C copies of the block (copy 2i at +epsilon and
-        copy 2i+1 at -epsilon on coordinate i) step as one stack through the recurrence
-        over each group's cached encoding; each copy's state rows then stand in for the
-        decoder's cached rows in one readout. Along the copy axis every result is
-        bit-identical to the copy alone.
-        """
-        params = self.params
-        block = np.concatenate([t.value[decoder].ravel() for t in self.stacked])
-        bounds = np.cumsum([t.value[decoder].size for t in self.stacked])[:-1]
-        mu, lam = resolve_scheme_weights(self.scheme, params)
-        totals = []
-        for lo in range(0, block.size, STACK):
-            coords = np.arange(lo, min(lo + STACK, block.size))
-            copies = np.repeat(block[None], 2 * coords.size, axis=0)
-            copies[np.arange(len(copies)), coords.repeat(2)] += GRAD_CHECK_EPSILON * np.tile([1.0, -1.0], coords.size)
-            # Forward only: the copies have no gradients.
-            slots = [ParamSlot(t.name, np.ascontiguousarray(part).reshape(len(copies), *t.value.shape[1:]), None)
-                     for t, part in zip(self.stacked, np.split(copies, bounds, axis=1))]
-            cell = CellParams(params.decoder_cell.kind, *slots[:3])
-            attention = None if params.attention is None else AttentionParams(*slots[3:])
-            losses = [[] for _ in copies]
-            for _, own, cache, hidden in self.cached:
-                rec = decoders(cell, attention, cache.enc, len(cache.input_ids))
-                recur(params.embedding, rec, cache.input_ids)
-                for rows, copy_losses in zip(rec.trace.hidden[1:][cache.rows].swapaxes(0, 1), losses):
-                    swapped = hidden.copy()
-                    swapped[:, decoder] = rows
-                    copy_losses.append(group_loss(readout(params, swapped), cache, own))
-            totals += [summed_loss(copy_losses, mu, lam)[2] for copy_losses in losses]
-        return np.array(totals[0::2]), np.array(totals[1::2])
+def shifted_losses(
+    params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig, coords: Array,
+) -> tuple[Array, Array]:
+    """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena
+    coordinate of ``coords``, each a copy in a stack of at most ``STACK`` ``copies``."""
+    losses = np.concatenate([forward_loss(copies(params, coords[lo:lo + STACK // 2]), owned, scheme)
+                             for lo in range(0, len(coords), STACK // 2)])
+    return losses[0::2], losses[1::2]
 
 
 def grad_check(
@@ -504,12 +494,11 @@ def grad_check(
 
     Compares every coordinate of the parameter arena (S1's mu/lambda logits
     included), shifted by +-``GRAD_CHECK_EPSILON``, on the summed batch loss of a
-    tiny instance. Each decoder's cell and attention coordinates are copies of one
-    stacked recurrence (``StagedLoss.copies``); every other coordinate's loss is a
-    ``StagedLoss`` from its ``FIRST_STAGE`` on. The pass checks itself: the
-    +epsilon loss of the first coordinate of each READOUT tensor, and of the first
-    and the last coordinate of each decoder's block, is also taken from ENCODE, and
-    two losses that differ return ``math.inf``. No samples is a DomainError; any
+    tiny instance. Every shifted loss is one copy in a stack of at most
+    ``STACK`` ``copies`` (``shifted_losses``), the arena's coordinates in order.
+    The pass checks itself: the +epsilon loss of each tensor's first coordinate
+    is also taken from a plain full forward of the model, and one that differs
+    from its copy's returns ``math.inf``. No samples is a DomainError; any
     non-finite analytic gradient, numeric gradient or error returns ``math.inf``.
     """
     if not samples:
@@ -521,31 +510,15 @@ def grad_check(
     if not np.isfinite(analytic).all():
         return math.inf
 
-    loss = StagedLoss(params, samples, scheme, expert_of)
-
-    def shifted_loss(idx: int, step: float, stage: int) -> float:
+    owned = owned_groups(samples, expert_of, params.num_decoders)
+    up, down = shifted_losses(params, owned, scheme, np.arange(analytic.size))
+    for idx in np.cumsum([0, *[t.value.size for t in params.tensors()[:-1]]]):
         original = params.values[idx]
-        params.values[idx] = original + step
-        value = loss(stage)
+        params.values[idx] = original + GRAD_CHECK_EPSILON
+        checked = forward_loss(params, owned, scheme)
         params.values[idx] = original
-        return value
-
-    tensors = params.tensors()
-    sizes = [t.value.size for t in tensors]
-    stages = np.repeat([FIRST_STAGE[t.name.split(".")[0]] for t in tensors], sizes)
-    starts = np.cumsum([0, *sizes[:-1]])
-    up, down = np.empty(analytic.size), np.empty(analytic.size)
-    for idx in np.flatnonzero(stages != RECURRENCE):
-        up[idx] = shifted_loss(idx, GRAD_CHECK_EPSILON, stages[idx])
-        down[idx] = shifted_loss(idx, -GRAD_CHECK_EPSILON, stages[idx])
-    checked = [start for start in starts if stages[start] == READOUT]
-    for l in range(params.num_decoders):
-        block = np.concatenate([np.arange(start, start + t.value.size).reshape(t.value.shape)[l].ravel()
-                                for t, start in zip(tensors, starts) if stages[start] == RECURRENCE])
-        up[block], down[block] = loss.copies(l)
-        checked += [block[0], block[-1]]
-    if any(up[idx] != shifted_loss(idx, GRAD_CHECK_EPSILON, ENCODE) for idx in checked):
-        return math.inf
+        if checked != up[idx]:
+            return math.inf
     numeric = (up - down) / (2.0 * GRAD_CHECK_EPSILON)
     err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), GRAD_CHECK_FLOOR)
     if not np.isfinite(err).all():

@@ -294,7 +294,10 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("kwargs,digest", [
         ({"num_experts": 1, "hidden": 2, "vocab_size": 5, "seed": 1}, "958550b28d5cb06b"),
         ({"seed": 1}, "fbc6e91e89980771"),
-    ], ids=["k1-hidden2-vocab5", "default-seed1"])
+        ({"seed": 4}, "b930a16717278a88"),
+        ({"hidden": 5, "vocab_size": 9, "seed": 2}, "94569b99d65389b8"),
+        ({"num_experts": 3, "seed": 1}, "65347cb9974806ef"),  # CI's console-script sweep
+    ], ids=["k1-hidden2-vocab5", "default-seed1", "default-seed4", "hidden5-vocab9", "k3-seed1"])
     def test_result_bits_pinned(self, kwargs, digest):
         # Every error's value and type as numpy 2 prints them, under the CPU profile of
         # ``tests/pinned.py``: a faster way to take the same losses keeps these digests.
@@ -495,7 +498,10 @@ BOUNDARY_CASES = [
     ("evaluate-corpus-empty", 1, "data", lambda c: c.evaluate(corpus=c.file("empty.jsonl", ""))),
     # synth: each setting is checked, and the corpus drawn, before the output directory is made.
     ("synth-per-intent-0", 2, "usage", lambda c: ["synth", "--out", str(c.out), "--per-intent", "0"]),
-    ("synth-shared-vocab-0", 1, "domain", lambda c: ["synth", "--out", str(c.out), "--shared-vocab", "0"]),
+    ("synth-shared-vocab-0", 2, "usage", lambda c: ["synth", "--out", str(c.out), "--shared-vocab", "0"]),
+    ("synth-per-intent-vocab-0", 2, "usage", lambda c: ["synth", "--out", str(c.out), "--per-intent-vocab", "0"]),
+    ("synth-context-min-0", 2, "usage", lambda c: ["synth", "--out", str(c.out), "--context-min", "0"]),
+    ("synth-response-max-0", 2, "usage", lambda c: ["synth", "--out", str(c.out), "--response-max", "0"]),
     # Two intents of one exclusive word share one word: four one-word contexts for six samples.
     ("synth-no-fresh-context", 1, "domain",
      lambda c: ["synth", "--out", str(c.out), "--intents", "2", "--per-intent", "3", "--shared-vocab", "1",

@@ -12,6 +12,7 @@ import tokmoe.tensor as T
 import tokmoe.training as TR
 from tokmoe import OptimizerConfig, SchemeConfig, init_model
 from tokmoe.cli import GRADCHECK_MAX_HIDDEN, _gradcheck_samples, _gradcheck_variants
+from tokmoe.config import BOS_ID
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
 from tokmoe.errors import ConfigError, DataError, DomainError
 from tokmoe.model import backward_teacher_forced, forward_teacher_forced
@@ -100,6 +101,21 @@ class TestLossFunctions:
         targets = [int(t) for t in rng.integers(0, 11, steps)]
         per_column = [nll(dists[:, l], targets) for l in range(4)]
         assert nll(dists, targets).tolist() == per_column
+
+    @pytest.mark.parametrize("readout", [False, True], ids=["rows", "readout"])
+    def test_one_sum_per_length_is_each_responses_own_sum_bitwise(self, rng, readout):
+        # The responses of one length sum as one block, each as its own slice of the terms
+        # would: lengths 1-40 reach both sides of numpy's 8-term pairwise threshold.
+        for _ in range(200):
+            lengths = rng.choice(rng.integers(1, 41, 3), size=rng.integers(1, 9)).tolist()
+            rows = sum(lengths)
+            dists = rng.dirichlet(np.ones(7), size=(rows, 3) if readout else rows)
+            targets = rng.integers(0, 7, rows)
+            terms = -np.log(np.maximum(np.ascontiguousarray(dists[np.arange(rows), ..., targets].T), T.PROB_FLOOR))
+            reference = np.array([terms[..., end - n:end].sum(axis=-1) for n, end in zip(lengths, np.cumsum(lengths))])
+            got = TR.nll_sequence(dists, targets, lengths)
+            assert got.shape == reference.shape
+            assert got.view(np.int64).tolist() == reference.view(np.int64).tolist(), lengths
 
     def test_grad_seed_row_is_each_decoders_seeds_bitwise(self, rng):
         dists = rng.dirichlet(np.ones(6), size=(9, 3))
@@ -510,7 +526,7 @@ class TestGroupedTeacherForcing:
         params = init_model(6, 2, tiny_variant(), 3)  # a seed at which some argmaxes hit and some miss
         group = mixed_group()
         cache = forward_teacher_forced(params, [s.context_ids for s in group], [s.response_ids for s in group])
-        step, _, sample = cache.rows
+        step, _, sample, _ = cache.rows
         assert cache.targets.tolist() == [group[b].response_ids[j] for j, b in zip(step, sample)]
         assert cache.lengths == [len(s.response_ids) for s in group]
         assert sum(cache.lengths) == len(cache.targets) == len(cache.readout.combined)
@@ -614,8 +630,8 @@ class TestGroupMemory:
 
 
 class TestStackedLosses:
-    """Each decoder's cell and attention coordinates are perturbed as copies of one stacked
-    recurrence; every copy's loss is the full forward's of the same perturbation."""
+    """Every perturbed loss of the gradient check is one copy in a stack of copies of the
+    model; every copy's loss is the full forward's of the same perturbation."""
 
     @pytest.mark.parametrize("variant,scheme_name,num_experts,batch", [
         ("base", "S4", 2, "gradcheck"), ("V1", "S3", 2, "gradcheck"), ("V2", "S1", 2, "gradcheck"),
@@ -628,33 +644,33 @@ class TestStackedLosses:
             samples, expert_of = mixed_batch(TR.GROUP_SIZE + 3), {"alpha": 0, "beta": 1}
         else:
             samples, expert_of = _gradcheck_samples(6, 2)
-        loss = TR.StagedLoss(params, samples, scheme, expert_of)
-        assert len(loss.cached) == (2 if batch == "two-groups" else 1)
-        assert [t.name.split(".")[0] for t in loss.stacked] == ["cell"] * 3 + ["attn"] * 3 * (variant != "V1")
-        epsilon = TR.GRAD_CHECK_EPSILON
-        for decoder in range(params.num_decoders):
-            up, down = loss.copies(decoder)
-            full = []
-            for view in (t.value[decoder].reshape(-1) for t in loss.stacked):
-                for i, original in enumerate(view.copy()):
-                    for value in (original + epsilon, original - epsilon):
-                        view[i] = value
-                        full.append(loss(TR.ENCODE))
-                    view[i] = original
-            assert up.size > TR.STACK
-            assert np.column_stack([up, down]).tolist() == np.reshape(full, (-1, 2)).tolist(), decoder
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        assert len(owned) == (2 if batch == "two-groups" else 1)
+        # Every coordinate of the arena: every tensor kind, and many stacks of copies.
+        coords = np.arange(params.values.size)
+        assert coords.size > TR.STACK // 2
+        up, down = TR.shifted_losses(params, owned, scheme, coords)
+        full = []
+        for idx in coords:
+            original = params.values[idx]
+            for value in (original + TR.GRAD_CHECK_EPSILON, original - TR.GRAD_CHECK_EPSILON):
+                params.values[idx] = value
+                full.append(TR.forward_loss(params, owned, scheme))
+            params.values[idx] = original
+        assert np.column_stack([up, down]).tolist() == np.reshape(full, (-1, 2)).tolist()
 
     @pytest.mark.parametrize("copy", [0, 2])
     def test_fault_only_the_stack_sees_is_detected(self, monkeypatch, copy):
         # One copy's states move by 1e-9, and only in a stack of more copies than the model
-        # has decoders: no per-coordinate loss and no analytic gradient can see it. Copy 0
-        # is the self-checked first coordinate's +epsilon; copy 2 is the second coordinate's.
+        # has decoders: no per-coordinate loss and no analytic gradient can see it. A stack's
+        # traces are (T+1, copies, decoders or 1, B, d_h). Copy 0 of the first stack is the
+        # self-checked first coordinate's +epsilon; copy 2 of a stack is its second coordinate's.
         params = init_model(6, 2, tiny_variant(), seed=0)
         original = L.cell_step
 
         def shifted(cell, gates_in, trace, j):
             original(cell, gates_in, trace, j)
-            if trace.hidden.ndim == 4 and trace.hidden.shape[1] > params.num_decoders:
+            if trace.hidden.ndim == 5 and trace.hidden.shape[1] > params.num_decoders:
                 trace.hidden[j + 1, copy] += 1e-9
 
         monkeypatch.setattr(L, "cell_step", shifted)
@@ -662,9 +678,9 @@ class TestStackedLosses:
         assert err == math.inf if copy == 0 else err > 1e-4
 
     def test_peak_is_bounded_by_the_stack(self):
-        # Each coordinate of a stack holds two copies of the decoder's block: their weights
-        # twice (the copies, then each tensor's contiguous part), and their traces. All of a
-        # decoder's coordinates in one stack read about 6x this bound at this shape.
+        # A stack holds STACK copies of each group that its copies shift (at most the three
+        # decoders' cells, 0.98 MB at this shape) and the copies' traces: this run peaks near
+        # 2.4 MB. All 1,920 cell coordinates in one stack would copy the cells 3,840 times (59 MB).
         scheme = SchemeConfig.from_name("S4")
         params = init_model(6, 2, dict(_gradcheck_variants(GRADCHECK_MAX_HIDDEN))["base"], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
@@ -722,28 +738,26 @@ class TestGradCheck:
     @pytest.mark.parametrize("variant", [name for name, _ in _gradcheck_variants(3)])
     @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
     def test_staged_losses_are_full_losses(self, variant, scheme_name, num_experts):
-        # A loss recomputed from a tensor's first stage, over the unperturbed model's cached
-        # earlier stages, is bit for bit the full forward's and train_batch's. A recurrence
-        # tensor's loss is its copy's in the decoder's stacked pass.
+        # A loss taken as a copy in a stack is bit for bit the full forward's and train_batch's:
+        # the first and the last coordinate of every tensor, and an embedding row of an id in
+        # both the context and the response (4), of one in the response alone (3) and of BOS.
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
-        loss = TR.StagedLoss(params, samples, scheme, expert_of)
-        stacked = [loss.copies(decoder)[0] for decoder in range(params.num_decoders)]
-        for tensor in params.tensors():
-            stage = TR.FIRST_STAGE[tensor.name.split(".")[0]]
-            for index in (0, tensor.value.size - 1):
-                original = tensor.value.flat[index]
-                if stage == TR.RECURRENCE:
-                    decoder, offset = divmod(index, tensor.value[0].size)
-                    before = loss.stacked[:[t.name for t in loss.stacked].index(tensor.name)]
-                    staged = stacked[decoder][sum(t.value[0].size for t in before) + offset]
-                tensor.value.flat[index] = original + TR.GRAD_CHECK_EPSILON
-                if stage != TR.RECURRENCE:
-                    staged = loss(stage)
-                full = loss(TR.ENCODE)
-                assert staged == full == TR.train_batch(params, samples, scheme, expert_of).total, tensor.name
-                tensor.value.flat[index] = original
+        assert 4 in samples[0].context_ids and 4 in samples[0].response_ids
+        assert all(3 not in s.context_ids for s in samples) and 3 in samples[0].response_ids
+        width = params.embedding.matrix.value.shape[1]
+        coords = [BOS_ID * width, 3 * width, 4 * width + 1]
+        starts = np.cumsum([0, *[t.value.size for t in params.tensors()]])
+        coords += [index for lo, hi in zip(starts[:-1], starts[1:]) for index in (lo, hi - 1)]
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        up, _ = TR.shifted_losses(params, owned, scheme, np.array(coords))
+        for index, stacked in zip(coords, up):
+            original = params.values[index]
+            params.values[index] = original + TR.GRAD_CHECK_EPSILON
+            full = TR.forward_loss(params, owned, scheme)
+            assert stacked == full == TR.train_batch(params, samples, scheme, expert_of).total, index
+            params.values[index] = original
 
     def test_forward_only_dependency_detected(self, monkeypatch):
         # The encoding reads a gate bias that no backward knows of. The read is 0 at the
@@ -771,6 +785,21 @@ class TestGradCheck:
                             {"alpha": 0, "beta": 1})
         assert err > 1e-2
 
+    def test_corrupted_embedding_backward_detected(self, monkeypatch):
+        # One embedding row, of an id in both the contexts and the responses, takes 1.01x its
+        # gradient: only the embedding's copies, through the encoder and the decoders, see it.
+        original = L.EmbeddingTable.lookup_backward
+
+        def scaled(table, token_ids, grad):
+            before = table.matrix.grad[4].copy()
+            original(table, token_ids, grad)
+            table.matrix.grad[4] = before + 1.01 * (table.matrix.grad[4] - before)
+
+        monkeypatch.setattr(L.EmbeddingTable, "lookup_backward", scaled)
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+        assert err > 1e-4
+
     def test_nan_gradient_fails(self, monkeypatch):
         # max(worst, nan) would keep worst, so a NaN coordinate must fail on its own.
         original = L.project_backward
@@ -789,14 +818,14 @@ class TestGradCheck:
     def test_nan_numeric_gradient_fails(self, monkeypatch):
         # A NaN loss at a coordinate the self-check does not retake, beside a finite analytic
         # gradient: only the error's own finiteness check can fail it.
-        original = TR.StagedLoss.copies
+        original = TR.shifted_losses
 
-        def nan_second_coordinate(loss, decoder):
-            up, down = original(loss, decoder)
+        def nan_second_coordinate(*args):
+            up, down = original(*args)
             up[1] = math.nan
             return up, down
 
-        monkeypatch.setattr(TR.StagedLoss, "copies", nan_second_coordinate)
+        monkeypatch.setattr(TR, "shifted_losses", nan_second_coordinate)
         params = init_model(6, 2, tiny_variant(), seed=0)
         err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
                             {"alpha": 0, "beta": 1})
