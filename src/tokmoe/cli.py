@@ -320,17 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", dest="valid_path", help="validation corpus (jsonl)")
     p.add_argument("--test", dest="test_path", help="test corpus path recorded in the manifest")
     p.add_argument("--out", dest="out_dir", help="run directory")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-size", type=int, dest="hidden_size")
-    p.add_argument("--embedding-size", type=int, dest="embedding_size")
+    p.add_argument("--epochs", type=_int_in(1))
+    p.add_argument("--seed", type=_int_in(0))
+    p.add_argument("--hidden-size", type=_int_in(1), dest="hidden_size")
+    p.add_argument("--embedding-size", type=_int_in(1), dest="embedding_size")
     p.add_argument("--cell", choices=("lstm", "gru"), dest="cell_kind")
     p.add_argument("--no-attention", action="store_false", default=None, dest="attention_enabled")
     p.add_argument("--single-module", action="store_true", default=None, dest="single_module",
                    help="one decoder, no mixture (scheme S3 only)")
-    p.add_argument("--vocab-cap", type=int, dest="vocab_cap")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--max-gen-len", type=int, dest="max_gen_len")
+    p.add_argument("--vocab-cap", type=_int_in(5), dest="vocab_cap")
+    p.add_argument("--batch-size", type=_int_in(1), dest="batch_size")
+    p.add_argument("--max-gen-len", type=_int_in(1), dest="max_gen_len")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="greedy-decode a corpus and report metrics")

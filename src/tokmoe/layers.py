@@ -33,12 +33,13 @@ Conventions pinned here (tests rely on them):
 * Every layer also runs a stack of independent copies at once: weights,
   inputs and states with leading copy axes, which broadcast against one
   another. Along those axes every result is bit-identical to running that
-  copy alone. The decoders are such a stack, and the gradient check stacks
-  copies of the whole model, each with one coordinate shifted: a copy axis
-  leads every weight group that a copy shifts and every state computed from
-  one. Along the row axis a GEMM over R rows matches R one-row products to
-  about 1e-11 relative, not bitwise; with B = 1 every product has the shape
-  of the one-sequence step.
+  copy alone. The decoders are such a stack. The gradient check stacks copies
+  of the model, each with one coordinate shifted: a copy of a decoder's cell or
+  attention is one more decoder after the k+1, and one (C, k+1) index gathers
+  each copy's k+1 rows for the readout; any other copy axis leads every weight
+  group that a copy shifts and every state computed from one. Along the row
+  axis a GEMM over R rows matches R one-row products to about 1e-11 relative,
+  not bitwise; with B = 1 every product has the shape of the one-sequence step.
 """
 
 from __future__ import annotations

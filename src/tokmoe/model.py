@@ -93,6 +93,7 @@ class ModelParams:
     variant: VariantConfig
     num_experts: int                      # k; 0 means single-decoder mode
     scheme_weights: SchemeWeights | None = None  # S1's mu/lambda logits; None for fixed weights
+    copy_rows: Array | None = None        # a stack of decoders' rows of each copy, (copies, k+1) (training.copies)
     values: Array = field(init=False)     # every learnable value, in tensors() order
     grads: Array = field(init=False)      # their gradients, in the same layout
 
@@ -127,9 +128,9 @@ class ModelParams:
         """The tensors the model owns, stacked ones whole, in arena order."""
         return [s for name in self.GROUPS if (g := getattr(self, name)) is not None for s in g.slots()]
 
-    def replaced(self, values: dict[str, Array]) -> "ModelParams":
-        """A model, with no arena, whose tensors named in ``values`` take those values."""
-        return replace(self, **{name: g.replaced(values) for name in self.GROUPS if (g := getattr(self, name))})
+    def replaced(self, values: dict[str, dict[str, Array]], copy_rows: Array | None = None) -> "ModelParams":
+        """A model, with no arena, whose groups named in ``values`` take the values of the tensors named there."""
+        return replace(self, copy_rows=copy_rows, **{g: getattr(self, g).replaced(v) for g, v in values.items()})
 
     def slots(self) -> list[ParamSlot]:
         """Every learnable tensor in checkpoint and init-draw order, one view per decoder of a stack."""
@@ -449,6 +450,8 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
     """
     # The projection takes the decoder axis first: one GEMM per decoder over all T rows.
     dists = L.project_to_vocab(params.projection, hidden.swapaxes(-3, -2)).swapaxes(-3, -2)
+    if params.copy_rows is not None:  # a stack of decoders: each copy's k+1 rows, copies first
+        hidden, dists = (a[..., params.copy_rows, :].swapaxes(-4, -3) for a in (hidden, dists))
     if params.gating is not None:
         if hidden.ndim < dists.ndim:  # copies of the projection read the same states
             hidden = np.broadcast_to(hidden, dists.shape[:-1] + hidden.shape[-1:])

@@ -40,7 +40,7 @@ from .model import (
     backward_teacher_forced,
     forward_teacher_forced,
 )
-from .tensor import Array
+from .tensor import Array, ParamSlot
 
 GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
 
@@ -435,36 +435,51 @@ GRAD_CHECK_EPSILON = 1e-5  # every central difference's step; the CLI's pass lin
 
 # At most this many copies of the model step in one stack: it bounds the stack's memory at any width.
 STACK = 64
+# A shift in these groups moves one decoder, so ``copies`` stacks their coordinates as decoders.
+RECURRENT = ("decoder_cell", "attention")
 
 
-def copies(params: ModelParams, coords: Array) -> ModelParams:
+def _arena(params: ModelParams) -> tuple[list[tuple[str, ParamSlot]], Array]:
+    """Each tensor in arena order with its group's name, and the tensors' offsets, then the end."""
+    tensors = [(name, t) for name in params.GROUPS if (g := getattr(params, name)) is not None for t in g.slots()]
+    return tensors, np.cumsum([0, *[t.value.size for _, t in tensors]])
+
+
+def copies(params: ModelParams, coords: Array, arena: tuple | None = None) -> ModelParams:
     """The model as a stack of 2C copies, C = len(``coords``): copy 2i has the arena coordinate
     ``coords[i]`` shifted by +``GRAD_CHECK_EPSILON`` and copy 2i+1 by -``GRAD_CHECK_EPSILON``.
 
-    Each parameter group (the embedding, the encoder, the decoder cells, ...) that some copy
-    shifts gains a leading copy axis on all its tensors, followed by a unit axis where the
-    forward reads a tensor across an axis it lacks: the decoders read the embedding and the
-    encoder, and the gate's biases add to its rows. The other groups stay as they are and
-    broadcast, so the forward runs copies only from where they first differ, and each copy's
-    results are bit for bit its model's alone. Forward only: no gradients.
+    If every coordinate is in the ``RECURRENT`` groups, each copy is one more decoder: the cells',
+    attention's and projection's decoder axis holds the k+1 decoders, then each copy's shifted
+    one, and the readout gathers each copy's k+1 rows by the (2C, k+1) index ``copy_rows``.
+    Otherwise each group that some copy shifts gains a leading copy axis on all its tensors,
+    then a unit axis where the forward reads a tensor across an axis it lacks (the decoders
+    read the embedding and the encoder, the gate's biases add to its rows); the other groups
+    broadcast. So the forward runs copies only from where they first differ, and each copy's
+    results are bit for bit its model's alone. Forward only; ``arena`` is ``_arena(params)``.
     """
     at = np.repeat(coords, 2)
     shifts = np.tile([GRAD_CHECK_EPSILON, -GRAD_CHECK_EPSILON], len(coords))
-    values, start = {}, 0
-    for name in params.GROUPS:
-        tensors = [] if getattr(params, name) is None else getattr(params, name).slots()
-        shifted = ((at >= start) & (at < start + sum(t.value.size for t in tensors))).any()
-        for t in tensors:
-            if shifted:
-                unit = name in ("embedding", "encoder") or (name == "gating" and t.value.ndim == 1)
-                value = np.broadcast_to(t.value, (len(at), *[1] * unit, *t.value.shape))
-                hit = np.flatnonzero((at >= start) & (at < start + t.value.size))
-                if hit.size:
-                    value = value.copy()
-                    value.reshape(len(at), -1)[hit, at[hit] - start] += shifts[hit]
-                values[t.name] = value
-            start += t.value.size
-    return params.replaced(values)
+    tensors, starts = arena or _arena(params)
+    tensor = np.searchsorted(starts, at, side="right") - 1
+    row, col, copy_rows, hit = np.arange(len(at)), at - starts[tensor], None, set(tensor.tolist())
+    groups = {tensors[i][0] for i in hit}
+    if groups <= set(RECURRENT):
+        n = params.num_decoders
+        decoder, col = np.divmod(col, (starts[tensor + 1] - starts[tensor]) // n)
+        index, row, groups = np.concatenate([np.arange(n), decoder]), n + row, {*RECURRENT, "projection"}
+        copy_rows = np.where(np.arange(n) == decoder[:, None], row[:, None], np.arange(n))
+    values: dict[str, dict[str, Array]] = {}
+    for i, (name, t) in enumerate(tensors):
+        if name in groups:
+            unit = name in ("embedding", "encoder") or (name == "gating" and t.value.ndim == 1)
+            value = np.take(t.value, index, axis=0) if copy_rows is not None else np.broadcast_to(
+                t.value, (len(at), *[1] * unit, *t.value.shape))
+            if i in hit:
+                value, mine = value if value.flags.writeable else value.copy(), tensor == i
+                value.reshape(len(value), -1)[row[mine], col[mine]] += shifts[mine]
+            values.setdefault(name, {})[t.name] = value
+    return params.replaced(values, copy_rows)
 
 
 def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig):
@@ -478,9 +493,13 @@ def shifted_losses(
     params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig, coords: Array,
 ) -> tuple[Array, Array]:
     """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena
-    coordinate of ``coords``, each a copy in a stack of at most ``STACK`` ``copies``."""
-    losses = np.concatenate([forward_loss(copies(params, coords[lo:lo + STACK // 2]), owned, scheme)
-                             for lo in range(0, len(coords), STACK // 2)])
+    coordinate of ``coords``, each a copy in a stack of at most ``STACK`` ``copies``; a stack
+    ends where ``coords`` enter or leave the ``RECURRENT`` groups, whose copies stack as decoders."""
+    tensors, starts = _arena(params)
+    recurrent = np.array([name in RECURRENT for name, _ in tensors])[np.searchsorted(starts, coords, "right") - 1]
+    losses = np.concatenate([forward_loss(copies(params, part[lo:lo + STACK // 2], (tensors, starts)), owned, scheme)
+                             for part in np.split(coords, np.flatnonzero(np.diff(recurrent)) + 1)
+                             for lo in range(0, len(part), STACK // 2)])
     return losses[0::2], losses[1::2]
 
 
@@ -494,11 +513,11 @@ def grad_check(
 
     Compares every coordinate of the parameter arena (S1's mu/lambda logits
     included), shifted by +-``GRAD_CHECK_EPSILON``, on the summed batch loss of a
-    tiny instance. Every shifted loss is one copy in a stack of at most
-    ``STACK`` ``copies`` (``shifted_losses``), the arena's coordinates in order.
-    The pass checks itself: the +epsilon loss of each tensor's first coordinate
-    is also taken from a plain full forward of the model, and one that differs
-    from its copy's returns ``math.inf``. No samples is a DomainError; any
+    tiny instance. Every shifted loss is one copy in a stack of at most ``STACK``
+    ``copies`` (``shifted_losses``): a copy of a decoder's cell or attention is one more
+    decoder, any other copy leads a copy axis. The pass checks itself: the +epsilon loss
+    of each tensor's first coordinate is also taken from a plain full forward, and one
+    that differs from its copy's returns ``math.inf``. No samples is a DomainError; any
     non-finite analytic gradient, numeric gradient or error returns ``math.inf``.
     """
     if not samples:

@@ -445,16 +445,16 @@ BOUNDARY_CASES = [
     ("unknown-variant", 1, "config", lambda c: c.config("variant = V9\n")),
     ("unknown-key", 1, "config", lambda c: c.config("dropout = 0.1\n")),
     ("bad-boolean", 1, "config", lambda c: c.config("single_module = maybe\n")),
-    ("batch-size-0", 1, "config", lambda c: c.train("--batch-size", "0")),
-    ("hidden-size-0", 1, "config", lambda c: c.train("--hidden-size", "0")),
-    ("vocab-cap-3", 1, "config", lambda c: c.train("--vocab-cap", "3")),
-    ("max-gen-len-flag", 1, "config", lambda c: c.train("--max-gen-len", "0")),
+    ("batch-size-0", 2, "usage", lambda c: c.train("--batch-size", "0")),
+    ("hidden-size-0", 2, "usage", lambda c: c.train("--hidden-size", "0")),
+    ("vocab-cap-3", 2, "usage", lambda c: c.train("--vocab-cap", "3")),
+    ("max-gen-len-flag", 2, "usage", lambda c: c.train("--max-gen-len", "0")),
     ("max-gen-len-config", 1, "config", lambda c: c.config("max_gen_len = 0\n")),
-    ("seed-flag", 1, "config", lambda c: c.train("--seed", "-1")),
+    ("seed-flag", 2, "usage", lambda c: c.train("--seed", "-1")),
     ("seed-config", 1, "config", lambda c: c.config("seed = -1\n")),
     ("seed-env-negative", 1, "config", lambda c: c.env_seed("-5")),
     ("seed-env-not-int", 1, "config", lambda c: c.env_seed("abc")),
-    ("epochs-0", 1, "config", lambda c: c.train("--epochs", "0")),
+    ("epochs-0", 2, "usage", lambda c: c.train("--epochs", "0")),
     ("alpha-nan", 1, "config", lambda c: c.config("alpha = nan\n")),
     ("epsilon-0", 1, "config", lambda c: c.config("epsilon = 0\n")),
     ("l2-negative", 1, "config", lambda c: c.config("l2_weight = -1e-5\n")),
@@ -469,7 +469,7 @@ BOUNDARY_CASES = [
      lambda c: ["train", "--config", c.file("run.cfg", "epochs = ten\n"), "--out", str(c.out)]),
     ("train-path-unset", 1, "config", lambda c: ["train", "--out", str(c.out)]),
     ("settings-before-files", 1, "config",
-     lambda c: c.train("--batch-size", "0", corpus=str(c.tmp / "missing.jsonl"))),
+     lambda c: c.train("--config", c.file("run.cfg", "batch_size = 0\n"), corpus=str(c.tmp / "missing.jsonl"))),
     # Files.
     ("config-not-utf8", 1, "parse", lambda c: c.config(b"seed = 1\xff\n")),
     ("config-duplicate-key", 1, "parse", lambda c: c.config("seed = 1\nseed = 2\n")),

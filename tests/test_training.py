@@ -662,9 +662,9 @@ class TestStackedLosses:
     @pytest.mark.parametrize("copy", [0, 2])
     def test_fault_only_the_stack_sees_is_detected(self, monkeypatch, copy):
         # One copy's states move by 1e-9, and only in a stack of more copies than the model
-        # has decoders: no per-coordinate loss and no analytic gradient can see it. A stack's
-        # traces are (T+1, copies, decoders or 1, B, d_h). Copy 0 of the first stack is the
-        # self-checked first coordinate's +epsilon; copy 2 of a stack is its second coordinate's.
+        # has decoders: no per-coordinate loss and no analytic gradient can see it. A stack with
+        # a copy axis has (T+1, copies, decoders or 1, B, d_h) traces. Copy 0 of the first stack
+        # is the self-checked first coordinate's +epsilon; copy 2 of a stack is its second's.
         params = init_model(6, 2, tiny_variant(), seed=0)
         original = L.cell_step
 
@@ -676,6 +676,40 @@ class TestStackedLosses:
         monkeypatch.setattr(L, "cell_step", shifted)
         err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
         assert err == math.inf if copy == 0 else err > 1e-4
+
+    def test_fault_in_the_shifted_decoders_is_detected(self, monkeypatch):
+        # A stack of decoders has (T+1, k+1 + copies, B, d_h) traces: only the rows of its shifted
+        # decoders (decoder axis k+1 on) move by 1e-9, which no plain forward and no analytic
+        # gradient runs. The move cancels in each central difference, so the self-check of
+        # cell.w_in's first coordinate, in the first such stack, must catch it.
+        params = init_model(6, 2, tiny_variant(), seed=0)
+        n = params.num_decoders
+        original = L.cell_step
+
+        def shifted(cell, gates_in, trace, j):
+            original(cell, gates_in, trace, j)
+            if trace.hidden.ndim == 4 and trace.hidden.shape[1] > n:
+                trace.hidden[j + 1, n:] += 1e-9
+
+        monkeypatch.setattr(L, "cell_step", shifted)
+        err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+        assert err == math.inf or err > 1e-4
+
+    def test_stack_of_decoders_copies_one_decoder_per_copy(self):
+        # 32 cell.w_in coordinates are 64 copies, each of one decoder's slices of the cells,
+        # attention and projection, on a decoder axis after the model's k+1 decoders. A
+        # leading copy axis would copy all k+1 decoders' w_in 64 times, 2.4x this bound here.
+        params = init_model(6, 2, tiny_variant(hidden_size=16, embedding_size=128, attn_size=16), 0)
+        one = sum(t.value[0].nbytes for t in params.decoder_slots())
+        start = sum(t.value.size for t in (*params.embedding.slots(), *params.encoder.slots()))
+        tracemalloc.start()
+        try:
+            stack = TR.copies(params, np.arange(start, start + TR.STACK // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (TR.STACK + params.num_decoders) * one + (1 << 17)
+        assert stack.decoder_cell.w_in.value.shape[0] == params.num_decoders + TR.STACK
 
     def test_peak_is_bounded_by_the_stack(self):
         # A stack holds STACK copies of each group that its copies shift (at most the three
