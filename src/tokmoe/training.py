@@ -531,7 +531,7 @@ def grad_check(
 
     owned = owned_groups(samples, expert_of, params.num_decoders)
     up, down = shifted_losses(params, owned, scheme, np.arange(analytic.size))
-    for idx in np.cumsum([0, *[t.value.size for t in params.tensors()[:-1]]]):
+    for idx in _arena(params)[1][:-1]:
         original = params.values[idx]
         params.values[idx] = original + GRAD_CHECK_EPSILON
         checked = forward_loss(params, owned, scheme)
