@@ -433,8 +433,8 @@ GRAD_CHECK_FLOOR = 1e-4
 GRAD_CHECK_EPSILON = 1e-5  # every central difference's step; the CLI's pass line is calibrated at it
 
 
-# At most this many copies of the model step in one stack: it bounds the stack's memory at any width.
-STACK = 64
+# A stack of copies holds at most this many bytes by ``stacks``' estimate, or one coordinate, at any width.
+STACK_BYTES = 1 << 20
 # A shift in these groups moves one decoder, so ``copies`` stacks their coordinates as decoders.
 RECURRENT = ("decoder_cell", "attention")
 
@@ -489,17 +489,33 @@ def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Arr
     return summed_loss((group_loss(teacher_force(params, group), own) for group, own in owned), mu, lam)[2]
 
 
+def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], coords: Array, arena: tuple):
+    """``coords`` cut in order into stacks of ``copies``, none across an edge of ``RECURRENT``, each of at most
+    ``STACK_BYTES`` or of one coordinate; and each coordinate's bytes: two copies, each of a readout and of one
+    decoder's slices, traces and memory, or else of its group and, for the embedding or encoder, all traces."""
+    def nbytes(*parts) -> int:  # of the arrays among ``parts``, in their tuples and their dataclasses' fields
+        return sum(nbytes(*p) if isinstance(p, tuple) else nbytes(*vars(p).values()) if hasattr(p, "__dict__")
+                   else getattr(p, "nbytes", 0) for p in parts)
+    names, tensor = [name for name, _ in arena[0]], np.searchsorted(arena[1], coords, "right") - 1
+    enc, dec, out = np.max([(nbytes(c.enc.trace), nbytes(c.decoders.trace, *c.decoders[3:]), nbytes(c.readout))
+                            for c in (teacher_force(params, group) for group, _ in owned)], axis=0)
+    one = sum(t.value[0].nbytes for t in params.decoder_slots()) + dec / params.num_decoders + out
+    cost = 2 * np.array([one if n in RECURRENT else sum(t.value.nbytes for t in getattr(params, n).slots()) + out
+                         + (n in ("embedding", "encoder")) * (enc + dec) for n in names])[tensor]
+    ends, cuts = np.cumsum([0, *cost]), [0]
+    for edge in [*np.flatnonzero(np.diff(np.isin(names, RECURRENT)[tensor])) + 1, len(coords)]:
+        while (lo := cuts[-1]) < edge:
+            cuts.append(min(edge, max(lo + 1, np.searchsorted(ends, ends[lo] + STACK_BYTES, "right") - 1)))
+    return np.split(coords, cuts[1:-1]), cost
+
+
 def shifted_losses(
     params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig, coords: Array,
 ) -> tuple[Array, Array]:
     """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena
-    coordinate of ``coords``, each a copy in a stack of at most ``STACK`` ``copies``; a stack
-    ends where ``coords`` enter or leave the ``RECURRENT`` groups, whose copies stack as decoders."""
-    tensors, starts = _arena(params)
-    recurrent = np.array([name in RECURRENT for name, _ in tensors])[np.searchsorted(starts, coords, "right") - 1]
-    losses = np.concatenate([forward_loss(copies(params, part[lo:lo + STACK // 2], (tensors, starts)), owned, scheme)
-                             for part in np.split(coords, np.flatnonzero(np.diff(recurrent)) + 1)
-                             for lo in range(0, len(part), STACK // 2)])
+    coordinate of ``coords``, each a copy in one of the ``stacks``, of at most ``STACK_BYTES`` or one coordinate."""
+    cut = stacks(params, owned, coords, arena := _arena(params))[0]
+    losses = np.concatenate([forward_loss(copies(params, stack, arena), owned, scheme) for stack in cut])
     return losses[0::2], losses[1::2]
 
 
@@ -511,13 +527,12 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Compares every coordinate of the parameter arena (S1's mu/lambda logits
-    included), shifted by +-``GRAD_CHECK_EPSILON``, on the summed batch loss of a
-    tiny instance. Every shifted loss is one copy in a stack of at most ``STACK``
-    ``copies`` (``shifted_losses``): a copy of a decoder's cell or attention is one more
-    decoder, any other copy leads a copy axis. The pass checks itself: the +epsilon loss
-    of each tensor's first coordinate is also taken from a plain full forward, and one
-    that differs from its copy's returns ``math.inf``. No samples is a DomainError; any
+    Compares every coordinate of the parameter arena (S1's mu/lambda logits included), shifted by
+    +-``GRAD_CHECK_EPSILON``, on the summed batch loss of a tiny instance. Every shifted loss is one copy in
+    one of ``shifted_losses``' stacks of ``copies``, each of at most ``STACK_BYTES`` or of one coordinate: a
+    copy of a decoder's cell or attention is one more decoder, any other copy leads a copy axis. The pass
+    checks itself: the +epsilon loss of each tensor's first coordinate is also taken from a plain full
+    forward, and one that differs from its copy's returns ``math.inf``. No samples is a DomainError; any
     non-finite analytic gradient, numeric gradient or error returns ``math.inf``.
     """
     if not samples:

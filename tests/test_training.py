@@ -10,7 +10,7 @@ import tokmoe.layers as L
 import tokmoe.model as M
 import tokmoe.tensor as T
 import tokmoe.training as TR
-from tokmoe import OptimizerConfig, SchemeConfig, init_model
+from tokmoe import OptimizerConfig, SchemeConfig, VariantConfig, init_model
 from tokmoe.cli import GRADCHECK_MAX_HIDDEN, _gradcheck_samples, _gradcheck_variants
 from tokmoe.config import BOS_ID
 from tokmoe.data import Corpus, EncodedSample, Sample, SynthSpec, Vocabulary, encode_corpus, generate_synthetic_corpus
@@ -637,7 +637,7 @@ class TestStackedLosses:
         ("base", "S4", 2, "gradcheck"), ("V1", "S3", 2, "gradcheck"), ("V2", "S1", 2, "gradcheck"),
         ("base", "S3", 0, "gradcheck"), ("base", "S4", 2, "two-groups"),
     ], ids=["base-S4", "V1-S3", "V2-S1", "S3-k0", "two-groups"])
-    def test_every_copy_is_the_full_loss(self, variant, scheme_name, num_experts, batch):
+    def test_every_copy_is_the_full_loss(self, monkeypatch, variant, scheme_name, num_experts, batch):
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
         if batch == "two-groups":
@@ -646,9 +646,15 @@ class TestStackedLosses:
             samples, expert_of = _gradcheck_samples(6, 2)
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
         assert len(owned) == (2 if batch == "two-groups" else 1)
-        # Every coordinate of the arena: every tensor kind, and many stacks of copies.
+        # Every coordinate of the arena: every tensor kind, and at least three stacks of copies in
+        # each layout, most of several coordinates, under a budget of a few coordinates a stack.
         coords = np.arange(params.values.size)
-        assert coords.size > TR.STACK // 2
+        monkeypatch.setattr(TR, "STACK_BYTES", 1 << 16)
+        arena = TR._arena(params)
+        plan = TR.stacks(params, owned, coords, arena)[0]
+        decoders = [arena[0][np.searchsorted(arena[1], s[0], "right") - 1][0] in TR.RECURRENT for s in plan]
+        assert min(sum(decoders), len(plan) - sum(decoders)) >= 3
+        assert max(map(len, plan)) > 1
         up, down = TR.shifted_losses(params, owned, scheme, coords)
         full = []
         for idx in coords:
@@ -704,28 +710,77 @@ class TestStackedLosses:
         start = sum(t.value.size for t in (*params.embedding.slots(), *params.encoder.slots()))
         tracemalloc.start()
         try:
-            stack = TR.copies(params, np.arange(start, start + TR.STACK // 2))
+            stack = TR.copies(params, np.arange(start, start + 32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (TR.STACK + params.num_decoders) * one + (1 << 17)
-        assert stack.decoder_cell.w_in.value.shape[0] == params.num_decoders + TR.STACK
+        assert peak <= (64 + params.num_decoders) * one + (1 << 17)
+        assert stack.decoder_cell.w_in.value.shape[0] == params.num_decoders + 64
 
     def test_peak_is_bounded_by_the_stack(self):
-        # A stack holds STACK copies of each group that its copies shift (at most the three
-        # decoders' cells, 0.98 MB at this shape) and the copies' traces: this run peaks near
-        # 2.4 MB. All 1,920 cell coordinates in one stack would copy the cells 3,840 times (59 MB).
+        # A stack's estimated bytes are at most STACK_BYTES; what the estimate leaves out (the
+        # decoder layout's k+1 unshifted decoders, numpy's temporaries) is at most as much again.
+        # This run peaks near 1.7 MB. All 1,920 cell coordinates in one stack would hold 3,840
+        # shifted decoders.
         scheme = SchemeConfig.from_name("S4")
         params = init_model(6, 2, dict(_gradcheck_variants(GRADCHECK_MAX_HIDDEN))["base"], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
-        block = sum(t.value[0].nbytes for t in (*params.decoder_cell.slots(), *params.attention.slots()))
         tracemalloc.start()
         try:
             assert TR.grad_check(params, samples, scheme, expert_of) < 1e-4
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1 << 20) + TR.STACK * 2 * 4 * block
+        assert peak <= (1 << 20) + 2 * TR.STACK_BYTES
+
+    @pytest.mark.parametrize("budget", [1 << 12, 1 << 16, None], ids=["below-one", "64KiB", "default"])
+    @pytest.mark.parametrize("variant,scheme_name,num_experts", [
+        ("base", "S4", 2), ("V1", "S3", 2), ("V2", "S1", 2), ("base", "S3", 0),
+    ], ids=["base-S4", "V1-S3", "V2-S1", "S3-k0"])
+    def test_stacks_tile_the_coordinates_within_the_budget(self, monkeypatch, budget, variant, scheme_name,
+                                                           num_experts):
+        # In order, with no gap and no overlap; never across an edge of RECURRENT; at most the
+        # budget unless one coordinate alone; and the most coordinates that fit before the next edge.
+        if budget is not None:
+            monkeypatch.setattr(TR, "STACK_BYTES", budget)
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, num_experts, dict(_gradcheck_variants(GRADCHECK_MAX_HIDDEN))[variant], 0, scheme)
+        samples, expert_of = _gradcheck_samples(6, 2)
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        arena, coords = TR._arena(params), np.arange(params.values.size)
+        plan, cost = TR.stacks(params, owned, coords, arena)
+        assert all(len(stack) for stack in plan)
+        assert np.concatenate(plan).tolist() == coords.tolist()
+        tensor = np.searchsorted(arena[1], coords, "right") - 1
+        recurrent = np.isin([name for name, _ in arena[0]], TR.RECURRENT)[tensor]
+        ends = np.cumsum([0, *map(len, plan)])
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            assert recurrent[lo:hi].all() or not recurrent[lo:hi].any()
+            assert hi - lo == 1 or cost[lo:hi].sum() <= TR.STACK_BYTES
+            assert hi == coords.size or recurrent[hi] != recurrent[lo] or cost[lo:hi + 1].sum() > TR.STACK_BYTES
+        assert (len(plan) == coords.size) == (budget == 1 << 12)
+
+    def test_paper_width_stack_peak_is_one_coordinates(self):
+        # At the paper shape one coordinate's two copies are past the budget, so a stack is one
+        # coordinate: cell.w_in's holds the k+1 decoders and two shifted ones (12.7 MB). A stack
+        # of 32 coordinates would hold 170 MB of cell.w_in, 92 MB of proj.u, 108 MB of gating.
+        scheme = SchemeConfig.from_name("S4")
+        params = M.build_model(400, 2, VariantConfig(), scheme).allocate()
+        samples, expert_of = _gradcheck_samples(400, 2)
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        arena = TR._arena(params)
+        for name in ("cell.w_in", "proj.u", "gating.hidden_w"):
+            start = arena[1][[t.name for _, t in arena[0]].index(name)]
+            first = TR.stacks(params, owned, np.arange(start, start + 64), arena)[0][0]
+            peaks = []
+            for stack in (first, first[:1]):
+                tracemalloc.start()
+                try:
+                    TR.copies(params, stack, arena)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] <= max(TR.STACK_BYTES, peaks[1]) + (1 << 16), name
 
 
 class TestGradCheck:
