@@ -31,15 +31,15 @@ Conventions pinned here (tests rely on them):
 * Weight matrices are stored (input_width, output_width) and applied as
   ``x @ W``; a cell step takes its input projected, ``x @ w_in + bias``.
 * Every layer also runs a stack of independent copies at once: weights, inputs
-  and states with leading copy axes, which broadcast against one another.
-  Along them every result is bit-identical to that copy's alone; the decoders
-  are such a stack. The gradient check stacks copies of the model, each with
-  one coordinate shifted, in stacks of at most ``training.STACK_BYTES`` or of
-  one coordinate: a cell or attention copy is one more decoder after the k+1,
-  and a (C, k+1) index gathers each copy's rows for the readout; any other
-  copy axis leads each weight group a copy shifts and each state made from one.
-  Along the row axis a GEMM over R rows matches R one-row products to about
-  1e-11 relative, not bitwise; with B = 1 each has the one-sequence shape.
+  and states with leading copy axes, which broadcast against one another. Along
+  them every result is bit-identical to that copy's alone; the decoders are such
+  a stack. The gradient check stacks copies of the model, each with one
+  coordinate shifted, in stacks of at most ``training.STACK_BYTES`` or of one
+  coordinate: a decoder's cell, attention or projection copy is one more decoder
+  after the k+1, and a (C, k+1) index gathers each copy's rows for the readout;
+  any other copy axis leads each weight group a copy shifts and each state made
+  from one. Along the row axis a GEMM over R rows matches R one-row products to
+  about 1e-11 relative, not bitwise; with B = 1 each has the one-sequence shape.
 """
 
 from __future__ import annotations

@@ -94,19 +94,26 @@ class ModelParams:
     num_experts: int                      # k; 0 means single-decoder mode
     scheme_weights: SchemeWeights | None = None  # S1's mu/lambda logits; None for fixed weights
     copy_rows: Array | None = None        # a stack of decoders' rows of each copy, (copies, k+1) (training.copies)
-    values: Array = field(init=False)     # every learnable value, in tensors() order
+    values: Array = field(init=False)     # every learnable value, in arena() order
     grads: Array = field(init=False)      # their gradients, in the same layout
+
+    # The parameter groups, in arena order; each of the decoder groups holds one slice per decoder.
+    GROUPS = ("embedding", "encoder", "decoder_cell", "attention", "projection", "gating", "scheme_weights")
+    DECODER_GROUPS = ("decoder_cell", "attention", "projection")
+
+    def arena(self) -> tuple[list[tuple[str, ParamSlot]], Array]:
+        """The tensors the model owns, stacked ones whole, in arena order, each with its group's
+        name; and each tensor's offset in the arena, then the arena's end."""
+        owned = [(name, t) for name in self.GROUPS if (g := getattr(self, name)) is not None for t in g.slots()]
+        return owned, np.cumsum([0, *[t.value.size for _, t in owned]])
 
     def allocate(self) -> "ModelParams":
         """Make each owned tensor an adjacent C-contiguous view of the zeroed arena; returns the model."""
-        owned = self.tensors()
-        self.values = np.zeros(sum(t.value.size for t in owned))
+        owned, offsets = self.arena()
+        self.values = np.zeros(offsets[-1])
         self.grads = np.zeros(self.values.size)
-        offset = 0
-        for t in owned:
-            shape, end = t.value.shape, offset + t.value.size
-            t.value, t.grad = self.values[offset:end].reshape(shape), self.grads[offset:end].reshape(shape)
-            offset = end
+        for (_, t), lo, hi in zip(owned, offsets[:-1], offsets[1:]):
+            t.value, t.grad = self.values[lo:hi].reshape(t.value.shape), self.grads[lo:hi].reshape(t.value.shape)
         return self
 
     @property
@@ -118,15 +125,7 @@ class ModelParams:
 
     def decoder_slots(self) -> list[ParamSlot]:
         """The stacked decoder weights, in per-decoder slot order."""
-        groups = (self.decoder_cell, self.attention, self.projection)
-        return [s for g in groups if g is not None for s in g.slots()]
-
-    # The parameter groups, in arena order.
-    GROUPS = ("embedding", "encoder", "decoder_cell", "attention", "projection", "gating", "scheme_weights")
-
-    def tensors(self) -> list[ParamSlot]:
-        """The tensors the model owns, stacked ones whole, in arena order."""
-        return [s for name in self.GROUPS if (g := getattr(self, name)) is not None for s in g.slots()]
+        return [s for name in self.DECODER_GROUPS if (g := getattr(self, name)) is not None for s in g.slots()]
 
     def replaced(self, values: dict[str, dict[str, Array]], copy_rows: Array | None = None) -> "ModelParams":
         """A model, with no arena, whose groups named in ``values`` take the values of the tensors named there."""
@@ -453,8 +452,6 @@ def readout(params: ModelParams, hidden: Array) -> Readout:
     if params.copy_rows is not None:  # a stack of decoders: each copy's k+1 rows, copies first
         hidden, dists = (a[..., params.copy_rows, :].swapaxes(-4, -3) for a in (hidden, dists))
     if params.gating is not None:
-        if hidden.ndim < dists.ndim:  # copies of the projection read the same states
-            hidden = np.broadcast_to(hidden, dists.shape[:-1] + hidden.shape[-1:])
         beta, gate_cache = gate_weights(params.gating, hidden, dists)
         return Readout(dists, beta, chair_combine(dists, beta), gate_cache)
     beta = np.zeros(dists.shape[:-1])

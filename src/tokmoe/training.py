@@ -24,7 +24,7 @@ Adam step, zero; each step after the backward acts once on the flat arena.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable
 
@@ -40,7 +40,7 @@ from .model import (
     backward_teacher_forced,
     forward_teacher_forced,
 )
-from .tensor import Array, ParamSlot
+from .tensor import Array
 
 GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
 
@@ -363,10 +363,32 @@ class EpochRecord:
 
 
 @dataclass
-class TrainResult:
-    history: list[EpochRecord]
-    best_epoch: int
-    best_score: float | None
+class TrainState:
+    """A run between two epochs: Adam's state, the shuffle's generator, every epoch's record, and the
+    best epoch with its score and values (with no scorer, the last epoch, and no score or values)."""
+
+    adam: AdamState
+    rng: np.random.Generator
+    history: list[EpochRecord] = field(default_factory=list)
+    best_epoch: int = 0
+    best_score: float | None = None
+    best_values: Array | None = None
+
+    def advance(self, params: ModelParams, samples: list[EncodedSample], scheme: SchemeConfig,
+                opt: OptimizerConfig, expert_of: dict[str, int], valid_scorer=None) -> EpochRecord:
+        """Train ``params`` one more epoch and record it; a scored epoch with a higher score becomes the best."""
+        epoch = len(self.history) + 1
+        try:
+            report = train_epoch(params, samples, scheme, opt, self.adam, self.rng, expert_of)
+        except DomainError as exc:
+            raise DomainError(f"epoch {epoch}, {exc}") from None
+        record = EpochRecord(epoch, report, None if valid_scorer is None else float(valid_scorer(params)))
+        self.history.append(record)
+        if valid_scorer is None:
+            self.best_epoch = epoch
+        elif self.best_score is None or record.valid_score > self.best_score:
+            self.best_epoch, self.best_score, self.best_values = epoch, record.valid_score, params.values.copy()
+        return record
 
 
 def train_run(
@@ -379,38 +401,20 @@ def train_run(
     expert_of: dict[str, int],
     valid_scorer=None,
     progress=None,
-) -> TrainResult:
-    """Multi-epoch training with optional best-epoch selection.
+) -> TrainState:
+    """``epochs`` of ``TrainState.advance`` from a state seeded by ``seed``, each record passed to ``progress``.
 
-    ``valid_scorer(params) -> float`` is called after every epoch; the
-    parameter snapshot with the highest score is restored at the end. With
-    no scorer the final-epoch parameters stand. A non-finite batch loss
-    raises DomainError naming the epoch and the batch.
+    ``valid_scorer(params) -> float`` scores every epoch, and the best epoch's values are restored at the end;
+    with no scorer the last epoch's stand. A non-finite batch loss raises DomainError naming the epoch and batch.
     """
-    rng = np.random.default_rng(seed)
-    adam_state = AdamState.like(params.values)
-    history: list[EpochRecord] = []
-    best_score: float | None = None
-    best_epoch = epochs
-    best_values: Array | None = None
-    for epoch in range(1, epochs + 1):
-        try:
-            report = train_epoch(params, samples, scheme, opt, adam_state, rng, expert_of)
-        except DomainError as exc:
-            raise DomainError(f"epoch {epoch}, {exc}") from None
-        record = EpochRecord(epoch, report)
-        if valid_scorer is not None:
-            record.valid_score = float(valid_scorer(params))
-            if best_score is None or record.valid_score > best_score:
-                best_score = record.valid_score
-                best_epoch = epoch
-                best_values = params.values.copy()
-        history.append(record)
+    state = TrainState(AdamState.like(params.values), np.random.default_rng(seed))
+    for _ in range(epochs):
+        record = state.advance(params, samples, scheme, opt, expert_of, valid_scorer)
         if progress is not None:
             progress(record)
-    if best_values is not None:
-        params.values[...] = best_values
-    return TrainResult(history, best_epoch, best_score)
+    if state.best_values is not None:
+        params.values[...] = state.best_values
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -435,39 +439,31 @@ GRAD_CHECK_EPSILON = 1e-5  # every central difference's step; the CLI's pass lin
 
 # A stack of copies holds at most this many bytes by ``stacks``' estimate, or one coordinate, at any width.
 STACK_BYTES = 1 << 20
-# A shift in these groups moves one decoder, so ``copies`` stacks their coordinates as decoders.
-RECURRENT = ("decoder_cell", "attention")
-
-
-def _arena(params: ModelParams) -> tuple[list[tuple[str, ParamSlot]], Array]:
-    """Each tensor in arena order with its group's name, and the tensors' offsets, then the end."""
-    tensors = [(name, t) for name in params.GROUPS if (g := getattr(params, name)) is not None for t in g.slots()]
-    return tensors, np.cumsum([0, *[t.value.size for _, t in tensors]])
 
 
 def copies(params: ModelParams, coords: Array, arena: tuple | None = None) -> ModelParams:
     """The model as a stack of 2C copies, C = len(``coords``): copy 2i has the arena coordinate
     ``coords[i]`` shifted by +``GRAD_CHECK_EPSILON`` and copy 2i+1 by -``GRAD_CHECK_EPSILON``.
 
-    If every coordinate is in the ``RECURRENT`` groups, each copy is one more decoder: the cells',
+    If every coordinate is in ``DECODER_GROUPS``, each copy is one more decoder: the cells',
     attention's and projection's decoder axis holds the k+1 decoders, then each copy's shifted
     one, and the readout gathers each copy's k+1 rows by the (2C, k+1) index ``copy_rows``.
-    Otherwise each group that some copy shifts gains a leading copy axis on all its tensors,
-    then a unit axis where the forward reads a tensor across an axis it lacks (the decoders
-    read the embedding and the encoder, the gate's biases add to its rows); the other groups
-    broadcast. So the forward runs copies only from where they first differ, and each copy's
-    results are bit for bit its model's alone. Forward only; ``arena`` is ``_arena(params)``.
+    Otherwise (never with the projection) each group that some copy shifts gains a leading copy
+    axis on all its tensors, then a unit axis where the forward reads a tensor across an axis it
+    lacks (the decoders read the embedding and the encoder, the gate's biases add to its rows);
+    the other groups broadcast. So the forward runs copies only from where they first differ, and
+    each copy's results are bit for bit its model's alone. Forward only; ``arena`` is ``params.arena()``.
     """
     at = np.repeat(coords, 2)
     shifts = np.tile([GRAD_CHECK_EPSILON, -GRAD_CHECK_EPSILON], len(coords))
-    tensors, starts = arena or _arena(params)
+    tensors, starts = arena or params.arena()
     tensor = np.searchsorted(starts, at, side="right") - 1
     row, col, copy_rows, hit = np.arange(len(at)), at - starts[tensor], None, set(tensor.tolist())
     groups = {tensors[i][0] for i in hit}
-    if groups <= set(RECURRENT):
+    if groups <= set(params.DECODER_GROUPS):
         n = params.num_decoders
         decoder, col = np.divmod(col, (starts[tensor + 1] - starts[tensor]) // n)
-        index, row, groups = np.concatenate([np.arange(n), decoder]), n + row, {*RECURRENT, "projection"}
+        index, row, groups = np.concatenate([np.arange(n), decoder]), n + row, set(params.DECODER_GROUPS)
         copy_rows = np.where(np.arange(n) == decoder[:, None], row[:, None], np.arange(n))
     values: dict[str, dict[str, Array]] = {}
     for i, (name, t) in enumerate(tensors):
@@ -490,9 +486,9 @@ def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Arr
 
 
 def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], coords: Array, arena: tuple):
-    """``coords`` cut in order into stacks of ``copies``, none across an edge of ``RECURRENT``, each of at most
-    ``STACK_BYTES`` or of one coordinate; and each coordinate's bytes: two copies, each of a readout and of one
-    decoder's slices, traces and memory, or else of its group and, for the embedding or encoder, all traces."""
+    """``coords`` cut in order into stacks of ``copies``, none across an edge of the decoder groups, each of at
+    most ``STACK_BYTES`` or of one coordinate; and each coordinate's bytes: two copies, each of a readout and of
+    one decoder's slices, traces and memory, or else of its group and, for the embedding or encoder, all traces."""
     def nbytes(*parts) -> int:  # of the arrays among ``parts``, in their tuples and their dataclasses' fields
         return sum(nbytes(*p) if isinstance(p, tuple) else nbytes(*vars(p).values()) if hasattr(p, "__dict__")
                    else getattr(p, "nbytes", 0) for p in parts)
@@ -500,10 +496,11 @@ def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], 
     enc, dec, out = np.max([(nbytes(c.enc.trace), nbytes(c.decoders.trace, *c.decoders[3:]), nbytes(c.readout))
                             for c in (teacher_force(params, group) for group, _ in owned)], axis=0)
     one = sum(t.value[0].nbytes for t in params.decoder_slots()) + dec / params.num_decoders + out
-    cost = 2 * np.array([one if n in RECURRENT else sum(t.value.nbytes for t in getattr(params, n).slots()) + out
-                         + (n in ("embedding", "encoder")) * (enc + dec) for n in names])[tensor]
+    decoder = np.isin(names, params.DECODER_GROUPS)
+    cost = 2 * np.array([one if d else sum(t.value.nbytes for t in getattr(params, n).slots()) + out
+                         + (n in ("embedding", "encoder")) * (enc + dec) for n, d in zip(names, decoder)])[tensor]
     ends, cuts = np.cumsum([0, *cost]), [0]
-    for edge in [*np.flatnonzero(np.diff(np.isin(names, RECURRENT)[tensor])) + 1, len(coords)]:
+    for edge in [*np.flatnonzero(np.diff(decoder[tensor])) + 1, len(coords)]:
         while (lo := cuts[-1]) < edge:
             cuts.append(min(edge, max(lo + 1, np.searchsorted(ends, ends[lo] + STACK_BYTES, "right") - 1)))
     return np.split(coords, cuts[1:-1]), cost
@@ -514,7 +511,7 @@ def shifted_losses(
 ) -> tuple[Array, Array]:
     """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena
     coordinate of ``coords``, each a copy in one of the ``stacks``, of at most ``STACK_BYTES`` or one coordinate."""
-    cut = stacks(params, owned, coords, arena := _arena(params))[0]
+    cut = stacks(params, owned, coords, arena := params.arena())[0]
     losses = np.concatenate([forward_loss(copies(params, stack, arena), owned, scheme) for stack in cut])
     return losses[0::2], losses[1::2]
 
@@ -527,13 +524,13 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Compares every coordinate of the parameter arena (S1's mu/lambda logits included), shifted by
-    +-``GRAD_CHECK_EPSILON``, on the summed batch loss of a tiny instance. Every shifted loss is one copy in
-    one of ``shifted_losses``' stacks of ``copies``, each of at most ``STACK_BYTES`` or of one coordinate: a
-    copy of a decoder's cell or attention is one more decoder, any other copy leads a copy axis. The pass
-    checks itself: the +epsilon loss of each tensor's first coordinate is also taken from a plain full
-    forward, and one that differs from its copy's returns ``math.inf``. No samples is a DomainError; any
-    non-finite analytic gradient, numeric gradient or error returns ``math.inf``.
+    Compares every coordinate of the arena (S1's mu/lambda logits included), shifted by +-``GRAD_CHECK_EPSILON``, on
+    the summed batch loss of a tiny instance. Every shifted loss is one copy in one of ``shifted_losses``' stacks of
+    ``copies``, each of at most ``STACK_BYTES`` or of one coordinate: a copy of a decoder's cell, attention or
+    projection is one more decoder, any other copy leads a copy axis. The pass checks itself: the +epsilon loss of
+    each tensor's first coordinate is also taken from a plain full forward, and one that differs from its copy's
+    returns ``math.inf``. No samples is a DomainError; any non-finite analytic gradient, numeric gradient or error
+    returns ``math.inf``.
     """
     if not samples:
         raise DomainError("cannot check gradients on no samples")
@@ -546,7 +543,7 @@ def grad_check(
 
     owned = owned_groups(samples, expert_of, params.num_decoders)
     up, down = shifted_losses(params, owned, scheme, np.arange(analytic.size))
-    for idx in _arena(params)[1][:-1]:
+    for idx in params.arena()[1][:-1]:
         original = params.values[idx]
         params.values[idx] = original + GRAD_CHECK_EPSILON
         checked = forward_loss(params, owned, scheme)

@@ -481,6 +481,32 @@ class TestBestEpoch:
         np.testing.assert_array_equal(values, self.run((0.0, 0.0, 0.0))[2][-1])
 
 
+class TestTrainState:
+    """``train_run`` is a loop over ``TrainState.advance``: one epoch at a time gives the same run."""
+
+    @pytest.mark.parametrize("scored", [False, True], ids=["no-scorer", "scorer"])
+    @pytest.mark.parametrize("scheme_name", ["S4", "S1"])
+    def test_epoch_by_epoch_is_one_run(self, scheme_name, scored):
+        scheme, opt = SchemeConfig.from_name(scheme_name), OptimizerConfig(batch_size=4)
+        samples, expert_of = TestTrainEpoch().setup_corpus(), {"alpha": 0, "beta": 1}
+        scorer = (lambda p: TR.teacher_forced_accuracy(p, samples)) if scored else None
+        whole = init_model(6, 2, tiny_variant(), 3, scheme)
+        run = TR.train_run(whole, samples, scheme, opt, 3, 1, expert_of, valid_scorer=scorer)
+        params = init_model(6, 2, tiny_variant(), 3, scheme)
+        state = TR.TrainState(TR.AdamState.like(params.values), np.random.default_rng(1))
+        records = [state.advance(params, samples, scheme, opt, expert_of, scorer) for _ in range(3)]
+        # train_run ends on the best epoch's values where a scorer chose one.
+        assert np.array_equal(whole.values, state.best_values if scored else params.values)
+        assert (state.best_values is None) == (run.best_values is None) == (not scored)
+        assert scored is False or np.array_equal(run.best_values, state.best_values)
+        assert np.array_equal(run.adam.m, state.adam.m) and np.array_equal(run.adam.v, state.adam.v)
+        assert run.adam.step_count == state.adam.step_count == 3 * math.ceil(len(samples) / 4)
+        assert run.rng.bit_generator.state == state.rng.bit_generator.state
+        assert run.history == state.history == records and [r.epoch for r in records] == [1, 2, 3]
+        assert (run.best_epoch, run.best_score) == (state.best_epoch, state.best_score)
+        assert scored or state.best_epoch == 3
+
+
 class TestOptimizationTrap:
     def test_s1_lambda_drifts_up_when_chair_loss_dominates(self):
         # Three experts: the weighted expert sum is ~(2/3) of the chair loss,
@@ -650,9 +676,9 @@ class TestStackedLosses:
         # each layout, most of several coordinates, under a budget of a few coordinates a stack.
         coords = np.arange(params.values.size)
         monkeypatch.setattr(TR, "STACK_BYTES", 1 << 16)
-        arena = TR._arena(params)
+        arena = params.arena()
         plan = TR.stacks(params, owned, coords, arena)[0]
-        decoders = [arena[0][np.searchsorted(arena[1], s[0], "right") - 1][0] in TR.RECURRENT for s in plan]
+        decoders = [arena[0][np.searchsorted(arena[1], s[0], "right") - 1][0] in params.DECODER_GROUPS for s in plan]
         assert min(sum(decoders), len(plan) - sum(decoders)) >= 3
         assert max(map(len, plan)) > 1
         up, down = TR.shifted_losses(params, owned, scheme, coords)
@@ -739,7 +765,7 @@ class TestStackedLosses:
     ], ids=["base-S4", "V1-S3", "V2-S1", "S3-k0"])
     def test_stacks_tile_the_coordinates_within_the_budget(self, monkeypatch, budget, variant, scheme_name,
                                                            num_experts):
-        # In order, with no gap and no overlap; never across an edge of RECURRENT; at most the
+        # In order, with no gap and no overlap; never across an edge of DECODER_GROUPS; at most the
         # budget unless one coordinate alone; and the most coordinates that fit before the next edge.
         if budget is not None:
             monkeypatch.setattr(TR, "STACK_BYTES", budget)
@@ -747,17 +773,17 @@ class TestStackedLosses:
         params = init_model(6, num_experts, dict(_gradcheck_variants(GRADCHECK_MAX_HIDDEN))[variant], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
-        arena, coords = TR._arena(params), np.arange(params.values.size)
+        arena, coords = params.arena(), np.arange(params.values.size)
         plan, cost = TR.stacks(params, owned, coords, arena)
         assert all(len(stack) for stack in plan)
         assert np.concatenate(plan).tolist() == coords.tolist()
         tensor = np.searchsorted(arena[1], coords, "right") - 1
-        recurrent = np.isin([name for name, _ in arena[0]], TR.RECURRENT)[tensor]
+        decoder = np.isin([name for name, _ in arena[0]], params.DECODER_GROUPS)[tensor]
         ends = np.cumsum([0, *map(len, plan)])
         for lo, hi in zip(ends[:-1], ends[1:]):
-            assert recurrent[lo:hi].all() or not recurrent[lo:hi].any()
+            assert decoder[lo:hi].all() or not decoder[lo:hi].any()
             assert hi - lo == 1 or cost[lo:hi].sum() <= TR.STACK_BYTES
-            assert hi == coords.size or recurrent[hi] != recurrent[lo] or cost[lo:hi + 1].sum() > TR.STACK_BYTES
+            assert hi == coords.size or decoder[hi] != decoder[lo] or cost[lo:hi + 1].sum() > TR.STACK_BYTES
         assert (len(plan) == coords.size) == (budget == 1 << 12)
 
     def test_paper_width_stack_peak_is_one_coordinates(self):
@@ -768,7 +794,7 @@ class TestStackedLosses:
         params = M.build_model(400, 2, VariantConfig(), scheme).allocate()
         samples, expert_of = _gradcheck_samples(400, 2)
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
-        arena = TR._arena(params)
+        arena = params.arena()
         for name in ("cell.w_in", "proj.u", "gating.hidden_w"):
             start = arena[1][[t.name for _, t in arena[0]].index(name)]
             first = TR.stacks(params, owned, np.arange(start, start + 64), arena)[0][0]
@@ -837,7 +863,7 @@ class TestGradCheck:
         assert all(3 not in s.context_ids for s in samples) and 3 in samples[0].response_ids
         width = params.embedding.matrix.value.shape[1]
         coords = [BOS_ID * width, 3 * width, 4 * width + 1]
-        starts = np.cumsum([0, *[t.value.size for t in params.tensors()]])
+        starts = params.arena()[1]
         coords += [index for lo, hi in zip(starts[:-1], starts[1:]) for index in (lo, hi - 1)]
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
         up, _ = TR.shifted_losses(params, owned, scheme, np.array(coords))
