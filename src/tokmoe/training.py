@@ -364,8 +364,8 @@ class EpochRecord:
 
 @dataclass
 class TrainState:
-    """A run between two epochs: Adam's state, the shuffle's generator, every epoch's record, and the
-    best epoch with its score and values (with no scorer, the last epoch, and no score or values)."""
+    """A run between two epochs: Adam's state, the shuffle's generator, every epoch's record, and the best
+    epoch with its score and values: the latest of the highest scores, or with no scorer the last epoch."""
 
     adam: AdamState
     rng: np.random.Generator
@@ -376,7 +376,7 @@ class TrainState:
 
     def advance(self, params: ModelParams, samples: list[EncodedSample], scheme: SchemeConfig,
                 opt: OptimizerConfig, expert_of: dict[str, int], valid_scorer=None) -> EpochRecord:
-        """Train ``params`` one more epoch and record it; a scored epoch with a higher score becomes the best."""
+        """Train ``params`` one more epoch and record it; a scored epoch that ties or beats the best becomes it."""
         epoch = len(self.history) + 1
         try:
             report = train_epoch(params, samples, scheme, opt, self.adam, self.rng, expert_of)
@@ -386,7 +386,7 @@ class TrainState:
         self.history.append(record)
         if valid_scorer is None:
             self.best_epoch = epoch
-        elif self.best_score is None or record.valid_score > self.best_score:
+        elif self.best_score is None or record.valid_score >= self.best_score:
             self.best_epoch, self.best_score, self.best_values = epoch, record.valid_score, params.values.copy()
         return record
 
