@@ -119,6 +119,13 @@ class TestStackedSlots:
                 assert a.flags.c_contiguous and a.size == hi - lo, t.name
                 assert np.shares_memory(a, buffer[lo:hi]), t.name
                 assert not np.shares_memory(a, buffer[:lo]) and not np.shares_memory(a, buffer[hi:]), t.name
+        # Each group's tensors are one run of the table, so the groups' slices tile the arena in
+        # GROUPS order with no gap; the decoder groups' tensors are the stacked decoder weights.
+        names = [name for name, _ in owned]
+        present = [g for g in params.GROUPS if getattr(params, g) is not None]
+        assert [name for i, name in enumerate(names) if i == 0 or names[i - 1] != name] == present
+        assert all(offsets[names.index(g)] < offsets[len(names) - names[::-1].index(g)] for g in present)
+        assert list(map(id, params.decoder_slots())) == [id(t) for name, t in owned if name in params.DECODER_GROUPS]
 
     @pytest.mark.parametrize("overrides", [
         {}, {"attention_enabled": False}, {"cell_kind": "gru"},
@@ -136,27 +143,6 @@ class TestStackedSlots:
         self.assert_views(loaded)
         self.assert_arena(loaded)
         np.testing.assert_array_equal(loaded.values, params.values)
-
-    @pytest.mark.parametrize("overrides", [
-        {}, {"attention_enabled": False}, {"cell_kind": "gru"},
-        {"scheme": "S1"}, {"scheme": "S3"}, {"scheme": "S3", "num_experts": 0},
-    ])
-    def test_arena_table_tiles_the_arena_by_group(self, overrides):
-        # Each group's tensors are one run of the table, and the groups' slices tile the
-        # arena in GROUPS order with no gap; the decoder groups are the stacked ones.
-        overrides = dict(overrides)
-        scheme = SchemeConfig.from_name(overrides.pop("scheme", "S4"))
-        params = init_model(6, overrides.pop("num_experts", 2), tiny_variant(**overrides), 0, scheme)
-        owned, offsets = params.arena()
-        names = [name for name, _ in owned]
-        present = [g for g in params.GROUPS if getattr(params, g) is not None]
-        assert [name for i, name in enumerate(names) if i == 0 or names[i - 1] != name] == present
-        bounds = [(offsets[names.index(g)], offsets[len(names) - names[::-1].index(g)]) for g in present]
-        assert bounds[0][0] == 0 and bounds[-1][1] == params.values.size
-        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:]))
-        assert all(lo < hi for lo, hi in bounds)
-        assert list(map(id, params.decoder_slots())) == [id(t) for name, t in owned if name in params.DECODER_GROUPS]
-        self.assert_arena(params)
 
     def test_adam_step_over_slots_changes_the_stacked_step(self, rng):
         params = tiny_model()
