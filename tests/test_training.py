@@ -498,7 +498,7 @@ class TestTrainState:
         # train_run ends on the best epoch's values where a scorer chose one.
         assert np.array_equal(whole.values, state.best_values if scored else params.values)
         assert (state.best_values is None) == (run.best_values is None) == (not scored)
-        assert scored is False or np.array_equal(run.best_values, state.best_values)
+        assert not scored or np.array_equal(run.best_values, state.best_values)
         assert np.array_equal(run.adam.m, state.adam.m) and np.array_equal(run.adam.v, state.adam.v)
         assert run.adam.step_count == state.adam.step_count == 3 * math.ceil(len(samples) / 4)
         assert run.rng.bit_generator.state == state.rng.bit_generator.state
