@@ -467,7 +467,9 @@ class TestBestEpoch:
         )
         return params.values, result, seen
 
-    @pytest.mark.parametrize("scores, best", [((0.1, 0.9, 0.3), 2), ((0.5, 0.2, 0.5), 3), ((0.5, 0.5, 0.2), 2)])
+    @pytest.mark.parametrize("scores, best", [
+        ((0.1, 0.9, 0.3), 2), ((0.5, 0.2, 0.5), 3), ((0.5, 0.5, 0.2), 2), ((0.9, 0.2, 0.3), 1),
+    ])
     def test_best_epoch_values_restored(self, scores, best):
         values, result, seen = self.run(scores)
         assert (result.best_epoch, result.best_score) == (best, scores[best - 1])
