@@ -20,6 +20,14 @@ per weight over all T*B rows (``cell_weights_backward``,
 row attends over its own right-padded context: scores at padded positions
 are -inf, so their weights, and every gradient through them, are 0.
 
+The attention context (Bahdanau, Cho and Bengio 2015, arXiv 1409.0473), a
+weighted mean of the encoder hiddens, reaches a decoder cell only through
+the last d_h rows of its ``w_in``. So ``attention_memory`` projects the
+hiddens once per group or greedy decode into keys and into values (hiddens
+@ those rows): a step adds ``weights @ values`` to the cell's gates, its
+backward takes the scores' gradient from ``values @ d_gates``, and the
+context itself is never formed.
+
 Conventions pinned here (tests rely on them):
 
 * LSTM gate order along the last weight axis is (input, forget, output,
@@ -205,13 +213,11 @@ def cell_step_backward(params: CellParams, trace: CellTrace, j: int, d_hidden: A
     return step_backward(params, trace, j, d_hidden, d_cell)
 
 
-def cell_weights_backward(params: CellParams, xs: list[Array], trace: CellTrace, d_gates: Array) -> None:
+def cell_weights_backward(params: CellParams, x: Array, trace: CellTrace, d_gates: Array) -> None:
     """Weight gradients of the trace's steps from its ([n,] T*B, G*d_h) ``d_gates`` rows, one GEMM
-    per weight: each ([n,] T*B, width) input block fills the next rows of ``w_in``."""
-    start = 0
-    for x in xs:
-        params.w_in.grad[..., start:start + x.shape[-1], :] += _transpose(x) @ d_gates
-        start += x.shape[-1]
+    per weight: the ([n,] T*B, d_x) input rows ``x`` fill the first d_x rows of ``w_in`` (a decoder's
+    last d_h rows read the attention context: ``attention_weights_backward`` fills them)."""
+    params.w_in.grad[..., :x.shape[-1], :] += _transpose(x) @ d_gates
     params.bias.grad += d_gates.sum(axis=-2)
     prev = _transpose(rows(trace.hidden[:-1]))
     if params.kind == "lstm":
@@ -234,24 +240,28 @@ class AttentionParams(ParamGroup):
 class AttentionMemory(NamedTuple):
     hiddens: Array  # ([n,] B, m, d_h), each row's context right-padded
     keys: Array     # ([n,] B, m, attn_size): W_h^T h_i + b, the query-free part of each score
+    values: Array   # ([n,] B, m, G*d_h): h_i @ the cell's context rows of w_in, each hidden's share of the gates
     mask: Array     # (B, m): 0 at each context's positions, -inf at its padding
 
 
-def attention_memory(params: AttentionParams, encoder_hiddens: Array, valid: Array) -> AttentionMemory:
-    """Project B contexts' ([n,] B, m, d_h) hiddens once, one GEMM per copy over all B*m rows;
+def attention_memory(params: AttentionParams, encoder_hiddens: Array, valid: Array, w_in: ParamSlot) -> AttentionMemory:
+    """Project B contexts' ([n,] B, m, d_h) hiddens once into keys and into values through the
+    last d_h rows of the decoder cell's ``w_in``, one GEMM per copy each over all B*m rows;
     ``valid`` (B, m) marks each context's positions, False at its padding."""
     hiddens = np.ascontiguousarray(encoder_hiddens, dtype=np.float64)
     *lead, batch, m, d_h = hiddens.shape
-    keys = hiddens.reshape(*lead, -1, d_h) @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
-    return AttentionMemory(hiddens, keys.reshape(*keys.shape[:-2], batch, m, -1), np.where(valid, 0.0, -np.inf))
+    flat = hiddens.reshape(*lead, -1, d_h)
+    keys = flat @ params.w.value[..., :d_h, :] + params.b.value[..., None, :]
+    values = flat @ w_in.value[..., -d_h:, :]
+    return AttentionMemory(hiddens, *(a.reshape(*a.shape[:-2], batch, m, -1) for a in (keys, values)),
+                           np.where(valid, 0.0, -np.inf))
 
 
 @dataclass
 class AttentionTrace:
-    """T attention steps of B rows, time first. A gradient trace holds d_context and d_share
-    in the same fields, and d_keys summed over its steps."""
+    """T attention steps of B rows, time first. A gradient trace holds d_share in the same
+    field, and d_keys summed over its steps."""
 
-    context: Array       # (T, [n,] B, d_h)
     weights: Array       # (T, [n,] B, m)
     share: Array         # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
     keys: Array | None   # ([n,] B, m, attn_size): d_keys, zeroed in a gradient trace (grads=True) only
@@ -261,52 +271,62 @@ class AttentionTrace:
               lead: tuple | None = None) -> "AttentionTrace":
         """A trace of ``steps`` steps for the weights' copies, or for ``lead``, those of the queries."""
         lead = (steps, *(params.v.value.shape[:-1] if lead is None else lead), memory.hiddens.shape[-3])
-        return cls(np.empty((*lead, memory.hiddens.shape[-1])), np.empty((*lead, memory.hiddens.shape[-2])),
-                   np.empty((*lead, params.v.value.shape[-1])), np.zeros(memory.keys.shape) if grads else None)
+        return cls(np.empty((*lead, memory.hiddens.shape[-2])), np.empty((*lead, params.v.value.shape[-1])),
+                   np.zeros(memory.keys.shape) if grads else None)
 
 
 def attention_context(
     params: AttentionParams, memory: AttentionMemory, query: Array, trace: AttentionTrace, j: int
-) -> None:
-    """Score each row's encoder hiddens against its previous decoder state; writes row j of ``trace``.
+) -> Array:
+    """Score each row's encoder hiddens against its previous decoder state; writes row j of ``trace``
+    and returns the context's ([n,] B, G*d_h) share of the cell's gates.
 
     score_i = v . tanh(W^T (h_i ++ query) + b), -inf at padded positions;
-    weights = softmax(scores); context = sum_i weights_i * h_i. ([n,] B, d_h)
+    weights = softmax(scores); the share is sum_i weights_i * values_i, the
+    context sum_i weights_i * h_i times the cell's context rows. ([n,] B, d_h)
     queries attend with the stacked weights, one row each.
     """
     trace.share[j] = T.matmul(query, params.w.value[..., memory.hiddens.shape[-1]:, :])
     scores = (T.tanh(memory.keys + trace.share[j][..., None, :]) @ params.v.value[..., None, :, None])[..., 0]
     trace.weights[j] = T.softmax(scores + memory.mask)
-    trace.context[j] = T.matmul(trace.weights[j][..., None, :], memory.hiddens)[..., 0, :]
+    return T.matmul(trace.weights[j][..., None, :], memory.values)[..., 0, :]
 
 
 def attention_backward(
     params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
-    j: int, d_context: Array,
+    j: int, d_gates: Array,
 ) -> Array:
-    """Step j backward: fill row j of ``grads``, add to its d_keys and to v's gradient; return d_query."""
+    """Step j backward from the ([n,] B, G*d_h) gradient of the cell's gates: fill row j of ``grads``,
+    add to its d_keys and to v's gradient; return d_query."""
     pre = T.tanh(memory.keys + trace.share[j][..., None, :])  # recomputed, not stored
-    d_scores = T.softmax_backward(T.matmul(memory.hiddens, d_context[..., None])[..., 0], trace.weights[j])
+    d_scores = T.softmax_backward(T.matmul(memory.values, d_gates[..., None])[..., 0], trace.weights[j])
     d_pre = T.tanh_backward(d_scores[..., None] * params.v.value[..., None, None, :], pre)
     params.v.grad += (pre * d_scores[..., None]).sum(axis=(-3, -2))
     grads.keys += d_pre
-    grads.context[j], grads.share[j] = d_context, d_pre.sum(axis=-2)
+    grads.share[j] = d_pre.sum(axis=-2)
     return T.matmul(grads.share[j], _transpose(params.w.value[..., memory.hiddens.shape[-1]:, :]))
 
 
 def attention_weights_backward(
     params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
-    queries: Array,
+    queries: Array, d_gates: Array, w_in: ParamSlot,
 ) -> Array:
-    """Weight gradients of T steps from the (T, [n,] B, d_h) queries, one GEMM each over
-    all rows; returns the ([n,] B, m, d_h) gradient of each row's context hiddens."""
+    """Weight gradients of T steps from the (T, [n,] B, d_h) queries and the (T, [n,] B, G*d_h)
+    gradients of the cell's gates, one GEMM each over all rows: the attention's, and those of
+    the last d_h rows of the cell's ``w_in``. Returns the ([n,] B, m, d_h) gradient of each
+    row's context hiddens."""
     d_h = memory.hiddens.shape[-1]
+    hiddens = memory.hiddens.reshape(-1, d_h)
     d_keys = grads.keys.reshape(*grads.keys.shape[:-3], -1, grads.keys.shape[-1])
-    params.w.grad[..., :d_h, :] += _transpose(memory.hiddens.reshape(-1, d_h)) @ d_keys
+    params.w.grad[..., :d_h, :] += _transpose(hiddens) @ d_keys
     params.w.grad[..., d_h:, :] += _transpose(rows(queries)) @ rows(grads.share)
     params.b.grad += d_keys.sum(axis=-2)
-    from_keys = (d_keys @ _transpose(params.w.value[..., :d_h, :])).reshape(memory.keys.shape[:-1] + (d_h,))
-    return np.moveaxis(trace.weights, 0, -1) @ np.moveaxis(grads.context, 0, -2) + from_keys
+    # Each row's values are read by its T steps' weights: one batched product per copy and row.
+    d_values = np.moveaxis(trace.weights, 0, -1) @ np.moveaxis(d_gates, 0, -2)
+    d_values = d_values.reshape(*d_values.shape[:-3], -1, d_values.shape[-1])
+    w_in.grad[..., -d_h:, :] += _transpose(hiddens) @ d_values
+    d_hiddens = d_keys @ _transpose(params.w.value[..., :d_h, :]) + d_values @ _transpose(w_in.value[..., -d_h:, :])
+    return d_hiddens.reshape(memory.keys.shape[:-1] + (d_h,))
 
 
 @dataclass

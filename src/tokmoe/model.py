@@ -255,9 +255,7 @@ def expert_step(rec: Recurrence, gates_in: Array, j: int) -> None:
     column of the projected inputs: reads state row j, writes row j+1 of ``rec.trace`` and
     row j of ``rec.attn``. Without attention the cell reads the token's embedding alone."""
     if rec.attention is not None:
-        L.attention_context(rec.attention, rec.memory, rec.trace.hidden[j], rec.attn, j)
-        context = rec.attn.context[j]
-        gates_in = gates_in + T.matmul(context, rec.cell.w_in.value[..., -context.shape[-1]:, :])
+        gates_in = gates_in + L.attention_context(rec.attention, rec.memory, rec.trace.hidden[j], rec.attn, j)
     L.cell_step(rec.cell, gates_in, rec.trace, j)
 
 
@@ -269,10 +267,7 @@ def expert_step_backward(
     weight gradients come later."""
     d_gates, d_prev_hidden, d_prev_cell = L.cell_step_backward(rec.cell, rec.trace, j, d_hidden, d_cell)
     if rec.attention is not None:
-        w_context = rec.cell.w_in.value[..., -d_hidden.shape[-1]:, :]
-        d_context = T.matmul(d_gates, w_context.swapaxes(-1, -2))
-        d_query = L.attention_backward(rec.attention, rec.memory, rec.attn, d_attn, j, d_context)
-        d_prev_hidden = d_prev_hidden + d_query
+        d_prev_hidden = d_prev_hidden + L.attention_backward(rec.attention, rec.memory, rec.attn, d_attn, j, d_gates)
     return d_gates, d_prev_hidden, d_prev_cell
 
 
@@ -288,10 +283,11 @@ def recur(embedding: EmbeddingTable, rec: Recurrence, token_ids: Array) -> None:
 
 def recur_backward(
     embedding: EmbeddingTable, rec: Recurrence, token_ids: Array, d_hidden: Array, d_cell: Array | None = None,
-) -> tuple[Array, Array, L.AttentionTrace | None]:
+) -> tuple[Array, Array, Array | None]:
     """Reverse ``recur`` from the (T, [n,] B, d_h) gradients of state rows 1..T, and of
     their cells if given; each weight gradient is one GEMM over all T*B rows. Returns the
-    (hidden, cell) gradients of state row 0 and the attention gradient trace."""
+    (hidden, cell) gradients of state row 0 and, with attention, the ([n,] B, m, d_h)
+    gradient of the encoder hiddens it attended over."""
     cell, (steps, batch) = rec.cell, token_ids.shape
     *lead, width = cell.bias.value.shape
     d_gates = np.empty((*lead, steps, batch, width))  # GEMM rows as a view
@@ -307,10 +303,11 @@ def recur_backward(
     ids = token_ids.reshape(-1)
     emb = embedding.lookup(ids)
     d_gates = d_gates.reshape(*lead, len(ids), width)
-    xs = [emb] if rec.attn is None else [emb, L.rows(rec.attn.context)]
-    L.cell_weights_backward(cell, xs, rec.trace, d_gates)
+    L.cell_weights_backward(cell, emb, rec.trace, d_gates)
     embedding.lookup_backward(ids, d_gates @ cell.w_in.value[..., :emb.shape[-1], :].swapaxes(-1, -2))
-    return carry_hidden, carry_cell, d_attn
+    d_memory = None if d_attn is None else L.attention_weights_backward(
+        rec.attention, rec.memory, rec.attn, d_attn, rec.trace.hidden[:-1], step_gates, cell.w_in)
+    return carry_hidden, carry_cell, d_memory
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +356,12 @@ def encode_backward(
 
 def decoders(cell: CellParams, attention: AttentionParams | None, enc: Encoding, steps: int) -> Recurrence:
     """The recurrence of ``steps`` steps of the stack of decoders, every decoder starting
-    from the shared encoder final state. With attention, the keys of all encoder hiddens
-    are one GEMM per decoder. Copies of the encoding, of the cell or of attention step as
-    copies of the whole stack."""
+    from the shared encoder final state. With attention, the keys and the values of all
+    encoder hiddens are one GEMM each per decoder. Copies of the encoding, of the cell or
+    of attention step as copies of the whole stack."""
     # A stacked encoding's (n, 1) copy axes lead its rows' (B, m, d_h) hiddens.
     memory = None if attention is None else L.attention_memory(
-        attention, np.moveaxis(enc.trace.hidden[1:], 0, -2), enc.valid.T)
+        attention, np.moveaxis(enc.trace.hidden[1:], 0, -2), enc.valid.T, cell.w_in)
     lead = enc.trace.hidden.shape[1:-2] if memory is None else memory.keys.shape[:-3]
     trace = L.CellTrace.empty(cell, steps, enc.valid.shape[1], lead)
     trace.hidden[0], trace.cell[0] = (np.moveaxis(a[1:][enc.last], 0, -2) for a in (enc.trace.hidden, enc.trace.cell))
@@ -532,14 +529,13 @@ def backward_teacher_forced(
     enc, rec = cache.enc, cache.decoders
     d_hidden = readout_backward(params, cache, d_dists, d_combined)
     del d_dists, d_combined  # a caller that keeps no reference frees the seeds here
-    carry_hidden, carry_cell, d_attn = recur_backward(params.embedding, rec, cache.input_ids, d_hidden)
+    carry_hidden, carry_cell, d_memory = recur_backward(params.embedding, rec, cache.input_ids, d_hidden)
     # Axis-0 sums from an initial 0.0 add the decoders one at a time, in order: the
     # attention blocks of the encoder hiddens, and the carries into the initial
     # states, which were copies of the encoder final state.
     d_enc_hiddens = np.zeros_like(enc.trace.hidden[1:])
-    if d_attn is not None:
-        blocks = L.attention_weights_backward(rec.attention, rec.memory, rec.attn, d_attn, rec.trace.hidden[:-1])
-        d_enc_hiddens = blocks.sum(axis=0, initial=0.0).swapaxes(0, 1)
+    if d_memory is not None:
+        d_enc_hiddens = d_memory.sum(axis=0, initial=0.0).swapaxes(0, 1)
     encode_backward(
         params, enc, d_enc_hiddens, carry_hidden.sum(axis=0, initial=0.0), carry_cell.sum(axis=0, initial=0.0)
     )

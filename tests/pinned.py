@@ -12,6 +12,10 @@ function's result as JSON:
 ``PYTHONPATH=src python tests/pinned.py profile '{}'`` prints the profile alone, as
 ``[["X86_V3"], "Haswell"]``, or exits non-zero naming what numpy and OpenBLAS run instead.
 It needs the numpy wheel, whose bundled OpenBLAS reports the core it runs.
+
+``PYTHONPATH=src python tests/pinned.py pins '{}'`` takes every digest that
+``TestTrainedRunPinned`` and ``test_result_bits_pinned`` pin, in their parametrize order, beside
+the digests pinned now: a change meant to alter the arithmetic re-pins from its output.
 """
 
 import os
@@ -25,6 +29,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from tokmoe.cli import main, run_gradcheck  # tokmoe pins BLAS to one thread before numpy loads
@@ -79,8 +84,29 @@ def gradcheck(**kwargs) -> str:
     return digest(repr(run_gradcheck(**kwargs)).encode())
 
 
+def pins() -> list[list]:
+    """One row per pinned case, in parametrize order: its function, its id, the digests
+    ``tests/test_cli.py`` pins and the digests taken now."""
+    import test_cli  # beside this script, so importable when it runs
+
+    def cases(test):
+        mark = test.pytestmark[0]
+        return zip(mark.kwargs["ids"], mark.args[1])
+
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "pin-corpus"
+        stdout_of(["synth", "--out", str(corpus), *test_cli.PIN_SYNTH])
+        for case, (flags, digests) in cases(test_cli.TestTrainedRunPinned.test_outputs_pinned):
+            (out := Path(tmp) / case).mkdir()
+            rows.append(["trained_run", case, list(digests), trained_run(str(corpus), str(out), flags)])
+    for case, (kwargs, digest_now) in cases(test_cli.TestGradcheckCommand.test_result_bits_pinned):
+        rows.append(["gradcheck", case, digest_now, gradcheck(**kwargs)])
+    return rows
+
+
 if __name__ == "__main__":
     taken = profile()
     if taken != (["X86_V3"], "Haswell"):
         sys.exit(f"the CPU profile {PROFILE} did not take effect: numpy dispatches {taken[0]}, OpenBLAS runs {taken[1]}")
-    print(json.dumps({"profile": profile, "trained_run": trained_run, "gradcheck": gradcheck}[sys.argv[1]](**json.loads(sys.argv[2]))))
+    print(json.dumps({"profile": profile, "trained_run": trained_run, "gradcheck": gradcheck, "pins": pins}[sys.argv[1]](**json.loads(sys.argv[2]))))

@@ -7,6 +7,7 @@ import pytest
 
 import tokmoe.layers as L
 import tokmoe.tensor as T
+from tokmoe.config import VariantConfig
 
 from conftest import fd_grad, max_rel_err, slot
 
@@ -101,7 +102,7 @@ class TestLstmCell:
 
         trace = stepped(params, x, prev_h, prev_c)
         d_gates, d_h_prev, d_c_prev = L.lstm_step_backward(params, trace, 0, ph.copy(), pc.copy())
-        L.cell_weights_backward(params, [x[None]], trace, d_gates)
+        L.cell_weights_backward(params, x[None], trace, d_gates)
         d_x = d_gates @ params.w_in.value.T
 
         assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev_h, prev_c), x.copy())) < 1e-6
@@ -148,7 +149,7 @@ class TestGruCell:
 
         trace = stepped(params, x, prev_h)
         d_gates, d_h_prev, _ = L.gru_step_backward(params, trace, 0, ph.copy(), np.zeros(d_h))
-        L.cell_weights_backward(params, [x[None]], trace, d_gates)
+        L.cell_weights_backward(params, x[None], trace, d_gates)
         d_x = d_gates @ params.w_in.value.T
 
         assert max_rel_err(d_x, fd_grad(lambda v: run(v, prev_h), x.copy())) < 1e-6
@@ -158,12 +159,16 @@ class TestGruCell:
             assert max_rel_err(slot.grad, numeric) < 1e-6
 
 
-def attend(params, hiddens, query):
-    """One attention step of one row: its context, its weights, and its (memory, one-step trace)."""
-    memory = L.attention_memory(params, hiddens[None], np.ones((1, len(hiddens)), dtype=bool))
+def attend(params, hiddens, query, w_in=None):
+    """One attention step of one row: its context, taken from its weights; its weights; and its
+    (memory, one-step trace, share of the cell's gates). The cell's ``w_in`` defaults to
+    context rows of the identity, so that the share is the context itself."""
+    w_in = slot("w_in", np.eye(hiddens.shape[-1])) if w_in is None else w_in
+    memory = L.attention_memory(params, hiddens[None], np.ones((1, len(hiddens)), dtype=bool), w_in)
     trace = L.AttentionTrace.empty(params, memory, 1)
-    L.attention_context(params, memory, query[None], trace, 0)
-    return trace.context[0, 0], trace.weights[0, 0], (memory, trace)
+    share = L.attention_context(params, memory, query[None], trace, 0)
+    weights = trace.weights[0, 0]
+    return weights @ hiddens, weights, (memory, trace, share[0])
 
 
 class TestAttention:
@@ -226,24 +231,66 @@ class TestAttention:
             assert abs(weights.sum() - 1.0) < 1e-12
             assert h.min() - 1e-12 <= context[0] <= h.max() + 1e-12
 
+    def test_share_of_the_gates_is_the_context_through_the_context_rows(self, rng):
+        params = self.make_params(rng, d_h=3, d_a=2)
+        w_in = make_slot(rng, "w_in", 5 + 3, 12)  # embedding rows, then the context rows
+        h = rng.uniform(-1, 1, (4, 3))
+        context, _, (memory, _, share) = attend(params, h, rng.uniform(-1, 1, 3), w_in)
+        np.testing.assert_array_equal(memory.values[0], h @ w_in.value[5:])
+        np.testing.assert_allclose(share, context @ w_in.value[5:], rtol=1e-12, atol=1e-15)
+
     def test_backward_matches_finite_differences(self, rng):
         params = self.make_params(rng, d_h=2, d_a=3)
+        w_in = make_slot(rng, "w_in", 3 + 2, 8)
         h = rng.uniform(-1, 1, (3, 2))
         query = rng.uniform(-1, 1, 2)
-        pc = rng.uniform(-1, 1, 2)
+        pc = rng.uniform(-1, 1, 8)
 
         def run(hv, qv):
-            context, _, _ = attend(params, hv, qv)
-            return float(np.dot(pc, context))
+            _, _, (_, _, share) = attend(params, hv, qv, w_in)
+            return float(np.dot(pc, share))
 
-        _, _, (memory, trace) = attend(params, h, query)
+        _, _, (memory, trace, _) = attend(params, h, query, w_in)
         grads = L.AttentionTrace.empty(params, memory, 1, grads=True)
         d_q = L.attention_backward(params, memory, trace, grads, 0, pc[None])
-        d_h = L.attention_weights_backward(params, memory, trace, grads, query[None, None])
+        d_h = L.attention_weights_backward(params, memory, trace, grads, query[None, None], pc[None, None], w_in)
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, query), h.copy())) < 1e-6
         assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), query.copy())) < 1e-6
-        for slot in params.slots():
+        for slot in [*params.slots(), w_in]:
             numeric = fd_grad(lambda v: run(h, query), slot.value)
+            assert max_rel_err(slot.grad, numeric) < 1e-6
+        assert not w_in.grad[:3].any()  # the embedding rows are the cell's own to fill
+
+    def test_steps_over_padded_rows_backward_matches_finite_differences(self, rng):
+        # T steps of B rows, each over its own right-padded context: per step, the score
+        # gradient is values @ d_gates; once, d_values fills w_in's context rows and the hiddens.
+        steps, lengths, d_h, d_in, gates = 3, [4, 2], 3, 2 + 3, 6
+        params = self.make_params(rng, d_h=d_h, d_a=2)
+        w_in = make_slot(rng, "w_in", d_in, gates)
+        valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        h = rng.uniform(-1, 1, (len(lengths), max(lengths), d_h))
+        queries = rng.uniform(-1, 1, (steps, len(lengths), d_h))
+        d_gates = rng.uniform(-1, 1, (steps, len(lengths), gates))
+
+        def forward(hv, qv):
+            memory = L.attention_memory(params, hv, valid, w_in)
+            trace = L.AttentionTrace.empty(params, memory, steps)
+            shares = [L.attention_context(params, memory, q, trace, t) for t, q in enumerate(qv)]
+            return memory, trace, np.array(shares)
+
+        def run(hv, qv):
+            return float(np.sum(forward(hv, qv)[2] * d_gates))
+
+        memory, trace, _ = forward(h, queries)
+        assert not trace.weights[:, ~valid].any()
+        grads = L.AttentionTrace.empty(params, memory, steps, grads=True)
+        d_q = np.array([L.attention_backward(params, memory, trace, grads, t, d) for t, d in enumerate(d_gates)])
+        d_h = L.attention_weights_backward(params, memory, trace, grads, queries, d_gates, w_in)
+        assert not d_h[~valid].any()
+        assert max_rel_err(d_h, fd_grad(lambda v: run(v, queries), h.copy())) < 1e-6
+        assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), queries.copy())) < 1e-6
+        for slot in [*params.slots(), w_in]:
+            numeric = fd_grad(lambda v: run(h, queries), slot.value)
             assert max_rel_err(slot.grad, numeric) < 1e-6
 
 
@@ -319,7 +366,7 @@ class TestStackedCopies:
             d_gates[t], carry_h, carry_c = L.cell_step_backward(
                 params, trace, t, d_hidden[t] + carry_h, carry_c
             )
-        L.cell_weights_backward(params, [x.reshape(*x.shape[:-3], -1, d_in)], trace, L.rows(d_gates))
+        L.cell_weights_backward(params, x.reshape(*x.shape[:-3], -1, d_in), trace, L.rows(d_gates))
         return trace.hidden[1:], d_gates, carry_h, carry_c
 
     @pytest.mark.parametrize("kind,gates", [("lstm", 4), ("gru", 3)])
@@ -344,34 +391,67 @@ class TestStackedCopies:
             self.assert_grads_equal(stacked.slots(), single.slots(), l)
 
     @staticmethod
-    def run_attention(params, hiddens, queries, d_contexts):
-        """T steps of (T, [n,] B, d_h) queries forward and backward, then the weight gradients."""
-        memory = L.attention_memory(params, hiddens, np.ones(hiddens.shape[:2], dtype=bool))
+    def run_attention(params, w_in, hiddens, valid, queries, d_gates):
+        """T steps of (T, [n,] B, d_h) queries forward and backward from the (T, [n,] B, G) gradients
+        of the cell's gates, then the weight gradients. Returns the (T, [n,] B, ·) contexts, taken
+        from the weights, the weights and the shares of the gates, then d_queries and d_hiddens."""
+        memory = L.attention_memory(params, hiddens, valid, w_in)
         trace, grads = (L.AttentionTrace.empty(params, memory, len(queries), grads=g) for g in (False, True))
         assert trace.keys is None  # only the gradient trace holds d_keys
-        for t, query in enumerate(queries):
-            L.attention_context(params, memory, query, trace, t)
+        shares = np.array([L.attention_context(params, memory, query, trace, t) for t, query in enumerate(queries)])
         d_queries = np.array([
-            L.attention_backward(params, memory, trace, grads, t, d) for t, d in enumerate(d_contexts)
+            L.attention_backward(params, memory, trace, grads, t, d) for t, d in enumerate(d_gates)
         ])
-        d_hiddens = L.attention_weights_backward(params, memory, trace, grads, queries)
-        return trace.context, trace.weights, d_queries, d_hiddens
+        d_hiddens = L.attention_weights_backward(params, memory, trace, grads, queries, d_gates, w_in)
+        contexts = (trace.weights[..., None, :] @ memory.hiddens)[..., 0, :]
+        return contexts, trace.weights, shares, d_queries, d_hiddens
 
-    def test_attention(self, rng):
-        n, steps, batch, m, d_h, d_a = self.N, 4, 2, 5, 7, 6
-        stacked = L.AttentionParams(
+    def stacked_attention(self, rng, n, d_h, d_a, d_in, gates):
+        params = L.AttentionParams(
             make_slot(rng, "w", n, 2 * d_h, d_a), make_slot(rng, "b", n, d_a), make_slot(rng, "v", n, d_a)
         )
+        return params, make_slot(rng, "w_in", n, d_in, gates)
+
+    def test_attention(self, rng):
+        n, steps, batch, m, d_h, d_a, d_in = self.N, 4, 2, 5, 7, 6, 4 + 7
+        stacked, w_in = self.stacked_attention(rng, n, d_h, d_a, d_in, 4 * d_h)
         hiddens = rng.uniform(-1, 1, (batch, m, d_h))
+        valid = np.ones((batch, m), dtype=bool)
         queries = rng.uniform(-1, 1, (steps, n, batch, d_h))
-        d_contexts = rng.uniform(-1, 1, (steps, n, batch, d_h))
-        contexts, weights, d_queries, d_hiddens = self.run_attention(stacked, hiddens, queries, d_contexts)
+        d_gates = rng.uniform(-1, 1, (steps, n, batch, 4 * d_h))
+        outputs = self.run_attention(stacked, w_in, hiddens, valid, queries, d_gates)
         for l in range(n):
             single = L.AttentionParams(*self.copy_of(stacked.slots(), l))
-            out_l = self.run_attention(single, hiddens, queries[:, l], d_contexts[:, l])
-            self.assert_rows_equal([contexts, weights, d_queries], out_l[:3], l, axis=1)
-            self.assert_rows_equal([d_hiddens], out_l[3:], l)
-            self.assert_grads_equal(stacked.slots(), single.slots(), l)
+            w_in_l = self.copy_of([w_in], l)[0]
+            out_l = self.run_attention(single, w_in_l, hiddens, valid, queries[:, l], d_gates[:, l])
+            self.assert_rows_equal(outputs[:4], out_l[:4], l, axis=1)
+            self.assert_rows_equal(outputs[4:], out_l[4:], l)
+            self.assert_grads_equal([*stacked.slots(), w_in], [*single.slots(), w_in_l], l)
+
+    @pytest.mark.parametrize("shape", ["desk", "paper"])
+    def test_values_are_the_context_through_the_context_rows(self, rng, shape):
+        # At the desk and paper widths, k+1 = 4 decoders attend over three contexts, two of them
+        # padded: weights @ values is (weights @ hiddens) @ w_ctx to 1e-12 of the magnitude of
+        # its terms, and each decoder's rows are bit for bit its own run alone.
+        variant = {"desk": VariantConfig(hidden_size=32, embedding_size=24), "paper": VariantConfig()}[shape]
+        n, steps, lengths, d_h = 4, 5, [6, 2, 9], variant.hidden_size
+        stacked, w_in = self.stacked_attention(rng, n, d_h, variant.attn_size, variant.embedding_size + d_h, 4 * d_h)
+        valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        hiddens = rng.uniform(-1, 1, (len(lengths), max(lengths), d_h))
+        queries = rng.uniform(-1, 1, (steps, n, len(lengths), d_h))
+        d_gates = rng.uniform(-1, 1, (steps, n, len(lengths), 4 * d_h))
+        contexts, weights, shares, *_ = outputs = self.run_attention(stacked, w_in, hiddens, valid, queries, d_gates)
+        assert not weights[..., ~valid].any()
+        w_ctx = w_in.value[:, -d_h:, :]
+        magnitude = (np.abs(weights)[..., None, :] @ np.abs(hiddens @ w_ctx[:, None]))[..., 0, :]
+        assert (np.abs(shares - contexts @ w_ctx) <= 1e-12 * magnitude).all()
+        for l in range(n):
+            single = L.AttentionParams(*self.copy_of(stacked.slots(), l))
+            w_in_l = self.copy_of([w_in], l)[0]
+            out_l = self.run_attention(single, w_in_l, hiddens, valid, queries[:, l], d_gates[:, l])
+            self.assert_rows_equal(outputs[:4], out_l[:4], l, axis=1)
+            self.assert_rows_equal(outputs[4:], out_l[4:], l)
+            self.assert_grads_equal([*stacked.slots(), w_in], [*single.slots(), w_in_l], l)
 
     def test_projection(self, rng):
         n, steps, d_h, vocab = self.N, 4, 9, 37

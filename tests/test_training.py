@@ -788,6 +788,20 @@ class TestStackedLosses:
             assert hi == coords.size or decoder[hi] != decoder[lo] or cost[lo:hi + 1].sum() > TR.STACK_BYTES
         assert (len(plan) == coords.size) == (budget == 1 << 12)
 
+    @pytest.mark.parametrize("variant", ["base", "V1"])
+    @pytest.mark.parametrize("scheme_name", ["S1", "S2", "S3", "S4"])
+    def test_every_stack_is_within_or_outside_the_decoder_groups(self, variant, scheme_name):
+        # ``copies`` lays out decoder-group copies on the decoder axis and any others on a copy
+        # axis; a stack of both, say projection and gating coordinates, fails in the gate's input.
+        scheme = SchemeConfig.from_name(scheme_name)
+        params = init_model(6, 2, dict(_gradcheck_variants(3))[variant], 0, scheme)
+        samples, expert_of = _gradcheck_samples(6, 2)
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        arena, decoder_groups = params.arena(), set(params.DECODER_GROUPS)
+        for stack in TR.stacks(params, owned, np.arange(params.values.size), arena)[0]:
+            groups = {arena[0][t][0] for t in np.searchsorted(arena[1], stack, "right") - 1}
+            assert groups <= decoder_groups or not groups & decoder_groups, groups
+
     def test_paper_width_stack_peak_is_one_coordinates(self):
         # At the paper shape one coordinate's two copies are past the budget, so a stack is one
         # coordinate: cell.w_in's holds the k+1 decoders and two shifted ones (12.7 MB). A stack
