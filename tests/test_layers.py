@@ -231,14 +231,6 @@ class TestAttention:
             assert abs(weights.sum() - 1.0) < 1e-12
             assert h.min() - 1e-12 <= context[0] <= h.max() + 1e-12
 
-    def test_share_of_the_gates_is_the_context_through_the_context_rows(self, rng):
-        params = self.make_params(rng, d_h=3, d_a=2)
-        w_in = make_slot(rng, "w_in", 5 + 3, 12)  # embedding rows, then the context rows
-        h = rng.uniform(-1, 1, (4, 3))
-        context, _, (memory, _, share) = attend(params, h, rng.uniform(-1, 1, 3), w_in)
-        np.testing.assert_array_equal(memory.values[0], h @ w_in.value[5:])
-        np.testing.assert_allclose(share, context @ w_in.value[5:], rtol=1e-12, atol=1e-15)
-
     def test_backward_matches_finite_differences(self, rng):
         params = self.make_params(rng, d_h=2, d_a=3)
         w_in = make_slot(rng, "w_in", 3 + 2, 8)
@@ -412,21 +404,24 @@ class TestStackedCopies:
         )
         return params, make_slot(rng, "w_in", n, d_in, gates)
 
-    def test_attention(self, rng):
-        n, steps, batch, m, d_h, d_a, d_in = self.N, 4, 2, 5, 7, 6, 4 + 7
-        stacked, w_in = self.stacked_attention(rng, n, d_h, d_a, d_in, 4 * d_h)
-        hiddens = rng.uniform(-1, 1, (batch, m, d_h))
-        valid = np.ones((batch, m), dtype=bool)
-        queries = rng.uniform(-1, 1, (steps, n, batch, d_h))
-        d_gates = rng.uniform(-1, 1, (steps, n, batch, 4 * d_h))
+    def assert_copies_run_alone(self, stacked, w_in, hiddens, valid, queries, d_gates):
         outputs = self.run_attention(stacked, w_in, hiddens, valid, queries, d_gates)
-        for l in range(n):
+        for l in range(len(w_in.value)):
             single = L.AttentionParams(*self.copy_of(stacked.slots(), l))
             w_in_l = self.copy_of([w_in], l)[0]
             out_l = self.run_attention(single, w_in_l, hiddens, valid, queries[:, l], d_gates[:, l])
             self.assert_rows_equal(outputs[:4], out_l[:4], l, axis=1)
             self.assert_rows_equal(outputs[4:], out_l[4:], l)
             self.assert_grads_equal([*stacked.slots(), w_in], [*single.slots(), w_in_l], l)
+        return outputs
+
+    def test_attention(self, rng):
+        n, steps, batch, m, d_h, d_a, d_in = self.N, 4, 2, 5, 7, 6, 4 + 7
+        stacked, w_in = self.stacked_attention(rng, n, d_h, d_a, d_in, 4 * d_h)
+        hiddens = rng.uniform(-1, 1, (batch, m, d_h))
+        queries = rng.uniform(-1, 1, (steps, n, batch, d_h))
+        d_gates = rng.uniform(-1, 1, (steps, n, batch, 4 * d_h))
+        self.assert_copies_run_alone(stacked, w_in, hiddens, np.ones((batch, m), dtype=bool), queries, d_gates)
 
     @pytest.mark.parametrize("shape", ["desk", "paper"])
     def test_values_are_the_context_through_the_context_rows(self, rng, shape):
@@ -440,18 +435,11 @@ class TestStackedCopies:
         hiddens = rng.uniform(-1, 1, (len(lengths), max(lengths), d_h))
         queries = rng.uniform(-1, 1, (steps, n, len(lengths), d_h))
         d_gates = rng.uniform(-1, 1, (steps, n, len(lengths), 4 * d_h))
-        contexts, weights, shares, *_ = outputs = self.run_attention(stacked, w_in, hiddens, valid, queries, d_gates)
+        contexts, weights, shares, *_ = self.assert_copies_run_alone(stacked, w_in, hiddens, valid, queries, d_gates)
         assert not weights[..., ~valid].any()
         w_ctx = w_in.value[:, -d_h:, :]
         magnitude = (np.abs(weights)[..., None, :] @ np.abs(hiddens @ w_ctx[:, None]))[..., 0, :]
         assert (np.abs(shares - contexts @ w_ctx) <= 1e-12 * magnitude).all()
-        for l in range(n):
-            single = L.AttentionParams(*self.copy_of(stacked.slots(), l))
-            w_in_l = self.copy_of([w_in], l)[0]
-            out_l = self.run_attention(single, w_in_l, hiddens, valid, queries[:, l], d_gates[:, l])
-            self.assert_rows_equal(outputs[:4], out_l[:4], l, axis=1)
-            self.assert_rows_equal(outputs[4:], out_l[4:], l)
-            self.assert_grads_equal([*stacked.slots(), w_in], [*single.slots(), w_in_l], l)
 
     def test_projection(self, rng):
         n, steps, d_h, vocab = self.N, 4, 9, 37
