@@ -100,8 +100,8 @@ def pins() -> list[list]:
         for case, (flags, digests) in cases(test_cli.TestTrainedRunPinned.test_outputs_pinned):
             (out := Path(tmp) / case).mkdir()
             rows.append(["trained_run", case, list(digests), trained_run(str(corpus), str(out), flags)])
-    for case, (kwargs, digest_now) in cases(test_cli.TestGradcheckCommand.test_result_bits_pinned):
-        rows.append(["gradcheck", case, digest_now, gradcheck(**kwargs)])
+    for case, (kwargs, pinned_digest) in cases(test_cli.TestGradcheckCommand.test_result_bits_pinned):
+        rows.append(["gradcheck", case, pinned_digest, gradcheck(**kwargs)])
     return rows
 
 
