@@ -478,11 +478,15 @@ def copies(params: ModelParams, coords: Array, arena: tuple | None = None) -> Mo
     return params.replaced(values, copy_rows)
 
 
-def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig):
-    """The summed loss of the ``owned_groups`` by full forwards: a float for the model, one
-    per copy for a stack of ``copies``."""
-    mu, lam = resolve_scheme_weights(scheme, params)
-    return summed_loss((group_loss(teacher_force(params, group), own) for group, own in owned), mu, lam)[2]
+def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], schemes: list[SchemeConfig]):
+    """The summed losses of the ``owned_groups`` by full forwards: the scheme-free (k+1,) expert losses and chair
+    loss, added as ``summed_loss`` adds them, and each scheme's total of those two. A stack of ``copies`` gives a
+    row of each per copy, but a stack of S1's logits alone shares one pair of losses: only the totals read them."""
+    # summed_loss adds the groups in one order whatever its weights: here zeros as wide as the ownership rows,
+    # k+1 (a stack of decoders' num_decoders counts its copies too). Each scheme's total comes after.
+    expert, chair, _ = summed_loss((group_loss(teacher_force(params, group), own) for group, own in owned),
+                                   np.zeros(owned[0][1].shape[1]), 0.0)
+    return expert, chair, [summed_loss([(expert, chair)], *resolve_scheme_weights(s, params))[2] for s in schemes]
 
 
 def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], coords: Array, arena: tuple):
@@ -507,51 +511,64 @@ def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], 
 
 
 def shifted_losses(
-    params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], scheme: SchemeConfig, coords: Array,
-) -> tuple[Array, Array]:
-    """The summed losses at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena
-    coordinate of ``coords``, each a copy in one of the ``stacks``, of at most ``STACK_BYTES`` or one coordinate."""
-    cut = stacks(params, owned, coords, arena := params.arena())[0]
-    losses = np.concatenate([forward_loss(copies(params, stack, arena), owned, scheme) for stack in cut])
-    return losses[0::2], losses[1::2]
+    params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], schemes: list[SchemeConfig], coords: Array,
+) -> tuple[Array, Array, Array]:
+    """``forward_loss`` at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena coordinate of
+    ``coords``, as copies 2i and 2i+1 in one of the ``stacks``, of at most ``STACK_BYTES`` or one coordinate, each
+    run once for all ``schemes``: the (2C, k+1) expert losses, the (2C,) chair losses and the (schemes, 2C) totals."""
+    expert, chair, totals = [], [], []
+    for stack in stacks(params, owned, coords, arena := params.arena())[0]:
+        n = 2 * len(stack)
+        stack_expert, stack_chair, stack_totals = forward_loss(copies(params, stack, arena), owned, schemes)
+        expert.append(np.broadcast_to(stack_expert, (n, params.num_decoders)))
+        chair.append(np.broadcast_to(stack_chair, n))
+        totals.append([np.broadcast_to(total, n) for total in stack_totals])
+    return np.concatenate(expert), np.concatenate(chair), np.concatenate(totals, axis=1)
 
 
 def grad_check(
     params: ModelParams,
     samples: list[EncodedSample],
-    scheme: SchemeConfig,
+    schemes: list[SchemeConfig],
     expert_of: dict[str, int],
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
+) -> list[float]:
+    """Max relative error between analytic and central-difference gradients, one per scheme of ``schemes``, in order.
 
-    Compares every coordinate of the arena (S1's mu/lambda logits included), shifted by +-``GRAD_CHECK_EPSILON``, on
-    the summed batch loss of a tiny instance. Every shifted loss is one copy in one of ``shifted_losses``' stacks of
-    ``copies``, each of at most ``STACK_BYTES`` or of one coordinate: a copy of a decoder's cell, attention or
-    projection is one more decoder, any other copy leads a copy axis. The pass checks itself: the +epsilon loss of
-    each tensor's first coordinate is also taken from a plain full forward, and one that differs from its copy's
-    returns ``math.inf``. No samples is a DomainError; any non-finite analytic gradient, numeric gradient or error
-    returns ``math.inf``.
+    Checks one model under each scheme on every arena coordinate (S1's mu/lambda logits included: a scheme that does
+    not learn them never reads them, so both their gradients are 0.0), shifted by +-``GRAD_CHECK_EPSILON``, on the
+    summed batch loss of a tiny instance. Each scheme's analytic gradient is its own ``train_batch``'s; the shifted
+    losses are one pass for all schemes, so the mixing schemes share one gated model and one pass. Every shifted loss
+    is one copy in one of ``shifted_losses``' stacks of ``copies``, each of at most ``STACK_BYTES`` or of one
+    coordinate (a copy of a decoder's cell, attention or projection is one more decoder, any other copy leads a copy
+    axis); its scheme-free expert and chair losses give each scheme's total. The pass checks itself: the losses and
+    totals at +epsilon on each tensor's first coordinate are also taken from a plain full forward; a differing loss
+    returns ``math.inf`` for every scheme, a differing total for its scheme. No samples is a DomainError; a
+    non-finite analytic gradient, numeric gradient or error returns ``math.inf`` for its scheme.
     """
     if not samples:
         raise DomainError("cannot check gradients on no samples")
+    analytic = []
+    for scheme in schemes:
+        params.grads[...] = 0.0
+        train_batch(params, samples, scheme, expert_of)
+        analytic.append(params.grads.copy())
     params.grads[...] = 0.0
-    train_batch(params, samples, scheme, expert_of)
-    analytic = params.grads.copy()
-    params.grads[...] = 0.0
-    if not np.isfinite(analytic).all():
-        return math.inf
 
     owned = owned_groups(samples, expert_of, params.num_decoders)
-    up, down = shifted_losses(params, owned, scheme, np.arange(analytic.size))
+    expert, chair, totals = shifted_losses(params, owned, schemes, np.arange(params.values.size))
+    ok = np.array([np.isfinite(grad).all() for grad in analytic])
     for idx in params.arena()[1][:-1]:
         original = params.values[idx]
         params.values[idx] = original + GRAD_CHECK_EPSILON
-        checked = forward_loss(params, owned, scheme)
+        expert_up, chair_up, totals_up = forward_loss(params, owned, schemes)
         params.values[idx] = original
-        if checked != up[idx]:
-            return math.inf
-    numeric = (up - down) / (2.0 * GRAD_CHECK_EPSILON)
-    err = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), GRAD_CHECK_FLOOR)
-    if not np.isfinite(err).all():
-        return math.inf
-    return max(0.0, err.max())  # a numpy float, or 0.0 when every error is 0.0
+        ok &= (expert_up == expert[2 * idx]).all() & (chair_up == chair[2 * idx]) & (
+            np.array(totals_up) == totals[:, 2 * idx])
+    errors = []
+    for passed, grad, total in zip(ok, analytic, totals):
+        if passed:
+            numeric = (total[0::2] - total[1::2]) / (2.0 * GRAD_CHECK_EPSILON)
+            err = np.abs(grad - numeric) / np.maximum(np.abs(grad) + np.abs(numeric), GRAD_CHECK_FLOOR)
+            passed = np.isfinite(err).all()
+        errors.append(max(0.0, err.max()) if passed else math.inf)  # a numpy float, or 0.0 when every error is 0.0
+    return errors

@@ -289,6 +289,19 @@ class TestGradcheckCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[usage]")
 
+    def test_mixing_schemes_share_one_check_per_variant(self, monkeypatch):
+        # S1, S2 and S4 are checked together on the model built for S1, S3 on its own ungated model:
+        # 8 grad_check calls per sweep, not 16, and one pass of shifted losses per call.
+        calls, original = [], TR.grad_check
+
+        def record(params, samples, schemes, expert_of):
+            calls.append(([s.scheme for s in schemes], params.gating is not None, params.scheme_weights is not None))
+            return original(params, samples, schemes, expert_of)
+
+        monkeypatch.setattr(TR, "grad_check", record)
+        run_gradcheck(num_experts=1, hidden=1, vocab_size=5)
+        assert calls == [(["S1", "S2", "S4"], True, True), (["S3"], False, False)] * 4
+
     def test_sweep_without_experts_cannot_pass(self):
         # No experts means no gradcheck samples: the sweep is refused, not reported as zeros.
         with pytest.raises(DomainError, match="no samples"):

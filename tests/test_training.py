@@ -572,7 +572,7 @@ class TestGroupedTeacherForcing:
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, tiny_variant(**VARIANTS[variant]), 0, scheme)
         expert_of = {"alpha": 0, "beta": 1} if num_experts else {}
-        assert TR.grad_check(params, mixed_group(), scheme, expert_of) < 1e-4
+        assert TR.grad_check(params, mixed_group(), [scheme], expert_of)[0] < 1e-4
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     @pytest.mark.parametrize("scheme_name", ["S4", "S3"])
@@ -659,7 +659,8 @@ class TestGroupMemory:
 
 class TestStackedLosses:
     """Every perturbed loss of the gradient check is one copy in a stack of copies of the
-    model; every copy's loss is the full forward's of the same perturbation."""
+    model; every copy's expert losses, chair loss and total are the full forward's of the
+    same perturbation."""
 
     @pytest.mark.parametrize("variant,scheme_name,num_experts,batch", [
         ("base", "S4", 2, "gradcheck"), ("V1", "S3", 2, "gradcheck"), ("V2", "S1", 2, "gradcheck"),
@@ -683,15 +684,17 @@ class TestStackedLosses:
         decoders = [arena[0][np.searchsorted(arena[1], s[0], "right") - 1][0] in params.DECODER_GROUPS for s in plan]
         assert min(sum(decoders), len(plan) - sum(decoders)) >= 3
         assert max(map(len, plan)) > 1
-        up, down = TR.shifted_losses(params, owned, scheme, coords)
+        expert, chair, totals = TR.shifted_losses(params, owned, [scheme], coords)
         full = []
         for idx in coords:
             original = params.values[idx]
             for value in (original + TR.GRAD_CHECK_EPSILON, original - TR.GRAD_CHECK_EPSILON):
                 params.values[idx] = value
-                full.append(TR.forward_loss(params, owned, scheme))
+                expert_loss, chair_loss, [total] = TR.forward_loss(params, owned, [scheme])
+                full.append([*expert_loss, chair_loss, total])
             params.values[idx] = original
-        assert np.column_stack([up, down]).tolist() == np.reshape(full, (-1, 2)).tolist()
+        # Copy 2i is coordinate i at +epsilon and copy 2i+1 at -epsilon: its expert losses, chair loss and total.
+        assert np.column_stack([expert, chair, totals[0]]).tolist() == full
 
     @pytest.mark.parametrize("copy", [0, 2])
     def test_fault_only_the_stack_sees_is_detected(self, monkeypatch, copy):
@@ -708,7 +711,7 @@ class TestStackedLosses:
                 trace.hidden[j + 1, copy] += 1e-9
 
         monkeypatch.setattr(L, "cell_step", shifted)
-        err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples(), [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err == math.inf if copy == 0 else err > 1e-4
 
     def test_fault_in_the_shifted_decoders_is_detected(self, monkeypatch):
@@ -726,7 +729,7 @@ class TestStackedLosses:
                 trace.hidden[j + 1, n:] += 1e-9
 
         monkeypatch.setattr(L, "cell_step", shifted)
-        err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples(), [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err == math.inf or err > 1e-4
 
     def test_stack_of_decoders_copies_one_decoder_per_copy(self):
@@ -755,7 +758,7 @@ class TestStackedLosses:
         samples, expert_of = _gradcheck_samples(6, 2)
         tracemalloc.start()
         try:
-            assert TR.grad_check(params, samples, scheme, expert_of) < 1e-4
+            assert TR.grad_check(params, samples, [scheme], expert_of)[0] < 1e-4
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -825,18 +828,103 @@ class TestStackedLosses:
             assert peaks[0] <= max(TR.STACK_BYTES, peaks[1]) + (1 << 16), name
 
 
+MIXING = ("S1", "S2", "S4")
+
+
+class TestSharedSchemes:
+    """``tokmoe gradcheck`` checks S1, S2 and S4 on one gated model per variant, built for S1, from
+    one pass of shifted losses: that model holds the other two schemes' models, and each scheme's
+    error is the one a check of that scheme's own model gives."""
+
+    @pytest.mark.parametrize("variant", [name for name, _ in _gradcheck_variants(3)])
+    @pytest.mark.parametrize("num_experts", [1, 2, 3])
+    def test_s1_model_holds_the_s2_and_s4_models(self, variant, num_experts):
+        # S1's two logits are drawn last, after every value the other mixing schemes draw. Were they
+        # not, the shared check would still check valid S2 and S4 models, but not the pinned ones.
+        config = dict(_gradcheck_variants(3))[variant]
+        shared = init_model(6, num_experts, config, 0, SchemeConfig.from_name("S1"))
+        for name in ("S2", "S4"):
+            own = init_model(6, num_experts, config, 0, SchemeConfig.from_name(name))
+            n = own.values.size
+            assert shared.values[:n].tobytes() == own.values.tobytes(), name
+        tensors, starts = shared.arena()
+        assert [(group, t.name) for group, t in tensors[-2:]] == [
+            ("scheme_weights", "scheme.mu_logits"), ("scheme_weights", "scheme.lambda_logit")]
+        assert starts[-3] == n and starts[-1] == shared.values.size == n + num_experts + 1
+
+    @pytest.mark.parametrize("shape", [
+        {"num_experts": 2, "hidden": 3, "vocab_size": 6}, {"num_experts": 1, "hidden": 2, "vocab_size": 5},
+    ], ids=["default", "k1-hidden2-vocab5"])
+    def test_one_pass_gives_each_schemes_own_error(self, shape):
+        samples, expert_of = _gradcheck_samples(shape["vocab_size"], shape["num_experts"])
+        schemes = [SchemeConfig.from_name(name) for name in MIXING]
+        for name, variant in _gradcheck_variants(shape["hidden"]):
+            def model(scheme):
+                return init_model(shape["vocab_size"], shape["num_experts"], variant, 0, scheme)
+
+            shared = TR.grad_check(model(schemes[0]), samples, schemes, expert_of)
+            alone = [TR.grad_check(model(scheme), samples, [scheme], expert_of)[0] for scheme in schemes]
+            assert [(type(e), float.hex(e)) for e in shared] == [(type(e), float.hex(e)) for e in alone], name
+
+    @pytest.mark.parametrize("variant", [name for name, _ in _gradcheck_variants(3)])
+    def test_unread_logits_have_zero_error(self, variant):
+        # Under S2 and S4 both gradients of S1's logits are exactly 0.0, so their error is 0.0 and the
+        # shared model's maximum is the S2 or S4 model's own. S1 itself reads them.
+        samples, expert_of = _gradcheck_samples(6, 2)
+        schemes = [SchemeConfig.from_name(name) for name in MIXING]
+        params = init_model(6, 2, dict(_gradcheck_variants(3))[variant], 0, schemes[0])
+        logits = np.arange(params.arena()[1][-3], params.values.size)
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        totals = TR.shifted_losses(params, owned, schemes, np.arange(params.values.size))[2]
+        up, down = totals[:, 2 * logits], totals[:, 2 * logits + 1]
+        assert (up[0] != down[0]).any()
+        assert up[1:].tolist() == down[1:].tolist()
+        for scheme in schemes[1:]:
+            params.grads[...] = 0.0
+            TR.train_batch(params, samples, scheme, expert_of)
+            assert params.grads[logits].tolist() == [0.0] * logits.size, scheme.scheme
+
+    def test_expert_loss_fault_that_s2_totals_miss_is_detected(self, monkeypatch):
+        # S2's total, with lambda = 0, never reads the expert losses. One ulp on an expert loss of the
+        # first stack's copy 0, the self-checked arena coordinate 0 at +epsilon, in the stack pass alone,
+        # leaves every S2 total's bits: a comparison of totals passes it, one of the losses does not.
+        scheme = SchemeConfig.from_name("S2")
+        params = init_model(6, 2, tiny_variant(), 0, scheme)
+        samples, expert_of = tiny_samples(), {"alpha": 0, "beta": 1}
+        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        coords = np.arange(params.values.size)
+        clean = TR.shifted_losses(params, owned, [scheme], coords)
+        assert TR.grad_check(params, samples, [scheme], expert_of)[0] < 1e-4
+        original, pending = TR.forward_loss, []
+
+        def nudged(model, owned, schemes):
+            expert, chair, totals = original(model, owned, schemes)
+            if model is not params and pending:
+                pending.clear()
+                expert = expert.copy()
+                expert[0, 0] = np.nextafter(expert[0, 0], math.inf)
+                totals = [TR.summed_loss([(expert, chair)], *TR.resolve_scheme_weights(s, model))[2] for s in schemes]
+            return expert, chair, totals
+
+        monkeypatch.setattr(TR, "forward_loss", nudged)
+        pending.append(True)
+        faulty = TR.shifted_losses(params, owned, [scheme], coords)
+        assert faulty[0][0, 0] != clean[0][0, 0] and faulty[2].tobytes() == clean[2].tobytes()
+        pending.append(True)
+        assert TR.grad_check(params, samples, [scheme], expert_of) == [math.inf]
+
+
 class TestGradCheck:
     def test_correct_backward_passes(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
-        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
-                            {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples()[:1], [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err < 1e-4
 
     def test_single_decoder_backward_passes(self):
         # Criterion 1 sweeps k = 2 and the test above uses S4: this covers the one-decoder model.
         scheme = SchemeConfig.from_name("S3")
         params = init_model(6, 0, tiny_variant(), 0, scheme)
-        assert TR.grad_check(params, tiny_samples(), scheme, {"alpha": 0, "beta": 1}) < 1e-4
+        assert TR.grad_check(params, tiny_samples(), [scheme], {"alpha": 0, "beta": 1})[0] < 1e-4
 
     @pytest.mark.parametrize("variant,scheme_name", [
         ("base", "S4"), ("V1", "S3"), ("V2", "S1"),
@@ -852,7 +940,7 @@ class TestGradCheck:
         overrides = {"base": {}, "V1": {"attention_enabled": False}, "V2": {"cell_kind": "gru"}}[variant]
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, 2, tiny_variant(**overrides), 0, scheme)
-        assert TR.grad_check(params, batch, scheme, {"alpha": 0, "beta": 1}) < 1e-4
+        assert TR.grad_check(params, batch, [scheme], {"alpha": 0, "beta": 1})[0] < 1e-4
 
     @pytest.mark.parametrize("variant", [name for name, _ in _gradcheck_variants(3)])
     @pytest.mark.parametrize("scheme_name,num_experts", [("S1", 2), ("S2", 2), ("S3", 2), ("S4", 2), ("S3", 0)])
@@ -882,12 +970,14 @@ class TestGradCheck:
         starts = params.arena()[1]
         coords += [index for lo, hi in zip(starts[:-1], starts[1:]) for index in (lo, hi - 1)]
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
-        up, _ = TR.shifted_losses(params, owned, scheme, np.array(coords))
-        for index, stacked in zip(coords, up):
+        expert, chair, totals = TR.shifted_losses(params, owned, [scheme], np.array(coords))
+        for index, stacked in zip(coords, zip(expert[0::2].tolist(), chair[0::2], totals[0, 0::2])):
             original = params.values[index]
             params.values[index] = original + TR.GRAD_CHECK_EPSILON
-            full = TR.forward_loss(params, owned, scheme)
-            assert stacked == full == TR.train_batch(params, samples, scheme, expert_of).total, index
+            expert_loss, chair_loss, [total] = TR.forward_loss(params, owned, [scheme])
+            report = TR.train_batch(params, samples, scheme, expert_of)
+            assert stacked == (expert_loss.tolist(), chair_loss, total) == (
+                report.expert_losses, report.chair_loss, report.total), index
             params.values[index] = original
 
     def test_forward_only_dependency_detected(self, monkeypatch):
@@ -904,16 +994,14 @@ class TestGradCheck:
             return enc
 
         monkeypatch.setattr(M, "encode_context", leaky)
-        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
-                            {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples()[:1], [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err > 1e-4
 
     def test_corrupted_backward_detected(self, monkeypatch):
         original = T.tanh_backward
         monkeypatch.setattr(T, "tanh_backward", lambda g, out: 2.0 * original(g, out))
         params = init_model(6, 2, tiny_variant(), seed=0)
-        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
-                            {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples()[:1], [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err > 1e-2
 
     def test_corrupted_embedding_backward_detected(self, monkeypatch):
@@ -928,7 +1016,7 @@ class TestGradCheck:
 
         monkeypatch.setattr(L.EmbeddingTable, "lookup_backward", scaled)
         params = init_model(6, 2, tiny_variant(), seed=0)
-        err = TR.grad_check(params, tiny_samples(), SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples(), [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err > 1e-4
 
     def test_nan_gradient_fails(self, monkeypatch):
@@ -942,31 +1030,50 @@ class TestGradCheck:
 
         monkeypatch.setattr(L, "project_backward", nan_coordinate)
         params = init_model(6, 2, tiny_variant(), seed=0)
-        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
-                            {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples()[:1], [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err == math.inf
+
+    def test_non_finite_analytic_gradient_fails_its_scheme_alone(self, monkeypatch):
+        # One pass of shifted losses serves every scheme, but each scheme's analytic gradient is its own:
+        # a NaN under S2 fails S2, and S1 and S4 keep the very errors they have without it.
+        schemes = [SchemeConfig.from_name(name) for name in ("S1", "S2", "S4")]
+        params = init_model(6, 2, tiny_variant(), 0, schemes[0])
+        expert_of = {"alpha": 0, "beta": 1}
+        clean = TR.grad_check(params, tiny_samples()[:1], schemes, expert_of)
+        original = TR.train_batch
+
+        def nan_under_s2(params, batch, scheme, expert_of):
+            report = original(params, batch, scheme, expert_of)
+            if scheme.scheme == "S2":
+                params.grads[1] = math.nan
+            return report
+
+        monkeypatch.setattr(TR, "train_batch", nan_under_s2)
+        errs = TR.grad_check(params, tiny_samples()[:1], schemes, expert_of)
+        assert errs[1] == math.inf and max(clean) < 1e-4
+        assert [float.hex(e) for e in errs[::2]] == [float.hex(e) for e in clean[::2]]
 
     def test_nan_numeric_gradient_fails(self, monkeypatch):
         # A NaN loss at a coordinate the self-check does not retake, beside a finite analytic
-        # gradient: only the error's own finiteness check can fail it.
+        # gradient: only the error's own finiteness check can fail it. Copy 2 is the second
+        # coordinate's +epsilon; its expert and chair losses stay as they were.
         original = TR.shifted_losses
 
         def nan_second_coordinate(*args):
-            up, down = original(*args)
-            up[1] = math.nan
-            return up, down
+            expert, chair, totals = original(*args)
+            totals[:, 2] = math.nan
+            return expert, chair, totals
 
         monkeypatch.setattr(TR, "shifted_losses", nan_second_coordinate)
         params = init_model(6, 2, tiny_variant(), seed=0)
-        err = TR.grad_check(params, tiny_samples()[:1], SchemeConfig.from_name("S4"),
-                            {"alpha": 0, "beta": 1})
+        [err] = TR.grad_check(params, tiny_samples()[:1], [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
         assert err == math.inf
 
     def test_no_samples_refused(self):
         # An empty batch has zero loss and zero gradient everywhere: a 0.0 would pass having checked nothing.
         params = init_model(6, 2, tiny_variant(), seed=0)
         with pytest.raises(DomainError, match="no samples"):
-            TR.grad_check(params, [], SchemeConfig.from_name("S4"), {"alpha": 0, "beta": 1})
+            TR.grad_check(params, [], [SchemeConfig.from_name("S4")], {"alpha": 0, "beta": 1})
 
     def test_one_hot_forcing_params_give_near_zero_gradients(self):
         params = init_model(6, 2, tiny_variant(), seed=0)
