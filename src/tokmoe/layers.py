@@ -8,9 +8,9 @@ A recurrence steps B rows (a group of sequences) at once into one
 preallocated, time-first trace, whose steps ``rows`` lays out as the
 ([n,] T*B, width) rows of one GEMM per copy. A ``CellTrace`` holds T+1
 state rows: row 0 is the initial state, step j reads row j and writes row
-j+1. An ``AttentionTrace`` holds row j of step j; its gradients fill a
-second one. Greedy decoding reuses a one-step, one-row trace, copying row
-1 to row 0.
+j+1. An ``AttentionTrace`` holds row j of step j; its backward fills the
+same rows of a d_share array and sums d_keys over the steps. Greedy decoding
+reuses a one-step, one-row trace, copying row 1 to row 0.
 
 A recurrent step (``cell_step``, ``attention_context``) and its backward do
 only what must run token by token. Weight gradients are left to one GEMM
@@ -44,7 +44,7 @@ Conventions pinned here (tests rely on them):
   a stack. The gradient check stacks copies of the model, each with one
   coordinate shifted, in stacks of at most ``training.STACK_BYTES`` or of one
   coordinate: a decoder's cell, attention or projection copy is one more decoder
-  after the k+1, and a (C, k+1) index gathers each copy's rows for the readout;
+  after the k+1, and a (copies, k+1) index gathers each copy's rows for the readout;
   any other copy axis leads each weight group a copy shifts and each state made
   from one. Along the row axis a GEMM over R rows matches R one-row products to
   about 1e-11 relative, not bitwise; with B = 1 each has the one-sequence shape.
@@ -259,20 +259,17 @@ def attention_memory(params: AttentionParams, encoder_hiddens: Array, valid: Arr
 
 @dataclass
 class AttentionTrace:
-    """T attention steps of B rows, time first. A gradient trace holds d_share in the same
-    field, and d_keys summed over its steps."""
+    """T attention steps of B rows, time first."""
 
-    weights: Array       # (T, [n,] B, m)
-    share: Array         # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
-    keys: Array | None   # ([n,] B, m, attn_size): d_keys, zeroed in a gradient trace (grads=True) only
+    weights: Array  # (T, [n,] B, m)
+    share: Array    # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
 
     @classmethod
-    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int, grads=False,
+    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int,
               lead: tuple | None = None) -> "AttentionTrace":
         """A trace of ``steps`` steps for the weights' copies, or for ``lead``, those of the queries."""
         lead = (steps, *(params.v.value.shape[:-1] if lead is None else lead), memory.hiddens.shape[-3])
-        return cls(np.empty((*lead, memory.hiddens.shape[-2])), np.empty((*lead, params.v.value.shape[-1])),
-                   np.zeros(memory.keys.shape) if grads else None)
+        return cls(np.empty((*lead, memory.hiddens.shape[-2])), np.empty((*lead, params.v.value.shape[-1])))
 
 
 def attention_context(
@@ -293,33 +290,33 @@ def attention_context(
 
 
 def attention_backward(
-    params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
+    params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, d_share: Array, d_keys: Array,
     j: int, d_gates: Array,
 ) -> Array:
-    """Step j backward from the ([n,] B, G*d_h) gradient of the cell's gates: fill row j of ``grads``,
-    add to its d_keys and to v's gradient; return d_query."""
+    """Step j backward from the ([n,] B, G*d_h) gradient of the cell's gates: fill row j of ``d_share``
+    (shaped as ``trace.share``), add to ``d_keys`` (as ``memory.keys``) and to v's gradient; return d_query."""
     pre = T.tanh(memory.keys + trace.share[j][..., None, :])  # recomputed, not stored
     d_scores = T.softmax_backward(T.matmul(memory.values, d_gates[..., None])[..., 0], trace.weights[j])
     d_pre = T.tanh_backward(d_scores[..., None] * params.v.value[..., None, None, :], pre)
     params.v.grad += (pre * d_scores[..., None]).sum(axis=(-3, -2))
-    grads.keys += d_pre
-    grads.share[j] = d_pre.sum(axis=-2)
-    return T.matmul(grads.share[j], _transpose(params.w.value[..., memory.hiddens.shape[-1]:, :]))
+    d_keys += d_pre
+    d_share[j] = d_pre.sum(axis=-2)
+    return T.matmul(d_share[j], _transpose(params.w.value[..., memory.hiddens.shape[-1]:, :]))
 
 
 def attention_weights_backward(
-    params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, grads: AttentionTrace,
+    params: AttentionParams, memory: AttentionMemory, trace: AttentionTrace, d_share: Array, d_keys: Array,
     queries: Array, d_gates: Array, w_in: ParamSlot,
 ) -> Array:
-    """Weight gradients of T steps from the (T, [n,] B, d_h) queries and the (T, [n,] B, G*d_h)
-    gradients of the cell's gates, one GEMM each over all rows: the attention's, and those of
-    the last d_h rows of the cell's ``w_in``. Returns the ([n,] B, m, d_h) gradient of each
-    row's context hiddens."""
+    """Weight gradients of T steps from ``attention_backward``'s ``d_share`` and ``d_keys``, the
+    (T, [n,] B, d_h) queries and the (T, [n,] B, G*d_h) gradients of the cell's gates, one GEMM
+    each over all rows: the attention's, and those of the last d_h rows of the cell's ``w_in``.
+    Returns the ([n,] B, m, d_h) gradient of each row's context hiddens."""
     d_h = memory.hiddens.shape[-1]
     hiddens = memory.hiddens.reshape(-1, d_h)
-    d_keys = grads.keys.reshape(*grads.keys.shape[:-3], -1, grads.keys.shape[-1])
+    d_keys = d_keys.reshape(*d_keys.shape[:-3], -1, d_keys.shape[-1])
     params.w.grad[..., :d_h, :] += _transpose(hiddens) @ d_keys
-    params.w.grad[..., d_h:, :] += _transpose(rows(queries)) @ rows(grads.share)
+    params.w.grad[..., d_h:, :] += _transpose(rows(queries)) @ rows(d_share)
     params.b.grad += d_keys.sum(axis=-2)
     # Each row's values are read by its T steps' weights: one batched product per copy and row.
     d_values = np.moveaxis(trace.weights, 0, -1) @ np.moveaxis(d_gates, 0, -2)

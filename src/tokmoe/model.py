@@ -260,14 +260,14 @@ def expert_step(rec: Recurrence, gates_in: Array, j: int) -> None:
 
 
 def expert_step_backward(
-    rec: Recurrence, d_attn: L.AttentionTrace | None, j: int, d_hidden: Array, d_cell: Array,
+    rec: Recurrence, d_attn: tuple[Array, Array] | None, j: int, d_hidden: Array, d_cell: Array,
 ) -> tuple[Array, Array, Array]:
     """Step j backward from the gradients of state row j+1: returns the cell's gate
-    gradients and the (hidden, cell) gradients of row j, and fills row j of ``d_attn``;
-    weight gradients come later."""
+    gradients and the (hidden, cell) gradients of row j, and fills row j of the
+    ``(d_share, d_keys)`` pair ``d_attn``; weight gradients come later."""
     d_gates, d_prev_hidden, d_prev_cell = L.cell_step_backward(rec.cell, rec.trace, j, d_hidden, d_cell)
     if rec.attention is not None:
-        d_prev_hidden = d_prev_hidden + L.attention_backward(rec.attention, rec.memory, rec.attn, d_attn, j, d_gates)
+        d_prev_hidden = d_prev_hidden + L.attention_backward(rec.attention, rec.memory, rec.attn, *d_attn, j, d_gates)
     return d_gates, d_prev_hidden, d_prev_cell
 
 
@@ -292,7 +292,7 @@ def recur_backward(
     *lead, width = cell.bias.value.shape
     d_gates = np.empty((*lead, steps, batch, width))  # GEMM rows as a view
     step_gates = d_gates.swapaxes(0, -3)  # time first, like the traces
-    d_attn = None if rec.attn is None else L.AttentionTrace.empty(rec.attention, rec.memory, steps, grads=True)
+    d_attn = None if rec.attn is None else (np.empty_like(rec.attn.share), np.zeros(rec.memory.keys.shape))
     carry_hidden = carry_cell = np.zeros_like(d_hidden[0])
     for j in reversed(range(steps)):
         # No zero cell gradient is added to the carry: it could turn a -0.0 into +0.0.
@@ -306,7 +306,7 @@ def recur_backward(
     L.cell_weights_backward(cell, emb, rec.trace, d_gates)
     embedding.lookup_backward(ids, d_gates @ cell.w_in.value[..., :emb.shape[-1], :].swapaxes(-1, -2))
     d_memory = None if d_attn is None else L.attention_weights_backward(
-        rec.attention, rec.memory, rec.attn, d_attn, rec.trace.hidden[:-1], step_gates, cell.w_in)
+        rec.attention, rec.memory, rec.attn, *d_attn, rec.trace.hidden[:-1], step_gates, cell.w_in)
     return carry_hidden, carry_cell, d_memory
 
 

@@ -1,6 +1,7 @@
 """Global-and-local training: scheme losses, Adam, clipping, grad checks.
 
-The joint objective is ``lambda * L_experts + (1 - lambda) * L_chair``:
+The joint objective, ``loss_total`` of one (k+2,) loss row (the k+1 expert
+losses, then the chair loss), is ``lambda * L_experts + (1 - lambda) * L_chair``:
 
 * ``L_experts`` sums each decoder's own negative log-likelihood over the
   samples it is localized to (expert l sees only its intent's partition;
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable
 
 import numpy as np
 
@@ -137,8 +137,11 @@ def ownership(intent: str, expert_of: dict[str, int], num_decoders: int) -> Arra
     return own
 
 
-def loss_total(expert_loss: float, chair_loss: float, lam: float) -> float:
-    return lam * expert_loss + (1.0 - lam) * chair_loss
+def loss_total(losses: Array, mu: Array, lam) -> Array:
+    """lambda * (mu . expert) + (1 - lambda) * chair of a ([n,] k+2) loss row; copies in any argument lead.
+    The expert part is copied contiguous first, so a total's bits do not depend on the row's strides."""
+    expert = np.ascontiguousarray(losses[..., :-1])
+    return lam * (mu[..., None, :] @ expert[..., None])[..., 0, 0] + (1.0 - lam) * losses[..., -1]
 
 
 @dataclass
@@ -187,26 +190,18 @@ def teacher_force(params: ModelParams, group: list[EncodedSample]) -> ForwardCac
     return forward_teacher_forced(params, [s.context_ids for s in group], [s.response_ids for s in group])
 
 
-def group_loss(cache: ForwardCache, own: Array) -> tuple[Array, Array]:
-    """A group's (k+1,) localized expert losses and its chair loss, from its forward; ``own``
-    holds each sample's ``ownership`` row. Copies in the readout give ([n,] k+1) and ([n],)."""
+def group_loss(cache: ForwardCache, own: Array) -> Array:
+    """A group's (k+2,) loss row from its forward: the k+1 localized expert losses, then the chair loss;
+    ``own`` holds each sample's ``ownership`` row. Copies in the readout lead: ([n,] k+2)."""
     # Rows first for the gather; the samples' sums stay outermost, so each copy adds them in order.
     nll = nll_sequence(cache.readout.dists.swapaxes(0, -3), cache.targets, cache.lengths).swapaxes(0, -2)
     # Selected, not multiplied: a decoder that does not own a sample adds exactly 0.0.
     expert = np.where(own, nll, 0.0).sum(axis=-2)
-    chair = nll_sequence(cache.readout.combined.swapaxes(0, -2), cache.targets, cache.lengths).T
-    return expert, np.ascontiguousarray(chair).sum(axis=-1)
-
-
-def summed_loss(losses: Iterable[tuple[Array, Array]], mu: Array, lam) -> tuple[Array, Array, Array]:
-    """The groups' ``group_loss`` results summed in order: raw expert losses, chair loss, total.
-    Copies in the losses or in the weights lead each result; mu . raw_expert is one dot per copy."""
-    raw_expert = np.zeros(mu.shape[-1])
-    chair_total = 0.0
-    for expert, chair in losses:
-        raw_expert = raw_expert + expert
-        chair_total = chair_total + chair
-    return raw_expert, chair_total, loss_total((mu[..., None, :] @ raw_expert[..., None])[..., 0, 0], chair_total, lam)
+    chair = np.ascontiguousarray(nll_sequence(cache.readout.combined.swapaxes(0, -2), cache.targets, cache.lengths).T)
+    # A gating stack's expert losses have no copy axis, but its chair losses do: both take the common one.
+    row = np.empty((*np.broadcast_shapes(expert.shape[:-1], chair.shape[:-1]), expert.shape[-1] + 1))
+    row[..., :-1], row[..., -1] = expert, chair.sum(axis=-1)
+    return row
 
 
 def train_batch(
@@ -223,7 +218,7 @@ def train_batch(
     """
     mu, lam = resolve_scheme_weights(scheme, params)
 
-    def forward_backward(group: list[EncodedSample], own: Array) -> tuple[Array, Array]:
+    def forward_backward(group: list[EncodedSample], own: Array) -> Array:
         # One call per group: every array of a group dies before the next group's forward.
         cache = teacher_force(params, group)
         out, targets = cache.readout, cache.targets
@@ -235,19 +230,19 @@ def train_batch(
         )
         return group_loss(cache, own)
 
-    raw_expert, chair_total, total = summed_loss(
-        (forward_backward(*owned) for owned in owned_groups(batch, expert_of, params.num_decoders)), mu, lam)
+    losses = sum((forward_backward(*owned) for owned in owned_groups(batch, expert_of, params.num_decoders)),
+                 np.zeros(params.num_decoders + 1))
 
     if scheme.learns_weights and params.num_experts > 0:
         # d total / d mu_l = lambda * E_l for the k learnable expert entries.
         weights = params.scheme_weights
-        weights.mu_logits.grad += T.softmax_backward(lam * raw_expert[:-1], mu[:-1])
-        weights.lambda_logit.grad += (float(np.dot(mu, raw_expert)) - chair_total) * lam * (1.0 - lam)
+        weights.mu_logits.grad += T.softmax_backward(lam * losses[:-2], mu[:-1])
+        weights.lambda_logit.grad += (float(np.dot(mu, losses[:-1])) - losses[-1]) * lam * (1.0 - lam)
 
     return LossReport(
-        expert_losses=[float(v) for v in raw_expert],
-        chair_loss=float(chair_total),
-        total=float(total),
+        expert_losses=[float(v) for v in losses[:-1]],
+        chair_loss=float(losses[-1]),
+        total=float(loss_total(losses, mu, lam)),
         token_count=sum(len(s.response_ids) for s in batch),
         mu=[float(v) for v in mu],
         lambda_value=float(lam),
@@ -479,14 +474,12 @@ def copies(params: ModelParams, coords: Array, arena: tuple | None = None) -> Mo
 
 
 def forward_loss(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], schemes: list[SchemeConfig]):
-    """The summed losses of the ``owned_groups`` by full forwards: the scheme-free (k+1,) expert losses and chair
-    loss, added as ``summed_loss`` adds them, and each scheme's total of those two. A stack of ``copies`` gives a
-    row of each per copy, but a stack of S1's logits alone shares one pair of losses: only the totals read them."""
-    # summed_loss adds the groups in one order whatever its weights: here zeros as wide as the ownership rows,
-    # k+1 (a stack of decoders' num_decoders counts its copies too). Each scheme's total comes after.
-    expert, chair, _ = summed_loss((group_loss(teacher_force(params, group), own) for group, own in owned),
-                                   np.zeros(owned[0][1].shape[1]), 0.0)
-    return expert, chair, [summed_loss([(expert, chair)], *resolve_scheme_weights(s, params))[2] for s in schemes]
+    """The ``owned_groups``' scheme-free (k+2,) loss row by full forwards, added as ``train_batch`` adds it, and
+    each scheme's ``loss_total`` of it. A stack of ``copies`` gives a row per copy, but a stack of S1's logits
+    alone shares one row: only the totals read them."""
+    # Zeros as wide as an ownership row and the chair: a stack of decoders' num_decoders counts its copies too.
+    row = sum((group_loss(teacher_force(params, g), own) for g, own in owned), np.zeros(owned[0][1].shape[1] + 1))
+    return row, [loss_total(row, *resolve_scheme_weights(s, params)) for s in schemes]
 
 
 def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], coords: Array, arena: tuple):
@@ -512,18 +505,17 @@ def stacks(params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], 
 
 def shifted_losses(
     params: ModelParams, owned: list[tuple[list[EncodedSample], Array]], schemes: list[SchemeConfig], coords: Array,
-) -> tuple[Array, Array, Array]:
+) -> tuple[Array, Array]:
     """``forward_loss`` at +``GRAD_CHECK_EPSILON`` and at -``GRAD_CHECK_EPSILON`` on each arena coordinate of
     ``coords``, as copies 2i and 2i+1 in one of the ``stacks``, of at most ``STACK_BYTES`` or one coordinate, each
-    run once for all ``schemes``: the (2C, k+1) expert losses, the (2C,) chair losses and the (schemes, 2C) totals."""
-    expert, chair, totals = [], [], []
+    run once for all ``schemes``: the (2C, k+2) loss rows and the (schemes, 2C) totals."""
+    rows, totals = [], []
     for stack in stacks(params, owned, coords, arena := params.arena())[0]:
         n = 2 * len(stack)
-        stack_expert, stack_chair, stack_totals = forward_loss(copies(params, stack, arena), owned, schemes)
-        expert.append(np.broadcast_to(stack_expert, (n, params.num_decoders)))
-        chair.append(np.broadcast_to(stack_chair, n))
+        row, stack_totals = forward_loss(copies(params, stack, arena), owned, schemes)
+        rows.append(np.broadcast_to(row, (n, params.num_decoders + 1)))
         totals.append([np.broadcast_to(total, n) for total in stack_totals])
-    return np.concatenate(expert), np.concatenate(chair), np.concatenate(totals, axis=1)
+    return np.concatenate(rows), np.concatenate(totals, axis=1)
 
 
 def grad_check(
@@ -540,7 +532,7 @@ def grad_check(
     losses are one pass for all schemes, so the mixing schemes share one gated model and one pass. Every shifted loss
     is one copy in one of ``shifted_losses``' stacks of ``copies``, each of at most ``STACK_BYTES`` or of one
     coordinate (a copy of a decoder's cell, attention or projection is one more decoder, any other copy leads a copy
-    axis); its scheme-free expert and chair losses give each scheme's total. The pass checks itself: the losses and
+    axis); its scheme-free loss row gives each scheme's total. The pass checks itself: the loss row and the
     totals at +epsilon on each tensor's first coordinate are also taken from a plain full forward; a differing loss
     returns ``math.inf`` for every scheme, a differing total for its scheme. No samples is a DomainError; a
     non-finite analytic gradient, numeric gradient or error returns ``math.inf`` for its scheme.
@@ -555,15 +547,14 @@ def grad_check(
     params.grads[...] = 0.0
 
     owned = owned_groups(samples, expert_of, params.num_decoders)
-    expert, chair, totals = shifted_losses(params, owned, schemes, np.arange(params.values.size))
+    rows, totals = shifted_losses(params, owned, schemes, np.arange(params.values.size))
     ok = np.array([np.isfinite(grad).all() for grad in analytic])
     for idx in params.arena()[1][:-1]:
         original = params.values[idx]
         params.values[idx] = original + GRAD_CHECK_EPSILON
-        expert_up, chair_up, totals_up = forward_loss(params, owned, schemes)
+        row_up, totals_up = forward_loss(params, owned, schemes)
         params.values[idx] = original
-        ok &= (expert_up == expert[2 * idx]).all() & (chair_up == chair[2 * idx]) & (
-            np.array(totals_up) == totals[:, 2 * idx])
+        ok &= (row_up == rows[2 * idx]).all() & (np.array(totals_up) == totals[:, 2 * idx])
     errors = []
     for passed, grad, total in zip(ok, analytic, totals):
         if passed:

@@ -90,9 +90,11 @@ class TestCriterion3SchemeDegeneration:
         np.testing.assert_array_equal(out.combined, out.dists[:, -1])
 
     def test_loss_total_midpoint_exact(self):
-        assert loss_total(2.0, 4.0, 0.5) == 3.0
-        ok("criterion 3: scheme degeneration (S2 bitwise chair, S3 bitwise "
-           "chair distribution, loss_total(0.5, 2, 4) == 3)")
+        # One decoder of weight 1 with expert loss 2 and chair loss 4, at lambda 0, 1/2 and 1.
+        losses, mu = np.array([2.0, 4.0]), np.array([1.0])
+        assert [loss_total(losses, mu, lam) for lam in (0.0, 0.5, 1.0)] == [4.0, 3.0, 2.0]
+        ok("criterion 3: scheme degeneration (S2 bitwise chair, S3 bitwise chair distribution, "
+           "loss_total([2, 4], [1], lam) == 4, 3, 2 at lam = 0, 0.5, 1)")
 
 
 class TestCriterion4ScoreArithmetic:

@@ -243,9 +243,10 @@ class TestAttention:
             return float(np.dot(pc, share))
 
         _, _, (memory, trace, _) = attend(params, h, query, w_in)
-        grads = L.AttentionTrace.empty(params, memory, 1, grads=True)
-        d_q = L.attention_backward(params, memory, trace, grads, 0, pc[None])
-        d_h = L.attention_weights_backward(params, memory, trace, grads, query[None, None], pc[None, None], w_in)
+        d_share, d_keys = np.empty_like(trace.share), np.zeros(memory.keys.shape)
+        d_q = L.attention_backward(params, memory, trace, d_share, d_keys, 0, pc[None])
+        d_h = L.attention_weights_backward(
+            params, memory, trace, d_share, d_keys, query[None, None], pc[None, None], w_in)
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, query), h.copy())) < 1e-6
         assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), query.copy())) < 1e-6
         for slot in [*params.slots(), w_in]:
@@ -275,9 +276,11 @@ class TestAttention:
 
         memory, trace, _ = forward(h, queries)
         assert not trace.weights[:, ~valid].any()
-        grads = L.AttentionTrace.empty(params, memory, steps, grads=True)
-        d_q = np.array([L.attention_backward(params, memory, trace, grads, t, d) for t, d in enumerate(d_gates)])
-        d_h = L.attention_weights_backward(params, memory, trace, grads, queries, d_gates, w_in)
+        d_share, d_keys = np.empty_like(trace.share), np.zeros(memory.keys.shape)
+        d_q = np.array([
+            L.attention_backward(params, memory, trace, d_share, d_keys, t, d) for t, d in enumerate(d_gates)
+        ])
+        d_h = L.attention_weights_backward(params, memory, trace, d_share, d_keys, queries, d_gates, w_in)
         assert not d_h[~valid].any()
         assert max_rel_err(d_h, fd_grad(lambda v: run(v, queries), h.copy())) < 1e-6
         assert max_rel_err(d_q, fd_grad(lambda v: run(h, v), queries.copy())) < 1e-6
@@ -388,13 +391,13 @@ class TestStackedCopies:
         of the cell's gates, then the weight gradients. Returns the (T, [n,] B, ·) contexts, taken
         from the weights, the weights and the shares of the gates, then d_queries and d_hiddens."""
         memory = L.attention_memory(params, hiddens, valid, w_in)
-        trace, grads = (L.AttentionTrace.empty(params, memory, len(queries), grads=g) for g in (False, True))
-        assert trace.keys is None  # only the gradient trace holds d_keys
+        trace = L.AttentionTrace.empty(params, memory, len(queries))
+        d_share, d_keys = np.empty_like(trace.share), np.zeros(memory.keys.shape)
         shares = np.array([L.attention_context(params, memory, query, trace, t) for t, query in enumerate(queries)])
         d_queries = np.array([
-            L.attention_backward(params, memory, trace, grads, t, d) for t, d in enumerate(d_gates)
+            L.attention_backward(params, memory, trace, d_share, d_keys, t, d) for t, d in enumerate(d_gates)
         ])
-        d_hiddens = L.attention_weights_backward(params, memory, trace, grads, queries, d_gates, w_in)
+        d_hiddens = L.attention_weights_backward(params, memory, trace, d_share, d_keys, queries, d_gates, w_in)
         contexts = (trace.weights[..., None, :] @ memory.hiddens)[..., 0, :]
         return contexts, trace.weights, shares, d_queries, d_hiddens
 

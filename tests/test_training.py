@@ -141,9 +141,11 @@ class TestLossFunctions:
         assert nll(np.array([hot]), [0]) == 0.0
 
     def test_loss_total_cases(self):
-        assert TR.loss_total(2.0, 4.0, 0.0) == 4.0
-        assert TR.loss_total(2.0, 4.0, 1.0) == 2.0
-        assert TR.loss_total(2.0, 4.0, 0.5) == 3.0
+        # One decoder of weight 1 with expert loss 2.0, and chair loss 4.0: lambda moves the total between them.
+        losses, mu = np.array([2.0, 4.0]), np.array([1.0])
+        assert TR.loss_total(losses, mu, 0.0) == 4.0
+        assert TR.loss_total(losses, mu, 1.0) == 2.0
+        assert TR.loss_total(losses, mu, 0.5) == 3.0
 
     def test_nll_nonnegative_and_zero_only_at_one_hot(self, rng):
         for _ in range(50):
@@ -664,15 +666,15 @@ class TestStackedLosses:
 
     @pytest.mark.parametrize("variant,scheme_name,num_experts,batch", [
         ("base", "S4", 2, "gradcheck"), ("V1", "S3", 2, "gradcheck"), ("V2", "S1", 2, "gradcheck"),
-        ("base", "S3", 0, "gradcheck"), ("base", "S4", 2, "two-groups"),
-    ], ids=["base-S4", "V1-S3", "V2-S1", "S3-k0", "two-groups"])
+        ("base", "S3", 0, "gradcheck"), ("base", "S4", 2, "two-groups"), ("base", "S1", 3, "three-intents"),
+    ], ids=["base-S4", "V1-S3", "V2-S1", "S3-k0", "two-groups", "k3-S1"])
     def test_every_copy_is_the_full_loss(self, monkeypatch, variant, scheme_name, num_experts, batch):
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
         if batch == "two-groups":
             samples, expert_of = mixed_batch(TR.GROUP_SIZE + 3), {"alpha": 0, "beta": 1}
         else:
-            samples, expert_of = _gradcheck_samples(6, 2)
+            samples, expert_of = _gradcheck_samples(6, 3 if batch == "three-intents" else 2)
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
         assert len(owned) == (2 if batch == "two-groups" else 1)
         # Every coordinate of the arena: every tensor kind, and at least three stacks of copies in
@@ -684,17 +686,17 @@ class TestStackedLosses:
         decoders = [arena[0][np.searchsorted(arena[1], s[0], "right") - 1][0] in params.DECODER_GROUPS for s in plan]
         assert min(sum(decoders), len(plan) - sum(decoders)) >= 3
         assert max(map(len, plan)) > 1
-        expert, chair, totals = TR.shifted_losses(params, owned, [scheme], coords)
+        rows, totals = TR.shifted_losses(params, owned, [scheme], coords)
         full = []
         for idx in coords:
             original = params.values[idx]
             for value in (original + TR.GRAD_CHECK_EPSILON, original - TR.GRAD_CHECK_EPSILON):
                 params.values[idx] = value
-                expert_loss, chair_loss, [total] = TR.forward_loss(params, owned, [scheme])
-                full.append([*expert_loss, chair_loss, total])
+                row, [total] = TR.forward_loss(params, owned, [scheme])
+                full.append([*row, total])
             params.values[idx] = original
-        # Copy 2i is coordinate i at +epsilon and copy 2i+1 at -epsilon: its expert losses, chair loss and total.
-        assert np.column_stack([expert, chair, totals[0]]).tolist() == full
+        # Copy 2i is coordinate i at +epsilon and copy 2i+1 at -epsilon: its loss row and total.
+        assert np.column_stack([rows, totals[0]]).tolist() == full
 
     @pytest.mark.parametrize("copy", [0, 2])
     def test_fault_only_the_stack_sees_is_detected(self, monkeypatch, copy):
@@ -875,7 +877,7 @@ class TestSharedSchemes:
         params = init_model(6, 2, dict(_gradcheck_variants(3))[variant], 0, schemes[0])
         logits = np.arange(params.arena()[1][-3], params.values.size)
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
-        totals = TR.shifted_losses(params, owned, schemes, np.arange(params.values.size))[2]
+        totals = TR.shifted_losses(params, owned, schemes, np.arange(params.values.size))[1]
         up, down = totals[:, 2 * logits], totals[:, 2 * logits + 1]
         assert (up[0] != down[0]).any()
         assert up[1:].tolist() == down[1:].tolist()
@@ -898,18 +900,18 @@ class TestSharedSchemes:
         original, pending = TR.forward_loss, []
 
         def nudged(model, owned, schemes):
-            expert, chair, totals = original(model, owned, schemes)
+            row, totals = original(model, owned, schemes)
             if model is not params and pending:
                 pending.clear()
-                expert = expert.copy()
-                expert[0, 0] = np.nextafter(expert[0, 0], math.inf)
-                totals = [TR.summed_loss([(expert, chair)], *TR.resolve_scheme_weights(s, model))[2] for s in schemes]
-            return expert, chair, totals
+                row = row.copy()
+                row[0, 0] = np.nextafter(row[0, 0], math.inf)
+                totals = [TR.loss_total(row, *TR.resolve_scheme_weights(s, model)) for s in schemes]
+            return row, totals
 
         monkeypatch.setattr(TR, "forward_loss", nudged)
         pending.append(True)
         faulty = TR.shifted_losses(params, owned, [scheme], coords)
-        assert faulty[0][0, 0] != clean[0][0, 0] and faulty[2].tobytes() == clean[2].tobytes()
+        assert faulty[0][0, 0] != clean[0][0, 0] and faulty[1].tobytes() == clean[1].tobytes()
         pending.append(True)
         assert TR.grad_check(params, samples, [scheme], expert_of) == [math.inf]
 
@@ -970,14 +972,14 @@ class TestGradCheck:
         starts = params.arena()[1]
         coords += [index for lo, hi in zip(starts[:-1], starts[1:]) for index in (lo, hi - 1)]
         owned = TR.owned_groups(samples, expert_of, params.num_decoders)
-        expert, chair, totals = TR.shifted_losses(params, owned, [scheme], np.array(coords))
-        for index, stacked in zip(coords, zip(expert[0::2].tolist(), chair[0::2], totals[0, 0::2])):
+        rows, totals = TR.shifted_losses(params, owned, [scheme], np.array(coords))
+        for index, stacked in zip(coords, zip(rows[0::2].tolist(), totals[0, 0::2])):
             original = params.values[index]
             params.values[index] = original + TR.GRAD_CHECK_EPSILON
-            expert_loss, chair_loss, [total] = TR.forward_loss(params, owned, [scheme])
+            row, [total] = TR.forward_loss(params, owned, [scheme])
             report = TR.train_batch(params, samples, scheme, expert_of)
-            assert stacked == (expert_loss.tolist(), chair_loss, total) == (
-                report.expert_losses, report.chair_loss, report.total), index
+            assert stacked == (row.tolist(), total) == (
+                [*report.expert_losses, report.chair_loss], report.total), index
             params.values[index] = original
 
     def test_forward_only_dependency_detected(self, monkeypatch):
@@ -1056,13 +1058,13 @@ class TestGradCheck:
     def test_nan_numeric_gradient_fails(self, monkeypatch):
         # A NaN loss at a coordinate the self-check does not retake, beside a finite analytic
         # gradient: only the error's own finiteness check can fail it. Copy 2 is the second
-        # coordinate's +epsilon; its expert and chair losses stay as they were.
+        # coordinate's +epsilon; its loss row stays as it was.
         original = TR.shifted_losses
 
         def nan_second_coordinate(*args):
-            expert, chair, totals = original(*args)
+            rows, totals = original(*args)
             totals[:, 2] = math.nan
-            return expert, chair, totals
+            return rows, totals
 
         monkeypatch.setattr(TR, "shifted_losses", nan_second_coordinate)
         params = init_model(6, 2, tiny_variant(), seed=0)
