@@ -265,10 +265,9 @@ class AttentionTrace:
     share: Array    # (T, [n,] B, attn_size): W_q^T query, from which the tanh is recomputed
 
     @classmethod
-    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int,
-              lead: tuple | None = None) -> "AttentionTrace":
-        """A trace of ``steps`` steps for the weights' copies, or for ``lead``, those of the queries."""
-        lead = (steps, *(params.v.value.shape[:-1] if lead is None else lead), memory.hiddens.shape[-3])
+    def empty(cls, params: AttentionParams, memory: AttentionMemory, steps: int, lead: tuple) -> "AttentionTrace":
+        """A trace of ``steps`` steps for ``lead``, the copy axes of the queries."""
+        lead = (steps, *lead, memory.hiddens.shape[-3])
         return cls(np.empty((*lead, memory.hiddens.shape[-2])), np.empty((*lead, params.v.value.shape[-1])))
 
 

@@ -14,17 +14,18 @@ generation (the gating input concatenates all decoders' step-j states,
 which requires aligned timelines).
 
 Teacher forcing runs a group of B right-padded samples at once (training
-sorts each batch by length and cuts groups of 8, a size set by peak memory:
-see ``training.GROUP_SIZE``). Only the *recurrence* (``expert_step``: the
-encoder's cell on (B, d_h) rows, or attention and the cells of all k+1 decoders
-on (k+1, B, d_h) rows) runs token by token, in one loop each way over the
-time-first traces of ``layers``; row 0 of the decoders' (T+1, k+1, B, d_h)
-trace is each context's final encoder state. The *readout* (``readout``: projection, softmax, gate
-MLP, chair combine) feeds nothing back, so it takes any leading row axis:
-greedy decoding calls it on row 1 of a one-step trace per token, teacher
-forcing once on the N valid (sample, step) rows; padded positions are never
-read, so their gradients are 0. With B = 1 every product has the shape, so
-the bits, of one sequence alone; BLAS runs on one thread (see ``tokmoe``).
+sorts each batch by length and cuts groups of as many samples as keep their
+readout within ``training.GROUP_BYTES``, but at least ``training.GROUP_SIZE``).
+Only the *recurrence* (``expert_step``: the encoder's cell on (B, d_h) rows, or
+attention and the cells of all k+1 decoders on (k+1, B, d_h) rows) runs token
+by token, in one loop each way over the time-first traces of ``layers``; row 0
+of the decoders' (T+1, k+1, B, d_h) trace is each context's final encoder
+state. The *readout* (``readout``: projection, softmax, gate MLP, chair combine)
+feeds nothing back, so it takes any leading row axis: greedy decoding calls it
+on row 1 of a one-step trace per token, teacher forcing once on the N valid
+(sample, step) rows; padded positions are never read, so their gradients are 0.
+With B = 1 every product has the shape, so the bits, of one sequence alone;
+BLAS runs on one thread (see ``tokmoe``).
 
 Inference over frozen parameters is read-only and thread-safe; training
 mutates the flat gradient arena (``ModelParams.grads``) single-threaded.

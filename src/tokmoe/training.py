@@ -14,12 +14,14 @@ losses, then the chair loss), is ``lambda * L_experts + (1 - lambda) * L_chair``
   over all samples: ``nll_sequence`` of each response's ``combined``.
 
 A batch is sorted by length, so that a group pads few steps, and teacher-forced
-in groups of ``GROUP_SIZE`` samples; a group's arrays are freed before the next
-group's forward. Losses are summed (not averaged) within a batch, so its order
-changes only their summation order, and gradients accumulate additively until
-the optimizer step. The per-batch order of operations is fixed for
-reproducibility: forward, backward, add l2 to gradients, clamp gradient values,
-Adam step, zero; each step after the backward acts once on the flat arena.
+in groups sized by their readout: as many samples as keep a group's (k+1, V)
+rows within ``GROUP_BYTES``, but never fewer than ``GROUP_SIZE``; a group's
+arrays are freed before the next group's forward. Losses are summed (not
+averaged) within a batch, so its order changes only their summation order, and
+gradients accumulate additively until the optimizer step. The per-batch order
+of operations is fixed for reproducibility: forward, backward, add l2 to
+gradients, clamp gradient values, Adam step, zero; each step after the backward
+acts once on the flat arena.
 """
 
 from __future__ import annotations
@@ -42,13 +44,18 @@ from .model import (
 )
 from .tensor import Array
 
-GROUP_SIZE = 8  # samples teacher-forced at once; peak memory, not speed, sets it
+GROUP_SIZE = 8  # the fewest samples teacher-forced at once
+# A group's readout holds at most this many bytes, or GROUP_SIZE samples: more rows share each step's fixed cost.
+GROUP_BYTES = 1 << 20
 
 
-def groups(samples: list[EncodedSample]) -> list[list[EncodedSample]]:
-    """The samples sorted stably by (response, context) length, cut into groups of ``GROUP_SIZE``."""
+def groups(samples: list[EncodedSample], row_bytes: int) -> list[list[EncodedSample]]:
+    """The samples sorted stably by (response, context) length, cut into groups of
+    max(``GROUP_SIZE``, ``GROUP_BYTES`` // (``row_bytes`` * the longest response)) samples;
+    ``row_bytes`` is a readout row's, 8 * (k+1) * V: a model's ``projection.a.value.nbytes``."""
     ordered = sorted(samples, key=lambda s: (len(s.response_ids), len(s.context_ids)))
-    return [ordered[start:start + GROUP_SIZE] for start in range(0, len(ordered), GROUP_SIZE)]
+    size = max(GROUP_SIZE, GROUP_BYTES // (row_bytes * max((len(s.response_ids) for s in samples), default=1)))
+    return [ordered[start:start + size] for start in range(0, len(ordered), size)]
 
 
 def partition_by_intent(corpus: Corpus) -> dict[str, list[Sample]]:
@@ -179,11 +186,11 @@ def _nll_grad_seeds(dists: Array, targets: list[int], weight: float | Array) -> 
 
 
 def owned_groups(
-    samples: list[EncodedSample], expert_of: dict[str, int], num_decoders: int,
+    samples: list[EncodedSample], expert_of: dict[str, int], params: ModelParams,
 ) -> list[tuple[list[EncodedSample], Array]]:
-    """Each of ``groups(samples)`` with its (B, k+1) ``ownership`` rows."""
-    return [(group, np.array([ownership(s.intent, expert_of, num_decoders) for s in group]))
-            for group in groups(samples)]
+    """Each of the model's ``groups`` of the samples with its (B, k+1) ``ownership`` rows."""
+    return [(group, np.array([ownership(s.intent, expert_of, params.num_decoders) for s in group]))
+            for group in groups(samples, params.projection.a.value.nbytes)]
 
 
 def teacher_force(params: ModelParams, group: list[EncodedSample]) -> ForwardCache:
@@ -230,7 +237,7 @@ def train_batch(
         )
         return group_loss(cache, own)
 
-    losses = sum((forward_backward(*owned) for owned in owned_groups(batch, expert_of, params.num_decoders)),
+    losses = sum((forward_backward(*owned) for owned in owned_groups(batch, expert_of, params)),
                  np.zeros(params.num_decoders + 1))
 
     if scheme.learns_weights and params.num_experts > 0:
@@ -319,9 +326,9 @@ def train_epoch(
     if not samples:
         raise DomainError("cannot train on an empty corpus")
     order = rng.permutation(len(samples))
-    sums = np.zeros(params.num_decoders)
-    chair_sum = total_sum = 0.0
-    tokens = 0
+    # The total is the batches' totals summed, not loss_total of the summed row: under S1, mu and
+    # lambda move between batches.
+    row, total, tokens = np.zeros(params.num_decoders + 1), 0.0, 0
     report = None
     for start in range(0, len(order), opt.batch_size):
         batch = [samples[i] for i in order[start:start + opt.batch_size]]
@@ -335,15 +342,14 @@ def train_epoch(
         clip_gradients(params.grads, opt.clip_low, opt.clip_high)
         adam_step(opt, params.values, params.grads, adam_state)
         params.grads[...] = 0.0
-        sums += report.expert_losses
-        chair_sum += report.chair_loss
-        total_sum += report.total
+        row += [*report.expert_losses, report.chair_loss]
+        total += report.total
         tokens += report.token_count
     assert report is not None
     return LossReport(
-        expert_losses=[float(v / tokens) for v in sums],
-        chair_loss=chair_sum / tokens,
-        total=total_sum / tokens,
+        expert_losses=[float(v / tokens) for v in row[:-1]],
+        chair_loss=float(row[-1] / tokens),
+        total=total / tokens,
         token_count=tokens,
         mu=report.mu,
         lambda_value=report.lambda_value,
@@ -419,7 +425,7 @@ def train_run(
 def teacher_forced_accuracy(params: ModelParams, samples: list[EncodedSample]) -> float:
     """Fraction of response tokens where argmax(combined) hits the target, one forward per group."""
     hits = 0
-    for group in groups(samples):
+    for group in groups(samples, params.projection.a.value.nbytes):
         cache = teacher_force(params, group)
         hits += int(np.count_nonzero(cache.readout.combined.argmax(axis=-1) == cache.targets))
     total = sum(len(s.response_ids) for s in samples)
@@ -546,7 +552,7 @@ def grad_check(
         analytic.append(params.grads.copy())
     params.grads[...] = 0.0
 
-    owned = owned_groups(samples, expert_of, params.num_decoders)
+    owned = owned_groups(samples, expert_of, params)
     rows, totals = shifted_losses(params, owned, schemes, np.arange(params.values.size))
     ok = np.array([np.isfinite(grad).all() for grad in analytic])
     for idx in params.arena()[1][:-1]:

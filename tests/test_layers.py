@@ -165,7 +165,7 @@ def attend(params, hiddens, query, w_in=None):
     context rows of the identity, so that the share is the context itself."""
     w_in = slot("w_in", np.eye(hiddens.shape[-1])) if w_in is None else w_in
     memory = L.attention_memory(params, hiddens[None], np.ones((1, len(hiddens)), dtype=bool), w_in)
-    trace = L.AttentionTrace.empty(params, memory, 1)
+    trace = L.AttentionTrace.empty(params, memory, 1, ())
     share = L.attention_context(params, memory, query[None], trace, 0)
     weights = trace.weights[0, 0]
     return weights @ hiddens, weights, (memory, trace, share[0])
@@ -267,7 +267,7 @@ class TestAttention:
 
         def forward(hv, qv):
             memory = L.attention_memory(params, hv, valid, w_in)
-            trace = L.AttentionTrace.empty(params, memory, steps)
+            trace = L.AttentionTrace.empty(params, memory, steps, ())
             shares = [L.attention_context(params, memory, q, trace, t) for t, q in enumerate(qv)]
             return memory, trace, np.array(shares)
 
@@ -391,7 +391,7 @@ class TestStackedCopies:
         of the cell's gates, then the weight gradients. Returns the (T, [n,] B, ·) contexts, taken
         from the weights, the weights and the shares of the gates, then d_queries and d_hiddens."""
         memory = L.attention_memory(params, hiddens, valid, w_in)
-        trace = L.AttentionTrace.empty(params, memory, len(queries))
+        trace = L.AttentionTrace.empty(params, memory, len(queries), params.v.value.shape[:-1])
         d_share, d_keys = np.empty_like(trace.share), np.zeros(memory.keys.shape)
         shares = np.array([L.attention_context(params, memory, query, trace, t) for t, query in enumerate(queries)])
         d_queries = np.array([

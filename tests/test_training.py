@@ -373,7 +373,7 @@ class TestTrainBatch:
         # Gradients already in the arena from an earlier call change nothing:
         # train_batch reads parameter values only and writes gradients only.
         params, scheme = scheme_model(num_experts, scheme_name, seed=2)
-        (samples,) = TR.groups(tiny_samples())
+        (samples,) = TR.groups(tiny_samples(), params.projection.a.value.nbytes)
         assert [s.intent for s in samples] == ["beta", "alpha"]  # sorted: the shorter context first
         expert_of = {"alpha": 0, "beta": 1}
         if grads_accumulated:
@@ -604,6 +604,12 @@ class TestGroupedTeacherForcing:
             assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
 
 
+@pytest.fixture
+def groups_of_eight(monkeypatch):
+    """Groups of ``GROUP_SIZE`` at any shape, as the toy shapes' several groups need."""
+    monkeypatch.setattr(TR, "GROUP_BYTES", 0)
+
+
 def mixed_batch(size, seed=3):
     """``size`` samples of both intents, with contexts of 1-5 and responses of 1-6 tokens."""
     rng = np.random.default_rng(seed)
@@ -614,6 +620,7 @@ def mixed_batch(size, seed=3):
     ]
 
 
+@pytest.mark.usefixtures("groups_of_eight")
 class TestBatchOrder:
     """train_batch sorts a batch before cutting it into groups, so a batch and its reversal
     differ only in how ties share groups and in the order the losses are summed."""
@@ -634,6 +641,7 @@ class TestBatchOrder:
         assert np.abs(reversed_grads - grads).max() <= 1e-12 * np.abs(grads).max()
 
 
+@pytest.mark.usefixtures("groups_of_eight")
 class TestGroupMemory:
     def test_peak_does_not_stack_across_groups(self):
         # Equal lengths make every group alike: no group's arrays may outlive it, so a
@@ -659,6 +667,46 @@ class TestGroupMemory:
         assert peak(batch) <= 1.05 * peak(batch[:TR.GROUP_SIZE])
 
 
+class TestGroupSize:
+    """A batch's groups hold max(GROUP_SIZE, GROUP_BYTES // (row bytes * its longest response))
+    samples, a readout row being one float64 per decoder and token, 8 * (k+1) * V bytes."""
+
+    @pytest.mark.parametrize("vocab,longest,batch,sizes", [
+        (400, 10, 64, [8] * 8), (54, 8, 16, [16]), (30_000, 10, 16, [8, 8]),
+    ], ids=["paper", "desk", "floor"])
+    def test_size_follows_the_readout_bytes(self, vocab, longest, batch, sizes):
+        samples = [EncodedSample([4] * (1 + 3 * i % 5), [4] * (i % longest) + [3], "alpha",
+                                 Sample(["x"], ["y"], "alpha")) for i in range(batch)]
+        np.random.default_rng(6).shuffle(samples)
+        cut = TR.groups(samples, 8 * 4 * vocab)
+        assert [len(group) for group in cut] == sizes
+        # In sorted order, each sample once.
+        ordered = sorted(samples, key=lambda s: (len(s.response_ids), len(s.context_ids)))
+        assert [id(s) for group in cut for s in group] == [id(s) for s in ordered]
+
+    def test_one_group_is_groups_of_eight(self, monkeypatch):
+        # A desk batch of 16 runs as one group; cut in two, its losses and gradients agree to 1e-12.
+        scheme = SchemeConfig.from_name("S4")
+        variant = VariantConfig(hidden_size=32, embedding_size=24, gate_hidden=32, gate_out=16)
+        params = init_model(54, 3, variant, 0, scheme)
+        assert params.projection.a.value.nbytes == 8 * 4 * 54
+        rng = np.random.default_rng(8)
+        expert_of = {"a": 0, "b": 1, "c": 2}
+        batch = [EncodedSample(rng.integers(4, 54, rng.integers(3, 7)).tolist(),
+                               [*rng.integers(4, 54, rng.integers(3, 8)).tolist(), 3], intent,
+                               Sample(["x"], ["y"], intent)) for intent in rng.choice(list(expert_of), 16)]
+        runs = []
+        for group_bytes, count in ((TR.GROUP_BYTES, 1), (0, 2)):
+            monkeypatch.setattr(TR, "GROUP_BYTES", group_bytes)
+            assert len(TR.owned_groups(batch, expert_of, params)) == count
+            params.grads[...] = 0.0
+            report = TR.train_batch(params, batch, scheme, expert_of)
+            runs.append(([report.total, report.chair_loss, *report.expert_losses], params.grads.copy()))
+        (losses, grads), (cut_losses, cut_grads) = runs
+        np.testing.assert_allclose(cut_losses, losses, rtol=1e-12, atol=0.0)
+        assert np.abs(cut_grads - grads).max() <= 1e-12 * np.abs(grads).max()
+
+
 class TestStackedLosses:
     """Every perturbed loss of the gradient check is one copy in a stack of copies of the
     model; every copy's expert losses, chair loss and total are the full forward's of the
@@ -672,10 +720,11 @@ class TestStackedLosses:
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, dict(_gradcheck_variants(3))[variant], 0, scheme)
         if batch == "two-groups":
+            monkeypatch.setattr(TR, "GROUP_BYTES", 0)
             samples, expert_of = mixed_batch(TR.GROUP_SIZE + 3), {"alpha": 0, "beta": 1}
         else:
             samples, expert_of = _gradcheck_samples(6, 3 if batch == "three-intents" else 2)
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         assert len(owned) == (2 if batch == "two-groups" else 1)
         # Every coordinate of the arena: every tensor kind, and at least three stacks of copies in
         # each layout, most of several coordinates, under a budget of a few coordinates a stack.
@@ -779,7 +828,7 @@ class TestStackedLosses:
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, num_experts, dict(_gradcheck_variants(GRADCHECK_MAX_HIDDEN))[variant], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         arena, coords = params.arena(), np.arange(params.values.size)
         plan, cost = TR.stacks(params, owned, coords, arena)
         assert all(len(stack) for stack in plan)
@@ -801,7 +850,7 @@ class TestStackedLosses:
         scheme = SchemeConfig.from_name(scheme_name)
         params = init_model(6, 2, dict(_gradcheck_variants(3))[variant], 0, scheme)
         samples, expert_of = _gradcheck_samples(6, 2)
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         arena, decoder_groups = params.arena(), set(params.DECODER_GROUPS)
         for stack in TR.stacks(params, owned, np.arange(params.values.size), arena)[0]:
             groups = {arena[0][t][0] for t in np.searchsorted(arena[1], stack, "right") - 1}
@@ -814,7 +863,7 @@ class TestStackedLosses:
         scheme = SchemeConfig.from_name("S4")
         params = M.build_model(400, 2, VariantConfig(), scheme).allocate()
         samples, expert_of = _gradcheck_samples(400, 2)
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         arena = params.arena()
         for name in ("cell.w_in", "proj.u", "gating.hidden_w"):
             start = arena[1][[t.name for _, t in arena[0]].index(name)]
@@ -876,7 +925,7 @@ class TestSharedSchemes:
         schemes = [SchemeConfig.from_name(name) for name in MIXING]
         params = init_model(6, 2, dict(_gradcheck_variants(3))[variant], 0, schemes[0])
         logits = np.arange(params.arena()[1][-3], params.values.size)
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         totals = TR.shifted_losses(params, owned, schemes, np.arange(params.values.size))[1]
         up, down = totals[:, 2 * logits], totals[:, 2 * logits + 1]
         assert (up[0] != down[0]).any()
@@ -893,7 +942,7 @@ class TestSharedSchemes:
         scheme = SchemeConfig.from_name("S2")
         params = init_model(6, 2, tiny_variant(), 0, scheme)
         samples, expert_of = tiny_samples(), {"alpha": 0, "beta": 1}
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         coords = np.arange(params.values.size)
         clean = TR.shifted_losses(params, owned, [scheme], coords)
         assert TR.grad_check(params, samples, [scheme], expert_of)[0] < 1e-4
@@ -971,7 +1020,7 @@ class TestGradCheck:
         coords = [BOS_ID * width, 3 * width, 4 * width + 1]
         starts = params.arena()[1]
         coords += [index for lo, hi in zip(starts[:-1], starts[1:]) for index in (lo, hi - 1)]
-        owned = TR.owned_groups(samples, expert_of, params.num_decoders)
+        owned = TR.owned_groups(samples, expert_of, params)
         rows, totals = TR.shifted_losses(params, owned, [scheme], np.array(coords))
         for index, stacked in zip(coords, zip(rows[0::2].tolist(), totals[0, 0::2])):
             original = params.values[index]
